@@ -6,8 +6,15 @@ is a rational function of xin whose denominator is a product of powers of
 principal parts at the two poles plus a polynomial part; pi+ keeps the
 principal parts at +i, pi- collects the -i parts together with the
 polynomial part, and pi' returns i times the residue at +i (the normalized
-upper contour integral).  The decomposition is validated by exact
-reassembly on every call.
+upper contour integral).
+
+There is one partial-fraction kernel.  The decomposition is linear over
+xin-free coefficients, so a coefficient num/den is expanded against the
+basis xin^d / den.  `basis_fractions` decomposes each basis element once,
+validates it by exact reassembly, and caches its principal parts, its
+polynomial part, its assembled pi+ and its residue at +i.  The projections
+here and the residue in `integration.integrate_xi_n` read that cache;
+`partial_fractions` also reassembles its full input as a check.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from .scalars import (
     ScalarExpr,
     S_ZERO,
     XIN,
-    _as_scalar,
 )
 from .clifford import CliffordExpr
 
@@ -92,14 +98,7 @@ class HalfLineRational:
     poly: Dict[int, CliffordExpr] = field(default_factory=dict)   # xin degree -> coeff
 
     def reassemble(self) -> CliffordExpr:
-        total = CliffordExpr()
-        for m, c in self.plus.items():
-            total = total + c.scale(_LIN_PLUS ** (-m))
-        for m, c in self.minus.items():
-            total = total + c.scale(_LIN_MINUS ** (-m))
-        for d, c in self.poly.items():
-            total = total + c.scale(_XIN_VAR ** d)
-        return total
+        return self.pi_plus_part() + self.pi_minus_part()
 
     def pi_plus_part(self) -> CliffordExpr:
         total = CliffordExpr()
@@ -152,28 +151,63 @@ def _decompose_scalar(f: ScalarExpr) -> Tuple[Dict[int, ScalarExpr], Dict[int, S
     return plus, minus, poly_part
 
 
+@dataclass(frozen=True)
+class _BasisEntry:
+    """Partial fractions of one basis element xin^d / den (constant coefficients)."""
+
+    plus: Dict[int, ScalarExpr]
+    minus: Dict[int, ScalarExpr]
+    poly: Dict[int, ScalarExpr]
+    pi_plus: ScalarExpr   # the assembled principal part at +i
+    residue: ScalarExpr   # the residue at +i
+
+
+_BASIS: Dict[Tuple[Poly, int], _BasisEntry] = {}
+
+
+def basis_fractions(den: Poly, d: int) -> _BasisEntry:
+    """Partial fractions of xin^d / den, cached; reassembly-validated once."""
+    key = (den, d)
+    hit = _BASIS.get(key)
+    if hit is not None:
+        return hit
+    num = Poly.var(XIN, d) if d else Poly.const(1)
+    f = ScalarExpr(num, den)
+    plus, minus, poly = _decompose_scalar(f)
+    parts = HalfLineRational(
+        *({k: CliffordExpr.scalar(c) for k, c in t.items()} for t in (plus, minus, poly))
+    )
+    if not (parts.reassemble() - CliffordExpr.scalar(f)).is_zero():
+        raise EngineError("internal: partial-fraction reassembly mismatch")
+    projected = parts.pi_plus_part().scalar_part()
+    hit = _BASIS[key] = _BasisEntry(plus, minus, poly, projected, plus.get(1, S_ZERO))
+    return hit
+
+
 def partial_fractions(expr: "CliffordExpr | ScalarExpr") -> HalfLineRational:
     """Exact decomposition into principal parts at +/-i plus polynomial part.
 
-    Accepts a Clifford-valued rational function of xin (scalars are wrapped);
-    validates by reassembling and comparing with the input.
+    Accepts a Clifford-valued rational function of xin (scalars are wrapped).
+    The decomposition is linear over xin-free coefficients, so each Clifford
+    coefficient is expanded against the cached basis xin^d / den; the result
+    is validated by reassembling and comparing with the input.
     """
     if isinstance(expr, ScalarExpr):
         expr = CliffordExpr.scalar(expr)
     out = HalfLineRational()
-
-    def _merge(target: Dict[int, CliffordExpr], key: int, mono, coeff: ScalarExpr):
-        cur = target.get(key, CliffordExpr())
-        target[key] = cur + CliffordExpr({mono: coeff})
-
     for mono, coeff in expr.terms.items():
-        plus, minus, poly = _decompose_scalar(coeff)
-        for m, c in plus.items():
-            _merge(out.plus, m, mono, c)
-        for m, c in minus.items():
-            _merge(out.minus, m, mono, c)
-        for d, c in poly.items():
-            _merge(out.poly, d, mono, c)
+        parts: Dict[Tuple[int, int], ScalarExpr] = {}
+        for d, cp in coeff.num.coeffs_in(XIN).items():
+            entry = basis_fractions(coeff.den, d)
+            scale = ScalarExpr.from_poly(cp)
+            for kind, table in enumerate((entry.plus, entry.minus, entry.poly)):
+                for m, c in table.items():
+                    parts[kind, m] = parts.get((kind, m), S_ZERO) + scale * c
+        targets = (out.plus, out.minus, out.poly)
+        for (kind, m), c in parts.items():
+            if not c.is_zero():
+                target = targets[kind]
+                target[m] = target.get(m, CliffordExpr()) + CliffordExpr({mono: c})
     check = out.reassemble() - expr
     if not check.is_zero():
         raise EngineError("internal: partial-fraction reassembly mismatch")
@@ -185,45 +219,11 @@ def pi_plus(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
     return partial_fractions(expr).pi_plus_part()
 
 
-_PI_PLUS_BASIS: Dict[Tuple[Poly, int], ScalarExpr] = {}
-
-
-def _pi_plus_basis(den: Poly, d: int) -> ScalarExpr:
-    """pi+ of xin^d / den, cached; reassembly-validated on the basis element."""
-    key = (den, d)
-    hit = _PI_PLUS_BASIS.get(key)
-    if hit is not None:
-        return hit
-    num = Poly.var(XIN, d) if d else Poly.const(1)
-    f = ScalarExpr(num, den)
-    plus, minus, poly = _decompose_scalar(f)
-    out = S_ZERO
-    check = S_ZERO
-    for m, c in plus.items():
-        part = c * _LIN_PLUS ** (-m)
-        out = out + part
-        check = check + part
-    for m, c in minus.items():
-        check = check + c * _LIN_MINUS ** (-m)
-    for dd, c in poly.items():
-        check = check + c * _XIN_VAR ** dd
-    if not (check - f).is_zero():
-        raise EngineError("internal: partial-fraction reassembly mismatch")
-    _PI_PLUS_BASIS[key] = out
-    return out
-
-
 def pi_plus_scalar(f: ScalarExpr) -> ScalarExpr:
-    """pi+ on a single scalar coefficient.
-
-    pi+ is linear over xin-free coefficients, so the input is decomposed
-    against cached projections of xin^d / den.
-    """
-    if f.is_zero():
-        return S_ZERO
+    """pi+ on a single scalar coefficient, from the cached basis projections."""
     out = S_ZERO
     for d, cp in sorted(f.num.coeffs_in(XIN).items()):
-        out = out + ScalarExpr.from_poly(cp) * _pi_plus_basis(f.den, d)
+        out = out + ScalarExpr.from_poly(cp) * basis_fractions(f.den, d).pi_plus
     return out
 
 

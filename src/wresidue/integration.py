@@ -2,10 +2,11 @@
 
 The xin integral of a rational function decaying at least like xin^-2 with
 poles only at +/-i closes upward: the exact value is 2*pi*i times the residue
-at +i, read off the partial-fraction decomposition.  A second exact route
-computes the residue by the derivative formula at the pole (independent of
-partial fractions), and a third, floating-point route integrates numerically;
-both back the exact path in the test suites.
+at +i.  The residue is read off the single partial-fraction kernel of
+`halfplane` (its cached decomposition of each basis element xin^d / den).
+Two oracles back this path in the test suites: an exact one that computes
+the residue by the derivative formula at the pole, independent of partial
+fractions, and a floating-point one that integrates numerically.
 
 Sphere moments over the unit tangential co-sphere are exact: odd monomials
 vanish, even ones follow the double-factorial formula, and the total measure
@@ -15,7 +16,7 @@ stays symbolic as Omega3 (moment of 1 is Omega3).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .scalars import (
     XIN,
 )
 from .clifford import CliffordExpr
-from .halfplane import _factor_pole_denominator, partial_fractions
+from .halfplane import _factor_pole_denominator, basis_fractions
 
 _TANGENTIAL = set(XI[:3])
 _PI_VAR = ScalarExpr.var(PI)
@@ -49,34 +50,13 @@ def _check_decay(coeff: ScalarExpr, required: int = 2):
         )
 
 
-_RESIDUE_BASIS: dict = {}
-
-
-def _residue_basis(den, d: int) -> GRat:
-    """Residue at +i of xin^d / den (den with constant coefficients), cached."""
-    from .scalars import Poly
-    from .halfplane import _decompose_scalar
-
-    key = (den, d)
-    hit = _RESIDUE_BASIS.get(key)
-    if hit is None:
-        num = Poly.var(XIN, d) if d else Poly.const(1)
-        plus, _, _ = _decompose_scalar(ScalarExpr(num, den))
-        res = plus.get(1, S_ZERO)
-        if not res.num.is_const():
-            raise EngineError("internal: non-constant basis residue")
-        hit = res.num.const_value()
-        _RESIDUE_BASIS[key] = hit
-    return hit
-
-
 def integrate_xi_n(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
     """Exact integral over the real xin line via the residue at +i.
 
     Requires poles only at +/-i and decay of order >= 2; the result carries
     the transcendental pi symbolically.  The integral is linear over xin-free
-    coefficients, so each coefficient is expanded against cached residues of
-    xin^d / den.
+    coefficients, so each coefficient is expanded against the residues of
+    xin^d / den held by the partial-fraction cache of `halfplane`.
     """
     if isinstance(expr, ScalarExpr):
         expr = CliffordExpr.scalar(expr)
@@ -86,9 +66,12 @@ def integrate_xi_n(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
         _check_decay(coeff)
         acc = S_ZERO
         for d, cp in sorted(coeff.num.coeffs_in(XIN).items()):
-            res = _residue_basis(coeff.den, d)
-            if not res.is_zero():
-                acc = acc + ScalarExpr.from_poly(cp) * ScalarExpr.const(res)
+            res = basis_fractions(coeff.den, d).residue
+            if res.is_zero():
+                continue
+            if not (res.is_poly() and res.num.is_const()):
+                raise EngineError("internal: non-constant basis residue")
+            acc = acc + ScalarExpr.from_poly(cp) * res
         if not acc.is_zero():
             out = out + CliffordExpr({mono: acc * two_pi_i})
     return out

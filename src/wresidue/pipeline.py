@@ -12,13 +12,19 @@ precedes the half-plane projection, the xin integral closes upward through
 the residue at +i, and tangential moments are exact with the sphere volume
 kept symbolic.
 
-Cases are independent pure computations; reports merge in case order.
+Each case is evaluated by one path, `case_stages`: per tangential axis it
+derives and restricts F2 and F1, projects and traces the pair, integrates
+over xin and takes the sphere moment, and keeps every stage on the
+`TheoremContext`.  `compute_case_term`, `case_trace_integrand`, the
+printed-intermediate slots and the sigma3 variant check all read those
+records, so a context evaluates each case once.  Cases are independent pure
+computations; reports merge in case order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .gaussian import GRat
 from .scalars import (
@@ -29,8 +35,8 @@ from .scalars import (
     sym,
     zero_torsion_bindings,
 )
-from .clifford import CliffordExpr, cl_trace
-from .halfplane import pi_plus
+from .clifford import CliffordExpr, _mono_square_sign
+from .halfplane import pi_plus_scalar
 from .integration import integrate_xi_n, sphere_moment
 from .symbols import (
     GradedSymbol,
@@ -175,10 +181,6 @@ class PhiReport:
     row_id: str
     value: ScalarExpr
     collected: CollectedForm
-    reference_id: Optional[str]
-    reference_value: Optional[ScalarExpr]
-    verdict: str
-    delta: Optional[ScalarExpr]
     trail: List[TrailStep] = field(default_factory=list)
 
 
@@ -265,11 +267,30 @@ def _prefactor(case: CaseSpec) -> GRat:
 
 
 @dataclass
+class AxisStages:
+    """The stage chain of one tangential axis of a case (one pass if |alpha| = 0).
+
+    `f2` and `f1` are the restricted second and first factors, `traced` is
+    Tr[pi+ F1 x F2] and `moment` its xin integral's sphere moment; `steps`
+    are the trail steps of the chain in order.  When F2 vanishes the chain
+    stops there: `f1` and `traced` are None and `moment` is zero.
+    """
+
+    steps: List[TrailStep]
+    f2: CliffordExpr
+    f1: Optional[CliffordExpr] = None
+    traced: Optional[ScalarExpr] = None
+    moment: ScalarExpr = S_ZERO
+
+
+@dataclass
 class TheoremContext:
     theorem: str
     factor1: GradedSymbol
     factor2: GradedSymbol
     sigma3_variant: str = "printed"
+    # per-case stage chains, evaluated on first use (see `case_stages`)
+    stages: Dict[CaseSpec, List[AxisStages]] = field(default_factory=dict, repr=False)
 
 
 def make_context(theorem: str, sigma3_variant: str = "printed") -> TheoremContext:
@@ -284,7 +305,7 @@ def make_context(theorem: str, sigma3_variant: str = "printed") -> TheoremContex
 
 def _first_factor_restricted(ctx: TheoremContext, case: CaseSpec,
                              tangential_axis: Optional[int],
-                             trail: List[TrailStep]) -> Tuple[CliffordExpr, str]:
+                             trail: List[TrailStep]) -> CliffordExpr:
     comp = ctx.factor1.component(case.r)
     label = f"sigma_{case.r}(F1)"
     for _ in range(case.j):
@@ -300,7 +321,7 @@ def _first_factor_restricted(ctx: TheoremContext, case: CaseSpec,
         label = f"d_xin {label}"
     restricted = comp.value.restrict_sphere()
     trail.append(TrailStep(label, "derivatives+restrict", restricted.text()))
-    return restricted, label
+    return restricted
 
 
 def _second_factor(ctx: TheoremContext, case: CaseSpec, tangential_axis: Optional[int],
@@ -333,9 +354,6 @@ def _traced_projected_product(f1_restricted: CliffordExpr, f2: CliffordExpr,
     Tr[pi+ f1 * f2] = 4 sum_S pi+(f1_S) f2_S c_S^2; only the paired
     coefficients are projected.
     """
-    from .clifford import _mono_square_sign
-    from .halfplane import pi_plus_scalar
-
     traced = S_ZERO
     projected_texts = []
     for mono in sorted(set(f1_restricted.terms) & set(f2.terms), key=lambda m: (len(m), m)):
@@ -355,47 +373,52 @@ def _traced_projected_product(f1_restricted: CliffordExpr, f2: CliffordExpr,
     return traced
 
 
+def _axis_stages(ctx: TheoremContext, case: CaseSpec, axis: Optional[int]) -> AxisStages:
+    steps: List[TrailStep] = []
+    f2 = _second_factor(ctx, case, axis, steps)
+    if f2.is_zero():
+        steps.append(
+            TrailStep(f"case {case.case_id} axis {axis}", "product", "0 (second factor vanishes)")
+        )
+        return AxisStages(steps, f2)
+    tag = f"(axis {axis})" if axis else ""
+    f1 = _first_factor_restricted(ctx, case, axis, steps)
+    traced = _traced_projected_product(f1, f2, steps, tag)
+    line_scalar = integrate_xi_n(traced).scalar_part()
+    steps.append(TrailStep(f"xin integral {tag}", "integrate_xi_n", line_scalar.text()))
+    moment = sphere_moment(line_scalar)
+    steps.append(TrailStep(f"sphere moments {tag}", "sphere_moment", moment.text()))
+    return AxisStages(steps, f2, f1, traced, moment)
+
+
+def case_stages(ctx: TheoremContext, case: CaseSpec) -> List[AxisStages]:
+    """The stage chains of one case, evaluated once per context and kept on it."""
+    hit = ctx.stages.get(case)
+    if hit is None:
+        axes = _TANGENTIAL_AXES if case.alpha else (None,)
+        hit = ctx.stages[case] = [_axis_stages(ctx, case, axis) for axis in axes]
+    return hit
+
+
+def find_case(theorem: str, case_id: str) -> CaseSpec:
+    return next(c for c in enumerate_cases(theorem) if c.case_id == case_id)
+
+
 def compute_case_term(ctx: TheoremContext, case: CaseSpec) -> PhiReport:
-    """Evaluate one boundary case end to end with a full step trail."""
+    """One boundary case end to end with a full step trail, read off its stages."""
     trail: List[TrailStep] = []
-    axes = _TANGENTIAL_AXES if case.alpha else (None,)
     total = S_ZERO
-    for axis in axes:
-        sub_trail: List[TrailStep] = []
-        tag = f"(axis {axis})" if axis else ""
-        f2 = _second_factor(ctx, case, axis, sub_trail)
-        if f2.is_zero():
-            trail.extend(sub_trail)
-            trail.append(
-                TrailStep(
-                    f"case {case.case_id} axis {axis}",
-                    "product",
-                    "0 (second factor vanishes)",
-                )
-            )
-            continue
-        f1r, _ = _first_factor_restricted(ctx, case, axis, sub_trail)
-        trail.extend(sub_trail)
-        traced = _traced_projected_product(f1r, f2, trail, tag)
-        line = integrate_xi_n(traced)
-        line_scalar = line.scalar_part()
-        trail.append(TrailStep(f"xin integral {tag}", "integrate_xi_n", line_scalar.text()))
-        moment = sphere_moment(line_scalar)
-        trail.append(TrailStep(f"sphere moments {tag}", "sphere_moment", moment.text()))
-        total = total + moment
+    for stage in case_stages(ctx, case):
+        trail.extend(stage.steps)
+        total = total + stage.moment
     pref = _prefactor(case)
     value = total * ScalarExpr.const(pref)
     trail.append(TrailStep("prefactor", "scale", f"{pref} -> {value.text()}"))
-    collected = collect_form(value)
     return PhiReport(
         case=case,
         row_id=f"{ctx.theorem}/{case.case_id}",
         value=value,
-        collected=collected,
-        reference_id=None,
-        reference_value=None,
-        verdict="paper-silent",
-        delta=None,
+        collected=collect_form(value),
         trail=trail,
     )
 
@@ -404,18 +427,12 @@ def case_trace_integrand(ctx: TheoremContext, case_id: str) -> CliffordExpr:
     """The traced integrand of a case before line and sphere integration.
 
     This is the expression whose printed counterpart appears in the source
-    text's per-case trace displays.
+    text's per-case trace displays; it sums the case's stored stages.
     """
-    case = next(c for c in enumerate_cases(ctx.theorem) if c.case_id == case_id)
-    trail: List[TrailStep] = []
     total = S_ZERO
-    axes = _TANGENTIAL_AXES if case.alpha else (None,)
-    for axis in axes:
-        f2 = _second_factor(ctx, case, axis, trail)
-        if f2.is_zero():
-            continue
-        f1r, _ = _first_factor_restricted(ctx, case, axis, trail)
-        total = total + _traced_projected_product(f1r, f2, trail, "")
+    for stage in case_stages(ctx, find_case(ctx.theorem, case_id)):
+        if stage.traced is not None:
+            total = total + stage.traced
     return CliffordExpr.scalar(total)
 
 
@@ -424,16 +441,11 @@ def total_boundary_term(reports: List[PhiReport], theorem: str) -> PhiReport:
     total = S_ZERO
     for rep in reports:
         total = total + rep.value
-    collected = collect_form(total)
     return PhiReport(
         case=None,
         row_id=f"{theorem}/total",
         value=total,
-        collected=collected,
-        reference_id=None,
-        reference_value=None,
-        verdict="paper-silent",
-        delta=None,
+        collected=collect_form(total),
         trail=[TrailStep("total", "sum", total.text())],
     )
 

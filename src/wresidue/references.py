@@ -14,23 +14,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from .gaussian import GRat, I
 from .scalars import ScalarExpr, S_ZERO, S_ONE, atom_A, atom_T, sym
 from .clifford import CliffordExpr, cl_trace_product
 from .halfplane import pi_plus
+from .pipeline import AxisStages, case_stages, case_trace_integrand, find_case
 from .symbols import (
-    GradedSymbol,
-    SymbolComponent,
     builtin_symbol,
     c_dxn,
     c_gen,
     c_xi,
     c_xi_prime,
-    d_xi,
     d_xn,
     q_bilinear,
+    restrict_component,
     sigma0_dirac_lc,
     torsion_u,
     torsion_v,
@@ -381,15 +380,15 @@ def _slot(slot_id: str, theorem: str, case_id: str, quote: str, build_ref):
     return deco
 
 
-def _restrict(comp: SymbolComponent) -> CliffordExpr:
-    return comp.value.restrict_sphere()
+def _stage(ctx, case_id: str) -> AxisStages:
+    """The stage chain of a case without tangential derivatives (a single pass)."""
+    (stage,) = case_stages(ctx, find_case(ctx.theorem, case_id))
+    return stage
 
 
-def _d_xin(comp: SymbolComponent, times: int = 1) -> SymbolComponent:
-    out = comp
-    for _ in range(times):
-        out = SymbolComponent(d_xi(out.value, 4), out.at_point, out.homogeneous)
-    return out
+def _projected_leading_f1(ctx) -> CliffordExpr:
+    """pi+ of the restricted, undifferentiated leading symbol of the first factor."""
+    return pi_plus(restrict_component(ctx.factor1.component(ctx.factor1.top)))
 
 
 # ---- first pipeline intermediates ----
@@ -400,7 +399,7 @@ def _d_xin(comp: SymbolComponent, times: int = 1) -> SymbolComponent:
     lambda: CliffordExpr.scalar((ScalarExpr.const(6) * xi_var(4) ** 2 - ScalarExpr.const(2)) / _den_1x2(3)),
 )
 def _slot_4_27(ctx):
-    return _restrict(_d_xin(ctx.factor2.component(-2), 2))
+    return _stage(ctx, "a2").f2
 
 
 @_slot(
@@ -411,7 +410,7 @@ def _slot_4_27(ctx):
     ),
 )
 def _slot_4_29(ctx):
-    return _restrict(d_xn(ctx.factor1.component(0)))
+    return _stage(ctx, "a2").f1
 
 
 @_slot(
@@ -427,7 +426,7 @@ def _slot_4_29(ctx):
     ),
 )
 def _slot_4_31(ctx):
-    return pi_plus(_restrict(d_xn(ctx.factor1.component(0))))
+    return pi_plus(_stage(ctx, "a2").f1)
 
 
 @_slot(
@@ -436,7 +435,7 @@ def _slot_4_31(ctx):
     lambda: CliffordExpr.scalar(-_h1() / _den_1x2(2)),
 )
 def _slot_4_34(ctx):
-    return _restrict(d_xn(ctx.factor2.component(-2)))
+    return restrict_component(d_xn(ctx.factor2.component(-2)))
 
 
 @_slot(
@@ -452,8 +451,6 @@ def _slot_4_34(ctx):
     ),
 )
 def _slot_4_35(ctx):
-    from .pipeline import case_trace_integrand
-
     return case_trace_integrand(ctx, "a2")
 
 
@@ -468,7 +465,7 @@ def _slot_4_35(ctx):
     ),
 )
 def _slot_4_36(ctx):
-    return pi_plus(_restrict(ctx.factor1.component(0)))
+    return _projected_leading_f1(ctx)
 
 
 @_slot(
@@ -479,8 +476,7 @@ def _slot_4_36(ctx):
     ),
 )
 def _slot_4_37(ctx):
-    projected = pi_plus(_restrict(ctx.factor1.component(0)))
-    return projected.differentiate("xin").differentiate("xin")
+    return _projected_leading_f1(ctx).differentiate("xin").differentiate("xin")
 
 
 @_slot(
@@ -493,8 +489,6 @@ def _slot_4_37(ctx):
     ),
 )
 def _slot_4_38(ctx):
-    from .pipeline import case_trace_integrand
-
     return case_trace_integrand(ctx, "a3")
 
 
@@ -524,7 +518,7 @@ def _sigma_m3_ref_printed() -> CliffordExpr:
     _sigma_m3_ref_printed,
 )
 def _slot_4_41(ctx):
-    return _restrict(ctx.factor2.component(-3))
+    return restrict_component(ctx.factor2.component(-3))
 
 
 @_slot(
@@ -541,8 +535,6 @@ def _slot_4_41(ctx):
     ),
 )
 def _slot_4_43(ctx):
-    from .pipeline import case_trace_integrand
-
     return case_trace_integrand(ctx, "b")
 
 
@@ -561,7 +553,7 @@ def _slot_4_43(ctx):
     ),
 )
 def _slot_5_15(ctx):
-    return _restrict(_d_xin(ctx.factor2.component(-3), 2))
+    return _stage(ctx, "a2").f2
 
 
 @_slot(
@@ -578,7 +570,7 @@ def _slot_5_15(ctx):
     ),
 )
 def _slot_5_16(ctx):
-    return _restrict(d_xn(ctx.factor1.component(1)))
+    return _stage(ctx, "a2").f1
 
 
 @_slot(
@@ -591,7 +583,7 @@ def _slot_5_16(ctx):
     ),
 )
 def _slot_5_21(ctx):
-    return _restrict(d_xn(ctx.factor2.component(-3)))
+    return restrict_component(d_xn(ctx.factor2.component(-3)))
 
 
 @_slot(
@@ -608,7 +600,7 @@ def _slot_5_21(ctx):
     ),
 )
 def _slot_5_22(ctx):
-    return pi_plus(_restrict(ctx.factor1.component(1)))
+    return _projected_leading_f1(ctx)
 
 
 @_slot(
@@ -619,8 +611,7 @@ def _slot_5_22(ctx):
     ),
 )
 def _slot_5_23(ctx):
-    projected = pi_plus(_restrict(ctx.factor1.component(1)))
-    return projected.differentiate("xin").differentiate("xin")
+    return _projected_leading_f1(ctx).differentiate("xin").differentiate("xin")
 
 
 @_slot(
@@ -631,8 +622,6 @@ def _slot_5_23(ctx):
     ),
 )
 def _slot_5_24(ctx):
-    from .pipeline import case_trace_integrand
-
     return case_trace_integrand(ctx, "a3")
 
 
@@ -645,7 +634,7 @@ def _slot_5_24(ctx):
     ),
 )
 def _slot_5_27(ctx):
-    return _restrict(_d_xin(ctx.factor2.component(-3), 1))
+    return _stage(ctx, "b").f2
 
 
 def _p0_full() -> CliffordExpr:
@@ -822,8 +811,7 @@ def _slot_5_35(ctx):
     sigma_m1 = builtin_symbol("D_T^-1").component(-1).value.restrict_sphere()
     first = (tbar_x.scale(i_s * tangential_y) + tbar_y.scale(i_s * tangential_x)) * sigma_m1
     projected = pi_plus(first.restrict_sphere())
-    second = _restrict(_d_xin(ctx.factor2.component(-3), 1))
-    return CliffordExpr.scalar(cl_trace_product(projected, second))
+    return CliffordExpr.scalar(cl_trace_product(projected, _stage(ctx, "b").f2))
 
 
 def _sigma_m4_nontorsion_ref() -> CliffordExpr:
@@ -864,7 +852,7 @@ def _sigma_m4_nontorsion_ref() -> CliffordExpr:
     ).scale(S_ONE / _den_1x2(3)),
 )
 def _slot_5_45(ctx):
-    return _restrict(ctx.factor2.component(-4))
+    return restrict_component(ctx.factor2.component(-4))
 
 
 @_slot(
@@ -882,8 +870,7 @@ def _slot_5_45(ctx):
     ),
 )
 def _slot_5_46(ctx):
-    projected = pi_plus(_restrict(ctx.factor1.component(1)))
-    return projected.differentiate("xin")
+    return _projected_leading_f1(ctx).differentiate("xin")
 
 
 @_slot(
@@ -934,7 +921,7 @@ def _ref_5_48() -> CliffordExpr:
     _ref_5_48,
 )
 def _slot_5_48(ctx):
-    projected = pi_plus(_restrict(ctx.factor1.component(1))).differentiate("xin")
+    projected = _projected_leading_f1(ctx).differentiate("xin")
     return CliffordExpr.scalar(
         cl_trace_product(projected, _sigma_m4_nontorsion_ref())
     )
@@ -955,7 +942,7 @@ def _ref_5_49() -> CliffordExpr:
     _ref_5_49,
 )
 def _slot_5_49(ctx):
-    projected = pi_plus(_restrict(ctx.factor1.component(1))).differentiate("xin")
+    projected = _projected_leading_f1(ctx).differentiate("xin")
     cxi = c_xi(at_point=True).restrict_sphere()
     torsion_block = (
         cxi * (torsion_u().scale(ScalarExpr.const(3)) - torsion_v()) * cxi

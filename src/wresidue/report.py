@@ -13,7 +13,7 @@ output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -24,7 +24,6 @@ from .scalars import (
     REG,
     Poly,
     ScalarExpr,
-    S_ZERO,
     sym,
 )
 from .clifford import CliffordExpr
@@ -35,7 +34,6 @@ from .interior import (
     trace_e,
 )
 from .pipeline import (
-    CaseSpec,
     PhiReport,
     TheoremContext,
     TrailStep,
@@ -45,8 +43,8 @@ from .pipeline import (
     make_context,
     total_boundary_term,
 )
-from .references import REFERENCES, reference_value, slots_for
-from .symbols import GradedSymbol, builtin_symbol, recomputed_symbol
+from .references import reference_value, slots_for
+from .symbols import builtin_symbol, recomputed_symbol
 
 ENGINE_VERSION = "0.1.0"
 
@@ -310,13 +308,16 @@ def _as_clifford(e) -> CliffordExpr:
     return e
 
 
-def compare_with_reference(expr, reference_id: str) -> Tuple[str, Optional[object]]:
-    """Exact symbolic difference; verdict 'match' iff it normalizes to zero."""
-    ref = reference_value(reference_id)
+def _compare(expr, ref) -> Tuple[str, Optional[CliffordExpr]]:
     delta = _as_clifford(expr) - _as_clifford(ref)
     if delta.is_zero():
         return "match", None
     return "mismatch", delta
+
+
+def compare_with_reference(expr, reference_id: str) -> Tuple[str, Optional[object]]:
+    """Exact symbolic difference; verdict 'match' iff it normalizes to zero."""
+    return _compare(expr, reference_value(reference_id))
 
 
 # ---------------------------------------------------------------------------
@@ -356,26 +357,25 @@ def _apply_config_to_value(value: ScalarExpr, cfg: RunConfig) -> ScalarExpr:
     return out
 
 
-def _attach_reference(report: PhiReport, ref_id: str):
-    report.reference_id = ref_id
-    report.reference_value = reference_value(ref_id)
-    verdict, delta = compare_with_reference(report.value, ref_id)
-    report.verdict = verdict
-    report.delta = delta.scalar_part() if isinstance(delta, CliffordExpr) else delta
+def _switched_comparison(value: ScalarExpr, ref_id: str, cfg: RunConfig):
+    """Value and reference under the config switches, and the verdict and delta
+    between the two: every field of a row describes the same switched value."""
+    value = _apply_config_to_value(value, cfg)
+    ref = _apply_config_to_value(reference_value(ref_id), cfg)
+    verdict, delta = _compare(value, ref)
+    return value, ref, verdict, delta
 
 
-def _row_dict(report: PhiReport, cfg: RunConfig) -> Dict:
-    value = _apply_config_to_value(report.value, cfg)
+def _row_dict(report: PhiReport, ref_id: str, cfg: RunConfig) -> Dict:
+    value, ref, verdict, delta = _switched_comparison(report.value, ref_id, cfg)
     row = {
         "id": report.row_id,
         "engine_value": emit(value, "latex" if cfg.output_format == "latex" else "text"),
-        "engine_collected": report.collected.text(),
-        "reference": report.reference_id,
-        "reference_value": (
-            emit(report.reference_value, "text") if report.reference_value is not None else None
-        ),
-        "verdict": report.verdict,
-        "delta": emit(report.delta, "text") if report.delta is not None else None,
+        "engine_collected": collect_form(value).text(),
+        "reference": ref_id,
+        "reference_value": emit(ref, "text"),
+        "verdict": verdict,
+        "delta": emit(delta.scalar_part(), "text") if delta is not None else None,
         "trail": [t.to_dict() for t in report.trail],
     }
     if report.case is not None:
@@ -413,10 +413,12 @@ def _symbol_diff_rows(theorem: str, cfg: RunConfig) -> List[Dict]:
     return rows
 
 
-def _slot_steps(ctx: TheoremContext) -> Dict[str, List[TrailStep]]:
-    """Evaluate every printed-intermediate slot for the theorem."""
+def _slot_steps(ctx: TheoremContext, case_id: Optional[str] = None) -> Dict[str, List[TrailStep]]:
+    """Evaluate the printed-intermediate slots of the theorem (of one case if given)."""
     out: Dict[str, List[TrailStep]] = {}
     for slot in slots_for(ctx.theorem):
+        if case_id is not None and slot.case_id != case_id:
+            continue
         engine_val = _as_clifford(slot.build_engine(ctx))
         ref_val = _as_clifford(slot.build_ref())
         delta = engine_val - ref_val
@@ -434,50 +436,41 @@ def _slot_steps(ctx: TheoremContext) -> Dict[str, List[TrailStep]]:
 
 
 def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
-    """All rows for one boundary theorem: cases, total, interior, diffs."""
+    """All rows for one boundary theorem: cases, total, interior, diffs.
+
+    Every case is computed, since the totals are reported; under `cfg.case`
+    only that case's row and printed-intermediate slots are built.
+    """
     ctx = make_context(theorem, cfg.sigma3_variant)
     refs = _CASE_REFS[theorem]
-    slot_steps = _slot_steps(ctx)
-    reports: List[PhiReport] = []
-    for case in enumerate_cases(theorem):
-        rep = compute_case_term(ctx, case)
-        _attach_reference(rep, refs[case.case_id])
-        rep.trail.extend(slot_steps.get(case.case_id, []))
-        reports.append(rep)
+    reports = [compute_case_term(ctx, case) for case in enumerate_cases(theorem)]
     total = total_boundary_term(reports, theorem)
-    _attach_reference(total, refs["total"])
     # sum consistency: total must equal the exact sum of the cases
     check = total.value
     for rep in reports:
         check = check - rep.value
     if not check.is_zero():
         raise EngineError("internal: case sum does not reproduce the total")
-    theorem_row = PhiReport(
-        case=None,
-        row_id=f"{theorem}/theorem",
-        value=total.value,
-        collected=total.collected,
-        reference_id=None,
-        reference_value=None,
-        verdict="paper-silent",
-        delta=None,
-        trail=[],
+    theorem_row = replace(total, row_id=f"{theorem}/theorem", trail=[])
+    slot_steps = _slot_steps(ctx, cfg.case)
+    rows = []
+    for rep in reports:
+        if cfg.case and rep.case.case_id != cfg.case:
+            continue
+        rep.trail.extend(slot_steps.get(rep.case.case_id, []))
+        rows.append(_row_dict(rep, refs[rep.case.case_id], cfg))
+    interior, _, interior_verdict, interior_delta = _switched_comparison(
+        interior_density(), refs["interior"], cfg
     )
-    _attach_reference(theorem_row, refs["theorem"])
-    interior = interior_density()
-    interior_verdict, interior_delta = compare_with_reference(interior, refs["interior"])
-    rows = [_row_dict(rep, cfg) for rep in reports]
-    if cfg.case:
-        rows = [r for r in rows if r["id"].endswith("/" + cfg.case)]
     out = {
         "theorem": theorem,
         "rows": rows,
         "totals": {
-            "boundary": _row_dict(total, cfg),
-            "theorem_statement": _row_dict(theorem_row, cfg),
+            "boundary": _row_dict(total, refs["total"], cfg),
+            "theorem_statement": _row_dict(theorem_row, refs["theorem"], cfg),
             "interior": {
                 "id": f"{theorem}/interior",
-                "engine_value": emit(_apply_config_to_value(interior, cfg), "text"),
+                "engine_value": emit(interior, "text"),
                 "reference": refs["interior"],
                 "verdict": interior_verdict,
                 "delta": emit(interior_delta, "text") if interior_delta is not None else None,
@@ -486,24 +479,27 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
         "symbol_diffs": _symbol_diff_rows(theorem, cfg),
     }
     if theorem == "T4.6":
-        out["sigma3_variant_check"] = _sigma3_variant_rows(cfg)
+        out["sigma3_variant_check"] = _sigma3_variant_rows(ctx)
     return out
 
 
-def _sigma3_variant_rows(cfg: RunConfig) -> List[Dict]:
-    """Both index readings of the inverse-Laplacian order -3 data downstream."""
+def _sigma3_variant_rows(ctx: TheoremContext) -> List[Dict]:
+    """Both index readings of the inverse-Laplacian order -3 data downstream.
+
+    The run's context supplies its own reading; only the other is evaluated.
+    """
+    other = make_context(ctx.theorem, "xik" if ctx.sigma3_variant == "printed" else "printed")
+    readings = {ctx.sigma3_variant: ctx, other.sigma3_variant: other}
     rows = []
-    base = make_context("T4.6", "printed")
-    alt = make_context("T4.6", "xik")
-    for case in enumerate_cases("T4.6"):
+    for case in enumerate_cases(ctx.theorem):
         if case.case_id not in ("b", "c"):
             continue
-        v1 = compute_case_term(base, case).value
-        v2 = compute_case_term(alt, case).value
+        v1 = compute_case_term(readings["printed"], case).value
+        v2 = compute_case_term(readings["xik"], case).value
         delta = v1 - v2
         rows.append(
             {
-                "id": f"T4.6/{case.case_id}/sigma3-variant-delta",
+                "id": f"{ctx.theorem}/{case.case_id}/sigma3-variant-delta",
                 "printed_vs_xik": emit(delta, "text"),
                 "identical": delta.is_zero(),
             }
@@ -516,6 +512,7 @@ def run_interior(cfg: RunConfig, theorem: str = "T2.3") -> Dict:
     ids = curvature_trace_identities()
     rows = []
     for name, val in sorted(ids.items()):
+        val = _apply_config_to_value(val, cfg)
         rows.append(
             {
                 "id": f"{theorem}/{name}",
@@ -523,33 +520,27 @@ def run_interior(cfg: RunConfig, theorem: str = "T2.3") -> Dict:
                 "verdict": "match" if val.is_zero() else "mismatch",
             }
         )
-    te = trace_e()
-    verdict, delta = compare_with_reference(te, "eq_2_21")
-    rows.append(
-        {
-            "id": f"{theorem}/trace-E",
-            "engine_value": emit(_apply_config_to_value(te, cfg), "text"),
-            "reference": "eq_2_21",
-            "verdict": verdict,
-            "delta": emit(delta, "text") if delta is not None else None,
-        }
-    )
-    ref_id = {"T2.3": "thm_2_3", "T4.1": "thm_4_1", "T5.1": "thm_5_1"}[theorem]
-    density = interior_density()
-    verdict, delta = compare_with_reference(density, ref_id)
-    rows.append(
-        {
-            "id": f"{theorem}/density",
-            "engine_value": emit(_apply_config_to_value(density, cfg), "text"),
-            "reference": ref_id,
-            "verdict": verdict,
-            "delta": emit(delta, "text") if delta is not None else None,
-        }
-    )
+    ref_ids = {"T2.3": "thm_2_3", "T4.1": "thm_4_1", "T5.1": "thm_5_1"}
+    for name, value, ref_id in (
+        ("trace-E", trace_e(), "eq_2_21"),
+        ("density", interior_density(), ref_ids[theorem]),
+    ):
+        value, _, verdict, delta = _switched_comparison(value, ref_id, cfg)
+        rows.append(
+            {
+                "id": f"{theorem}/{name}",
+                "engine_value": emit(value, "text"),
+                "reference": ref_id,
+                "verdict": verdict,
+                "delta": emit(delta, "text") if delta is not None else None,
+            }
+        )
     rows.append(
         {
             "id": f"{theorem}/four-form-top-coefficient",
-            "engine_value": emit(clifford_part_top_coefficient(), "text"),
+            "engine_value": emit(
+                _apply_config_to_value(clifford_part_top_coefficient(), cfg), "text"
+            ),
             "note": "reported separately; the trace functional assigns zero to the top monomial",
         }
     )
@@ -602,7 +593,10 @@ def render_report(doc: Dict, output_format: str) -> str:
         push("")
         push(f"== {section['theorem']} ==")
         for row in section["rows"]:
-            push(f"  {row['id']}: verdict={row['verdict']}")
+            if "verdict" in row:
+                push(f"  {row['id']}: verdict={row['verdict']}")
+            else:
+                push(f"  {row['id']}: {row['note']}")
             if "engine_collected" in row:
                 push(f"    engine = {row.get('engine_collected')}")
             else:

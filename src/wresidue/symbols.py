@@ -268,6 +268,27 @@ def _dx_normal(component: SymbolComponent) -> SymbolComponent:
     return SymbolComponent(d.value.scale(-S_I), at_point=True, homogeneous=d.homogeneous)
 
 
+def _order_sum(op: str, target: int, terms) -> SymbolComponent:
+    """Sum of d_xi^k p_j * D_xn^k q_l over (p_j, q_l, k) with k >= 0.
+
+    Tangential x-derivatives vanish at x0, so only normal ones enter, and
+    k >= 2 would need h''(0), which is not modeled.
+    """
+    acc = _ZERO_COMPONENT
+    for pj, ql, k in terms:
+        if k >= 2:
+            raise EngineError(
+                f"{op}: order {target} needs {k} normal derivatives; "
+                "h''(0) is not modeled"
+            )
+        if k == 0:
+            acc = _add_components(acc, _mul_components(pj, ql))
+        else:
+            left = SymbolComponent(d_xi(pj.value, 4), pj.at_point, pj.homogeneous)
+            acc = _add_components(acc, _mul_components(left, _dx_normal(ql)))
+    return acc
+
+
 def compose(p: GradedSymbol, q: GradedSymbol, min_order: int,
             label: Optional[str] = None) -> GradedSymbol:
     """Graded components of sigma(P o Q) down to min_order.
@@ -292,26 +313,12 @@ def compose(p: GradedSymbol, q: GradedSymbol, min_order: int,
         )
     out: Dict[int, SymbolComponent] = {}
     for t in range(top, min_order - 1, -1):
-        acc = _ZERO_COMPONENT
-        for j in p.orders():
-            for l in q.orders():
-                k = j + l - t
-                if k < 0:
-                    continue
-                if k >= 2:
-                    raise EngineError(
-                        f"compose: order {t} needs {k} normal derivatives; "
-                        "h''(0) is not modeled"
-                    )
-                pj = p.component(j)
-                ql = q.component(l)
-                if k == 0:
-                    acc = _add_components(acc, _mul_components(pj, ql))
-                else:
-                    left = SymbolComponent(d_xi(pj.value, 4), pj.at_point, pj.homogeneous)
-                    right = _dx_normal(ql)
-                    acc = _add_components(acc, _mul_components(left, right))
-        out[t] = acc
+        out[t] = _order_sum("compose", t, (
+            (p.component(j), q.component(l), j + l - t)
+            for j in p.orders()
+            for l in q.orders()
+            if j + l - t >= 0
+        ))
     return GradedSymbol(label or f"({p.label}) o ({q.label})", out, top, min_order)
 
 
@@ -332,27 +339,12 @@ def invert(p: GradedSymbol, min_order: int, label: Optional[str] = None) -> Grad
             raise EngineError(
                 f"invert: {p.label} missing order {m - s} needed for order {target}"
             )
-        acc = _ZERO_COMPONENT
-        for j in p.orders():
-            for l in list(comps):
-                k = j + l + s
-                if (j, l, k) == (m, target, 0):
-                    continue
-                if k < 0 or l <= target:
-                    continue
-                if k >= 2:
-                    raise EngineError(
-                        f"invert: order {target} needs {k} normal derivatives; "
-                        "h''(0) is not modeled"
-                    )
-                pj = p.component(j)
-                ql = comps[l]
-                if k == 0:
-                    acc = _add_components(acc, _mul_components(pj, ql))
-                else:
-                    left = SymbolComponent(d_xi(pj.value, 4), pj.at_point, pj.homogeneous)
-                    right = _dx_normal(ql)
-                    acc = _add_components(acc, _mul_components(left, right))
+        acc = _order_sum("invert", target, (
+            (p.component(j), comps[l], j + l + s)
+            for j in p.orders()
+            for l in comps
+            if j + l + s >= 0
+        ))
         neg = SymbolComponent(-acc.value, acc.at_point, acc.homogeneous)
         comps[target] = _mul_components(inv_lead_comp, neg)
     return GradedSymbol(label or f"({p.label})^-1", comps, -m, min_order)

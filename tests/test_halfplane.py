@@ -169,3 +169,28 @@ def test_denominator_with_other_variables_rejected():
 def test_pi_plus_scalar_agrees_with_clifford_route():
     f = (XIN ** 2 + sym("h1")) / ((XIN - IC) ** 2 * (XIN + IC) ** 2)
     assert CliffordExpr.scalar(pi_plus_scalar(f)) == pi_plus(f)
+
+
+def test_partial_fractions_with_other_variables_matches_direct_decomposition():
+    """Coefficients carrying h1, X1, Y2 decompose as the direct per-coefficient kernel does.
+
+    `partial_fractions` expands each coefficient against cached basis
+    elements xin^d / den; `_decompose_scalar` on the whole coefficient is the
+    reference route.
+    """
+    from wresidue.halfplane import _decompose_scalar
+    from wresidue.verify import _rand_halfline
+
+    rng = random.Random(11)
+    weights = (sym("h1"), sym("X1") * sym("Y2"), S_ONE - sym("h1") * sym("Y2"))
+    for _ in range(12):
+        expr = CliffordExpr()
+        for mono in ((), (1,), (2, 4)):
+            coeff = S_ZERO
+            for w in rng.sample(weights, 2):
+                coeff = coeff + w * _rand_halfline(rng, decay=rng.choice((0, 1, 2)))
+            expr = expr + CliffordExpr({mono: coeff})
+        pf = partial_fractions(expr)
+        for mono, coeff in expr.terms.items():
+            for got, want in zip((pf.plus, pf.minus, pf.poly), _decompose_scalar(coeff)):
+                assert {k: c.terms[mono] for k, c in got.items() if mono in c.terms} == want

@@ -9,6 +9,7 @@ import pytest
 from wresidue.gaussian import GRat, I
 from wresidue.scalars import EngineError, ScalarExpr, S_ONE, S_ZERO, sym
 from wresidue.clifford import CliffordExpr
+from wresidue.pipeline import case_trace_integrand, enumerate_cases, make_context
 from wresidue.integration import (
     integrate_via_residue_oracle,
     integrate_xi_n,
@@ -139,3 +140,11 @@ def test_moment_formula_dimension_generic():
     for d in (2, 3, 4, 7):
         assert monomial_moment([2, 0, 0], sphere_dim=d) == Fraction(1, d)
     assert monomial_moment([2, 2, 0], sphere_dim=4) == Fraction(1, 24)
+
+
+def test_case_integrands_residue_matches_derivative_oracle():
+    """Every T4.6 traced integrand integrates the same by both exact residue routes."""
+    ctx = make_context("T4.6")
+    for case in enumerate_cases("T4.6"):
+        traced = case_trace_integrand(ctx, case.case_id)
+        assert integrate_xi_n(traced) == integrate_via_residue_oracle(traced), case.case_id

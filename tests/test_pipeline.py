@@ -271,3 +271,28 @@ def test_trail_records_primitive_steps(t46):
     for needed in ("derivatives+restrict", "pi_plus", "cl_trace",
                    "integrate_xi_n", "sphere_moment", "scale"):
         assert needed in ops
+
+
+def test_run_theorem_evaluates_each_stage_chain_once(monkeypatch):
+    """Slots, rows and the sigma3 variant check share one evaluation per case."""
+    from collections import Counter
+
+    from wresidue import pipeline
+    from wresidue.report import RunConfig, run_theorem
+
+    calls = Counter()
+    second_factor = pipeline._second_factor
+
+    def counting(ctx, case, axis, trail):
+        calls[ctx.sigma3_variant, case.case_id, axis] += 1
+        return second_factor(ctx, case, axis, trail)
+
+    monkeypatch.setattr(pipeline, "_second_factor", counting)
+    run_theorem("T4.6", RunConfig(theorem="T4.6"))
+    want = {
+        ("printed", c.case_id, axis)
+        for c in enumerate_cases("T4.6")
+        for axis in ((1, 2, 3) if c.alpha else (None,))
+    } | {("xik", "b", None), ("xik", "c", None)}
+    assert set(calls) == want
+    assert set(calls.values()) == {1}, calls

@@ -1,6 +1,8 @@
 """Report assembly, serialization round-trips, CLI contract, determinism."""
 
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,14 @@ import pytest
 from wresidue.gaussian import GRat, I
 from wresidue.scalars import EngineError, REG, ScalarExpr, S_ZERO, sym
 from wresidue.clifford import CliffordExpr
+from wresidue.pipeline import (
+    apply_torsion_switches,
+    collect_form,
+    collected_to_scalar,
+    compute_case_term,
+    enumerate_cases,
+    make_context,
+)
 from wresidue.report import (
     RunConfig,
     compare_with_reference,
@@ -148,20 +158,80 @@ def test_slot_verdicts_attached(t46_doc):
     assert verdicts["eq_4_29"] == "match"
 
 
-def test_no_torsion_config_strips_atoms():
-    cfg = RunConfig(theorem="T5.4", torsion_a=False, torsion_t=False, torsion_v=False)
+_TORSION_ATOMS = re.compile(r"\b(?:A|T|V|dT2|dT4|dV)\[|\b(?:normT2|normV2|divV)\b")
+_OMEGA3_ATOM = re.compile(r"\bOmega3\b")
+
+
+def _run_keeping_context(monkeypatch, cfg):
+    """run_computation, and the context of the configured reading it evaluated."""
+    from wresidue import report
+
+    contexts = []
+
+    def keep(theorem, sigma3_variant="printed"):
+        contexts.append(make_context(theorem, sigma3_variant))
+        return contexts[-1]
+
+    monkeypatch.setattr(report, "make_context", keep)
     doc = run_computation(cfg)
+    return doc, contexts[0]
+
+
+def _check_switched_section(section, ctx, switch, atoms):
+    """Every field of every boundary row describes the switched value."""
+    values = {
+        f"{ctx.theorem}/{c.case_id}": switch(compute_case_term(ctx, c).value)
+        for c in enumerate_cases(ctx.theorem)
+    }
+    total = S_ZERO
+    for v in values.values():
+        total = total + v
+    values[f"{ctx.theorem}/total"] = values[f"{ctx.theorem}/theorem"] = total
+    totals = section["totals"]
+    for row in section["rows"] + [totals["boundary"], totals["theorem_statement"]]:
+        for key in ("engine_value", "engine_collected", "delta", "reference_value"):
+            assert not atoms.search(row[key] or ""), (row["id"], key)
+        value = values[row["id"]]
+        collected = collect_form(value)
+        assert row["engine_value"] == value.text(), row["id"]
+        assert row["engine_collected"] == collected.text(), row["id"]
+        assert collected_to_scalar(collected) == value, row["id"]
+
+
+def test_no_torsion_config_strips_atoms(monkeypatch):
+    cfg = RunConfig(theorem="T5.4", torsion_a=False, torsion_t=False, torsion_v=False)
+    doc, ctx = _run_keeping_context(monkeypatch, cfg)
     for row in doc["sections"][0]["rows"]:
         assert "A[" not in row["engine_value"]
         assert "T[" not in row["engine_value"]
         assert "V[" not in row["engine_value"]
+    _check_switched_section(
+        doc["sections"][0], ctx,
+        lambda v: apply_torsion_switches(v, False, False, False), _TORSION_ATOMS,
+    )
 
 
-def test_subst_omega3():
+def test_subst_omega3(monkeypatch):
     cfg = RunConfig(theorem="T4.6", subst_omega3=True)
-    doc = run_computation(cfg)
+    doc, ctx = _run_keeping_context(monkeypatch, cfg)
     total = doc["sections"][0]["totals"]["boundary"]["engine_value"]
     assert "Omega3" not in total
+    _check_switched_section(
+        doc["sections"][0], ctx,
+        lambda v: v.substitute({"Omega3": ScalarExpr.const(4) * sym("pi")}), _OMEGA3_ATOM,
+    )
+
+
+def test_json_report_bytes_pinned():
+    """The JSON reports of both boundary theorems are pinned byte for byte."""
+    pinned = {
+        "T4.6": "f3336b239836bd33a0bdf228070681950e55d73a755a7636cfcc689613ab4b79",
+        "T5.4": "adccaa77011f8a48053bf01a2850d7c58252811fcd1ef53ef05f6e23673c85aa",
+    }
+    for theorem, digest in pinned.items():
+        cfg = RunConfig(theorem=theorem, output_format="json")
+        text = render_report(run_computation(cfg), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, theorem
 
 
 def test_determinism_byte_identical():
@@ -183,6 +253,16 @@ def test_interior_report_rows():
         "T2.3/connection-bracket-trace",
     ):
         assert rows[name]["verdict"] == "match"
+
+
+def test_interior_text_render_lists_every_row():
+    doc = run_computation(RunConfig(theorem="T2.3"))
+    text = render_report(doc, "text")
+    for row in doc["sections"][0]["rows"]:
+        assert f"  {row['id']}: " in text
+    out = _run_cli("run", "--theorem", "T2.3")
+    assert out.returncode == 0, out.stderr
+    assert "T2.3/four-form-top-coefficient: reported separately" in out.stdout
 
 
 def test_config_validation():
