@@ -19,7 +19,11 @@ from typing import Optional
 
 from .scalars import EngineError
 from .report import (
+    CASE_CHOICES,
+    ConfigError,
+    FORMAT_CHOICES,
     RunConfig,
+    SIGMA3_CHOICES,
     THEOREM_CHOICES,
     render_report,
     run_computation,
@@ -38,8 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute computations and emit the report")
     run_p.add_argument("--theorem", choices=THEOREM_CHOICES, default="all")
-    run_p.add_argument("--case", choices=("a1", "a2", "a3", "b", "c"), default=None)
-    run_p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    run_p.add_argument("--case", choices=CASE_CHOICES, default=None)
+    run_p.add_argument("--format", choices=FORMAT_CHOICES, default="text")
     run_p.add_argument("--no-torsion", action="store_true",
                        help="switch off all torsion atom families (A, T, V)")
     run_p.add_argument("--subst-omega3", action="store_true",
@@ -47,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--oracle-samples", type=int, default=0,
                        help="also run the oracle suites with this sample count")
-    run_p.add_argument("--sigma3-variant", choices=("printed", "xik"), default="printed")
+    run_p.add_argument("--sigma3-variant", choices=SIGMA3_CHOICES, default="printed")
     run_p.add_argument("--config", type=str, default=None,
                        help="JSON file with a flat RunConfig mapping")
     run_p.add_argument("--out", type=str, default=None)
@@ -69,8 +73,11 @@ def _config_from_args(args) -> RunConfig:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    cfg = RunConfig.from_mapping(data) if data else RunConfig()
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise ConfigError(f"config file {args.config!r} is not valid JSON: {exc}")
+    cfg = RunConfig.from_mapping(data) if args.config else RunConfig()
     if args.theorem != "all" or not data:
         cfg.theorem = args.theorem
     if args.case is not None:
@@ -109,9 +116,11 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import SUITES, _DEFAULT_COUNTS, run_all_suites
 
+    if args.samples < 0:
+        raise ConfigError("--samples must not be negative")
     if args.suite:
         if args.suite not in SUITES:
-            raise EngineError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+            raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
         count = args.samples or _DEFAULT_COUNTS[args.suite]
         results = {args.suite: SUITES[args.suite](seed=args.seed, count=count)}
     else:
@@ -168,10 +177,10 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "list":
             return cmd_list(args)
         raise EngineError(f"unknown command {args.command!r}")
-    except EngineError as exc:
+    except (OSError, EngineError) as exc:  # OSError: an unreadable --config or --out path
         sys.stderr.write(f"error: {exc}\n")
-        is_internal = "internal" in str(exc) or "oracle" in str(exc)
-        return 2 if is_internal else 1
+        internal = "internal" in str(exc) or "oracle" in str(exc)
+        return 2 if internal and type(exc) is EngineError else 1
 
 
 if __name__ == "__main__":

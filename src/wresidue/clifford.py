@@ -115,6 +115,9 @@ class CliffordExpr:
     def scalar_part(self) -> ScalarExpr:
         return self.terms.get((), S_ZERO)
 
+    def variables(self) -> set:
+        return set().union(*(c.variables() for c in self.terms.values()))
+
     def grades(self) -> set:
         return {len(m) for m in self.terms}
 

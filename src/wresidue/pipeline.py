@@ -30,6 +30,7 @@ from .gaussian import GRat
 from .scalars import (
     EngineError,
     REG,
+    Poly,
     ScalarExpr,
     S_ZERO,
     sym,
@@ -136,21 +137,16 @@ def enumerate_cases(theorem: str) -> List[CaseSpec]:
 
 @dataclass
 class TrailStep:
+    """One trail step.  The report shows `note` then the text of `expr` under
+    the config switches; a printed-intermediate step compares `expr` with
+    its printed reference `ref`."""
+
     step_id: str
     op: str
-    expr_text: str
+    expr: object = None  # ScalarExpr | CliffordExpr | None
+    note: str = ""
     ref_id: Optional[str] = None
-    verdict: Optional[str] = None
-    delta_text: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        out = {"step": self.step_id, "op": self.op, "expr": self.expr_text}
-        if self.ref_id is not None:
-            out["ref"] = self.ref_id
-            out["verdict"] = self.verdict
-            if self.delta_text:
-                out["delta"] = self.delta_text
-        return out
+    ref: object = None
 
 
 @dataclass
@@ -200,8 +196,6 @@ def collect_form(value: ScalarExpr) -> CollectedForm:
     normal = S_ZERO
     normal_dyn = S_ZERO
     leftover = S_ZERO
-    from .scalars import Poly
-
     for mono, coeff in value.num.terms.items():
         xs = [(s, e) for s, e in mono if s in x_ids]
         ys = [(s, e) for s, e in mono if s in y_ids]
@@ -320,7 +314,7 @@ def _first_factor_restricted(ctx: TheoremContext, case: CaseSpec,
         comp = SymbolComponent(d_xi(comp.value, 4), comp.at_point, comp.homogeneous)
         label = f"d_xin {label}"
     restricted = comp.value.restrict_sphere()
-    trail.append(TrailStep(label, "derivatives+restrict", restricted.text()))
+    trail.append(TrailStep(label, "derivatives+restrict", restricted))
     return restricted
 
 
@@ -331,7 +325,7 @@ def _second_factor(ctx: TheoremContext, case: CaseSpec, tangential_axis: Optiona
     if case.alpha:
         comp = d_x_tangential(comp)
         label = f"d_x'{tangential_axis} {label}"
-        trail.append(TrailStep(label, "d_x_tangential", comp.value.text()))
+        trail.append(TrailStep(label, "d_x_tangential", comp.value))
         if comp.value.is_zero():
             return CliffordExpr()
     for _ in range(case.k):
@@ -341,7 +335,7 @@ def _second_factor(ctx: TheoremContext, case: CaseSpec, tangential_axis: Optiona
         comp = SymbolComponent(d_xi(comp.value, 4), comp.at_point, comp.homogeneous)
         label = f"d_xin {label}"
     restricted = comp.value.restrict_sphere()
-    trail.append(TrailStep(label, "derivatives+restrict", restricted.text()))
+    trail.append(TrailStep(label, "derivatives+restrict", restricted))
     return restricted
 
 
@@ -355,21 +349,18 @@ def _traced_projected_product(f1_restricted: CliffordExpr, f2: CliffordExpr,
     coefficients are projected.
     """
     traced = S_ZERO
-    projected_texts = []
+    projected = {}
     for mono in sorted(set(f1_restricted.terms) & set(f2.terms), key=lambda m: (len(m), m)):
-        proj = pi_plus_scalar(f1_restricted.terms[mono])
+        proj = projected[mono] = pi_plus_scalar(f1_restricted.terms[mono])
         if proj.is_zero():
             continue
-        body = "".join(f"c(e_{i})" for i in mono) or "Id"
-        projected_texts.append(f"[{proj.text()}] {body}")
         term = proj * f2.terms[mono]
         if _mono_square_sign(len(mono)) < 0:
             term = -term
         traced = traced + term
     traced = traced * ScalarExpr.const(GRat(4))
-    trail.append(TrailStep(f"pi+ paired coefficients {tag}", "pi_plus",
-                           " + ".join(projected_texts) if projected_texts else "0"))
-    trail.append(TrailStep(f"trace {tag}", "cl_trace", traced.text()))
+    trail.append(TrailStep(f"pi+ paired coefficients {tag}", "pi_plus", CliffordExpr(projected)))
+    trail.append(TrailStep(f"trace {tag}", "cl_trace", traced))
     return traced
 
 
@@ -378,16 +369,17 @@ def _axis_stages(ctx: TheoremContext, case: CaseSpec, axis: Optional[int]) -> Ax
     f2 = _second_factor(ctx, case, axis, steps)
     if f2.is_zero():
         steps.append(
-            TrailStep(f"case {case.case_id} axis {axis}", "product", "0 (second factor vanishes)")
+            TrailStep(f"case {case.case_id} axis {axis}", "product",
+                      note="0 (second factor vanishes)")
         )
         return AxisStages(steps, f2)
     tag = f"(axis {axis})" if axis else ""
     f1 = _first_factor_restricted(ctx, case, axis, steps)
     traced = _traced_projected_product(f1, f2, steps, tag)
     line_scalar = integrate_xi_n(traced).scalar_part()
-    steps.append(TrailStep(f"xin integral {tag}", "integrate_xi_n", line_scalar.text()))
+    steps.append(TrailStep(f"xin integral {tag}", "integrate_xi_n", line_scalar))
     moment = sphere_moment(line_scalar)
-    steps.append(TrailStep(f"sphere moments {tag}", "sphere_moment", moment.text()))
+    steps.append(TrailStep(f"sphere moments {tag}", "sphere_moment", moment))
     return AxisStages(steps, f2, f1, traced, moment)
 
 
@@ -413,7 +405,7 @@ def compute_case_term(ctx: TheoremContext, case: CaseSpec) -> PhiReport:
         total = total + stage.moment
     pref = _prefactor(case)
     value = total * ScalarExpr.const(pref)
-    trail.append(TrailStep("prefactor", "scale", f"{pref} -> {value.text()}"))
+    trail.append(TrailStep("prefactor", "scale", value, note=f"{pref} -> "))
     return PhiReport(
         case=case,
         row_id=f"{ctx.theorem}/{case.case_id}",
@@ -446,15 +438,25 @@ def total_boundary_term(reports: List[PhiReport], theorem: str) -> PhiReport:
         row_id=f"{theorem}/total",
         value=total,
         collected=collect_form(total),
-        trail=[TrailStep("total", "sum", total.text())],
+        trail=[TrailStep("total", "sum", total)],
     )
 
 
-def apply_torsion_switches(value: ScalarExpr, a: bool, t: bool, v: bool) -> ScalarExpr:
-    """Substitute zero for the switched-off torsion atom families."""
+def apply_torsion_switches(value, a: bool, t: bool, v: bool):
+    """Set the switched-off torsion atom families to zero in a ScalarExpr or
+    a CliffordExpr by dropping every monomial that holds one; a value free of
+    them is returned as it is."""
     if a and t and v:
         return value
-    bindings = zero_torsion_bindings(a=not a, t=not t, v=not v)
-    if not bindings:
+    ids = set(zero_torsion_bindings(a=not a, t=not t, v=not v))
+    if ids.isdisjoint(value.variables()):
         return value
-    return value.substitute(bindings)
+
+    def keep(p: Poly) -> Poly:
+        return Poly({m: k for m, k in p.terms.items() if ids.isdisjoint(s for s, _ in m)},
+                    _trusted=True)
+
+    def drop(c: ScalarExpr) -> ScalarExpr:
+        return ScalarExpr(keep(c.num), keep(c.den))
+
+    return value.map_coeffs(drop) if isinstance(value, CliffordExpr) else drop(value)

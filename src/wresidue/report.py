@@ -13,7 +13,7 @@ output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -24,6 +24,7 @@ from .scalars import (
     REG,
     Poly,
     ScalarExpr,
+    S_ZERO,
     sym,
 )
 from .clifford import CliffordExpr
@@ -37,6 +38,7 @@ from .pipeline import (
     PhiReport,
     TheoremContext,
     TrailStep,
+    apply_torsion_switches,
     collect_form,
     compute_case_term,
     enumerate_cases,
@@ -54,6 +56,19 @@ ENGINE_VERSION = "0.1.0"
 # ---------------------------------------------------------------------------
 
 THEOREM_CHOICES = ("T2.3", "T4.1", "T4.6", "T5.1", "T5.4", "all")
+CASE_CHOICES = ("a1", "a2", "a3", "b", "c")
+FORMAT_CHOICES = ("text", "json", "latex")
+SIGMA3_CHOICES = ("printed", "xik")
+_CHOICES = {
+    "theorem": THEOREM_CHOICES,
+    "case": (None,) + CASE_CHOICES,
+    "output_format": FORMAT_CHOICES,
+    "sigma3_variant": SIGMA3_CHOICES,
+}
+
+
+class ConfigError(EngineError):
+    """A usage or configuration error; the CLI exits 1 on it."""
 
 
 @dataclass
@@ -73,35 +88,28 @@ class RunConfig:
 
     @staticmethod
     def from_mapping(data: Dict) -> "RunConfig":
-        cfg = RunConfig()
-        for key, val in data.items():
-            if not hasattr(cfg, key):
-                raise EngineError(f"unknown configuration key {key!r}")
-            setattr(cfg, key, val)
+        if not isinstance(data, dict):
+            raise ConfigError("a configuration must be a JSON object")
+        unknown = [key for key in data if key not in {f.name for f in fields(RunConfig)}]
+        if unknown:
+            raise ConfigError(f"unknown configuration key {unknown[0]!r}")
+        cfg = RunConfig(**data)
         cfg.validate()
         return cfg
 
     def validate(self):
-        if self.theorem not in THEOREM_CHOICES:
-            raise EngineError(f"unknown theorem {self.theorem!r}")
-        if self.output_format not in ("text", "json", "latex"):
-            raise EngineError(f"unknown output format {self.output_format!r}")
-        if self.sigma3_variant not in ("printed", "xik"):
-            raise EngineError(f"unknown sigma3 variant {self.sigma3_variant!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
+        for f in fields(self):  # bool and int fields take exactly that type
+            if f.type in ("bool", "int") and type(getattr(self, f.name)).__name__ != f.type:
+                kind = "true or false" if f.type == "bool" else "an integer"
+                raise ConfigError(f"{f.name} must be {kind}")
+        if self.oracle_samples < 0:
+            raise ConfigError("oracle_samples must not be negative")
 
     def to_mapping(self) -> Dict:
-        return {
-            "theorem": self.theorem,
-            "case": self.case,
-            "torsion_a": self.torsion_a,
-            "torsion_t": self.torsion_t,
-            "torsion_v": self.torsion_v,
-            "output_format": self.output_format,
-            "subst_omega3": self.subst_omega3,
-            "seed": self.seed,
-            "oracle_samples": self.oracle_samples,
-            "sigma3_variant": self.sigma3_variant,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +307,11 @@ def parse_emitted(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Comparison
+# Config switches and comparison
 # ---------------------------------------------------------------------------
+
+_FOUR_PI = ScalarExpr.const(4) * sym("pi")
+
 
 def _as_clifford(e) -> CliffordExpr:
     if isinstance(e, ScalarExpr):
@@ -308,16 +319,31 @@ def _as_clifford(e) -> CliffordExpr:
     return e
 
 
-def _compare(expr, ref) -> Tuple[str, Optional[CliffordExpr]]:
-    delta = _as_clifford(expr) - _as_clifford(ref)
+def _switch(expr, cfg: RunConfig):
+    """A scalar or Clifford value under the config switches: the switched-off
+    torsion families set to zero, then Omega3 = 4 pi if asked for.  Every
+    switched field of the report is mapped by this one function."""
+    out = apply_torsion_switches(expr, cfg.torsion_a, cfg.torsion_t, cfg.torsion_v)
+    if cfg.subst_omega3 and OMEGA3 in out.variables():
+        out = out.substitute({OMEGA3: _FOUR_PI})
+    return out
+
+
+def _compare_under(value, ref, cfg: RunConfig):
+    """The switched value, the switched reference, and the verdict and delta
+    between the two: 'match' iff the exact difference is zero, in which case
+    the delta is None.  Every verdict of the report comes from here."""
+    value, ref = _switch(value, cfg), _switch(ref, cfg)
+    delta = _as_clifford(value) - _as_clifford(ref)
     if delta.is_zero():
-        return "match", None
-    return "mismatch", delta
+        return value, ref, "match", None
+    return value, ref, "mismatch", delta
 
 
 def compare_with_reference(expr, reference_id: str) -> Tuple[str, Optional[object]]:
     """Exact symbolic difference; verdict 'match' iff it normalizes to zero."""
-    return _compare(expr, reference_value(reference_id))
+    _, _, verdict, delta = _compare_under(expr, reference_value(reference_id), RunConfig())
+    return verdict, delta
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +374,21 @@ _CASE_REFS = {
 }
 
 
-def _apply_config_to_value(value: ScalarExpr, cfg: RunConfig) -> ScalarExpr:
-    from .pipeline import apply_torsion_switches
-
-    out = apply_torsion_switches(value, cfg.torsion_a, cfg.torsion_t, cfg.torsion_v)
-    if cfg.subst_omega3:
-        out = out.substitute({OMEGA3: ScalarExpr.const(4) * sym("pi")})
-    return out
-
-
-def _switched_comparison(value: ScalarExpr, ref_id: str, cfg: RunConfig):
-    """Value and reference under the config switches, and the verdict and delta
-    between the two: every field of a row describes the same switched value."""
-    value = _apply_config_to_value(value, cfg)
-    ref = _apply_config_to_value(reference_value(ref_id), cfg)
-    verdict, delta = _compare(value, ref)
-    return value, ref, verdict, delta
+def _trail_dict(step: TrailStep, cfg: RunConfig) -> Dict:
+    """A trail step as emitted: its expression switched, a slot step compared."""
+    if step.ref_id is not None:
+        value, _, verdict, delta = _compare_under(step.expr, step.ref, cfg)
+        out = {"step": step.step_id, "op": step.op, "expr": value.text(),
+               "ref": step.ref_id, "verdict": verdict}
+        if delta is not None:
+            out["delta"] = delta.text()
+        return out
+    text = step.note if step.expr is None else step.note + _switch(step.expr, cfg).text()
+    return {"step": step.step_id, "op": step.op, "expr": text}
 
 
 def _row_dict(report: PhiReport, ref_id: str, cfg: RunConfig) -> Dict:
-    value, ref, verdict, delta = _switched_comparison(report.value, ref_id, cfg)
+    value, ref, verdict, delta = _compare_under(report.value, reference_value(ref_id), cfg)
     row = {
         "id": report.row_id,
         "engine_value": emit(value, "latex" if cfg.output_format == "latex" else "text"),
@@ -376,17 +397,23 @@ def _row_dict(report: PhiReport, ref_id: str, cfg: RunConfig) -> Dict:
         "reference_value": emit(ref, "text"),
         "verdict": verdict,
         "delta": emit(delta.scalar_part(), "text") if delta is not None else None,
-        "trail": [t.to_dict() for t in report.trail],
+        "trail": [_trail_dict(t, cfg) for t in report.trail],
     }
-    if report.case is not None:
-        row["case"] = {
-            "r": report.case.r,
-            "l": report.case.ell,
-            "k": report.case.k,
-            "j": report.case.j,
-            "alpha": report.case.alpha,
-        }
+    case = report.case
+    if case is not None:
+        row["case"] = {"r": case.r, "l": case.ell, "k": case.k, "j": case.j, "alpha": case.alpha}
     return row
+
+
+def _interior_row(row_id: str, value: ScalarExpr, ref_id: str, cfg: RunConfig) -> Dict:
+    value, _, verdict, delta = _compare_under(value, reference_value(ref_id), cfg)
+    return {
+        "id": row_id,
+        "engine_value": emit(value, "text"),
+        "reference": ref_id,
+        "verdict": verdict,
+        "delta": emit(delta, "text") if delta is not None else None,
+    }
 
 
 def _symbol_diff_rows(theorem: str, cfg: RunConfig) -> List[Dict]:
@@ -400,39 +427,16 @@ def _symbol_diff_rows(theorem: str, cfg: RunConfig) -> List[Dict]:
         stated = builtin_symbol(op_id, cfg.sigma3_variant)
         recomputed = recomputed_symbol(op_id)
         for order in orders:
-            sv = stated.component(order).value.restrict_sphere()
-            rv = recomputed.component(order).value.restrict_sphere()
-            delta = sv - rv
+            sv, rv = (s.component(order).value.restrict_sphere() for s in (stated, recomputed))
+            _, _, verdict, delta = _compare_under(sv, rv, cfg)
             rows.append(
                 {
                     "id": f"{theorem}/symbol-diff/{op_id}@{order}",
-                    "verdict": "match" if delta.is_zero() else "mismatch",
-                    "delta": emit(delta, "text"),
+                    "verdict": verdict,
+                    "delta": "0" if delta is None else emit(delta, "text"),
                 }
             )
     return rows
-
-
-def _slot_steps(ctx: TheoremContext, case_id: Optional[str] = None) -> Dict[str, List[TrailStep]]:
-    """Evaluate the printed-intermediate slots of the theorem (of one case if given)."""
-    out: Dict[str, List[TrailStep]] = {}
-    for slot in slots_for(ctx.theorem):
-        if case_id is not None and slot.case_id != case_id:
-            continue
-        engine_val = _as_clifford(slot.build_engine(ctx))
-        ref_val = _as_clifford(slot.build_ref())
-        delta = engine_val - ref_val
-        verdict = "match" if delta.is_zero() else "mismatch"
-        step = TrailStep(
-            step_id=slot.slot_id,
-            op="printed-intermediate",
-            expr_text=engine_val.text(),
-            ref_id=slot.slot_id,
-            verdict=verdict,
-            delta_text=None if delta.is_zero() else delta.text(),
-        )
-        out.setdefault(slot.case_id, []).append(step)
-    return out
 
 
 def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
@@ -452,56 +456,54 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     if not check.is_zero():
         raise EngineError("internal: case sum does not reproduce the total")
     theorem_row = replace(total, row_id=f"{theorem}/theorem", trail=[])
-    slot_steps = _slot_steps(ctx, cfg.case)
     rows = []
     for rep in reports:
-        if cfg.case and rep.case.case_id != cfg.case:
+        case_id = rep.case.case_id
+        if cfg.case and case_id != cfg.case:
             continue
-        rep.trail.extend(slot_steps.get(rep.case.case_id, []))
-        rows.append(_row_dict(rep, refs[rep.case.case_id], cfg))
-    interior, _, interior_verdict, interior_delta = _switched_comparison(
-        interior_density(), refs["interior"], cfg
-    )
+        # the case's printed-intermediate slots, compared when the row is emitted
+        slot_steps = [
+            TrailStep(slot.slot_id, "printed-intermediate", _as_clifford(slot.build_engine(ctx)),
+                      ref_id=slot.slot_id, ref=_as_clifford(slot.build_ref()))
+            for slot in slots_for(theorem) if slot.case_id == case_id
+        ]
+        rows.append(_row_dict(replace(rep, trail=rep.trail + slot_steps), refs[case_id], cfg))
     out = {
         "theorem": theorem,
         "rows": rows,
         "totals": {
             "boundary": _row_dict(total, refs["total"], cfg),
             "theorem_statement": _row_dict(theorem_row, refs["theorem"], cfg),
-            "interior": {
-                "id": f"{theorem}/interior",
-                "engine_value": emit(interior, "text"),
-                "reference": refs["interior"],
-                "verdict": interior_verdict,
-                "delta": emit(interior_delta, "text") if interior_delta is not None else None,
-            },
+            "interior": _interior_row(
+                f"{theorem}/interior", interior_density(), refs["interior"], cfg
+            ),
         },
         "symbol_diffs": _symbol_diff_rows(theorem, cfg),
     }
     if theorem == "T4.6":
-        out["sigma3_variant_check"] = _sigma3_variant_rows(ctx)
+        out["sigma3_variant_check"] = _sigma3_variant_rows(ctx, cfg)
     return out
 
 
-def _sigma3_variant_rows(ctx: TheoremContext) -> List[Dict]:
+def _sigma3_variant_rows(ctx: TheoremContext, cfg: RunConfig) -> List[Dict]:
     """Both index readings of the inverse-Laplacian order -3 data downstream.
 
     The run's context supplies its own reading; only the other is evaluated.
     """
     other = make_context(ctx.theorem, "xik" if ctx.sigma3_variant == "printed" else "printed")
-    readings = {ctx.sigma3_variant: ctx, other.sigma3_variant: other}
+    printed, xik = (ctx, other) if ctx.sigma3_variant == "printed" else (other, ctx)
     rows = []
     for case in enumerate_cases(ctx.theorem):
         if case.case_id not in ("b", "c"):
             continue
-        v1 = compute_case_term(readings["printed"], case).value
-        v2 = compute_case_term(readings["xik"], case).value
-        delta = v1 - v2
+        _, _, verdict, delta = _compare_under(
+            compute_case_term(printed, case).value, compute_case_term(xik, case).value, cfg
+        )
         rows.append(
             {
                 "id": f"{ctx.theorem}/{case.case_id}/sigma3-variant-delta",
-                "printed_vs_xik": emit(delta, "text"),
-                "identical": delta.is_zero(),
+                "printed_vs_xik": "0" if delta is None else emit(delta.scalar_part(), "text"),
+                "identical": verdict == "match",
             }
         )
     return rows
@@ -509,38 +511,18 @@ def _sigma3_variant_rows(ctx: TheoremContext) -> List[Dict]:
 
 def run_interior(cfg: RunConfig, theorem: str = "T2.3") -> Dict:
     """Interior rows: trace identities, Tr E, and the functional density."""
-    ids = curvature_trace_identities()
     rows = []
-    for name, val in sorted(ids.items()):
-        val = _apply_config_to_value(val, cfg)
-        rows.append(
-            {
-                "id": f"{theorem}/{name}",
-                "engine_value": emit(val, "text"),
-                "verdict": "match" if val.is_zero() else "mismatch",
-            }
-        )
+    for name, val in sorted(curvature_trace_identities().items()):
+        val, _, verdict, _ = _compare_under(val, S_ZERO, cfg)
+        rows.append({"id": f"{theorem}/{name}", "engine_value": emit(val, "text"),
+                     "verdict": verdict})
     ref_ids = {"T2.3": "thm_2_3", "T4.1": "thm_4_1", "T5.1": "thm_5_1"}
-    for name, value, ref_id in (
-        ("trace-E", trace_e(), "eq_2_21"),
-        ("density", interior_density(), ref_ids[theorem]),
-    ):
-        value, _, verdict, delta = _switched_comparison(value, ref_id, cfg)
-        rows.append(
-            {
-                "id": f"{theorem}/{name}",
-                "engine_value": emit(value, "text"),
-                "reference": ref_id,
-                "verdict": verdict,
-                "delta": emit(delta, "text") if delta is not None else None,
-            }
-        )
+    rows.append(_interior_row(f"{theorem}/trace-E", trace_e(), "eq_2_21", cfg))
+    rows.append(_interior_row(f"{theorem}/density", interior_density(), ref_ids[theorem], cfg))
     rows.append(
         {
             "id": f"{theorem}/four-form-top-coefficient",
-            "engine_value": emit(
-                _apply_config_to_value(clifford_part_top_coefficient(), cfg), "text"
-            ),
+            "engine_value": emit(_switch(clifford_part_top_coefficient(), cfg), "text"),
             "note": "reported separately; the trace functional assigns zero to the top monomial",
         }
     )

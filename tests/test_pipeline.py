@@ -153,6 +153,23 @@ def test_torsion_terms_present_before_switch(t54):
     assert not any(sid in switched.variables() for sid in REG.ids_of_family("A"))
 
 
+def test_torsion_switches_agree_with_generic_substitution(t54):
+    """Scalars and Clifford values, with the atoms in the numerator or the
+    denominator; a value free of the switched atoms comes back as it is."""
+    from wresidue.scalars import zero_torsion_bindings
+
+    a = REG.ids_of_family("A")[0]
+    val = t54[1]["b"].value
+    in_den = val / (sym("xin") + ScalarExpr.var(a)) + ScalarExpr.var(a) ** 2 / (1 + sym("xin") ** 2)
+    cliff = CliffordExpr({(): in_den, (1, 4): val * sym("xin")})
+    for switches in ((False, False, False), (False, True, True), (True, True, False)):
+        bindings = zero_torsion_bindings(*(not on for on in switches))
+        for expr in (val, in_den, cliff):
+            assert apply_torsion_switches(expr, *switches) == expr.substitute(bindings)
+    free = t54[1]["a1"].value + PI * OM
+    assert apply_torsion_switches(free, False, False, False) is free
+
+
 # ---------------------------------------------------------------------------
 # independent routes
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import wresidue
 from wresidue.gaussian import GRat, I
 from wresidue.scalars import EngineError, REG, ScalarExpr, S_ZERO, sym
 from wresidue.clifford import CliffordExpr
@@ -30,7 +32,7 @@ from wresidue.report import (
     render_report,
     run_computation,
 )
-from wresidue.references import REFERENCES, reference_value
+from wresidue.references import REFERENCES, reference_value, slots_for
 
 
 def frac(a, b=1):
@@ -177,6 +179,22 @@ def _run_keeping_context(monkeypatch, cfg):
     return doc, contexts[0]
 
 
+def _strings(node):
+    """Every string value in a nested report section."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for val in node.values():
+            yield from _strings(val)
+    elif isinstance(node, list):
+        for val in node:
+            yield from _strings(val)
+
+
+def _as_clifford(e):
+    return CliffordExpr.scalar(e) if isinstance(e, ScalarExpr) else e
+
+
 def _check_switched_section(section, ctx, switch, atoms):
     """Every field of every boundary row describes the switched value."""
     values = {
@@ -196,6 +214,22 @@ def _check_switched_section(section, ctx, switch, atoms):
         assert row["engine_value"] == value.text(), row["id"]
         assert row["engine_collected"] == collected.text(), row["id"]
         assert collected_to_scalar(collected) == value, row["id"]
+    # rows, trails, totals, symbol diffs and the sigma3 variant check alike
+    stale = [text for text in _strings(section) if atoms.search(text)]
+    assert not stale, stale[:3]
+    # a slot step compares the switched engine value with the switched printed one
+    steps = {
+        t["ref"]: t for row in section["rows"] for t in row["trail"] if t.get("ref")
+    }
+    slots = slots_for(ctx.theorem)
+    assert {slot.slot_id for slot in slots} == set(steps)
+    for slot in slots:
+        engine = switch(_as_clifford(slot.build_engine(ctx)))
+        printed = switch(_as_clifford(slot.build_ref()))
+        step = steps[slot.slot_id]
+        assert step["expr"] == engine.text(), slot.slot_id
+        want = "match" if (engine - printed).is_zero() else "mismatch"
+        assert step["verdict"] == want, slot.slot_id
 
 
 def test_no_torsion_config_strips_atoms(monkeypatch):
@@ -272,16 +306,41 @@ def test_config_validation():
         RunConfig.from_mapping({"no_such_key": 1})
 
 
+def test_config_rejects_a_method_name_as_key():
+    with pytest.raises(EngineError, match="unknown configuration key 'validate'"):
+        RunConfig.from_mapping({"theorem": "T2.3", "validate": 1})
+
+
+def test_config_rejects_unknown_case():
+    with pytest.raises(EngineError, match="unknown case 'zz'"):
+        RunConfig.from_mapping({"theorem": "T4.6", "case": "zz"})
+
+
+@pytest.mark.parametrize("key", ["torsion_a", "torsion_t", "torsion_v", "subst_omega3"])
+def test_config_rejects_non_boolean_switch(key):
+    with pytest.raises(EngineError, match=f"{key} must be true or false"):
+        RunConfig.from_mapping({"theorem": "T2.3", key: 0})
+
+
+def test_config_rejects_negative_oracle_samples():
+    with pytest.raises(EngineError, match="oracle_samples must not be negative"):
+        RunConfig.from_mapping({"theorem": "T2.3", "oracle_samples": -1})
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
 def _run_cli(*args):
+    """The CLI in a child process that imports this `wresidue`."""
+    src = os.path.dirname(os.path.dirname(wresidue.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "wresidue.cli", *args],
         capture_output=True,
         text=True,
         timeout=500,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -320,3 +379,32 @@ def test_cli_verify_suite():
     out = _run_cli("verify", "--suite", "sphere", "--samples", "40")
     assert out.returncode == 0
     assert "sphere" in out.stdout and "[ok]" in out.stdout
+
+
+def _assert_usage_error(out):
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+def test_cli_config_file_errors(tmp_path):
+    _assert_usage_error(_run_cli("run", "--config", str(tmp_path / "missing.json")))
+    bad = tmp_path / "internal-oracle.json"  # words that mark internal errors
+    bad.write_text("{not json")
+    _assert_usage_error(_run_cli("run", "--config", str(bad)))
+    not_object = tmp_path / "list.json"
+    not_object.write_text('["T2.3"]')
+    _assert_usage_error(_run_cli("run", "--config", str(not_object)))
+
+
+def test_cli_out_into_missing_directory(tmp_path):
+    out = _run_cli("run", "--theorem", "T2.3", "--out", str(tmp_path / "no" / "report.txt"))
+    _assert_usage_error(out)
+
+
+def test_cli_rejects_negative_sample_counts():
+    out = _run_cli("verify", "--suite", "sphere", "--samples", "-3")
+    _assert_usage_error(out)
+    assert out.stdout == ""
+    _assert_usage_error(_run_cli("run", "--theorem", "T2.3", "--oracle-samples", "-1"))
