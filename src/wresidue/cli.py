@@ -13,6 +13,7 @@ internal inconsistency such as an oracle disagreement.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional
@@ -98,18 +99,17 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _write(text: str, out: Optional[str]):
+def _open_out(out: Optional[str]):
+    """The output file, opened before any work so that a bad path fails at once."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    doc = run_computation(cfg)
-    _write(render_report(doc, cfg.output_format), args.out)
+    with _open_out(args.out) as fh:
+        fh.write(render_report(run_computation(cfg), cfg.output_format))
     return 0
 
 
@@ -118,24 +118,25 @@ def cmd_verify(args) -> int:
 
     if args.samples < 0:
         raise ConfigError("--samples must not be negative")
-    if args.suite:
-        if args.suite not in SUITES:
-            raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-        count = args.samples or _DEFAULT_COUNTS[args.suite]
-        results = {args.suite: SUITES[args.suite](seed=args.seed, count=count)}
-    else:
-        results = run_all_suites(seed=args.seed, scale=args.samples)
-    lines = []
-    failed = False
-    for name, result in sorted(results.items()):
-        status = "ok" if not result["failures"] else "FAIL"
-        lines.append(f"{name}: {result['passed']} passed, "
-                     f"{len(result['failures'])} failed [{status}]")
-        for f in result["failures"][:5]:
-            lines.append(f"  failure: {f}")
-        failed = failed or bool(result["failures"])
-    lines.append("")
-    _write("\n".join(lines), args.out)
+    if args.suite and args.suite not in SUITES:
+        raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+    with _open_out(args.out) as fh:
+        if args.suite:
+            count = args.samples or _DEFAULT_COUNTS[args.suite]
+            results = {args.suite: SUITES[args.suite](seed=args.seed, count=count)}
+        else:
+            results = run_all_suites(seed=args.seed, scale=args.samples)
+        lines = []
+        failed = False
+        for name, result in sorted(results.items()):
+            status = "ok" if not result["failures"] else "FAIL"
+            lines.append(f"{name}: {result['passed']} passed, "
+                         f"{len(result['failures'])} failed [{status}]")
+            for f in result["failures"][:5]:
+                lines.append(f"  failure: {f}")
+            failed = failed or bool(result["failures"])
+        lines.append("")
+        fh.write("\n".join(lines))
     return 2 if failed else 0
 
 

@@ -20,7 +20,7 @@ Pure values throughout; nothing mutates after construction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GRat, ONE, ZERO, I
 from .scalars import (

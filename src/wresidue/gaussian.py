@@ -1,27 +1,56 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
-Every coefficient in the engine lives here: a pair of `fractions.Fraction`
-values for the real and imaginary parts.  All operations are exact; floats
-only appear through the explicit `to_complex` escape hatch used by the
-numeric oracles.
+Every coefficient in the engine lives here, as one canonical integer triple
+(a, b, d) that means (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.  Equal
+values have equal triples, so equality and hashing compare three ints, and
+every operation runs on Python ints, with a fast path for d == 1.
+
+`fractions.Fraction` appears only at the edges: the constructor accepts it,
+and the read-only `re` and `im` views return it.  Floats only appear through
+the explicit `to_complex` escape hatch used by the numeric oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 _FracLike = Union[int, Fraction]
 
 
-class GRat:
-    """A Gaussian rational a + b*i with exact Fraction components."""
+def _parts(x: _FracLike):
+    """(numerator, denominator) of an int or Fraction input."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
-    __slots__ = ("re", "im")
+
+def _qstr(n: int, d: int) -> str:
+    """The text of n/d in lowest terms, as `str(Fraction(n, d))` writes it."""
+    g = gcd(n, d)
+    if g != d:
+        return f"{n // g}/{d // g}"
+    return str(n // g)
+
+
+class GRat:
+    """A Gaussian rational (a + b*i)/d, stored as its canonical triple."""
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: _FracLike = 0, im: _FracLike = 0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        rn, rd = _parts(re)
+        jn, jd = _parts(im)
+        # each part is in lowest terms, so a prime dividing d = lcm(rd, jd)
+        # misses at least one numerator: the triple is already canonical
+        d = rd * jd // gcd(rd, jd)
+        self.a, self.b, self.d = rn * (d // rd), jn * (d // jd), d
 
     # -- constructors ------------------------------------------------------
 
@@ -31,46 +60,80 @@ class GRat:
             return value
         return GRat(value)
 
+    # -- views -------------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self.a == 1 and self.d == 1 and not self.b
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = GRat.of(other)
-        return GRat(self.re + other.re, self.im + other.im)
+        if type(other) is not GRat:
+            other = GRat.of(other)
+        d = self.d
+        if d == other.d:
+            a = self.a + other.a
+            b = self.b + other.b
+            if d == 1:
+                return _raw(a, b, 1)
+            return _canon(a, b, d)
+        e = other.d
+        return _canon(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GRat(-self.re, -self.im)
+        return _raw(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = GRat.of(other)
-        return GRat(self.re - other.re, self.im - other.im)
+        if type(other) is not GRat:
+            other = GRat.of(other)
+        d = self.d
+        if d == other.d:
+            a = self.a - other.a
+            b = self.b - other.b
+            if d == 1:
+                return _raw(a, b, 1)
+            return _canon(a, b, d)
+        e = other.d
+        return _canon(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return GRat.of(other) - self
 
     def __mul__(self, other):
-        other = GRat.of(other)
-        return GRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GRat:
+            other = GRat.of(other)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        d = self.d * other.d
+        if d == 1:
+            return _raw(a * c - b * e, a * e + b * c, 1)
+        return _canon(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GRat":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GRat(self.re / n, -self.im / n)
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            if not a:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            # gcd(a, d) = 1 already
+            return _raw(d, 0, a) if a > 0 else _raw(-d, 0, -a)
+        return _canon(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
         return self * GRat.of(other).inverse()
@@ -90,42 +153,67 @@ class GRat:
             k >>= 1
         return out
 
-    def conjugate(self) -> "GRat":
-        return GRat(self.re, -self.im)
-
     # -- comparisons / hash ------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not GRat:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = GRat(other)
-        if not isinstance(other, GRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     # -- conversions -------------------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self.a / self.d, self.b / self.d)
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _qstr(a, d)
+        if not a:
+            if b == d:
                 return "i"
-            if self.im == -1:
+            if b == -d:
                 return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{imag}"
+            return f"{_qstr(b, d)}i"
+        sign = "+" if b > 0 else "-"
+        mag = abs(b)
+        imag = "i" if mag == d else f"{_qstr(mag, d)}i"
+        return f"{_qstr(a, d)}{sign}{imag}"
 
     def __repr__(self):
         return f"GRat({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> GRat:
+    """A GRat from a triple that is already canonical."""
+    z = _new(GRat)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
+
+
+def _canon(a: int, b: int, d: int) -> GRat:
+    """A GRat from (a + b i)/d with d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    z = _new(GRat)
+    if g == 1:
+        z.a = a
+        z.b = b
+        z.d = d
+    else:
+        z.a = a // g
+        z.b = b // g
+        z.d = d // g
+    return z
 
 
 ZERO = GRat(0)

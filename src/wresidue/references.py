@@ -797,8 +797,7 @@ def _ref_5_35() -> CliffordExpr:
     _ref_5_35,
 )
 def _slot_5_35(ctx):
-    from .clifford import cl_trace_product
-    from .symbols import torsion_two_form, xdot_xi
+    from .symbols import torsion_two_form
 
     i_s = ScalarExpr.const(I)
     tangential_x = S_ZERO

@@ -36,6 +36,7 @@ from .interior import (
 )
 from .pipeline import (
     PhiReport,
+    THEOREM_IDS,
     TheoremContext,
     TrailStep,
     apply_torsion_switches,
@@ -107,6 +108,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be {kind}")
         if self.oracle_samples < 0:
             raise ConfigError("oracle_samples must not be negative")
+        if self.case is not None and self.theorem not in THEOREM_IDS + ("all",):
+            raise ConfigError(f"theorem {self.theorem} has no boundary cases; drop the case")
 
     def to_mapping(self) -> Dict:
         return asdict(self)

@@ -15,8 +15,8 @@ workers; the registry is frozen at configuration time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import gcd
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GRat, ONE, ZERO
 
@@ -77,17 +77,11 @@ class Registry:
     def name_of(self, sym_id: int) -> str:
         return self._by_id[sym_id].name
 
-    def info(self, sym_id: int) -> Indeterminate:
-        return self._by_id[sym_id]
-
     def names(self) -> List[str]:
         return [s.name for s in self._by_id]
 
     def ids_of_family(self, family: str) -> List[int]:
         return [s.sym_id for s in self._by_id if s.family == family]
-
-    def ids_of_kind(self, kind: str) -> List[int]:
-        return [s.sym_id for s in self._by_id if s.kind == kind]
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -286,9 +280,6 @@ class Poly:
                 out.add(sym)
         return out
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -383,13 +374,6 @@ class Poly:
                     rest.append((sym, exp))
             out.setdefault(d, {})[tuple(rest)] = c
         return {d: Poly(t, _trusted=True) for d, t in out.items()}
-
-    @staticmethod
-    def from_coeffs_in(sym_id: int, coeffs: Mapping[int, "Poly"]) -> "Poly":
-        total = Poly()
-        for d, p in coeffs.items():
-            total = total + p * (Poly.var(sym_id, d) if d else Poly.const(1))
-        return total
 
     def diff(self, sym_id: int) -> "Poly":
         out: Dict[Monomial, GRat] = {}
@@ -628,15 +612,17 @@ _WITNESS_RNG = _random.Random(0x5EED)
 GaussInt = Tuple[int, int]
 
 
-def _gauss_int_eval(p: Poly, bindings: List[GaussInt]) -> Tuple[Fraction, Fraction]:
+def _gauss_int_eval(p: Poly, bindings: List[GaussInt]) -> Tuple[int, int, int]:
     """Evaluate p at Gaussian-integer bindings (indexed by sym_id).
 
-    Monomial powers run in plain integer arithmetic; the rational
-    coefficients enter once per term.  Used by the divisibility witnesses.
+    Returns (re, im, den) with den > 0 and p = (re + im*i)/den, not reduced.
+    Everything runs in plain integers over a running common denominator, so
+    the value vanishes exactly when re == im == 0.  Used by the
+    divisibility witnesses.
     """
     pow_cache: Dict[Tuple[int, int], GaussInt] = {}
-    tot_re = Fraction(0)
-    tot_im = Fraction(0)
+    tot_re = tot_im = 0
+    den = 1
     for m, c in p.terms.items():
         vr, vi = 1, 0
         for sym, exp in m:
@@ -650,9 +636,19 @@ def _gauss_int_eval(p: Poly, bindings: List[GaussInt]) -> Tuple[Fraction, Fracti
                 pv = (pr, pi_)
                 pow_cache[key] = pv
             vr, vi = vr * pv[0] - vi * pv[1], vr * pv[1] + vi * pv[0]
-        tot_re += c.re * vr - c.im * vi
-        tot_im += c.re * vi + c.im * vr
-    return tot_re, tot_im
+        a, b, d = c.a, c.b, c.d
+        if d != den:
+            if den % d:
+                scale = d // gcd(den, d)
+                tot_re *= scale
+                tot_im *= scale
+                den *= scale
+            scale = den // d
+            a *= scale
+            b *= scale
+        tot_re += a * vr - b * vi
+        tot_im += a * vi + b * vr
+    return tot_re, tot_im, den
 
 
 def _known_bases() -> List[Tuple[Poly, List[List[GaussInt]]]]:
@@ -710,8 +706,8 @@ def _vanishes_at_witnesses(p: Poly, base_idx: int) -> bool:
     if not base_vars <= p.variables():
         return False  # a multiple of the base must involve all its variables
     for bnd in points:
-        re, im = _gauss_int_eval(p, bnd)
-        if re != 0 or im != 0:
+        re, im, _ = _gauss_int_eval(p, bnd)
+        if re or im:
             return False
     return True
 

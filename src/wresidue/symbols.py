@@ -22,20 +22,17 @@ parametrix recursively from the leading component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .gaussian import GRat, I
 from .scalars import (
     EngineError,
-    H1,
-    REG,
     SHX,
     ScalarExpr,
     S_ONE,
     S_ZERO,
     XI,
-    XIN,
     atom_A,
     atom_T,
     atom_V,
@@ -43,7 +40,7 @@ from .scalars import (
     sym,
     tangential_norm_sq,
 )
-from .clifford import CliffordExpr, CL_ONE, CL_ZERO, clifford_inverse
+from .clifford import CliffordExpr, CL_ZERO, clifford_inverse
 
 S_I = ScalarExpr.const(I)
 S_HALF_H1 = sym("h1") * ScalarExpr.const(GRat(1) / GRat(2))
@@ -379,20 +376,6 @@ def check_homogeneity(component: SymbolComponent, order: int) -> bool:
 # ---------------------------------------------------------------------------
 # Builtin operator symbol library
 # ---------------------------------------------------------------------------
-
-OPERATOR_IDS = (
-    "D_T",
-    "D_T*",
-    "nablaXY",
-    "D_T*D_T",
-    "(D_T*D_T)^-1",
-    "D_T^-1",
-    "(D_T*)^-1",
-    "D_T*D_TD_T*",
-    "(D_T*D_TD_T*)^-1",
-    "nablaXY(D_T*D_T)^-1",
-    "nablaXY D_T^-1",
-)
 
 SIGMA3_VARIANTS = ("printed", "xik")
 

@@ -30,7 +30,7 @@ from .clifford import (
     cl_trace_product,
     matrix_oracle_trace,
 )
-from .halfplane import partial_fractions, pi_minus, pi_plus, pi_prime
+from .halfplane import pi_minus, pi_plus, pi_prime
 from .integration import (
     integrate_via_residue_oracle,
     integrate_xi_n,

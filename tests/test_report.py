@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import wresidue
+from wresidue import cli
 from wresidue.gaussian import GRat, I
 from wresidue.scalars import EngineError, REG, ScalarExpr, S_ZERO, sym
 from wresidue.clifford import CliffordExpr
@@ -322,6 +323,13 @@ def test_config_rejects_non_boolean_switch(key):
         RunConfig.from_mapping({"theorem": "T2.3", key: 0})
 
 
+@pytest.mark.parametrize("theorem", ["T2.3", "T4.1", "T5.1"])
+def test_config_rejects_case_on_interior_theorem(theorem):
+    with pytest.raises(EngineError, match=f"theorem {theorem} has no boundary cases"):
+        RunConfig.from_mapping({"theorem": theorem, "case": "b"})
+    RunConfig.from_mapping({"theorem": "all", "case": "b"})  # filters the boundary theorems
+
+
 def test_config_rejects_negative_oracle_samples():
     with pytest.raises(EngineError, match="oracle_samples must not be negative"):
         RunConfig.from_mapping({"theorem": "T2.3", "oracle_samples": -1})
@@ -398,9 +406,22 @@ def test_cli_config_file_errors(tmp_path):
     _assert_usage_error(_run_cli("run", "--config", str(not_object)))
 
 
-def test_cli_out_into_missing_directory(tmp_path):
-    out = _run_cli("run", "--theorem", "T2.3", "--out", str(tmp_path / "no" / "report.txt"))
+def test_cli_out_into_missing_directory(tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "no" / "report.txt")
+    _assert_usage_error(_run_cli("run", "--theorem", "T2.3", "--out", missing))
+
+    def no_computation(cfg):
+        raise AssertionError("the report was computed before --out was opened")
+
+    monkeypatch.setattr(cli, "run_computation", no_computation)
+    assert cli.main(["run", "--theorem", "T5.4", "--out", missing]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+
+def test_cli_rejects_case_on_interior_theorem():
+    out = _run_cli("run", "--theorem", "T2.3", "--case", "b")
     _assert_usage_error(out)
+    assert out.stdout == ""
 
 
 def test_cli_rejects_negative_sample_counts():
