@@ -130,7 +130,8 @@ def cmd_verify(args) -> int:
         failed = False
         for name, result in sorted(results.items()):
             status = "ok" if not result["failures"] else "FAIL"
-            lines.append(f"{name}: {result['passed']} passed, "
+            skipped = f"{result['skipped']} skipped, " if "skipped" in result else ""
+            lines.append(f"{name}: {result['passed']} passed, {skipped}"
                          f"{len(result['failures'])} failed [{status}]")
             for f in result["failures"][:5]:
                 lines.append(f"  failure: {f}")

@@ -18,8 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .gaussian import GRat, I
 from .scalars import (
     EngineError,
@@ -31,6 +29,8 @@ from .scalars import (
     S_ZERO,
     XI,
     XIN,
+    mono_items,
+    mono_pack,
 )
 from .clifford import CliffordExpr
 from .halfplane import _factor_pole_denominator, basis_fractions
@@ -111,8 +111,10 @@ def integrate_via_residue_oracle(expr: "CliffordExpr | ScalarExpr") -> CliffordE
 # Numeric contour oracle
 # ---------------------------------------------------------------------------
 
-def _univariate_complex_coeffs(p: Poly, bindings: Mapping[int, GRat]) -> np.ndarray:
+def _univariate_complex_coeffs(p: Poly, bindings: Mapping[int, GRat]):
     """Coefficients of p as a polynomial in xin, all other variables bound."""
+    import numpy as np
+
     deg = max(p.degree_in(XIN), 0)
     out = np.zeros(deg + 1, dtype=complex)
     for d, cp in p.coeffs_in(XIN).items():
@@ -124,6 +126,7 @@ def numeric_contour_oracle(
     coeff: ScalarExpr, bindings: Mapping | None = None, tol: float = 1e-10
 ) -> complex:
     """Adaptive quadrature of coeff over the real line; testing only."""
+    import numpy as np
     from scipy.integrate import quad
 
     ids: dict = {}
@@ -186,12 +189,12 @@ def sphere_moment(expr: ScalarExpr, sphere_dim: int = 3) -> ScalarExpr:
         raise EngineError("tangential variables in sphere-integrand denominator")
     total = S_ZERO
     for mono, c in expr.num.terms.items():
-        exps = {sym: e for sym, e in mono}
-        tang = [exps.pop(s, 0) for s in XI[:3]]
+        exps = dict(mono_items(mono))
+        tang = [exps.get(s, 0) for s in XI[:3]]
         factor = monomial_moment(tang, sphere_dim)
         if factor == 0:
             continue
-        rest = tuple(sorted(exps.items()))
+        rest = mono - mono_pack(zip(XI[:3], tang))
         passthrough = ScalarExpr.from_poly(Poly({rest: c}, _trusted=True))
         total = total + passthrough * ScalarExpr.const(GRat(factor)) * _OMEGA3_VAR
     return total / ScalarExpr.from_poly(expr.den)
@@ -201,6 +204,8 @@ def sphere_mc_oracle(
     expr: ScalarExpr, n_samples: int = 400_000, seed: int = 7
 ) -> float:
     """Monte-Carlo sphere average times 4*pi; pure-tangential inputs only."""
+    import numpy as np
+
     vars_used = expr.variables()
     if not vars_used <= _TANGENTIAL:
         raise EngineError("Monte-Carlo oracle handles pure tangential polynomials only")
@@ -210,7 +215,7 @@ def sphere_mc_oracle(
     acc = np.zeros(n_samples)
     for mono, c in expr.num.terms.items():
         term = np.full(n_samples, complex(c.to_complex()).real)
-        for sym, e in mono:
+        for sym, e in mono_items(mono):
             term = term * v[:, XI.index(sym)] ** e
         acc += term
     den = expr.den.const_value().to_complex().real

@@ -33,6 +33,9 @@ from .scalars import (
     Poly,
     ScalarExpr,
     S_ZERO,
+    mono_items,
+    mono_mask,
+    mono_pack,
     sym,
     zero_torsion_bindings,
 )
@@ -197,14 +200,11 @@ def collect_form(value: ScalarExpr) -> CollectedForm:
     normal_dyn = S_ZERO
     leftover = S_ZERO
     for mono, coeff in value.num.terms.items():
-        xs = [(s, e) for s, e in mono if s in x_ids]
-        ys = [(s, e) for s, e in mono if s in y_ids]
-        dyn = [(s, e) for s, e in mono if s == dyn_id]
-        rest = tuple(
-            (s, e)
-            for s, e in mono
-            if s not in x_ids and s not in y_ids and s != dyn_id
-        )
+        items = mono_items(mono)
+        xs = [(s, e) for s, e in items if s in x_ids]
+        ys = [(s, e) for s, e in items if s in y_ids]
+        dyn = [(s, e) for s, e in items if s == dyn_id]
+        rest = mono - mono_pack(xs + ys + dyn)
         term = ScalarExpr.from_poly(Poly({rest: coeff}, _trusted=True)) * den_inv
         full = ScalarExpr.from_poly(Poly({mono: coeff}, _trusted=True)) * den_inv
         if len(xs) == 1 and xs[0][1] == 1 and len(ys) == 1 and ys[0][1] == 1 and not dyn:
@@ -452,9 +452,10 @@ def apply_torsion_switches(value, a: bool, t: bool, v: bool):
     if ids.isdisjoint(value.variables()):
         return value
 
+    mask = mono_mask(ids)
+
     def keep(p: Poly) -> Poly:
-        return Poly({m: k for m, k in p.terms.items() if ids.isdisjoint(s for s, _ in m)},
-                    _trusted=True)
+        return Poly({m: k for m, k in p.terms.items() if not m & mask}, _trusted=True)
 
     def drop(c: ScalarExpr) -> ScalarExpr:
         return ScalarExpr(keep(c.num), keep(c.den))

@@ -25,6 +25,7 @@ from .scalars import (
     Poly,
     ScalarExpr,
     S_ZERO,
+    mono_items,
     sym,
 )
 from .clifford import CliffordExpr
@@ -131,13 +132,11 @@ def _grat_from_tree(t: Dict) -> GRat:
 
 
 def _poly_tree(p: Poly) -> List:
-    from .scalars import mono_key
-
     out = []
-    for m in sorted(p.terms, key=mono_key, reverse=True):
+    for m in sorted(p.terms, reverse=True):
         out.append(
             {
-                "monomial": [[REG.name_of(s), e] for s, e in m],
+                "monomial": [[REG.name_of(s), e] for s, e in mono_items(m)],
                 "coeff": _grat_tree(p.terms[m]),
             }
         )
@@ -248,15 +247,14 @@ def _latex_grat(c: GRat) -> str:
 
 
 def latex_poly(p: Poly) -> str:
-    from .scalars import mono_key
-
     if p.is_zero():
         return "0"
     parts = []
-    for m in sorted(p.terms, key=mono_key, reverse=True):
+    for m in sorted(p.terms, reverse=True):
         c = p.terms[m]
         body = " ".join(
-            _latex_name(REG.name_of(s)) + (f"^{{{e}}}" if e > 1 else "") for s, e in m
+            _latex_name(REG.name_of(s)) + (f"^{{{e}}}" if e > 1 else "")
+            for s, e in mono_items(m)
         )
         cs = _latex_grat(c)
         if body and cs == "1":

@@ -8,21 +8,38 @@ form: gcd(numerator, denominator) = 1 and denominator monic under graded
 lexicographic order in registry order.  Equality of canonical forms is the
 engine's notion of symbolic equality.
 
+A monomial is one Python int with one 8-bit field per indeterminate.  Read
+as big-endian bytes, byte 0 holds the total degree and byte 1 + s the
+exponent of registry id s, so id 0 is the most significant exponent field:
+
+    m = deg << (8 * n)  +  sum_s  exp_s << (8 * (n - 1 - s))     (n = len(REG))
+
+Comparing two such ints compares the degrees first and then the exponents
+field by field in registry order, which is exactly graded lexicographic
+order with earlier ids ranking higher.  A product of monomials is the sum
+of their ints, a quotient their difference, and b divides a exactly when
+a - b + G keeps the top (guard) bit of every field, G having only those
+bits set.  This needs every exponent and every total degree to stay at or
+below 127 (the guard bit clear): building a larger monomial raises
+`EngineError`.  `mono_items` is the one decoder back to (sym, exp) pairs.
+
 All values are immutable after construction and safe to share between
 workers; the registry is frozen at configuration time.
 """
 
 from __future__ import annotations
 
+import random as _random
 from dataclasses import dataclass
-from math import gcd
+from heapq import heapify, heappop, heappush
+from itertools import compress
+from math import prod
+from operator import getitem, itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GRat, ONE, ZERO
 
-Monomial = Tuple[Tuple[int, int], ...]  # sorted ((sym_id, exp), ...), exp > 0
-
-MONO_ONE: Monomial = ()
+Monomial = int  # packed exponent fields; see the module docstring
 
 
 class EngineError(ValueError):
@@ -172,54 +189,49 @@ OMEGA3 = REG.id_of("Omega3")
 # Monomials
 # ---------------------------------------------------------------------------
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for sym, exp in b:
-        merged[sym] = merged.get(sym, 0) + exp
-    return tuple(sorted(merged.items()))
+_NSYM = len(REG)
+_NBYTES = _NSYM + 1
+_DEG_SHIFT = 8 * _NSYM
+MAX_EXP = 127
+_DEG_LIMIT = (MAX_EXP + 1) << _DEG_SHIFT
+_SHIFT = tuple(8 * (_NSYM - 1 - s) for s in range(_NSYM))
+_UNIT = tuple((1 << sh) | (1 << _DEG_SHIFT) for sh in _SHIFT)
+_GUARD = int.from_bytes(b"\x80" * _NBYTES, "big")
+_SYMS = range(_NSYM)
+
+MONO_ONE: Monomial = 0
+_ONE_TERMS = {MONO_ONE: ONE}
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def mono_pack(items) -> Monomial:
+    """The monomial prod sym^exp of the (sym, exp) pairs; exponents add up."""
+    m = 0
+    for s, e in items:
+        if not 0 <= s < _NSYM:
+            raise EngineError(f"unknown indeterminate id {s}")
+        if not 0 <= e <= MAX_EXP:
+            raise EngineError(f"exponent {e} outside 0..{MAX_EXP}")
+        m += e * _UNIT[s]
+    if m >= _DEG_LIMIT:
+        raise EngineError(f"monomial degree exceeds {MAX_EXP}")
+    return m
 
 
-_MONO_KEY_CACHE: Dict[Monomial, tuple] = {}
+def mono_items(m: Monomial) -> Tuple[Tuple[int, int], ...]:
+    """The (sym, exp) pairs of m with exp > 0, in ascending sym order."""
+    b = m.to_bytes(_NBYTES, "big")
+    return tuple((s, b[s + 1]) for s in compress(_SYMS, b[1:]))
 
 
-def mono_key(m: Monomial):
-    """Graded lexicographic key; earlier registry ids rank higher.
-
-    Larger key = larger monomial.  Lex tie-break: compare exponents variable
-    by variable in registry order; a higher exponent on the earliest differing
-    variable wins, so the exponent of a small sym_id is compared first and
-    missing variables count as 0.  Encode as (degree, tuple of (-sym_id, exp)
-    sorted so that comparison walks ascending sym_id).
-    """
-    key = _MONO_KEY_CACHE.get(m)
-    if key is None:
-        key = (mono_degree(m), tuple((-sym, exp) for sym, exp in m))
-        if len(_MONO_KEY_CACHE) < 500_000:
-            _MONO_KEY_CACHE[m] = key
-    return key
+def mono_mask(syms) -> int:
+    """Every bit of the exponent fields of syms: m & mono_mask(syms) is 0
+    exactly when m holds none of them."""
+    return sum(0xFF << _SHIFT[s] for s in set(syms))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    da = dict(a)
-    for sym, exp in b:
-        if da.get(sym, 0) < exp:
-            return False
-    return True
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    da = dict(a)
-    for sym, exp in b:
-        da[sym] -= exp
-    return tuple(sorted((s, e) for s, e in da.items() if e))
+    """True when b divides a: a - b + guard keeps every field's guard bit."""
+    return (a - b + _GUARD) & _GUARD == _GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +241,16 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
 class Poly:
     """Sparse multivariate polynomial with GRat coefficients.
 
-    Invariant: no stored coefficient is zero, so the zero polynomial is the
-    empty dict and equal polynomials have equal term dicts (``is_zero``,
-    ``__eq__``, ``__hash__`` and ``poly_text`` rely on this).  The
-    constructor drops zero coefficients from the dict it is given.
-    ``_trusted=True`` skips that scan; pass it only for a dict that already
-    holds no zero coefficient.
+    ``terms`` maps packed monomials (see the module docstring) to
+    coefficients.  Invariant: no stored coefficient is zero, so the zero
+    polynomial is the empty dict and equal polynomials have equal term dicts
+    (``is_zero``, ``__eq__``, ``__hash__`` and ``poly_text`` rely on this).
+    The checking constructor also accepts ``((sym, exp), ...)`` tuple keys,
+    packs them (summing terms whose keys pack alike) and drops zero
+    coefficients.  ``_trusted=True`` skips those steps; pass it only for a
+    dict of packed keys that holds no zero coefficient.  No exponent and no
+    total degree may exceed 127: ``var``, ``mono_pack`` and ``*`` raise
+    `EngineError` instead of letting a field carry into its neighbour.
     """
 
     __slots__ = ("terms", "_hash")
@@ -242,8 +258,14 @@ class Poly:
     def __init__(self, terms: Optional[Dict[Monomial, GRat]] = None, _trusted: bool = False):
         if terms is None:
             terms = {}
-        elif not _trusted and any(c.is_zero() for c in terms.values()):
-            terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        elif not _trusted:
+            packed: Dict[Monomial, GRat] = {}
+            for m, c in terms.items():
+                if not isinstance(m, int):
+                    m = mono_pack(m)
+                acc = packed.get(m)
+                packed[m] = c if acc is None else acc + c
+            terms = {m: c for m, c in packed.items() if not c.is_zero()}
         self.terms: Dict[Monomial, GRat] = terms
         self._hash: Optional[int] = None
 
@@ -256,7 +278,7 @@ class Poly:
 
     @staticmethod
     def var(sym_id: int, exp: int = 1) -> "Poly":
-        return Poly({((sym_id, exp),): ONE}, _trusted=True)
+        return Poly({mono_pack(((sym_id, exp),)): ONE}, _trusted=True)
 
     # -- predicates --------------------------------------------------------
 
@@ -274,11 +296,10 @@ class Poly:
         return self.terms[MONO_ONE]
 
     def variables(self) -> set:
-        out = set()
+        acc = 0
         for m in self.terms:
-            for sym, _ in m:
-                out.add(sym)
-        return out
+            acc |= m
+        return {s for s, _ in mono_items(acc)}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -306,17 +327,27 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly()
+        if other.terms == _ONE_TERMS:
+            return self
+        if self.terms == _ONE_TERMS:
+            return other
+        if max(self.terms) + max(other.terms) >= _DEG_LIMIT:
+            raise EngineError(f"product degree exceeds {MAX_EXP}")
         out: Dict[Monomial, GRat] = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
+                m = m1 + m2
                 c = c1 * c2
-                acc = out.get(m)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(m, None)
+                acc = get(m)
+                if acc is None:
+                    out[m] = c
                 else:
-                    out[m] = s
+                    s = acc + c
+                    if s.is_zero():
+                        del out[m]
+                    else:
+                        out[m] = s
         return Poly(out, _trusted=True)
 
     def scale(self, c) -> "Poly":
@@ -333,8 +364,9 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -350,50 +382,29 @@ class Poly:
     def leading(self) -> Tuple[Monomial, GRat]:
         if self.is_zero():
             raise EngineError("leading term of zero polynomial")
-        m = max(self.terms, key=mono_key)
+        m = max(self.terms)
         return m, self.terms[m]
 
     def degree_in(self, sym_id: int) -> int:
-        deg = -1 if self.is_zero() else 0
-        for m in self.terms:
-            for sym, exp in m:
-                if sym == sym_id and exp > deg:
-                    deg = exp
-        return deg
+        sh = _SHIFT[sym_id]
+        return max(((m >> sh) & 0xFF for m in self.terms), default=-1)
 
     def coeffs_in(self, sym_id: int) -> Dict[int, "Poly"]:
         """View as univariate in sym_id: degree -> coefficient Poly."""
+        sh, unit = _SHIFT[sym_id], _UNIT[sym_id]
         out: Dict[int, Dict[Monomial, GRat]] = {}
         for m, c in self.terms.items():
-            d = 0
-            rest = []
-            for sym, exp in m:
-                if sym == sym_id:
-                    d = exp
-                else:
-                    rest.append((sym, exp))
-            out.setdefault(d, {})[tuple(rest)] = c
+            d = (m >> sh) & 0xFF
+            out.setdefault(d, {})[m - d * unit] = c
         return {d: Poly(t, _trusted=True) for d, t in out.items()}
 
     def diff(self, sym_id: int) -> "Poly":
+        sh, unit = _SHIFT[sym_id], _UNIT[sym_id]
         out: Dict[Monomial, GRat] = {}
         for m, c in self.terms.items():
-            for idx, (sym, exp) in enumerate(m):
-                if sym == sym_id:
-                    nm = list(m)
-                    if exp == 1:
-                        nm.pop(idx)
-                    else:
-                        nm[idx] = (sym, exp - 1)
-                    key = tuple(nm)
-                    add = c * exp
-                    acc = out.get(key)
-                    s = add if acc is None else acc + add
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-                    break
+            e = (m >> sh) & 0xFF
+            if e:
+                out[m - unit] = c * e
         return Poly(out, _trusted=True)
 
     def eval_numeric(self, bindings: Mapping[int, GRat]) -> GRat:
@@ -401,10 +412,10 @@ class Poly:
         pow_cache: Dict[Tuple[int, int], GRat] = {}
         for m, c in self.terms.items():
             val = c
-            for sym, exp in m:
-                key = (sym, exp)
+            for key in mono_items(m):
                 pv = pow_cache.get(key)
                 if pv is None:
+                    sym, exp = key
                     if sym not in bindings:
                         raise EngineError(
                             f"unbound indeterminate {REG.name_of(sym)!r} "
@@ -429,9 +440,10 @@ def poly_text(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for m in sorted(p.terms, key=mono_key, reverse=True):
+    for m in sorted(p.terms, reverse=True):
         c = p.terms[m]
-        factors = [f"{REG.name_of(sym)}" + (f"^{exp}" if exp > 1 else "") for sym, exp in m]
+        factors = [f"{REG.name_of(sym)}" + (f"^{exp}" if exp > 1 else "")
+                   for sym, exp in mono_items(m)]
         body = "*".join(factors)
         cs = str(c)
         if "+" in cs[1:] or "-" in cs[1:]:
@@ -448,11 +460,9 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     """Exact division a / b; raises if b does not divide a.
 
     Heap-driven long division: the running remainder is a coefficient dict
-    plus a max-heap of candidate leading monomials, so each reduction step
-    costs O(|b| log n) instead of a fresh max scan.
+    plus a max-heap of candidate leading monomials (negated packed ints), so
+    each reduction step costs O(|b| log n) instead of a fresh max scan.
     """
-    import heapq
-
     if b.is_zero():
         raise EngineError("zero denominator in exact division")
     if a.is_zero():
@@ -464,31 +474,23 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     b_rest = [(m, c) for m, c in b.terms.items() if m != bm]
     bc_inv = bc.inverse()
     rem: Dict[Monomial, GRat] = dict(a.terms)
-    heap: List[tuple] = []
-    seen = set()
-
-    def push(m: Monomial):
-        if m not in seen:
-            seen.add(m)
-            k = mono_key(m)
-            heapq.heappush(heap, (-k[0], tuple((-x, -y) for x, y in k[1]), m))
-
-    for m in rem:
-        push(m)
+    heap = [-m for m in rem]
+    heapify(heap)
+    seen = set(rem)
     quo: Dict[Monomial, GRat] = {}
     while heap:
-        _, _, rm = heapq.heappop(heap)
+        rm = -heappop(heap)
         seen.discard(rm)
         rc = rem.pop(rm, None)
-        if rc is None or rc.is_zero():
+        if rc is None:
             continue
         if not mono_divides(rm, bm):
             raise EngineError("inexact polynomial division")
-        qm = mono_div(rm, bm)
+        qm = rm - bm
         qc = rc * bc_inv
         quo[qm] = qc
         for m2, c2 in b_rest:
-            tm = mono_mul(qm, m2)
+            tm = qm + m2
             sub = qc * c2
             cur = rem.get(tm)
             val = -sub if cur is None else cur - sub
@@ -496,7 +498,9 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
                 rem.pop(tm, None)
             else:
                 rem[tm] = val
-                push(tm)
+                if tm not in seen:
+                    seen.add(tm)
+                    heappush(heap, -tm)
     if rem:
         raise EngineError("inexact polynomial division")
     return Poly(quo, _trusted=True)
@@ -517,7 +521,7 @@ def _prem(a: Poly, b: Poly, x: int) -> Poly:
         rc = r.coeffs_in(x)
         lr = rc[dr]
         # r <- lb * r - lr * x^(dr-db) * b
-        r = lb * r - lr * (Poly.var(x, dr - db) if dr > db else Poly.const(1)) * b
+        r = lb * r - lr * Poly.var(x, dr - db) * b
     return r
 
 
@@ -559,7 +563,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero():
         return _monic(a)
     if a.is_const() or b.is_const():
-        return Poly.const(1)
+        return P_ONE
     key = (a, b) if hash(a) <= hash(b) else (b, a)
     hit = _GCD_CACHE.get(key)
     if hit is not None:
@@ -604,67 +608,87 @@ def _poly_gcd_uncached(a: Poly, b: Poly) -> Poly:
 # Structured gcd over the engine's known irreducible denominators
 # ---------------------------------------------------------------------------
 
-import random as _random
-
 _WITNESS_RNG = _random.Random(0x5EED)
-
 
 GaussInt = Tuple[int, int]
 
+# Witnesses are evaluated modulo the prime P = 2^30 - 35.  P = 1 (mod 4),
+# so -1 has a square root I_P modulo P; P = 5 (mod 8) makes 2 a quadratic
+# non-residue, and 2^((P-1)/4) is such a root.
+_P = 1073741789
+_I_P = pow(2, (_P - 1) // 4, _P)
+_ONES = (1,) * 256
 
-def _gauss_int_eval(p: Poly, bindings: List[GaussInt]) -> Tuple[int, int, int]:
-    """Evaluate p at Gaussian-integer bindings (indexed by sym_id).
 
-    Returns (re, im, den) with den > 0 and p = (re + im*i)/den, not reduced.
-    Everything runs in plain integers over a running common denominator, so
-    the value vanishes exactly when re == im == 0.  Used by the
-    divisibility witnesses.
+class _Witness:
+    """A Gaussian-integer point (indexed by sym_id) read modulo P.
+
+    Power tables x^0..x^e mod P are built per indeterminate on first use and
+    extended up to the largest exponent asked for.
     """
-    pow_cache: Dict[Tuple[int, int], GaussInt] = {}
-    tot_re = tot_im = 0
-    den = 1
+
+    __slots__ = ("values", "_powers")
+
+    def __init__(self, point: List[GaussInt]):
+        self.values = [(re + im * _I_P) % _P for re, im in point]
+        self._powers: Dict[int, List[int]] = {}
+
+    def powers(self, sym: int, upto: int) -> List[int]:
+        table = self._powers.get(sym)
+        if table is None:
+            table = self._powers[sym] = [1]
+        x = self.values[sym]
+        while len(table) <= upto:
+            table.append(table[-1] * x % _P)
+        return table
+
+
+def _modp_eval(p: Poly, w: _Witness, syms=None) -> Optional[int]:
+    """p at the witness point, modulo P; None when a coefficient's
+    denominator is divisible by P, since then the residue decides nothing.
+
+    Each monomial's exponents are read as bytes of its packed int (byte 0 is
+    the degree, which reads 1 from a table of ones), looked up in the power
+    tables, and multiplied in C.  The sum runs over a running denominator so
+    that only one inverse is taken.
+    """
+    order = sorted(p.variables() if syms is None else syms)
+    deg = max(p.terms, default=0) >> _DEG_SHIFT
+    tables = [_ONES] + [w.powers(s, deg) for s in order]
+    pos = [0] + [s + 1 for s in order]
+    # itemgetter of a single index returns a bare value, not a tuple
+    fields = itemgetter(*pos) if len(pos) > 1 else (lambda b: (b[0],))
+    num, den = 0, 1
     for m, c in p.terms.items():
-        vr, vi = 1, 0
-        for sym, exp in m:
-            key = (sym, exp)
-            pv = pow_cache.get(key)
-            if pv is None:
-                br, bi = bindings[sym]
-                pr, pi_ = 1, 0
-                for _ in range(exp):
-                    pr, pi_ = pr * br - pi_ * bi, pr * bi + pi_ * br
-                pv = (pr, pi_)
-                pow_cache[key] = pv
-            vr, vi = vr * pv[0] - vi * pv[1], vr * pv[1] + vi * pv[0]
-        a, b, d = c.a, c.b, c.d
-        if d != den:
-            if den % d:
-                scale = d // gcd(den, d)
-                tot_re *= scale
-                tot_im *= scale
-                den *= scale
-            scale = den // d
-            a *= scale
-            b *= scale
-        tot_re += a * vr - b * vi
-        tot_im += a * vi + b * vr
-    return tot_re, tot_im, den
+        v = prod(map(getitem, tables, fields(m.to_bytes(_NBYTES, "big"))))
+        t = (c.a + c.b * _I_P) * v
+        d = c.d
+        if d == 1:
+            num = (num + t * den) % _P
+        else:
+            d %= _P
+            if not d:
+                return None
+            num = (num * d + t * den) % _P
+            den = den * d % _P
+    return num * pow(den, -1, _P) % _P
 
 
-def _known_bases() -> List[Tuple[Poly, List[List[GaussInt]]]]:
+def _known_bases() -> List[Tuple[Poly, set, List[_Witness]]]:
     """Irreducible monic polynomials whose powers form every denominator.
 
-    Each entry carries two fixed random Gaussian-integer points on the base's
-    zero set, used as a sound fast filter (nonvanishing there rules out
-    divisibility) before attempting exact division.
+    Each entry carries the base's variables and two fixed random
+    Gaussian-integer points on its zero set.  A multiple of the base
+    vanishes there, so a nonzero residue mod P rules out divisibility; a
+    zero residue only leads to the exact division that decides.
     """
-    def fill(base_bnd: Dict[int, GaussInt]) -> List[GaussInt]:
+    def fill(base_bnd: Dict[int, GaussInt]) -> _Witness:
         out = []
         for v in range(len(REG)):
             out.append(base_bnd.get(v, (_WITNESS_RNG.randint(2, 97), 0)))
-        return out
+        return _Witness(out)
 
-    def sphere_points(with_shx: bool) -> List[List[GaussInt]]:
+    def sphere_points(with_shx: bool) -> List[_Witness]:
         pts = []
         for _ in range(2):
             aa = _WITNESS_RNG.randint(2, 9)
@@ -687,27 +711,27 @@ def _known_bases() -> List[Tuple[Poly, List[List[GaussInt]]]]:
     s_tang = Poly.var(XI[0], 2) + Poly.var(XI[1], 2) + Poly.var(XI[2], 2)
     sphere = s_tang + Poly.var(XIN, 2)
     sphere_shx = Poly.var(SHX, 2) * s_tang + Poly.var(XIN, 2)
-    return [
+    bases = [
         (lin_minus, [fill({XIN: (0, 1)}) for _ in range(2)]),
         (lin_plus, [fill({XIN: (0, -1)}) for _ in range(2)]),
         (sphere, sphere_points(False)),
         (sphere_shx, sphere_points(True)),
     ]
+    return [(base, base.variables(), points) for base, points in bases]
 
 
-_BASES: Optional[List[Tuple[Poly, List[List[GaussInt]]]]] = None
+_BASES: Optional[List[Tuple[Poly, set, List[_Witness]]]] = None
 _FACTOR_CACHE: Dict[Poly, Optional[Tuple[GRat, Tuple[Tuple[int, int], ...]]]] = {}
 _MULT_CACHE: Dict[Tuple[Poly, int], int] = {}
 
 
 def _vanishes_at_witnesses(p: Poly, base_idx: int) -> bool:
-    base, points = _BASES[base_idx]
-    base_vars = base.variables()
-    if not base_vars <= p.variables():
+    _, base_vars, points = _BASES[base_idx]
+    syms = p.variables()
+    if not base_vars <= syms:
         return False  # a multiple of the base must involve all its variables
-    for bnd in points:
-        re, im, _ = _gauss_int_eval(p, bnd)
-        if re or im:
+    for w in points:
+        if _modp_eval(p, w, syms):
             return False
     return True
 
@@ -721,7 +745,7 @@ def _factor_known(p: Poly):
         return _FACTOR_CACHE[p]
     work = p
     factors: List[Tuple[int, int]] = []
-    for idx, (base, _) in enumerate(_BASES):
+    for idx, (base, _, _) in enumerate(_BASES):
         mult = 0
         while not work.is_const():
             if not _vanishes_at_witnesses(work, idx):
@@ -849,19 +873,35 @@ class ScalarExpr:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        """a/b + c/d by Henrici's cross-cancellation.
+
+        With g = gcd(b, d), b = g*b1, d = g*d1 and t = a*d1 + c*b1, no
+        factor of b1 or d1 divides t, so gcd(t, b*d1) = gcd(t, g): the sum
+        is (t/h) / ((b/h)*d1) with h = gcd(t, g), already canonical.
+        Coprime denominators need no second gcd at all.
+        """
         other = _as_scalar(other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return ScalarExpr(self.num + other.num, self.den)
-        g = poly_gcd(self.den, other.den)
-        if g.is_const():
-            return ScalarExpr(self.num * other.den + other.num * self.den, self.den * other.den)
-        d1 = poly_divexact(self.den, g)
-        d2 = poly_divexact(other.den, g)
-        return ScalarExpr(self.num * d2 + other.num * d1, d1 * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            g, d1 = b, P_ONE
+            t = a + c
+        else:
+            g = poly_gcd(b, d)
+            if g.is_const():
+                t = a * d + c * b
+                return ScalarExpr(t, b * d, _canonical=True) if t.terms else S_ZERO
+            b1, d1 = poly_divexact(b, g), poly_divexact(d, g)
+            t = a * d1 + c * b1
+        if t.is_zero():
+            return S_ZERO
+        h = poly_gcd(t, g)
+        if not h.is_const():
+            t, b = poly_divexact(t, h), poly_divexact(b, h)
+        return ScalarExpr(t, b * d1, _canonical=True)
 
     __radd__ = __add__
 
@@ -875,17 +915,30 @@ class ScalarExpr:
         return _as_scalar(other) - self
 
     def __mul__(self, other):
+        """a/b * c/d as (a/g1)*(c/g2) / ((b/g2)*(d/g1)) with g1 = gcd(a, d)
+        and g2 = gcd(c, b): canonical when both factors are (Henrici)."""
         other = _as_scalar(other)
         if self.is_zero() or other.is_zero():
             return S_ZERO
-        return ScalarExpr(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = poly_gcd(a, d)
+        if not g.is_const():
+            a, d = poly_divexact(a, g), poly_divexact(d, g)
+        g = poly_gcd(c, b)
+        if not g.is_const():
+            c, b = poly_divexact(c, g), poly_divexact(b, g)
+        return ScalarExpr(a * c, b * d, _canonical=True)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ScalarExpr":
         if self.is_zero():
             raise EngineError("zero denominator: inverse of zero")
-        return ScalarExpr(self.den, self.num)
+        _, lc = self.num.leading()
+        if lc.is_one():
+            return ScalarExpr(self.den, self.num, _canonical=True)
+        inv = lc.inverse()
+        return ScalarExpr(self.den.scale(inv), self.num.scale(inv), _canonical=True)
 
     def __truediv__(self, other):
         return self * _as_scalar(other).inverse()
@@ -896,14 +949,10 @@ class ScalarExpr:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = S_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if k == 0:
+            return S_ONE
+        # coprime num and den stay coprime, and a power of a monic is monic
+        return ScalarExpr(self.num ** k, self.den ** k, _canonical=True)
 
     def __eq__(self, other):
         if isinstance(other, (int, GRat)):
@@ -993,59 +1042,70 @@ def _as_scalar(v) -> ScalarExpr:
     raise EngineError(f"cannot coerce {v!r} to ScalarExpr")
 
 
-def _poly_subst(p: Poly, ids: Dict[int, ScalarExpr]) -> "ScalarExpr | Poly":
+def _poly_subst(p: Poly, ids: Dict[int, ScalarExpr]) -> ScalarExpr:
     """Substitute into a polynomial; returns ScalarExpr (bindings may be rational)."""
     total = S_ZERO
     for m, c in p.terms.items():
-        term = ScalarExpr.const(c)
-        for sym, exp in m:
-            if sym in ids:
-                term = term * (ids[sym] ** exp)
-            else:
-                term = term * ScalarExpr(Poly.var(sym, exp), P_ONE, _canonical=True)
+        bound = [(sym, exp) for sym, exp in mono_items(m) if sym in ids]
+        free = m - mono_pack(bound)
+        term = ScalarExpr(Poly({free: c}, _trusted=True), P_ONE, _canonical=True)
+        for sym, exp in bound:
+            term = term * (ids[sym] ** exp)
         total = total + term
     return total
 
 
 def _poly_subst_one(p: Poly, sym: int) -> Poly:
     """Substitute sym -> 1 inside a polynomial (cheap special case)."""
+    sh, unit = _SHIFT[sym], _UNIT[sym]
     out: Dict[Monomial, GRat] = {}
     for m, c in p.terms.items():
-        nm = tuple((s, e) for s, e in m if s != sym)
+        nm = m - ((m >> sh) & 0xFF) * unit
         acc = out.get(nm)
-        s2 = c if acc is None else acc + c
-        if s2.is_zero():
-            out.pop(nm, None)
+        if acc is None:
+            out[nm] = c
         else:
-            out[nm] = s2
+            s2 = acc + c
+            if s2.is_zero():
+                del out[nm]
+            else:
+                out[nm] = s2
     return Poly(out, _trusted=True)
 
 
 _XI3 = XI[2]
 _SPHERE_COMPLEMENT = Poly.const(1) - Poly.var(XI[0], 2) - Poly.var(XI[1], 2)
+_COMPLEMENT_POWERS: List[Poly] = [P_ONE]  # _SPHERE_COMPLEMENT ** k, grown on demand
 
 
 def _poly_reduce_sphere(p: Poly) -> Poly:
-    """Reduce mod (xi1^2+xi2^2+xi3^2-1): xi3^(2k+r) -> (1-xi1^2-xi2^2)^k xi3^r."""
-    out = Poly()
+    """Reduce mod (xi1^2+xi2^2+xi3^2-1): xi3^(2k+r) -> (1-xi1^2-xi2^2)^k xi3^r.
+
+    One pass that accumulates every term into a single dict.
+    """
+    sh, unit = _SHIFT[_XI3], _UNIT[_XI3]
+    powers = _COMPLEMENT_POWERS
+    out: Dict[Monomial, GRat] = {}
     for m, c in p.terms.items():
-        e3 = 0
-        rest = []
-        for sym, exp in m:
-            if sym == _XI3:
-                e3 = exp
+        k = ((m >> sh) & 0xFF) >> 1
+        if not k:
+            pairs = ((m, c),)
+        else:
+            while len(powers) <= k:
+                powers.append(powers[-1] * _SPHERE_COMPLEMENT)
+            rest = m - 2 * k * unit
+            pairs = [(rest + cm, c * cc) for cm, cc in powers[k].terms.items()]
+        for tm, tc in pairs:
+            acc = out.get(tm)
+            if acc is None:
+                out[tm] = tc
             else:
-                rest.append((sym, exp))
-        if e3 < 2:
-            out = out + Poly({m: c}, _trusted=True)
-            continue
-        k, r = divmod(e3, 2)
-        base: Dict[Monomial, GRat] = {tuple(rest): c}
-        term = Poly(base, _trusted=True) * (_SPHERE_COMPLEMENT ** k)
-        if r:
-            term = term * Poly.var(_XI3)
-        out = out + term
-    return out
+                s2 = acc + tc
+                if s2.is_zero():
+                    del out[tm]
+                else:
+                    out[tm] = s2
+    return Poly(out, _trusted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .scalars import (
     atom_A,
     atom_T,
     atom_V,
+    mono_items,
     norm_xi_sq,
     sym,
     tangential_norm_sq,
@@ -355,7 +356,7 @@ def _poly_xi_degrees(pterms) -> set:
     degs = set()
     xi_ids = set(XI)
     for mono in pterms:
-        degs.add(sum(e for s_, e in mono if s_ in xi_ids))
+        degs.add(sum(e for s_, e in mono_items(mono) if s_ in xi_ids))
     return degs
 
 

@@ -107,10 +107,18 @@ def _suite(fn: Callable[[random.Random, int], List[str]]):
 # ---------------------------------------------------------------------------
 
 def scalar_suite(seed: int = 0, count: int = 200) -> Dict:
-    """Ring axioms, Leibniz rule, substitution order independence, eval oracle."""
+    """Ring axioms, Leibniz rule, substitution order independence, eval oracle.
+
+    A sample whose substitution or numeric check cannot be made (a drawn
+    value zeroes a denominator) is counted as skipped, not passed; every
+    draw is still made, so later samples do not depend on it.
+    """
     rng = random.Random(seed)
     failures: List[str] = []
+    passed = skipped = 0
     for k in range(count):
+        failed_before = len(failures)
+        skip = False
         a, b, c = (_rand_scalar(rng) for _ in range(3))
         if (a + b) + c != a + (b + c):
             failures.append(f"additive associativity #{k}")
@@ -124,8 +132,11 @@ def scalar_suite(seed: int = 0, count: int = 200) -> Dict:
         # disjoint substitutions commute
         s1 = {REG.id_of("X1"): ScalarExpr.const(_rand_grat(rng))}
         s2 = {REG.id_of("Y2"): ScalarExpr.const(_rand_grat(rng))}
-        if a.substitute(s1).substitute(s2) != a.substitute(s2).substitute(s1):
-            failures.append(f"substitution order #{k}")
+        try:
+            if a.substitute(s1).substitute(s2) != a.substitute(s2).substitute(s1):
+                failures.append(f"substitution order #{k}")
+        except EngineError:
+            skip = True
         # numeric oracle: canonical form vs raw ratio at a random point
         num, den = _rand_poly(rng), Poly()
         while den.is_zero():
@@ -134,14 +145,18 @@ def scalar_suite(seed: int = 0, count: int = 200) -> Dict:
         try:
             dval = den.eval_numeric(bindings)
             if dval.is_zero():
-                continue
-            raw = num.eval_numeric(bindings) / dval
-            canon = ScalarExpr(num, den).evaluate(bindings)
-            if raw != canon:
+                skip = True
+            elif num.eval_numeric(bindings) / dval != ScalarExpr(num, den).evaluate(bindings):
                 failures.append(f"numeric oracle #{k}")
         except EngineError:
+            skip = True
+        if len(failures) > failed_before:
             continue
-    return {"passed": count - len(failures), "failures": failures}
+        if skip:
+            skipped += 1
+        else:
+            passed += 1
+    return {"passed": passed, "skipped": skipped, "failures": failures}
 
 
 def clifford_suite(seed: int = 0, count: int = 1000) -> Dict:

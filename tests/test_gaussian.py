@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wresidue import scalars
 from wresidue.gaussian import GRat, I
-from wresidue.scalars import REG, Poly, _gauss_int_eval
+from wresidue.scalars import REG, Poly, _modp_eval
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +184,15 @@ def test_to_complex():
 
 
 # ---------------------------------------------------------------------------
-# the witness evaluation in integers
+# the witness evaluation modulo a prime
 # ---------------------------------------------------------------------------
 
-def test_gauss_int_eval_matches_eval_numeric():
+def _mod_p(z: GRat) -> int:
+    return (z.a + z.b * scalars._I_P) * pow(z.d, -1, scalars._P) % scalars._P
+
+
+def test_modp_eval_matches_eval_numeric():
+    assert scalars._I_P ** 2 % scalars._P == scalars._P - 1
     rng = random.Random(20231)
     names = ["xi1", "xi2", "xin", "h1", "X1"]
     ids = [REG.id_of(n) for n in names]
@@ -201,12 +206,19 @@ def test_gauss_int_eval_matches_eval_numeric():
                                Fraction(rng.randint(-9, 9), rng.choice(dens)))
         p = Poly(terms)
         bnd = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(len(REG))]
+        w = scalars._Witness(bnd)
         want = p.eval_numeric({s: GRat(*bnd[s]) for s in ids})
-        re, im, den = _gauss_int_eval(p, bnd)
-        assert den > 0
-        assert GRat(Fraction(re, den), Fraction(im, den)) == want
-        # vanishing is decided exactly
-        assert _gauss_int_eval(p - Poly.const(want), bnd)[:2] == (0, 0)
+        assert _modp_eval(p, w) == _mod_p(want)
+        # a value that vanishes exactly has residue 0
+        assert _modp_eval(p - Poly.const(want), w) == 0
+
+
+def test_modp_eval_gives_up_on_a_denominator_divisible_by_p():
+    xi1 = REG.id_of("xi1")
+    p = Poly.var(xi1) + Poly.const(GRat(Fraction(1, scalars._P)))
+    w = scalars._Witness([(3, 0)] * len(REG))
+    assert _modp_eval(p, w) is None
+    assert _modp_eval(Poly.var(xi1, 2), w) == 9
 
 
 # ---------------------------------------------------------------------------

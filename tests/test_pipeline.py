@@ -217,16 +217,6 @@ def test_by_parts_route_case_a2_t54(t54):
     assert value == direct.value
 
 
-def _poly_complex_eval(poly, bindings):
-    total = 0j
-    for mono, c in poly.terms.items():
-        val = complex(c.to_complex())
-        for s, e in mono:
-            val *= bindings[s] ** e
-        total += val
-    return total
-
-
 def test_numeric_end_to_end_case_a2(t46):
     """The full traced integrand of the second case against quadrature at
     random numeric tangential points, then the moment step against the exact

@@ -258,15 +258,25 @@ def test_subst_omega3(monkeypatch):
 
 
 def test_json_report_bytes_pinned():
-    """The JSON reports of both boundary theorems are pinned byte for byte."""
-    pinned = {
-        "T4.6": "f3336b239836bd33a0bdf228070681950e55d73a755a7636cfcc689613ab4b79",
-        "T5.4": "adccaa77011f8a48053bf01a2850d7c58252811fcd1ef53ef05f6e23673c85aa",
-    }
-    for theorem, digest in pinned.items():
-        cfg = RunConfig(theorem=theorem, output_format="json")
+    """The JSON reports of both boundary theorems are pinned byte for byte,
+    and so are the case filter and the two switches, which read monomials
+    through the filter of `apply_torsion_switches`."""
+    pinned = [
+        ({"theorem": "T4.6"},
+         "f3336b239836bd33a0bdf228070681950e55d73a755a7636cfcc689613ab4b79"),
+        ({"theorem": "T5.4"},
+         "adccaa77011f8a48053bf01a2850d7c58252811fcd1ef53ef05f6e23673c85aa"),
+        ({"theorem": "T5.4", "case": "b"},
+         "c1ee85ea0ab87cda0d7ea6b174ad456d84ebcc6efdc671144b62ad03d90290ea"),
+        ({"theorem": "T5.4", "torsion_a": False, "torsion_t": False, "torsion_v": False},
+         "aac5117a82c9804a47eac254727c90f268a61764a7e0d745c89452ebb5bd4e54"),
+        ({"theorem": "T4.6", "subst_omega3": True},
+         "ba613044c26493ea834331802266b7541d45fe3ccfe8d4e330fc6cbcf35163a8"),
+    ]
+    for fields_, digest in pinned:
+        cfg = RunConfig(output_format="json", **fields_)
         text = render_report(run_computation(cfg), "json")
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, theorem
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fields_
 
 
 def test_determinism_byte_identical():
@@ -339,17 +349,30 @@ def test_config_rejects_negative_oracle_samples():
 # CLI
 # ---------------------------------------------------------------------------
 
-def _run_cli(*args):
-    """The CLI in a child process that imports this `wresidue`."""
+def _run_python(*args):
+    """A child interpreter that imports this `wresidue`."""
     src = os.path.dirname(os.path.dirname(wresidue.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "wresidue.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=500,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def _run_cli(*args):
+    """The CLI in a child process that imports this `wresidue`."""
+    return _run_python("-m", "wresidue.cli", *args)
+
+
+def test_cli_import_does_not_load_numpy():
+    """numpy serves only the numeric oracles, so importing the CLI (and so a
+    report run) does not pay for loading it."""
+    out = _run_python("-c", "import sys, wresidue.cli; print('numpy' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_list():
@@ -422,6 +445,49 @@ def test_cli_rejects_case_on_interior_theorem():
     out = _run_cli("run", "--theorem", "T2.3", "--case", "b")
     _assert_usage_error(out)
     assert out.stdout == ""
+
+
+def _scalar_suite_draws(monkeypatch, fail_substitute: bool, run):
+    """The values `verify.scalar_suite` draws while `run` runs, with the first
+    substitution made to raise when `fail_substitute` is set."""
+    from wresidue import verify
+
+    drawn = []
+    real_grat, real_subst = verify._rand_grat, ScalarExpr.substitute
+
+    def recording(rng, small=False):
+        drawn.append(real_grat(rng, small))
+        return drawn[-1]
+
+    def flaky(self, bindings):
+        if fail_substitute and not flaky.raised:
+            flaky.raised = True
+            raise EngineError("zero denominator after substitution")
+        return real_subst(self, bindings)
+
+    flaky.raised = False
+    monkeypatch.setattr(verify, "_rand_grat", recording)
+    monkeypatch.setattr(ScalarExpr, "substitute", flaky)
+    out = run()
+    monkeypatch.undo()
+    return out, drawn
+
+
+def test_scalar_suite_counts_an_uncheckable_sample_as_skipped(monkeypatch, capsys):
+    from wresidue import verify
+
+    plain, plain_draws = _scalar_suite_draws(
+        monkeypatch, False, lambda: verify.scalar_suite(seed=1, count=1))
+    assert plain == {"passed": 1, "skipped": 0, "failures": []}
+    skipped, skipped_draws = _scalar_suite_draws(
+        monkeypatch, True, lambda: verify.scalar_suite(seed=1, count=1))
+    assert skipped == {"passed": 0, "skipped": 1, "failures": []}
+    assert skipped_draws == plain_draws  # the skip changes no draw
+    code, _ = _scalar_suite_draws(
+        monkeypatch, True,
+        lambda: cli.main(["verify", "--suite", "scalars", "--samples", "1", "--seed", "1"]))
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "scalars: 0 passed, 1 skipped, 0 failed [ok]"
 
 
 def test_cli_rejects_negative_sample_counts():

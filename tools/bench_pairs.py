@@ -1,0 +1,156 @@
+"""Alternated before/after runs of the benchmark, summarised as BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --base HEAD --out BENCH_7.json \
+        --workload paper-report:10 --workload report-variants:10 \
+        --workload oracle-suites:10 --seconds 20 --seed 900
+
+Run from the root of the repository.  `--base` names the commit to compare
+against; its files are extracted with `git archive` into a temporary
+directory, and the change is this working tree as it is.  For each
+workload, pair i runs `perfbench/run.py --workload W --seed <seed+i>
+--seconds S --trace 0` once in the base tree and once in this tree (each
+tree with its own `perfbench/`, from its own root), one run at a time, the
+base first in even pairs and the change first in odd ones.  The
+output holds, per workload and side, the median and quartiles of `setup_s`,
+`wall_s` and `peak_rss_mb` over the pairs, the failed and attempted
+operation counts, in how many pairs the change had the lower `wall_s`, and
+the sha256 of every JSON report either side wrote.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+METRICS = ("setup_s", "wall_s", "peak_rss_mb")
+
+
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def extract(root: Path, rev: str, dest: Path) -> None:
+    data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root, check=True,
+                          capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest)
+
+
+def src_digest(tree: Path) -> str:
+    """sha256 over the engine sources of a tree, so a reader can tell which
+    code a side measured even before it is committed."""
+    h = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        h.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: {workload} seed {seed} exit {proc.returncode}: "
+                           f"{proc.stderr.strip()[-300:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    detail = json.loads((tree / "perfbench" / "out" /
+                         f"result-{workload}-{seed}-trace0.json").read_text(encoding="utf-8"))
+    hashes = {op["name"]: op["sha256"] for op in detail["operations"] if op.get("sha256")}
+    return {"metrics": {m: result["metrics"][m]["value"] for m in METRICS},
+            "attempted": result["attempted"], "failed": result["failed"],
+            "correct": result["correct"], "hashes": hashes}
+
+
+def summary(values):
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
+
+
+def side(runs) -> dict:
+    return {
+        "metrics": {m: summary([r["metrics"][m] for r in runs]) for m in METRICS},
+        "failed": sum(r["failed"] for r in runs),
+        "attempted": sum(r["attempted"] for r in runs),
+        "correct": all(r["correct"] for r in runs),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="commit to compare against")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="NAME:PAIRS, repeatable")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=900, help="seed of the first pair")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    root = Path.cwd()
+    if not (root / "perfbench" / "run.py").is_file():
+        sys.stderr.write("error: run from the repository root\n")
+        return 2
+    plan = []
+    for item in args.workload:
+        name, _, pairs = item.partition(":")
+        plan.append((name, int(pairs or 5)))
+
+    out = {
+        "machine": {"platform": platform.platform(), "python": platform.python_version(),
+                    "cpus": os.cpu_count(), "processor": platform.machine()},
+        "parent": {"sha": git(root, "rev-parse", args.base)},
+        "change": {"sha": git(root, "rev-parse", "HEAD"),
+                   "uncommitted": bool(git(root, "status", "--porcelain", "--", "src"))},
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "order": "pair i: parent first when i is even, change first when i is odd",
+        "workloads": {},
+        "report_hashes": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base = Path(tmp)
+        extract(root, args.base, base)
+        out["parent"]["src_sha256"] = src_digest(base)
+        out["change"]["src_sha256"] = src_digest(root)
+        for name, pairs in plan:
+            runs = {"parent": [], "change": []}
+            seeds = [args.seed + i for i in range(pairs)]
+            for i, seed in enumerate(seeds):
+                order = (("parent", base), ("change", root))
+                for label, tree in order if i % 2 == 0 else order[::-1]:
+                    t0 = time.perf_counter()
+                    r = run_once(tree, name, seed, args.seconds)
+                    runs[label].append(r)
+                    print(f"{name} seed {seed} {label}: wall_s {r['metrics']['wall_s']:.3f} "
+                          f"setup_s {r['metrics']['setup_s']:.3f} "
+                          f"rss {r['metrics']['peak_rss_mb']:.1f} MB, "
+                          f"{r['failed']}/{r['attempted']} failed "
+                          f"({time.perf_counter() - t0:.0f} s)", flush=True)
+                    for op, digest in r["hashes"].items():
+                        out["report_hashes"].setdefault(op, {}).setdefault(label, set()).add(digest)
+            faster = sum(c["metrics"]["wall_s"] < p["metrics"]["wall_s"]
+                         for p, c in zip(runs["parent"], runs["change"]))
+            out["workloads"][name] = {"seeds": seeds, "parent": side(runs["parent"]),
+                                      "change": side(runs["change"]),
+                                      "change_faster_pairs": faster}
+    out["report_hashes"] = {op: {label: sorted(d) for label, d in sides.items()}
+                            for op, sides in sorted(out["report_hashes"].items())}
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
