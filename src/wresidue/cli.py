@@ -6,8 +6,9 @@ Subcommands:
   list    show available computations and reference ids
 
 Exit codes: 0 when all engine self-checks pass (reference mismatches are
-ordinary report content), 1 on usage or configuration errors, 2 on an
-internal inconsistency such as an oracle disagreement.
+ordinary report content), 1 on usage or configuration errors and unusable
+files, 2 on any other engine error, such as an oracle disagreement or an
+inexact division.
 """
 
 from __future__ import annotations
@@ -181,8 +182,7 @@ def main(argv: Optional[list] = None) -> int:
         raise EngineError(f"unknown command {args.command!r}")
     except (OSError, EngineError) as exc:  # OSError: an unreadable --config or --out path
         sys.stderr.write(f"error: {exc}\n")
-        internal = "internal" in str(exc) or "oracle" in str(exc)
-        return 2 if internal and type(exc) is EngineError else 1
+        return 1 if isinstance(exc, (ConfigError, OSError)) else 2
 
 
 if __name__ == "__main__":

@@ -29,6 +29,8 @@ from .scalars import (
     ScalarExpr,
     S_ZERO,
     XIN,
+    _prem,
+    poly_divexact,
 )
 from .clifford import CliffordExpr
 
@@ -70,25 +72,6 @@ def _factor_pole_denominator(den: Poly) -> Tuple[GRat, int, int]:
     return work.num.const_value(), p, q
 
 
-def _poly_div_univariate(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
-    """Divide num by den treating xin as the main variable; den univariate."""
-    dd = den.degree_in(XIN)
-    den_c = den.coeffs_in(XIN)
-    lead = den_c[dd].const_value()
-    quo = Poly()
-    rem = num
-    while True:
-        dr = rem.degree_in(XIN)
-        if rem.is_zero() or dr < dd:
-            return quo, rem
-        rc = rem.coeffs_in(XIN)
-        head = rc[dr].scale(lead.inverse())
-        shift = Poly.var(XIN, dr - dd) if dr > dd else Poly.const(1)
-        term = head * shift
-        quo = quo + term
-        rem = rem - term * den
-
-
 @dataclass
 class HalfLineRational:
     """Partial-fraction data: principal parts at +/-i and a polynomial part."""
@@ -121,7 +104,9 @@ class HalfLineRational:
 def _decompose_scalar(f: ScalarExpr) -> Tuple[Dict[int, ScalarExpr], Dict[int, ScalarExpr], Dict[int, ScalarExpr]]:
     const, p, q = _factor_pole_denominator(f.den)
     inv_const = ScalarExpr.const(const.inverse())
-    quo, rem = _poly_div_univariate(f.num, f.den)
+    # den is monic in xin (canonical form), so the pseudo-remainder is the remainder
+    rem = _prem(f.num, f.den, XIN)
+    quo = poly_divexact(f.num - rem, f.den)
     poly_part: Dict[int, ScalarExpr] = {}
     if not quo.is_zero():
         poly_part = {d: ScalarExpr.from_poly(cp) for d, cp in quo.coeffs_in(XIN).items()}

@@ -7,15 +7,19 @@ Each boundary case evaluates
 
 with prefactor (-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!), summed over the case
 list determined by r + l - k - j - |alpha| = -(n-1) within the factors' order
-bounds.  Derivatives act on unrestricted symbols, restriction to |xi'| = 1
-precedes the half-plane projection, the xin integral closes upward through
-the residue at +i, and tangential moments are exact with the sphere volume
-kept symbolic.
+bounds.  The x-side and tangential xi derivatives act on unrestricted
+symbols; each factor is then restricted to |xi'| = 1 and its xin derivatives
+act on the restricted value.  Restriction sets shx = 1 and reduces xi3^2, a
+ring homomorphism that fixes xin, so it commutes with d/dxin.  The
+half-plane projection follows, the xin integral closes upward through the
+residue at +i, and tangential moments are exact with the sphere volume kept
+symbolic.
 
 Each case is evaluated by one path, `case_stages`: per tangential axis it
 derives and restricts F2 and F1, projects and traces the pair, integrates
 over xin and takes the sphere moment, and keeps every stage on the
-`TheoremContext`.  `compute_case_term`, `case_trace_integrand`, the
+`TheoremContext`, the restricted factors before their xin derivatives
+included.  `compute_case_term`, `case_trace_integrand`, the
 printed-intermediate slots and the sigma3 variant check all read those
 records, so a context evaluates each case once.  Cases are independent pure
 computations; reports merge in case order.
@@ -39,12 +43,11 @@ from .scalars import (
     sym,
     zero_torsion_bindings,
 )
-from .clifford import CliffordExpr, _mono_square_sign
+from .clifford import CliffordExpr, cl_trace_product
 from .halfplane import pi_plus_scalar
 from .integration import integrate_xi_n, sphere_moment
 from .symbols import (
     GradedSymbol,
-    SymbolComponent,
     builtin_symbol,
     d_xi,
     d_xn,
@@ -264,14 +267,18 @@ def _prefactor(case: CaseSpec) -> GRat:
 class AxisStages:
     """The stage chain of one tangential axis of a case (one pass if |alpha| = 0).
 
-    `f2` and `f1` are the restricted second and first factors, `traced` is
-    Tr[pi+ F1 x F2] and `moment` its xin integral's sphere moment; `steps`
+    `f2_base` and `f1_base` are the second and first factors after their
+    x-side and tangential xi derivatives, restricted to |xi'| = 1; `f2` and
+    `f1` are those restricted values after their xin derivatives.  `traced`
+    is Tr[pi+ F1 x F2] and `moment` its xin integral's sphere moment; `steps`
     are the trail steps of the chain in order.  When F2 vanishes the chain
-    stops there: `f1` and `traced` are None and `moment` is zero.
+    stops there: the F1 fields and `traced` are None and `moment` is zero.
     """
 
     steps: List[TrailStep]
+    f2_base: CliffordExpr
     f2: CliffordExpr
+    f1_base: Optional[CliffordExpr] = None
     f1: Optional[CliffordExpr] = None
     traced: Optional[ScalarExpr] = None
     moment: ScalarExpr = S_ZERO
@@ -297,29 +304,37 @@ def make_context(theorem: str, sigma3_variant: str = "printed") -> TheoremContex
     )
 
 
+def _restrict_then_d_xin(value: CliffordExpr, times: int, label: str,
+                         trail: List[TrailStep]) -> Tuple[CliffordExpr, CliffordExpr]:
+    """(base, derived): value restricted to |xi'| = 1, and that base after
+    `times` xin derivatives, which is recorded on the trail."""
+    base = derived = value.restrict_sphere()
+    for _ in range(times):
+        derived = d_xi(derived, 4)
+        label = f"d_xin {label}"
+    trail.append(TrailStep(label, "derivatives+restrict", derived))
+    return base, derived
+
+
 def _first_factor_restricted(ctx: TheoremContext, case: CaseSpec,
                              tangential_axis: Optional[int],
-                             trail: List[TrailStep]) -> CliffordExpr:
+                             trail: List[TrailStep]) -> Tuple[CliffordExpr, CliffordExpr]:
+    """sigma_r(F1) after d_xn^j and d_xi'^alpha, then `_restrict_then_d_xin` with k."""
     comp = ctx.factor1.component(case.r)
     label = f"sigma_{case.r}(F1)"
     for _ in range(case.j):
         comp = d_xn(comp)
         label = f"d_xn {label}"
+    value = comp.value
     if case.alpha:
-        comp = SymbolComponent(
-            d_xi(comp.value, tangential_axis), comp.at_point, comp.homogeneous
-        )
+        value = d_xi(value, tangential_axis)
         label = f"d_xi{tangential_axis} {label}"
-    for _ in range(case.k):
-        comp = SymbolComponent(d_xi(comp.value, 4), comp.at_point, comp.homogeneous)
-        label = f"d_xin {label}"
-    restricted = comp.value.restrict_sphere()
-    trail.append(TrailStep(label, "derivatives+restrict", restricted))
-    return restricted
+    return _restrict_then_d_xin(value, case.k, label, trail)
 
 
 def _second_factor(ctx: TheoremContext, case: CaseSpec, tangential_axis: Optional[int],
-                   trail: List[TrailStep]) -> CliffordExpr:
+                   trail: List[TrailStep]) -> Tuple[CliffordExpr, CliffordExpr]:
+    """sigma_l(F2) after d_x'^alpha and d_xn^k, then `_restrict_then_d_xin` with j+1."""
     comp = ctx.factor2.component(case.ell)
     label = f"sigma_{case.ell}(F2)"
     if case.alpha:
@@ -327,16 +342,11 @@ def _second_factor(ctx: TheoremContext, case: CaseSpec, tangential_axis: Optiona
         label = f"d_x'{tangential_axis} {label}"
         trail.append(TrailStep(label, "d_x_tangential", comp.value))
         if comp.value.is_zero():
-            return CliffordExpr()
+            return comp.value, comp.value
     for _ in range(case.k):
         comp = d_xn(comp)
         label = f"d_xn {label}"
-    for _ in range(case.j + 1):
-        comp = SymbolComponent(d_xi(comp.value, 4), comp.at_point, comp.homogeneous)
-        label = f"d_xin {label}"
-    restricted = comp.value.restrict_sphere()
-    trail.append(TrailStep(label, "derivatives+restrict", restricted))
-    return restricted
+    return _restrict_then_d_xin(comp.value, case.j + 1, label, trail)
 
 
 def _traced_projected_product(f1_restricted: CliffordExpr, f2: CliffordExpr,
@@ -344,43 +354,34 @@ def _traced_projected_product(f1_restricted: CliffordExpr, f2: CliffordExpr,
     """Tr[pi+ f1 * f2] via trace pairing.
 
     Only equal canonical monomials pair into the identity, and pi+ acts
-    coefficient-wise and commutes with the trace, so
-    Tr[pi+ f1 * f2] = 4 sum_S pi+(f1_S) f2_S c_S^2; only the paired
-    coefficients are projected.
+    coefficient-wise and commutes with the trace, so only the coefficients
+    of f1 that pair with f2 are projected.
     """
-    traced = S_ZERO
-    projected = {}
-    for mono in sorted(set(f1_restricted.terms) & set(f2.terms), key=lambda m: (len(m), m)):
-        proj = projected[mono] = pi_plus_scalar(f1_restricted.terms[mono])
-        if proj.is_zero():
-            continue
-        term = proj * f2.terms[mono]
-        if _mono_square_sign(len(mono)) < 0:
-            term = -term
-        traced = traced + term
-    traced = traced * ScalarExpr.const(GRat(4))
-    trail.append(TrailStep(f"pi+ paired coefficients {tag}", "pi_plus", CliffordExpr(projected)))
+    projected = CliffordExpr({m: pi_plus_scalar(c) for m, c in f1_restricted.terms.items()
+                              if m in f2.terms})
+    traced = cl_trace_product(projected, f2)
+    trail.append(TrailStep(f"pi+ paired coefficients {tag}", "pi_plus", projected))
     trail.append(TrailStep(f"trace {tag}", "cl_trace", traced))
     return traced
 
 
 def _axis_stages(ctx: TheoremContext, case: CaseSpec, axis: Optional[int]) -> AxisStages:
     steps: List[TrailStep] = []
-    f2 = _second_factor(ctx, case, axis, steps)
+    f2_base, f2 = _second_factor(ctx, case, axis, steps)
     if f2.is_zero():
         steps.append(
             TrailStep(f"case {case.case_id} axis {axis}", "product",
                       note="0 (second factor vanishes)")
         )
-        return AxisStages(steps, f2)
+        return AxisStages(steps, f2_base, f2)
     tag = f"(axis {axis})" if axis else ""
-    f1 = _first_factor_restricted(ctx, case, axis, steps)
+    f1_base, f1 = _first_factor_restricted(ctx, case, axis, steps)
     traced = _traced_projected_product(f1, f2, steps, tag)
     line_scalar = integrate_xi_n(traced).scalar_part()
     steps.append(TrailStep(f"xin integral {tag}", "integrate_xi_n", line_scalar))
     moment = sphere_moment(line_scalar)
     steps.append(TrailStep(f"sphere moments {tag}", "sphere_moment", moment))
-    return AxisStages(steps, f2, f1, traced, moment)
+    return AxisStages(steps, f2_base, f2, f1_base, f1, traced, moment)
 
 
 def case_stages(ctx: TheoremContext, case: CaseSpec) -> List[AxisStages]:

@@ -27,9 +27,7 @@ from .symbols import (
     c_gen,
     c_xi,
     c_xi_prime,
-    d_xn,
     q_bilinear,
-    restrict_component,
     sigma0_dirac_lc,
     torsion_u,
     torsion_v,
@@ -387,8 +385,9 @@ def _stage(ctx, case_id: str) -> AxisStages:
 
 
 def _projected_leading_f1(ctx) -> CliffordExpr:
-    """pi+ of the restricted, undifferentiated leading symbol of the first factor."""
-    return pi_plus(restrict_component(ctx.factor1.component(ctx.factor1.top)))
+    """pi+ of the restricted, undifferentiated leading symbol of the first
+    factor: the a3 case takes no x-side derivative of it (j = |alpha| = 0)."""
+    return pi_plus(_stage(ctx, "a3").f1_base)
 
 
 # ---- first pipeline intermediates ----
@@ -435,7 +434,7 @@ def _slot_4_31(ctx):
     lambda: CliffordExpr.scalar(-_h1() / _den_1x2(2)),
 )
 def _slot_4_34(ctx):
-    return restrict_component(d_xn(ctx.factor2.component(-2)))
+    return _stage(ctx, "a3").f2_base
 
 
 @_slot(
@@ -518,7 +517,7 @@ def _sigma_m3_ref_printed() -> CliffordExpr:
     _sigma_m3_ref_printed,
 )
 def _slot_4_41(ctx):
-    return restrict_component(ctx.factor2.component(-3))
+    return _stage(ctx, "b").f2_base
 
 
 @_slot(
@@ -583,7 +582,7 @@ def _slot_5_16(ctx):
     ),
 )
 def _slot_5_21(ctx):
-    return restrict_component(d_xn(ctx.factor2.component(-3)))
+    return _stage(ctx, "a3").f2_base
 
 
 @_slot(
@@ -851,7 +850,7 @@ def _sigma_m4_nontorsion_ref() -> CliffordExpr:
     ).scale(S_ONE / _den_1x2(3)),
 )
 def _slot_5_45(ctx):
-    return restrict_component(ctx.factor2.component(-4))
+    return _stage(ctx, "c").f2_base
 
 
 @_slot(

@@ -736,6 +736,20 @@ def _vanishes_at_witnesses(p: Poly, base_idx: int) -> bool:
     return True
 
 
+def _strip(work: Poly, base_idx: int) -> Tuple[int, Poly]:
+    """(multiplicity, quotient): divide the indexed base out of work while
+    the witnesses vanish and the exact division succeeds."""
+    base = _BASES[base_idx][0]
+    mult = 0
+    while _vanishes_at_witnesses(work, base_idx):
+        try:
+            work = poly_divexact(work, base)
+        except EngineError:
+            break
+        mult += 1
+    return mult, work
+
+
 def _factor_known(p: Poly):
     """p = const * prod base_i^mult_i over the known bases, or None."""
     global _BASES
@@ -745,17 +759,8 @@ def _factor_known(p: Poly):
         return _FACTOR_CACHE[p]
     work = p
     factors: List[Tuple[int, int]] = []
-    for idx, (base, _, _) in enumerate(_BASES):
-        mult = 0
-        while not work.is_const():
-            if not _vanishes_at_witnesses(work, idx):
-                break
-            try:
-                candidate = poly_divexact(work, base)
-            except EngineError:
-                break
-            work = candidate
-            mult += 1
+    for idx in range(len(_BASES)):
+        mult, work = _strip(work, idx)
         if mult:
             factors.append((idx, mult))
         if work.is_const():
@@ -772,17 +777,7 @@ def _multiplicity_in(a: Poly, base_idx: int, cap: int) -> int:
     hit = _MULT_CACHE.get(key)
     if hit is not None:
         return min(hit, cap)
-    base = _BASES[base_idx][0]
-    mult = 0
-    work = a
-    while True:
-        if not _vanishes_at_witnesses(work, base_idx):
-            break
-        try:
-            work = poly_divexact(work, base)
-        except EngineError:
-            break
-        mult += 1
+    mult, _ = _strip(a, base_idx)
     if len(_MULT_CACHE) < _GCD_CACHE_LIMIT:
         _MULT_CACHE[key] = mult
     return min(mult, cap)

@@ -592,7 +592,3 @@ def recomputed_symbol(operator_id: str) -> GradedSymbol:
                       label="(D_T*D_TD_T*)^-1 [recomputed]")
     raise EngineError(f"no recomputation route for {operator_id!r}")
 
-
-def restrict_component(component: SymbolComponent) -> CliffordExpr:
-    """Restrict to |xi'| = 1 at the base point."""
-    return component.value.restrict_sphere()

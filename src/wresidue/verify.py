@@ -93,15 +93,6 @@ def _rand_clifford(rng: random.Random, numeric: bool = True) -> CliffordExpr:
     return out
 
 
-def _suite(fn: Callable[[random.Random, int], List[str]]):
-    def run(seed: int, count: int) -> Dict:
-        rng = random.Random(seed)
-        failures = fn(rng, count)
-        return {"passed": count - len(failures), "failures": failures}
-
-    return run
-
-
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------

@@ -303,3 +303,43 @@ def test_run_theorem_evaluates_each_stage_chain_once(monkeypatch):
     } | {("xik", "b", None), ("xik", "c", None)}
     assert set(calls) == want
     assert set(calls.values()) == {1}, calls
+
+
+def _xin_derivatives(value: CliffordExpr, times: int) -> CliffordExpr:
+    for _ in range(times):
+        value = d_xi(value, 4)
+    return value
+
+
+@pytest.mark.parametrize("theorem", ["T4.6", "T5.4"])
+def test_restriction_commutes_with_xin_derivatives(theorem, t46, t54):
+    """Each factor is restricted to |xi'| = 1 before its xin derivatives.
+    For every case, tangential axis and factor, the xin derivatives of the
+    restricted base equal the restriction of the xin derivatives of the
+    unrestricted component, and the stored stages hold exactly these."""
+    from wresidue.pipeline import case_stages
+    from wresidue.symbols import d_x_tangential
+
+    ctx = (t46 if theorem == "T4.6" else t54)[0]
+    for case in enumerate_cases(theorem):
+        stages = case_stages(ctx, case)
+        axes = (1, 2, 3) if case.alpha else (None,)
+        assert len(stages) == len(axes)
+        for axis, stage in zip(axes, stages):
+            f2 = ctx.factor2.component(case.ell)
+            if case.alpha:
+                f2 = d_x_tangential(f2)
+            for _ in range(case.k):
+                f2 = d_xn(f2)
+            f1 = ctx.factor1.component(case.r)
+            for _ in range(case.j):
+                f1 = d_xn(f1)
+            f1 = f1.value if not case.alpha else d_xi(f1.value, axis)
+            for name, unrestricted, times in (("f2", f2.value, case.j + 1), ("f1", f1, case.k)):
+                base = unrestricted.restrict_sphere()
+                derived = _xin_derivatives(base, times)
+                assert derived == _xin_derivatives(unrestricted, times).restrict_sphere(), (
+                    theorem, case.case_id, axis, name)
+                if getattr(stage, name) is not None:
+                    assert getattr(stage, f"{name}_base") == base, (case.case_id, axis, name)
+                    assert getattr(stage, name) == derived, (case.case_id, axis, name)

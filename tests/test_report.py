@@ -258,25 +258,65 @@ def test_subst_omega3(monkeypatch):
 
 
 def test_json_report_bytes_pinned():
-    """The JSON reports of both boundary theorems are pinned byte for byte,
-    and so are the case filter and the two switches, which read monomials
-    through the filter of `apply_torsion_switches`."""
+    """The JSON reports of every theorem are pinned byte for byte, and so are
+    the case filter and the two switches, which read monomials through the
+    filter of `apply_torsion_switches`, the xik variant as LaTeX and an
+    interior theorem as text."""
     pinned = [
-        ({"theorem": "T4.6"},
+        ({"theorem": "T4.6"}, "json",
          "f3336b239836bd33a0bdf228070681950e55d73a755a7636cfcc689613ab4b79"),
-        ({"theorem": "T5.4"},
+        ({"theorem": "T5.4"}, "json",
          "adccaa77011f8a48053bf01a2850d7c58252811fcd1ef53ef05f6e23673c85aa"),
-        ({"theorem": "T5.4", "case": "b"},
+        ({"theorem": "T5.4", "case": "b"}, "json",
          "c1ee85ea0ab87cda0d7ea6b174ad456d84ebcc6efdc671144b62ad03d90290ea"),
-        ({"theorem": "T5.4", "torsion_a": False, "torsion_t": False, "torsion_v": False},
+        ({"theorem": "T5.4", "torsion_a": False, "torsion_t": False, "torsion_v": False}, "json",
          "aac5117a82c9804a47eac254727c90f268a61764a7e0d745c89452ebb5bd4e54"),
-        ({"theorem": "T4.6", "subst_omega3": True},
+        ({"theorem": "T4.6", "subst_omega3": True}, "json",
          "ba613044c26493ea834331802266b7541d45fe3ccfe8d4e330fc6cbcf35163a8"),
+        ({"theorem": "all"}, "json",
+         "6f76676cfeab3109c344a100cdf2f33e02f6962b8fc1ea7bea66c71f49386872"),
+        ({"theorem": "T2.3"}, "json",
+         "fe252d94edb347f2b46f34e313855ea5d5781788e8b3cce117178c3a3c78b938"),
+        ({"theorem": "T4.1"}, "json",
+         "e3752eee18b0bca4b9009464f6516bfa876b94d639c3ec1b60990f6b950995c3"),
+        ({"theorem": "T5.1"}, "json",
+         "4718d5d65fec208756aad07b2aee884d6f7b0ff300f58822e6a3120a5ed20e47"),
+        ({"theorem": "T4.6", "sigma3_variant": "xik"}, "latex",
+         "e5a8cc7e2eb77fd6b09a37cd6ea124dd471f4cce518c0f6c2977b57cabc5f250"),
+        ({"theorem": "T2.3"}, "text",
+         "f98e45930f137ddddef53b8839566901187aa3c6e8c9bb0afdb267fc5fad225a"),
     ]
-    for fields_, digest in pinned:
-        cfg = RunConfig(output_format="json", **fields_)
-        text = render_report(run_computation(cfg), "json")
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, fields_
+    for fields_, fmt, digest in pinned:
+        cfg = RunConfig(output_format=fmt, **fields_)
+        text = render_report(run_computation(cfg), fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (fields_, fmt)
+
+
+def test_slots_read_the_restricted_bases_of_their_cases():
+    """The printed restricted factors (4.34), (4.41), (5.21) and (5.45) and the
+    projected leading first factor are the stage fields that the pipeline
+    keeps before the xin derivatives, equal to deriving them afresh."""
+    from wresidue.halfplane import pi_plus
+    from wresidue.pipeline import case_stages, find_case
+    from wresidue.references import SLOTS, _projected_leading_f1
+    from wresidue.symbols import d_xn
+
+    engine = {s.slot_id: s.build_engine for s in SLOTS}
+    for theorem, reads in (
+        ("T4.6", (("eq_4_34", "a3", -2, True), ("eq_4_41", "b", -3, False))),
+        ("T5.4", (("eq_5_21", "a3", -3, True), ("eq_5_45", "c", -4, False))),
+    ):
+        ctx = make_context(theorem)
+        for slot_id, case_id, order, normal in reads:
+            comp = ctx.factor2.component(order)
+            want = (d_xn(comp) if normal else comp).value.restrict_sphere()
+            (stage,) = case_stages(ctx, find_case(theorem, case_id))
+            assert stage.f2_base == want, slot_id
+            assert engine[slot_id](ctx) == want, slot_id
+        top = ctx.factor1.component(ctx.factor1.top).value.restrict_sphere()
+        (stage,) = case_stages(ctx, find_case(theorem, "a3"))
+        assert stage.f1_base == top, theorem
+        assert _projected_leading_f1(ctx) == pi_plus(top), theorem
 
 
 def test_determinism_byte_identical():
@@ -439,6 +479,18 @@ def test_cli_out_into_missing_directory(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_computation", no_computation)
     assert cli.main(["run", "--theorem", "T5.4", "--out", missing]) == 1
     assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+
+def test_cli_engine_error_exits_2(monkeypatch, capsys):
+    """An engine failure is not a usage error, whatever its message says."""
+
+    def failing(cfg):
+        raise EngineError("inexact polynomial division")
+
+    monkeypatch.setattr(cli, "run_computation", failing)
+    assert cli.main(["run", "--theorem", "T4.6"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: inexact polynomial division"]
 
 
 def test_cli_rejects_case_on_interior_theorem():

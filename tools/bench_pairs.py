@@ -1,6 +1,6 @@
 """Alternated before/after runs of the benchmark, summarised as BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --base HEAD --out BENCH_7.json \
+    python3 tools/bench_pairs.py --base HEAD --out BENCH_8.json \
         --workload paper-report:10 --workload report-variants:10 \
         --workload oracle-suites:10 --seconds 20 --seed 900
 
@@ -14,7 +14,9 @@ base first in even pairs and the change first in odd ones.  The
 output holds, per workload and side, the median and quartiles of `setup_s`,
 `wall_s` and `peak_rss_mb` over the pairs, the failed and attempted
 operation counts, in how many pairs the change had the lower `wall_s`, and
-the sha256 of every JSON report either side wrote.
+the sha256 of every JSON report either side wrote, with `same` true when
+both sides wrote exactly one digest for the operation and it is the same
+one.  The operations whose digests differ are printed at the end.
 """
 
 from __future__ import annotations
@@ -89,6 +91,14 @@ def side(runs) -> dict:
     }
 
 
+def compare_digests(sides: dict) -> dict:
+    """Both sides' digests of one operation, and whether each side wrote
+    exactly one digest and it is the same one."""
+    parent, change = sides.get("parent", set()), sides.get("change", set())
+    return {"parent": sorted(parent), "change": sorted(change),
+            "same": len(parent) == 1 and parent == change}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="commit to compare against")
@@ -146,8 +156,11 @@ def main(argv=None) -> int:
             out["workloads"][name] = {"seeds": seeds, "parent": side(runs["parent"]),
                                       "change": side(runs["change"]),
                                       "change_faster_pairs": faster}
-    out["report_hashes"] = {op: {label: sorted(d) for label, d in sides.items()}
+    out["report_hashes"] = {op: compare_digests(sides)
                             for op, sides in sorted(out["report_hashes"].items())}
+    differ = [op for op, h in sorted(out["report_hashes"].items()) if not h["same"]]
+    print("report digests differ: " + ", ".join(differ) if differ
+          else "report digests: every operation the same on both sides", flush=True)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 
