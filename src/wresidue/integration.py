@@ -6,17 +6,23 @@ at +i.  The residue is read off the single partial-fraction kernel of
 `halfplane` (its cached decomposition of each basis element xin^d / den).
 Two oracles back this path in the test suites: an exact one that computes
 the residue by the derivative formula at the pole, independent of partial
-fractions, and a floating-point one that integrates numerically.
+fractions, and a floating-point one that integrates numerically (adaptive
+QUADPACK on a Horner-evaluated integrand).
 
 Sphere moments over the unit tangential co-sphere are exact: odd monomials
 vanish, even ones follow the double-factorial formula, and the total measure
-stays symbolic as Omega3 (moment of 1 is Omega3).
+stays symbolic as Omega3 (moment of 1 is Omega3).  Their oracle integrates
+a tangential polynomial numerically over the unit sphere, with Omega3 =
+4 pi, by a product rule (Gauss-Legendre in cos(theta), trapezoid in phi)
+sized from the polynomial's degree so that it is exact up to rounding; it
+shares nothing with the double-factorial formula.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from .gaussian import GRat, I
 from .scalars import (
@@ -111,22 +117,26 @@ def integrate_via_residue_oracle(expr: "CliffordExpr | ScalarExpr") -> CliffordE
 # Numeric contour oracle
 # ---------------------------------------------------------------------------
 
-def _univariate_complex_coeffs(p: Poly, bindings: Mapping[int, GRat]):
-    """Coefficients of p as a polynomial in xin, all other variables bound."""
-    import numpy as np
-
-    deg = max(p.degree_in(XIN), 0)
-    out = np.zeros(deg + 1, dtype=complex)
+def _univariate_complex_coeffs(p: Poly, bindings: Mapping[int, GRat]) -> List[complex]:
+    """Coefficients of p in xin, all other variables bound, highest degree
+    first (Horner order)."""
+    out = [0j] * (max(p.degree_in(XIN), 0) + 1)
     for d, cp in p.coeffs_in(XIN).items():
-        out[d] = cp.eval_numeric(bindings).to_complex()
+        out[-1 - d] = cp.eval_numeric(bindings).to_complex()
     return out
+
+
+def _horner(coeffs: List[complex], x: float) -> complex:
+    acc = 0j
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def numeric_contour_oracle(
     coeff: ScalarExpr, bindings: Mapping | None = None, tol: float = 1e-10
 ) -> complex:
     """Adaptive quadrature of coeff over the real line; testing only."""
-    import numpy as np
     from scipy.integrate import quad
 
     ids: dict = {}
@@ -138,10 +148,12 @@ def numeric_contour_oracle(
     den_c = _univariate_complex_coeffs(coeff.den, ids)
 
     def f(x: float) -> complex:
-        return np.polyval(num_c[::-1], x) / np.polyval(den_c[::-1], x)
+        return _horner(num_c, x) / _horner(den_c, x)
 
-    re, re_err = quad(lambda x: f(x).real, -np.inf, np.inf, epsabs=tol, epsrel=tol, limit=400)
-    im, im_err = quad(lambda x: f(x).imag, -np.inf, np.inf, epsabs=tol, epsrel=tol, limit=400)
+    re, re_err = quad(lambda x: f(x).real, -math.inf, math.inf, epsabs=tol, epsrel=tol,
+                      limit=400)
+    im, im_err = quad(lambda x: f(x).imag, -math.inf, math.inf, epsabs=tol, epsrel=tol,
+                      limit=400)
     if re_err + im_err > 1e-6:
         raise EngineError("non-convergent tail in numeric quadrature")
     return complex(re, im)
@@ -200,23 +212,40 @@ def sphere_moment(expr: ScalarExpr, sphere_dim: int = 3) -> ScalarExpr:
     return total / ScalarExpr.from_poly(expr.den)
 
 
-def sphere_mc_oracle(
-    expr: ScalarExpr, n_samples: int = 400_000, seed: int = 7
-) -> float:
-    """Monte-Carlo sphere average times 4*pi; pure-tangential inputs only."""
+def sphere_mc_oracle(expr: ScalarExpr) -> complex:
+    """Integral of a tangential polynomial over the unit sphere, total 4*pi.
+
+    With xi = (sin(theta) cos(phi), sin(theta) sin(phi), u), u = cos(theta),
+    a monomial xi1^a xi2^b xi3^c of the input, whose total degree is d, is
+    (1 - u^2)^((a+b)/2) u^c times a trigonometric polynomial of degree
+    a + b <= d in phi.  The m-point trapezoid
+    rule in phi, m = d + 1, integrates that exactly; what is left is zero
+    when a + b is odd and otherwise a polynomial of degree <= d in u, which
+    n-point Gauss-Legendre, n = floor(d/2) + 1, integrates exactly.  So the
+    result is exact up to rounding, with no sampling.  Coefficients and a
+    constant denominator stay complex.
+
+    The name is older than the rule, from a Monte-Carlo estimate it
+    replaced.  It stays because `perfbench/tracer.py` rebinds this function
+    by name and `BENCHMARK.json` lists its time as
+    `integration.sphere_mc_oracle.s`.
+    """
     import numpy as np
 
-    vars_used = expr.variables()
-    if not vars_used <= _TANGENTIAL:
-        raise EngineError("Monte-Carlo oracle handles pure tangential polynomials only")
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=(n_samples, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    acc = np.zeros(n_samples)
-    for mono, c in expr.num.terms.items():
-        term = np.full(n_samples, complex(c.to_complex()).real)
-        for sym, e in mono_items(mono):
-            term = term * v[:, XI.index(sym)] ** e
+    if not (expr.variables() <= _TANGENTIAL and expr.den.is_const()):
+        raise EngineError("sphere oracle handles pure tangential polynomials only")
+    terms = [(c.to_complex(), dict(mono_items(mono))) for mono, c in expr.num.terms.items()]
+    degree = max((sum(exps.values()) for _, exps in terms), default=0)
+    u, u_weights = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    m = degree + 1
+    phi = 2.0 * np.pi * np.arange(m) / m
+    sin_t = np.sqrt(1.0 - u * u)[:, None]
+    axes = {XI[0]: sin_t * np.cos(phi), XI[1]: sin_t * np.sin(phi), XI[2]: u[:, None]}
+    acc = np.zeros((u.size, m), dtype=complex)
+    for c, exps in terms:
+        term = np.full((u.size, m), c)
+        for sym, e in exps.items():
+            term = term * axes[sym] ** e
         acc += term
-    den = expr.den.const_value().to_complex().real
-    return float(acc.mean() * 4.0 * np.pi / den)
+    total = complex(u_weights @ acc.sum(axis=1)) * (2.0 * np.pi / m)
+    return total / expr.den.const_value().to_complex()

@@ -762,7 +762,6 @@ def _slot_5_34(ctx):
 
 def _ref_5_35() -> CliffordExpr:
     xin = xi_var(4)
-    i_s = ScalarExpr.const(I)
 
     def t_contract(prefix: str) -> ScalarExpr:
         out = S_ZERO

@@ -548,7 +548,18 @@ def _monic(p: Poly) -> Poly:
 
 
 _GCD_CACHE: Dict[Tuple[Poly, Poly], Poly] = {}
-_GCD_CACHE_LIMIT = 200_000
+# Bound of each memo cache below.  `run --theorem all` stores at most about
+# 1,650 entries in any of them, so a report never reaches the bound.  A
+# process that runs random suites stores about 800 new entries per round
+# for good; a full cache is emptied and refilled, which keeps its memory
+# flat and changes no result.
+_MEMO_LIMIT = 1 << 12
+
+
+def _memo_store(cache: dict, key, value) -> None:
+    if len(cache) >= _MEMO_LIMIT:
+        cache.clear()
+    cache[key] = value
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -571,8 +582,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     out = _structured_gcd(a, b)
     if out is None:
         out = _poly_gcd_uncached(a, b)
-    if len(_GCD_CACHE) < _GCD_CACHE_LIMIT:
-        _GCD_CACHE[key] = out
+    _memo_store(_GCD_CACHE, key, out)
     return out
 
 
@@ -766,8 +776,7 @@ def _factor_known(p: Poly):
         if work.is_const():
             break
     out = (work.const_value(), tuple(factors)) if work.is_const() else None
-    if len(_FACTOR_CACHE) < _GCD_CACHE_LIMIT:
-        _FACTOR_CACHE[p] = out
+    _memo_store(_FACTOR_CACHE, p, out)
     return out
 
 
@@ -778,8 +787,7 @@ def _multiplicity_in(a: Poly, base_idx: int, cap: int) -> int:
     if hit is not None:
         return min(hit, cap)
     mult, _ = _strip(a, base_idx)
-    if len(_MULT_CACHE) < _GCD_CACHE_LIMIT:
-        _MULT_CACHE[key] = mult
+    _memo_store(_MULT_CACHE, key, mult)
     return min(mult, cap)
 
 

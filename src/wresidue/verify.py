@@ -227,18 +227,32 @@ def contour_suite(seed: int = 0, count: int = 500, tol: float = 1e-9) -> Dict:
 
 
 def sphere_suite(seed: int = 0, count: int = 200) -> Dict:
-    """Moment linearity, parity, permutation invariance; Monte-Carlo backing."""
+    """Moment linearity, parity, permutation invariance; quadrature backing.
+
+    Every drawn monomial, and xi1^2 and xi2^4, is also integrated by the
+    product-rule oracle, which must give 4*pi times `monomial_moment` to
+    1e-12 * 4*pi.
+    """
     import math
 
     rng = random.Random(seed)
     failures: List[str] = []
     om = sym("Omega3")
+    four_pi = 4.0 * math.pi
+
+    def quadrature_check(mono: ScalarExpr, exps: List[int], label: str) -> None:
+        got = sphere_mc_oracle(mono)
+        want = four_pi * float(monomial_moment(exps))
+        if abs(got - want) > 1e-12 * four_pi:
+            failures.append(f"quadrature {label}: {got} vs {want}")
+
     for k in range(count):
         exps = [rng.randint(0, 4) for _ in range(3)]
         mono = S_ONE
         names = ("xi1", "xi2", "xi3")
         for name, e in zip(names, exps):
             mono = mono * sym(name) ** e
+        quadrature_check(mono, exps, f"#{k}")
         val = sphere_moment(mono)
         if any(e % 2 for e in exps):
             if not val.is_zero():
@@ -256,15 +270,8 @@ def sphere_suite(seed: int = 0, count: int = 200) -> Dict:
         flipped = mono.substitute({"xi1": -sym("xi1")})
         if sphere_moment(flipped) != val:
             failures.append(f"sign-flip invariance #{k}")
-    # Monte-Carlo: xi_j^2 -> Omega3/3 with Omega3 = 4 pi, 1e-3 relative
-    mc = sphere_mc_oracle(sym("xi1") ** 2, n_samples=2_000_000, seed=seed + 1)
-    want = 4.0 * math.pi / 3.0
-    if abs(mc - want) / want > 1e-3:
-        failures.append(f"Monte-Carlo xi^2: {mc} vs {want}")
-    mc4 = sphere_mc_oracle(sym("xi2") ** 4, n_samples=8_000_000, seed=seed + 2)
-    want4 = 4.0 * math.pi / 5.0
-    if abs(mc4 - want4) / want4 > 1e-3:
-        failures.append(f"Monte-Carlo xi^4: {mc4} vs {want4}")
+    quadrature_check(sym("xi1") ** 2, [2, 0, 0], "xi1^2")
+    quadrature_check(sym("xi2") ** 4, [0, 4, 0], "xi2^4")
     return {"passed": count - len(failures), "failures": failures}
 
 

@@ -1,5 +1,6 @@
 """Exact line and sphere integration against the numeric oracles."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wresidue.gaussian import GRat, I
-from wresidue.scalars import EngineError, ScalarExpr, S_ONE, S_ZERO, sym
+from wresidue.scalars import EngineError, Poly, ScalarExpr, S_ONE, S_ZERO, sym
 from wresidue.clifford import CliffordExpr
 from wresidue.pipeline import case_trace_integrand, enumerate_cases, make_context
 from wresidue.integration import (
@@ -18,6 +19,7 @@ from wresidue.integration import (
     sphere_mc_oracle,
     sphere_moment,
 )
+from wresidue.verify import sphere_suite
 
 XIN = sym("xin")
 IC = ScalarExpr.const(I)
@@ -125,14 +127,52 @@ def test_xin_presence_rejected():
         sphere_moment(XIN ** 2)
 
 
-def test_monte_carlo_oracle():
-    mc = sphere_mc_oracle(sym("xi1") ** 2, n_samples=2_000_000, seed=9)
-    want = 4 * math.pi / 3
-    assert abs(mc - want) / want < 1e-3
-    # fourth moment has higher variance; more samples for the same tolerance
-    mc4 = sphere_mc_oracle(sym("xi1") ** 4, n_samples=8_000_000, seed=10)
-    want4 = 4 * math.pi / 5
-    assert abs(mc4 - want4) / want4 < 1e-3
+def test_sphere_quadrature_oracle_is_exact_on_monomials():
+    """Every xi1^a xi2^b xi3^c with a, b, c <= 4 against `sphere_moment` at
+    Omega3 = 4 pi: relative 1e-12 where the moment is nonzero, 1e-12 * 4 pi
+    where it vanishes."""
+    four_pi = 4 * math.pi
+    for a, b, c in itertools.product(range(5), repeat=3):
+        mono = sym("xi1") ** a * sym("xi2") ** b * sym("xi3") ** c
+        exact = sphere_moment(mono).substitute({"Omega3": S_ONE}).evaluate({})
+        want = four_pi * exact.to_complex()
+        got = sphere_mc_oracle(mono)
+        assert isinstance(got, complex)
+        assert abs(got - want) <= 1e-12 * (abs(want) or four_pi), (a, b, c)
+
+
+def test_sphere_oracle_keeps_imaginary_parts():
+    x1, x2 = sym("xi1"), sym("xi2")
+    got = sphere_mc_oracle(IC * x1 ** 2)
+    assert abs(got - 4j * math.pi / 3) <= 1e-12 * 4 * math.pi
+    mixed = ScalarExpr.const(GRat(1, 2)) * x1 ** 2 + ScalarExpr.const(GRat(0, -3)) * x2 ** 4
+    want = (1 + 2j) * 4 * math.pi / 3 - 3j * 4 * math.pi / 5
+    assert abs(sphere_mc_oracle(mixed) - want) <= 1e-12 * 4 * math.pi
+
+
+def test_sphere_oracle_divides_by_a_complex_constant_denominator():
+    x1 = sym("xi1")
+    den = GRat(2, 1)
+    want = 4 * math.pi / 3 / (2 + 1j)
+    # the canonical form folds a constant denominator into the numerator ...
+    folded = x1 ** 2 / ScalarExpr.const(den)
+    assert abs(sphere_mc_oracle(folded) - want) <= 1e-12 * 4 * math.pi
+    # ... so build the unfolded ratio directly to reach the oracle's division
+    raw = ScalarExpr((x1 ** 2).num, Poly.const(den), _canonical=True)
+    assert abs(sphere_mc_oracle(raw) - want) <= 1e-12 * 4 * math.pi
+
+
+def test_sphere_oracle_rejects_non_polynomial_input():
+    with pytest.raises(EngineError):
+        sphere_mc_oracle(XIN ** 2)
+    with pytest.raises(EngineError):
+        sphere_mc_oracle(S_ONE / (1 + sym("xi1") ** 2))
+
+
+@pytest.mark.parametrize("seed", [11, 20, 24])
+def test_sphere_suite_passes_at_seeds_the_sampled_oracle_failed(seed):
+    result = sphere_suite(seed=seed, count=20)
+    assert result == {"passed": 20, "failures": []}
 
 
 def test_moment_formula_dimension_generic():

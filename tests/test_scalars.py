@@ -255,3 +255,38 @@ def test_canonical_text_deterministic():
     e = (sym("xi1") + sym("xi2")) ** 2 / (1 + XIN ** 2)
     assert e.text() == e.text()
     assert "xi1" in e.text()
+
+
+def test_memo_caches_stay_bounded_and_answers_do_not_change(monkeypatch):
+    """A full memo cache is emptied and refilled: sizes stay at or under the
+    bound and every result equals the one computed with unbounded room."""
+    import random
+
+    from wresidue import scalars
+    from wresidue.verify import _rand_halfline
+
+    def work():
+        rng = random.Random(4)
+        fs = [_rand_halfline(rng, decay=rng.choice((0, 1, 2))) for _ in range(30)]
+        return [f * g + g for f, g in zip(fs, fs[1:])]
+
+    want = work()
+    caches = ("_GCD_CACHE", "_FACTOR_CACHE", "_MULT_CACHE")
+    for name in caches:
+        monkeypatch.setattr(scalars, name, {})
+    monkeypatch.setattr(scalars, "_MEMO_LIMIT", 8)
+    sizes = {name: 0 for name in caches}
+    stores = {name: 0 for name in caches}
+    real_store = scalars._memo_store
+
+    def store(cache, key, value):
+        real_store(cache, key, value)
+        for name in caches:
+            if cache is getattr(scalars, name):
+                sizes[name] = max(sizes[name], len(cache))
+                stores[name] += 1
+
+    monkeypatch.setattr(scalars, "_memo_store", store)
+    assert work() == want
+    assert stores["_GCD_CACHE"] > 8 and stores["_MULT_CACHE"] > 8
+    assert max(sizes.values()) <= 8
