@@ -30,6 +30,7 @@ from .scalars import (
     S_ZERO,
     XIN,
     _prem,
+    _strip,
     poly_divexact,
 )
 from .clifford import CliffordExpr
@@ -49,27 +50,14 @@ def _factor_pole_denominator(den: Poly) -> Tuple[GRat, int, int]:
 
         names = ", ".join(sorted(REG.name_of(s) for s in extra))
         raise EngineError(f"denominator depends on {names}; poles must be in xin only")
-    work = ScalarExpr.from_poly(den)
-    p = q = 0
-    lin_p = _LIN_PLUS
-    lin_m = _LIN_MINUS
-    while True:
-        if work.evaluate({XIN: I}).is_zero():
-            work = work / lin_p
-            p += 1
-        else:
-            break
-    while True:
-        if work.evaluate({XIN: -I}).is_zero():
-            work = work / lin_m
-            q += 1
-        else:
-            break
-    if not work.num.is_const() or not work.is_poly():
+    p, work = _strip(den, 0)  # xin - i
+    q, work = _strip(work, 1)  # xin + i
+    if not work.is_const():
         raise EngineError(
-            f"pole outside +/-i: offending denominator factor {work.text()}"
+            f"pole outside +/-i: offending denominator factor "
+            f"{ScalarExpr.from_poly(work).text()}"
         )
-    return work.num.const_value(), p, q
+    return work.const_value(), p, q
 
 
 @dataclass

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Mapping, Sequence
+from typing import List, Sequence
 
 from .gaussian import GRat, I
 from .scalars import (
@@ -30,7 +30,6 @@ from .scalars import (
     OMEGA3,
     PI,
     Poly,
-    REG,
     ScalarExpr,
     S_ZERO,
     XI,
@@ -117,12 +116,12 @@ def integrate_via_residue_oracle(expr: "CliffordExpr | ScalarExpr") -> CliffordE
 # Numeric contour oracle
 # ---------------------------------------------------------------------------
 
-def _univariate_complex_coeffs(p: Poly, bindings: Mapping[int, GRat]) -> List[complex]:
-    """Coefficients of p in xin, all other variables bound, highest degree
-    first (Horner order)."""
+def _univariate_complex_coeffs(p: Poly) -> List[complex]:
+    """Coefficients of p in xin, which must be its only variable, highest
+    degree first (Horner order)."""
     out = [0j] * (max(p.degree_in(XIN), 0) + 1)
     for d, cp in p.coeffs_in(XIN).items():
-        out[-1 - d] = cp.eval_numeric(bindings).to_complex()
+        out[-1 - d] = cp.eval_numeric({}).to_complex()
     return out
 
 
@@ -133,19 +132,14 @@ def _horner(coeffs: List[complex], x: float) -> complex:
     return acc
 
 
-def numeric_contour_oracle(
-    coeff: ScalarExpr, bindings: Mapping | None = None, tol: float = 1e-10
-) -> complex:
+def numeric_contour_oracle(coeff: ScalarExpr) -> complex:
     """Adaptive quadrature of coeff over the real line; testing only."""
     from scipy.integrate import quad
 
-    ids: dict = {}
-    for key, val in (bindings or {}).items():
-        sym = key if isinstance(key, int) else REG.id_of(key)
-        ids[sym] = GRat.of(val)
+    tol = 1e-10
     _check_decay(coeff)
-    num_c = _univariate_complex_coeffs(coeff.num, ids)
-    den_c = _univariate_complex_coeffs(coeff.den, ids)
+    num_c = _univariate_complex_coeffs(coeff.num)
+    den_c = _univariate_complex_coeffs(coeff.den)
 
     def f(x: float) -> complex:
         return _horner(num_c, x) / _horner(den_c, x)

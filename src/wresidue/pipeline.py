@@ -182,7 +182,6 @@ class PhiReport:
     case: Optional[CaseSpec]
     row_id: str
     value: ScalarExpr
-    collected: CollectedForm
     trail: List[TrailStep] = field(default_factory=list)
 
 
@@ -411,7 +410,6 @@ def compute_case_term(ctx: TheoremContext, case: CaseSpec) -> PhiReport:
         case=case,
         row_id=f"{ctx.theorem}/{case.case_id}",
         value=value,
-        collected=collect_form(value),
         trail=trail,
     )
 
@@ -438,7 +436,6 @@ def total_boundary_term(reports: List[PhiReport], theorem: str) -> PhiReport:
         case=None,
         row_id=f"{theorem}/total",
         value=total,
-        collected=collect_form(total),
         trail=[TrailStep("total", "sum", total)],
     )
 

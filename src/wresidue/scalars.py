@@ -29,12 +29,9 @@ workers; the registry is frozen at configuration time.
 
 from __future__ import annotations
 
-import random as _random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import prod
-from operator import getitem, itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GRat, ONE, ZERO
@@ -548,11 +545,11 @@ def _monic(p: Poly) -> Poly:
 
 
 _GCD_CACHE: Dict[Tuple[Poly, Poly], Poly] = {}
-# Bound of each memo cache below.  `run --theorem all` stores at most about
-# 1,650 entries in any of them, so a report never reaches the bound.  A
-# process that runs random suites stores about 800 new entries per round
-# for good; a full cache is emptied and refilled, which keeps its memory
-# flat and changes no result.
+# Bound of the two memo caches, `_GCD_CACHE` and `_FACTOR_CACHE`.
+# `run --theorem all` stores at most about 1,600 entries in either, so a
+# report never reaches the bound.  A process that runs random suites
+# stores about 650 new entries per round for good; a full cache is emptied
+# and refilled, which keeps its memory flat and changes no result.
 _MEMO_LIMIT = 1 << 12
 
 
@@ -563,11 +560,13 @@ def _memo_store(cache: dict, key, value) -> None:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q(i) via the primitive Euclidean algorithm (cached).
+    """Monic gcd over Q(i), cached.
 
     Denominators in this engine are power products of a handful of known
-    irreducible polynomials; when one operand factors over that base set the
-    gcd reduces to multiplicity counting, avoiding the general recursion.
+    irreducible polynomials.  When one operand factors over that base set,
+    the gcd is read off by counting how often each of its bases divides the
+    other operand exactly (`_structured_gcd`); otherwise it falls back to
+    the primitive Euclidean algorithm (`_poly_gcd_uncached`).
     """
     if a.is_zero():
         return _monic(b)
@@ -618,153 +617,41 @@ def _poly_gcd_uncached(a: Poly, b: Poly) -> Poly:
 # Structured gcd over the engine's known irreducible denominators
 # ---------------------------------------------------------------------------
 
-_WITNESS_RNG = _random.Random(0x5EED)
-
-GaussInt = Tuple[int, int]
-
-# Witnesses are evaluated modulo the prime P = 2^30 - 35.  P = 1 (mod 4),
-# so -1 has a square root I_P modulo P; P = 5 (mod 8) makes 2 a quadratic
-# non-residue, and 2^((P-1)/4) is such a root.
-_P = 1073741789
-_I_P = pow(2, (_P - 1) // 4, _P)
-_ONES = (1,) * 256
-
-
-class _Witness:
-    """A Gaussian-integer point (indexed by sym_id) read modulo P.
-
-    Power tables x^0..x^e mod P are built per indeterminate on first use and
-    extended up to the largest exponent asked for.
-    """
-
-    __slots__ = ("values", "_powers")
-
-    def __init__(self, point: List[GaussInt]):
-        self.values = [(re + im * _I_P) % _P for re, im in point]
-        self._powers: Dict[int, List[int]] = {}
-
-    def powers(self, sym: int, upto: int) -> List[int]:
-        table = self._powers.get(sym)
-        if table is None:
-            table = self._powers[sym] = [1]
-        x = self.values[sym]
-        while len(table) <= upto:
-            table.append(table[-1] * x % _P)
-        return table
-
-
-def _modp_eval(p: Poly, w: _Witness, syms=None) -> Optional[int]:
-    """p at the witness point, modulo P; None when a coefficient's
-    denominator is divisible by P, since then the residue decides nothing.
-
-    Each monomial's exponents are read as bytes of its packed int (byte 0 is
-    the degree, which reads 1 from a table of ones), looked up in the power
-    tables, and multiplied in C.  The sum runs over a running denominator so
-    that only one inverse is taken.
-    """
-    order = sorted(p.variables() if syms is None else syms)
-    deg = max(p.terms, default=0) >> _DEG_SHIFT
-    tables = [_ONES] + [w.powers(s, deg) for s in order]
-    pos = [0] + [s + 1 for s in order]
-    # itemgetter of a single index returns a bare value, not a tuple
-    fields = itemgetter(*pos) if len(pos) > 1 else (lambda b: (b[0],))
-    num, den = 0, 1
-    for m, c in p.terms.items():
-        v = prod(map(getitem, tables, fields(m.to_bytes(_NBYTES, "big"))))
-        t = (c.a + c.b * _I_P) * v
-        d = c.d
-        if d == 1:
-            num = (num + t * den) % _P
-        else:
-            d %= _P
-            if not d:
-                return None
-            num = (num * d + t * den) % _P
-            den = den * d % _P
-    return num * pow(den, -1, _P) % _P
-
-
-def _known_bases() -> List[Tuple[Poly, set, List[_Witness]]]:
-    """Irreducible monic polynomials whose powers form every denominator.
-
-    Each entry carries the base's variables and two fixed random
-    Gaussian-integer points on its zero set.  A multiple of the base
-    vanishes there, so a nonzero residue mod P rules out divisibility; a
-    zero residue only leads to the exact division that decides.
-    """
-    def fill(base_bnd: Dict[int, GaussInt]) -> _Witness:
-        out = []
-        for v in range(len(REG)):
-            out.append(base_bnd.get(v, (_WITNESS_RNG.randint(2, 97), 0)))
-        return _Witness(out)
-
-    def sphere_points(with_shx: bool) -> List[_Witness]:
-        pts = []
-        for _ in range(2):
-            aa = _WITNESS_RNG.randint(2, 9)
-            bb = _WITNESS_RNG.randint(10, 17)
-            sh = _WITNESS_RNG.randint(2, 7) if with_shx else 1
-            # xi1 = a^2-b^2, xi2 = 2ab, xi3 = 0 makes |xi'| a perfect square
-            bnd: Dict[int, GaussInt] = {
-                XI[0]: (aa * aa - bb * bb, 0),
-                XI[1]: (2 * aa * bb, 0),
-                XI[2]: (0, 0),
-                XIN: (0, sh * (aa * aa + bb * bb)),
-            }
-            if with_shx:
-                bnd[SHX] = (sh, 0)
-            pts.append(fill(bnd))
-        return pts
-
+def _known_bases() -> List[Tuple[Poly, frozenset]]:
+    """Irreducible monic polynomials whose powers form every denominator,
+    each with its variables: xin - i, xin + i, |xi|^2 and
+    shx^2 |xi'|^2 + xin^2."""
     lin_minus = Poly.var(XIN) + Poly.const(GRat(0, -1))
     lin_plus = Poly.var(XIN) + Poly.const(GRat(0, 1))
     s_tang = Poly.var(XI[0], 2) + Poly.var(XI[1], 2) + Poly.var(XI[2], 2)
     sphere = s_tang + Poly.var(XIN, 2)
     sphere_shx = Poly.var(SHX, 2) * s_tang + Poly.var(XIN, 2)
-    bases = [
-        (lin_minus, [fill({XIN: (0, 1)}) for _ in range(2)]),
-        (lin_plus, [fill({XIN: (0, -1)}) for _ in range(2)]),
-        (sphere, sphere_points(False)),
-        (sphere_shx, sphere_points(True)),
-    ]
-    return [(base, base.variables(), points) for base, points in bases]
+    return [(base, frozenset(base.variables()))
+            for base in (lin_minus, lin_plus, sphere, sphere_shx)]
 
 
-_BASES: Optional[List[Tuple[Poly, set, List[_Witness]]]] = None
+_BASES = _known_bases()
 _FACTOR_CACHE: Dict[Poly, Optional[Tuple[GRat, Tuple[Tuple[int, int], ...]]]] = {}
-_MULT_CACHE: Dict[Tuple[Poly, int], int] = {}
-
-
-def _vanishes_at_witnesses(p: Poly, base_idx: int) -> bool:
-    _, base_vars, points = _BASES[base_idx]
-    syms = p.variables()
-    if not base_vars <= syms:
-        return False  # a multiple of the base must involve all its variables
-    for w in points:
-        if _modp_eval(p, w, syms):
-            return False
-    return True
 
 
 def _strip(work: Poly, base_idx: int) -> Tuple[int, Poly]:
-    """(multiplicity, quotient): divide the indexed base out of work while
-    the witnesses vanish and the exact division succeeds."""
-    base = _BASES[base_idx][0]
+    """(multiplicity, quotient): divide the indexed base out of work until
+    the exact division fails.  A multiple of the base holds all of the
+    base's variables, so work without one of them is returned at once."""
+    base, base_vars = _BASES[base_idx]
+    if not base_vars <= work.variables():
+        return 0, work
     mult = 0
-    while _vanishes_at_witnesses(work, base_idx):
+    while True:
         try:
             work = poly_divexact(work, base)
         except EngineError:
-            break
+            return mult, work
         mult += 1
-    return mult, work
 
 
 def _factor_known(p: Poly):
     """p = const * prod base_i^mult_i over the known bases, or None."""
-    global _BASES
-    if _BASES is None:
-        _BASES = _known_bases()
     if p in _FACTOR_CACHE:
         return _FACTOR_CACHE[p]
     work = p
@@ -781,14 +668,8 @@ def _factor_known(p: Poly):
 
 
 def _multiplicity_in(a: Poly, base_idx: int, cap: int) -> int:
-    """Multiplicity of the indexed base in a, witness-filtered and cached."""
-    key = (a, base_idx)
-    hit = _MULT_CACHE.get(key)
-    if hit is not None:
-        return min(hit, cap)
-    mult, _ = _strip(a, base_idx)
-    _memo_store(_MULT_CACHE, key, mult)
-    return min(mult, cap)
+    """Multiplicity of the indexed base in a, at most cap."""
+    return min(_strip(a, base_idx)[0], cap)
 
 
 def _structured_gcd(a: Poly, b: Poly) -> Optional[Poly]:

@@ -141,3 +141,15 @@ def test_monomial_square_sign(k1, k2):
     square = expr * expr
     want = CliffordExpr.scalar(_mono_square_sign(len(mono)))
     assert square == want
+
+
+def test_clifford_suite_counts_a_sample_with_two_failures_once(monkeypatch):
+    """A trace that is off by one fails the 16 monomial checks and, in each
+    sample, the pairing and oracle checks: no sample passes, and none is
+    taken off twice."""
+    from wresidue import verify
+
+    monkeypatch.setattr(verify, "cl_trace", lambda e: cl_trace(e) + S_ONE)
+    result = verify.clifford_suite(seed=0, count=5)
+    assert len(result["failures"]) == 16 + 2 * 5
+    assert result["passed"] == 0

@@ -1,6 +1,5 @@
 """Gaussian rationals as canonical integer triples, against a Fraction-pair oracle."""
 
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wresidue import scalars
 from wresidue.gaussian import GRat, I
-from wresidue.scalars import REG, Poly, _modp_eval
 
 
 # ---------------------------------------------------------------------------
@@ -181,44 +179,6 @@ def test_str(args, text):
 
 def test_to_complex():
     assert GRat(Fraction(1, 3), Fraction(-2, 7)).to_complex() == complex(1 / 3, -2 / 7)
-
-
-# ---------------------------------------------------------------------------
-# the witness evaluation modulo a prime
-# ---------------------------------------------------------------------------
-
-def _mod_p(z: GRat) -> int:
-    return (z.a + z.b * scalars._I_P) * pow(z.d, -1, scalars._P) % scalars._P
-
-
-def test_modp_eval_matches_eval_numeric():
-    assert scalars._I_P ** 2 % scalars._P == scalars._P - 1
-    rng = random.Random(20231)
-    names = ["xi1", "xi2", "xin", "h1", "X1"]
-    ids = [REG.id_of(n) for n in names]
-    dens = [1, 2, 3, 4, 6, 9, 10, 25]
-    for _ in range(60):
-        terms = {}
-        for _ in range(rng.randint(1, 8)):
-            mono = tuple(sorted(
-                (s, rng.randint(1, 4)) for s in rng.sample(ids, rng.randint(0, 3))))
-            terms[mono] = GRat(Fraction(rng.randint(-9, 9), rng.choice(dens)),
-                               Fraction(rng.randint(-9, 9), rng.choice(dens)))
-        p = Poly(terms)
-        bnd = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(len(REG))]
-        w = scalars._Witness(bnd)
-        want = p.eval_numeric({s: GRat(*bnd[s]) for s in ids})
-        assert _modp_eval(p, w) == _mod_p(want)
-        # a value that vanishes exactly has residue 0
-        assert _modp_eval(p - Poly.const(want), w) == 0
-
-
-def test_modp_eval_gives_up_on_a_denominator_divisible_by_p():
-    xi1 = REG.id_of("xi1")
-    p = Poly.var(xi1) + Poly.const(GRat(Fraction(1, scalars._P)))
-    w = scalars._Witness([(3, 0)] * len(REG))
-    assert _modp_eval(p, w) is None
-    assert _modp_eval(Poly.var(xi1, 2), w) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,25 @@ def test_sphere_suite_passes_at_seeds_the_sampled_oracle_failed(seed):
     assert result == {"passed": 20, "failures": []}
 
 
+@pytest.mark.parametrize("wrong_calls, passed", [({21, 22}, 20), ({1}, 19), ({1, 2, 21}, 18)])
+def test_sphere_suite_passed_counts_samples_without_failure(monkeypatch, wrong_calls, passed):
+    """The oracle is called once per sample, then for the xi1^2 and xi2^4
+    checks; a failed fixed check takes nothing off the passed samples."""
+    from wresidue import verify
+
+    calls = []
+
+    def oracle(mono):
+        calls.append(mono)
+        return sphere_mc_oracle(mono) + (1.0 if len(calls) in wrong_calls else 0.0)
+
+    monkeypatch.setattr(verify, "sphere_mc_oracle", oracle)
+    result = sphere_suite(seed=0, count=20)
+    assert len(calls) == 22
+    assert len(result["failures"]) == len(wrong_calls)
+    assert result["passed"] == passed
+
+
 def test_moment_formula_dimension_generic():
     # normalized second moment is 1/d on S^(d-1)
     for d in (2, 3, 4, 7):

@@ -1,5 +1,6 @@
-"""The scalar kernel: packed monomials, mod-p divisibility witnesses and
-cross-cancelled rational arithmetic, each against a plain reimplementation."""
+"""The scalar kernel: packed monomials, stripping of the known denominator
+bases by exact division, and cross-cancelled rational arithmetic, each
+against a plain reimplementation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,7 +82,8 @@ def test_exponent_and_degree_limits_raise():
 
 
 # ---------------------------------------------------------------------------
-# mod-p witnesses
+# stripping the known denominator bases: the exact division is the
+# divisibility witness
 # ---------------------------------------------------------------------------
 
 _coeff = st.builds(
@@ -104,25 +106,23 @@ def polys(draw, max_terms=4):
     return out
 
 
-def _bases():
-    scalars._factor_known(Poly.var(scalars.XIN))  # builds the bases once
-    return scalars._BASES
-
-
 @pytest.mark.parametrize("idx", range(4))
 @given(q=polys())
 @settings(max_examples=40, deadline=None)
 def test_witness_never_rules_out_a_multiple_of_the_base(idx, q):
-    base = _bases()[idx][0]
+    base = scalars._BASES[idx][0]
     if q.is_zero():
         q = Poly.const(1)
-    assert scalars._vanishes_at_witnesses(base * q, idx)
+    mult, rest = scalars._strip(base * q, idx)
+    assert mult >= 1
+    assert base ** mult * rest == base * q
 
 
 def test_witness_rules_out_a_non_multiple():
     x1 = Poly.var(REG.id_of("xi1"))
-    for idx, (base, _, _) in enumerate(_bases()):
-        assert not scalars._vanishes_at_witnesses(base * base + x1, idx)
+    for idx, (base, _) in enumerate(scalars._BASES):
+        p = base * base + x1
+        assert scalars._strip(p, idx) == (0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_witness_rules_out_a_non_multiple():
 # ---------------------------------------------------------------------------
 
 # the engine's denominator bases: xin -/+ i, |xi|^2 and shx^2 |xi'|^2 + xin^2
-_factors = [base for base, _, _ in _bases()]
+_factors = [base for base, _ in scalars._BASES]
 
 
 @st.composite

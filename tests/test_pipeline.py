@@ -103,28 +103,28 @@ def test_first_case_vanishes_exactly(t46, t54):
 def test_second_case_frozen_value(t46):
     """Hand derivation: I_t = 2 pi i/4! [(6x^2-2)(-2-ix)/(x+i)^3]^(4)|_i = -5pi/8,
     I_n = pi/8, so the case value is (5/48) h' pi Om g(X^T,Y^T)-(1/16) h' pi Om XnYn."""
-    rep = t46[1]["a2"]
-    assert rep.collected.tangential == frac(5, 48) * H1 * PI * OM
-    assert rep.collected.normal == frac(-1, 16) * H1 * PI * OM
-    assert rep.collected.normal_dyn.is_zero()
-    assert rep.collected.leftover.is_zero()
+    form = collect_form(t46[1]["a2"].value)
+    assert form.tangential == frac(5, 48) * H1 * PI * OM
+    assert form.normal == frac(-1, 16) * H1 * PI * OM
+    assert form.normal_dyn.is_zero()
+    assert form.leftover.is_zero()
 
 
 def test_third_case_frozen_value(t46):
-    rep = t46[1]["a3"]
-    assert rep.collected.tangential == frac(-5, 48) * H1 * PI * OM
-    assert rep.collected.normal == frac(5, 16) * H1 * PI * OM
+    form = collect_form(t46[1]["a3"].value)
+    assert form.tangential == frac(-5, 48) * H1 * PI * OM
+    assert form.normal == frac(5, 16) * H1 * PI * OM
 
 
 def test_dyn_term_only_in_last_case(t46):
     for cid in ("a1", "a2", "a3", "b"):
-        assert t46[1][cid].collected.normal_dyn.is_zero()
-    assert t46[1]["c"].collected.normal_dyn == frac(-1, 2) * PI * OM
+        assert collect_form(t46[1][cid].value).normal_dyn.is_zero()
+    assert collect_form(t46[1]["c"].value).normal_dyn == frac(-1, 2) * PI * OM
 
 
 def test_case_values_live_in_reporting_basis(t46):
     for cid, rep in t46[1].items():
-        assert rep.collected.leftover.is_zero(), cid
+        assert collect_form(rep.value).leftover.is_zero(), cid
 
 
 def test_total_is_exact_sum(t46):
@@ -134,7 +134,7 @@ def test_total_is_exact_sum(t46):
     for rep in reports:
         acc = acc + rep.value
     assert total.value == acc
-    assert collected_to_scalar(total.collected) == total.value
+    assert collected_to_scalar(collect_form(total.value)) == total.value
 
 
 def test_zero_torsion_degeneration(t46, t54):

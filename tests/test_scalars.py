@@ -271,7 +271,7 @@ def test_memo_caches_stay_bounded_and_answers_do_not_change(monkeypatch):
         return [f * g + g for f, g in zip(fs, fs[1:])]
 
     want = work()
-    caches = ("_GCD_CACHE", "_FACTOR_CACHE", "_MULT_CACHE")
+    caches = ("_GCD_CACHE", "_FACTOR_CACHE")
     for name in caches:
         monkeypatch.setattr(scalars, name, {})
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 8)
@@ -288,5 +288,5 @@ def test_memo_caches_stay_bounded_and_answers_do_not_change(monkeypatch):
 
     monkeypatch.setattr(scalars, "_memo_store", store)
     assert work() == want
-    assert stores["_GCD_CACHE"] > 8 and stores["_MULT_CACHE"] > 8
+    assert stores["_GCD_CACHE"] > 8
     assert max(sizes.values()) <= 8
