@@ -29,6 +29,7 @@ from .scalars import (
     S_ONE,
     S_ZERO,
     _as_scalar,
+    scalar_sum,
 )
 
 CliffMono = Tuple[int, ...]  # strictly increasing generator indices, () = identity
@@ -155,7 +156,7 @@ class CliffordExpr:
             return self.scale(other)
         if not isinstance(other, CliffordExpr):
             return NotImplemented
-        out: Dict[CliffMono, ScalarExpr] = {}
+        pairs = []
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 sign, mono = _reduce_word(m1 + m2)
@@ -164,13 +165,8 @@ class CliffordExpr:
                     c = -c
                 elif sign != ONE:
                     c = c * ScalarExpr.const(sign)
-                acc = out.get(mono)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return CliffordExpr(out)
+                pairs.append((mono, c))
+        return _collect(pairs)
 
     def __rmul__(self, other):
         if isinstance(other, (int, GRat, ScalarExpr)):
@@ -210,6 +206,20 @@ class CliffordExpr:
         return f"CliffordExpr({self.text()})"
 
 
+def _collect(pairs: Iterable[Tuple[CliffMono, ScalarExpr]]) -> CliffordExpr:
+    """The Clifford element sum c * mono over (mono, c) pairs: the
+    coefficients of each monomial are added by one `scalar_sum`."""
+    by_mono: Dict[CliffMono, list] = {}
+    for mono, c in pairs:
+        by_mono.setdefault(mono, []).append(c)
+    return CliffordExpr({mono: scalar_sum(cs) for mono, cs in by_mono.items()})
+
+
+def cl_sum(exprs: Iterable[CliffordExpr]) -> CliffordExpr:
+    """The sum of Clifford elements, one `scalar_sum` per monomial."""
+    return _collect((mono, c) for e in exprs for mono, c in e.terms.items())
+
+
 CL_ZERO = CliffordExpr()
 CL_ONE = CliffordExpr.scalar(1)
 
@@ -234,7 +244,7 @@ def cl_trace_product(a: CliffordExpr, b: CliffordExpr) -> ScalarExpr:
     Only equal monomials pair into the identity: Tr(a b) =
     4 * sum_S a_S b_S c_S^2.  Agrees with cl_trace(a*b) (property-tested).
     """
-    total = S_ZERO
+    terms = []
     for mono, ca in a.terms.items():
         cb = b.terms.get(mono)
         if cb is None:
@@ -242,8 +252,8 @@ def cl_trace_product(a: CliffordExpr, b: CliffordExpr) -> ScalarExpr:
         term = ca * cb
         if _mono_square_sign(len(mono)) < 0:
             term = -term
-        total = total + term
-    return total * ScalarExpr.const(TRACE_ID)
+        terms.append(term)
+    return scalar_sum(terms) * ScalarExpr.const(TRACE_ID)
 
 
 def cl_from_cotangent(coeffs: Sequence) -> CliffordExpr:

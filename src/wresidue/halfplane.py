@@ -11,10 +11,14 @@ upper contour integral).
 There is one partial-fraction kernel.  The decomposition is linear over
 xin-free coefficients, so a coefficient num/den is expanded against the
 basis xin^d / den.  `basis_fractions` decomposes each basis element once,
-validates it by exact reassembly, and caches its principal parts, its
-polynomial part, its assembled pi+ and its residue at +i.  The projections
-here and the residue in `integration.integrate_xi_n` read that cache;
-`partial_fractions` also reassembles its full input as a check.
+validates it, and caches its principal parts, its polynomial part, its
+assembled pi+ and its residue at +i.  The projections here and the residue
+in `integration.integrate_xi_n` read that cache; `partial_fractions` also
+validates its full result, coefficient by coefficient.  Both validations
+are exact and check a polynomial identity: the numerator equals the
+principal parts and the polynomial part multiplied back over the
+denominator (`_check_reassembly`), with no rational function rebuilt.
+Sums of coefficients go through `scalars.scalar_sum`.
 """
 
 from __future__ import annotations
@@ -25,15 +29,18 @@ from typing import Dict, Tuple
 from .gaussian import GRat, I
 from .scalars import (
     EngineError,
+    P_ZERO,
     Poly,
     ScalarExpr,
     S_ZERO,
     XIN,
+    _factor_known,
     _prem,
     _strip,
     poly_divexact,
+    scalar_sum,
 )
-from .clifford import CliffordExpr
+from .clifford import CliffordExpr, cl_sum
 
 _XIN_VAR = ScalarExpr.var(XIN)
 _POLE_PLUS = ScalarExpr.const(I)
@@ -69,21 +76,20 @@ class HalfLineRational:
     poly: Dict[int, CliffordExpr] = field(default_factory=dict)   # xin degree -> coeff
 
     def reassemble(self) -> CliffordExpr:
-        return self.pi_plus_part() + self.pi_minus_part()
+        return cl_sum(self._plus_pieces() + self._minus_pieces())
 
     def pi_plus_part(self) -> CliffordExpr:
-        total = CliffordExpr()
-        for m, c in self.plus.items():
-            total = total + c.scale(_LIN_PLUS ** (-m))
-        return total
+        return cl_sum(self._plus_pieces())
 
     def pi_minus_part(self) -> CliffordExpr:
-        total = CliffordExpr()
-        for m, c in self.minus.items():
-            total = total + c.scale(_LIN_MINUS ** (-m))
-        for d, c in self.poly.items():
-            total = total + c.scale(_XIN_VAR ** d)
-        return total
+        return cl_sum(self._minus_pieces())
+
+    def _plus_pieces(self):
+        return [c.scale(_LIN_PLUS ** (-m)) for m, c in self.plus.items()]
+
+    def _minus_pieces(self):
+        return ([c.scale(_LIN_MINUS ** (-m)) for m, c in self.minus.items()]
+                + [c.scale(_XIN_VAR ** d) for d, c in self.poly.items()])
 
     def residue_plus(self) -> CliffordExpr:
         return self.plus.get(1, CliffordExpr())
@@ -138,8 +144,52 @@ class _BasisEntry:
 _BASIS: Dict[Tuple[Poly, int], _BasisEntry] = {}
 
 
+def _check_reassembly(num: Poly, den: Poly, plus: Dict[int, ScalarExpr],
+                      minus: Dict[int, ScalarExpr], poly: Dict[int, ScalarExpr]) -> None:
+    """Raise unless num / den equals the partial fractions, checked as the
+    polynomial identity
+
+        num = c * (sum_k plus_k (xin - i)^(p-k) (xin + i)^q
+                   + sum_k minus_k (xin - i)^p (xin + i)^(q-k)
+                   + sum_d poly_d xin^d (xin - i)^p (xin + i)^q)
+
+    with den = c (xin - i)^p (xin + i)^q.  The denominator depends on xin
+    only, so every coefficient of an exact decomposition is a polynomial.
+    Each sum over k is a Horner scheme in its linear factor.
+    """
+    known = _factor_known(den)  # cached: den was factored when decomposed
+    if known is None or any(known[1][2:]):
+        raise EngineError("internal: partial-fraction reassembly mismatch")
+    c, (p, q, _, _) = known
+    tables = []
+    for table in (plus, minus, poly):
+        coeffs = {k: v.num for k, v in table.items() if not v.is_zero()}
+        if not all(table[k].is_poly() for k in coeffs):
+            raise EngineError("internal: partial-fraction reassembly mismatch")
+        tables.append(coeffs)
+    pl, mi, po = tables
+    if not (set(pl) <= set(range(1, p + 1)) and set(mi) <= set(range(1, q + 1))):
+        raise EngineError("internal: partial-fraction reassembly mismatch")
+    lin_plus, lin_minus = _LIN_PLUS.num, _LIN_MINUS.num  # xin - i, xin + i
+    at_plus = Poly()   # sum_k plus_k (xin - i)^(p-k)
+    for k in range(1, p + 1):
+        at_plus = at_plus * lin_plus + pl.get(k, P_ZERO)
+    at_minus = Poly()  # sum_k minus_k (xin + i)^(q-k) + (xin + i)^q sum_d poly_d xin^d
+    for d, cp in po.items():
+        at_minus = at_minus + cp * Poly.var(XIN, d)
+    for k in range(1, q + 1):
+        at_minus = at_minus * lin_minus + mi.get(k, P_ZERO)
+    for _ in range(q):
+        at_plus = at_plus * lin_minus
+    for _ in range(p):
+        at_minus = at_minus * lin_plus
+    if (at_plus + at_minus).scale(c) != num:
+        raise EngineError("internal: partial-fraction reassembly mismatch")
+
+
 def basis_fractions(den: Poly, d: int) -> _BasisEntry:
-    """Partial fractions of xin^d / den, cached; reassembly-validated once."""
+    """Partial fractions of xin^d / den, cached; the polynomial identity of
+    `_check_reassembly` validates each entry once."""
     key = (den, d)
     hit = _BASIS.get(key)
     if hit is not None:
@@ -147,12 +197,8 @@ def basis_fractions(den: Poly, d: int) -> _BasisEntry:
     num = Poly.var(XIN, d) if d else Poly.const(1)
     f = ScalarExpr(num, den)
     plus, minus, poly = _decompose_scalar(f)
-    parts = HalfLineRational(
-        *({k: CliffordExpr.scalar(c) for k, c in t.items()} for t in (plus, minus, poly))
-    )
-    if not (parts.reassemble() - CliffordExpr.scalar(f)).is_zero():
-        raise EngineError("internal: partial-fraction reassembly mismatch")
-    projected = parts.pi_plus_part().scalar_part()
+    _check_reassembly(f.num, f.den, plus, minus, poly)
+    projected = scalar_sum([c * _LIN_PLUS ** (-m) for m, c in plus.items()])
     hit = _BASIS[key] = _BasisEntry(plus, minus, poly, projected, plus.get(1, S_ZERO))
     return hit
 
@@ -163,26 +209,30 @@ def partial_fractions(expr: "CliffordExpr | ScalarExpr") -> HalfLineRational:
     Accepts a Clifford-valued rational function of xin (scalars are wrapped).
     The decomposition is linear over xin-free coefficients, so each Clifford
     coefficient is expanded against the cached basis xin^d / den; the result
-    is validated by reassembling and comparing with the input.
+    is validated, monomial by monomial, by the polynomial identity of
+    `_check_reassembly`.
     """
     if isinstance(expr, ScalarExpr):
         expr = CliffordExpr.scalar(expr)
     out = HalfLineRational()
+    targets = (out.plus, out.minus, out.poly)
     for mono, coeff in expr.terms.items():
-        parts: Dict[Tuple[int, int], ScalarExpr] = {}
+        parts: Dict[Tuple[int, int], list] = {}
         for d, cp in coeff.num.coeffs_in(XIN).items():
             entry = basis_fractions(coeff.den, d)
             scale = ScalarExpr.from_poly(cp)
             for kind, table in enumerate((entry.plus, entry.minus, entry.poly)):
                 for m, c in table.items():
-                    parts[kind, m] = parts.get((kind, m), S_ZERO) + scale * c
-        targets = (out.plus, out.minus, out.poly)
-        for (kind, m), c in parts.items():
+                    parts.setdefault((kind, m), []).append(scale * c)
+        for (kind, m), cs in parts.items():
+            c = scalar_sum(cs)
             if not c.is_zero():
                 target = targets[kind]
                 target[m] = target.get(m, CliffordExpr()) + CliffordExpr({mono: c})
-    check = out.reassemble() - expr
-    if not check.is_zero():
+    for mono, coeff in expr.terms.items():
+        _check_reassembly(coeff.num, coeff.den,
+                          *({k: e.coefficient(mono) for k, e in t.items()} for t in targets))
+    if any(mono not in expr.terms for t in targets for e in t.values() for mono in e.terms):
         raise EngineError("internal: partial-fraction reassembly mismatch")
     return out
 
@@ -194,10 +244,8 @@ def pi_plus(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
 
 def pi_plus_scalar(f: ScalarExpr) -> ScalarExpr:
     """pi+ on a single scalar coefficient, from the cached basis projections."""
-    out = S_ZERO
-    for d, cp in sorted(f.num.coeffs_in(XIN).items()):
-        out = out + ScalarExpr.from_poly(cp) * basis_fractions(f.den, d).pi_plus
-    return out
+    return scalar_sum([ScalarExpr.from_poly(cp) * basis_fractions(f.den, d).pi_plus
+                       for d, cp in f.num.coeffs_in(XIN).items()])
 
 
 def pi_minus(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:

@@ -36,6 +36,7 @@ from .scalars import (
     XIN,
     mono_items,
     mono_pack,
+    scalar_sum,
 )
 from .clifford import CliffordExpr
 from .halfplane import _factor_pole_denominator, basis_fractions
@@ -69,14 +70,15 @@ def integrate_xi_n(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
     two_pi_i = _PI_VAR * ScalarExpr.const(GRat(0, 2))
     for mono, coeff in expr.terms.items():
         _check_decay(coeff)
-        acc = S_ZERO
+        terms = []
         for d, cp in sorted(coeff.num.coeffs_in(XIN).items()):
             res = basis_fractions(coeff.den, d).residue
             if res.is_zero():
                 continue
             if not (res.is_poly() and res.num.is_const()):
                 raise EngineError("internal: non-constant basis residue")
-            acc = acc + ScalarExpr.from_poly(cp) * res
+            terms.append(ScalarExpr.from_poly(cp) * res)
+        acc = scalar_sum(terms)
         if not acc.is_zero():
             out = out + CliffordExpr({mono: acc * two_pi_i})
     return out

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GRat, ONE, ZERO
 
@@ -235,6 +235,21 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 # Sparse polynomials
 # ---------------------------------------------------------------------------
 
+def _accumulate(acc: Dict[Monomial, GRat], terms: Dict[Monomial, GRat]) -> None:
+    """acc += terms in place, dropping coefficients that cancel."""
+    get = acc.get
+    for m, c in terms.items():
+        cur = get(m)
+        if cur is None:
+            acc[m] = c
+        else:
+            s = cur + c
+            if s.is_zero():
+                del acc[m]
+            else:
+                acc[m] = s
+
+
 class Poly:
     """Sparse multivariate polynomial with GRat coefficients.
 
@@ -306,13 +321,7 @@ class Poly:
         if other.is_zero():
             return self
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+        _accumulate(out, other.terms)
         return Poly(out, _trusted=True)
 
     def __neg__(self) -> "Poly":
@@ -545,11 +554,13 @@ def _monic(p: Poly) -> Poly:
 
 
 _GCD_CACHE: Dict[Tuple[Poly, Poly], Poly] = {}
-# Bound of the two memo caches, `_GCD_CACHE` and `_FACTOR_CACHE`.
-# `run --theorem all` stores at most about 1,600 entries in either, so a
-# report never reaches the bound.  A process that runs random suites
-# stores about 650 new entries per round for good; a full cache is emptied
-# and refilled, which keeps its memory flat and changes no result.
+# Bound of the three memo caches, `_GCD_CACHE`, `_FACTOR_CACHE` and
+# `_BASE_PRODUCTS`.  `run --theorem all` stores about 630 entries in the
+# first and about 40 in each of the others, so a report never reaches the
+# bound: sums and derivatives cancel without the gcd and store no
+# numerator.  A process that runs random suites stores about 240 new gcd
+# entries per round for good; a full cache is emptied and refilled, which
+# keeps its memory flat and changes no result.
 _MEMO_LIMIT = 1 << 12
 
 
@@ -631,45 +642,49 @@ def _known_bases() -> List[Tuple[Poly, frozenset]]:
 
 
 _BASES = _known_bases()
-_FACTOR_CACHE: Dict[Poly, Optional[Tuple[GRat, Tuple[Tuple[int, int], ...]]]] = {}
+_NO_BASES = (0,) * len(_BASES)
+_FACTOR_CACHE: Dict[Poly, Optional[Tuple[GRat, Tuple[int, ...]]]] = {}
 
 
-def _strip(work: Poly, base_idx: int) -> Tuple[int, Poly]:
+def _strip(work: Poly, base_idx: int, cap: Optional[int] = None) -> Tuple[int, Poly]:
     """(multiplicity, quotient): divide the indexed base out of work until
-    the exact division fails.  A multiple of the base holds all of the
-    base's variables, so work without one of them is returned at once."""
+    the exact division fails or, given a cap, cap times.  A multiple of the
+    base holds all of the base's variables, so work without one of them is
+    returned at once.  This is the one strip loop: factoring, the gcd's
+    multiplicities and the cancellation of sums and derivatives call it,
+    and it stores nothing."""
     base, base_vars = _BASES[base_idx]
     if not base_vars <= work.variables():
         return 0, work
     mult = 0
-    while True:
+    while mult != cap:
         try:
             work = poly_divexact(work, base)
         except EngineError:
-            return mult, work
+            break
         mult += 1
+    return mult, work
 
 
 def _factor_known(p: Poly):
-    """p = const * prod base_i^mult_i over the known bases, or None."""
+    """(const, exps) with p = const * prod base_i^exps[i] over the known
+    bases, or None."""
     if p in _FACTOR_CACHE:
         return _FACTOR_CACHE[p]
     work = p
-    factors: List[Tuple[int, int]] = []
+    exps = list(_NO_BASES)
     for idx in range(len(_BASES)):
-        mult, work = _strip(work, idx)
-        if mult:
-            factors.append((idx, mult))
         if work.is_const():
             break
-    out = (work.const_value(), tuple(factors)) if work.is_const() else None
+        exps[idx], work = _strip(work, idx)
+    out = (work.const_value(), tuple(exps)) if work.is_const() else None
     _memo_store(_FACTOR_CACHE, p, out)
     return out
 
 
 def _multiplicity_in(a: Poly, base_idx: int, cap: int) -> int:
     """Multiplicity of the indexed base in a, at most cap."""
-    return min(_strip(a, base_idx)[0], cap)
+    return _strip(a, base_idx, cap)[0]
 
 
 def _structured_gcd(a: Poly, b: Poly) -> Optional[Poly]:
@@ -681,13 +696,113 @@ def _structured_gcd(a: Poly, b: Poly) -> Optional[Poly]:
         if fb is None:
             return None
         other = b
-    _, factors = fb
+    _, exps = fb
     out = P_ONE
-    for idx, mult in factors:
-        m = _multiplicity_in(other, idx, mult)
+    for idx, mult in enumerate(exps):
+        m = _multiplicity_in(other, idx, mult) if mult else 0
         if m:
             out = out * _BASES[idx][0] ** m
     return out
+
+
+# ---------------------------------------------------------------------------
+# Cancellation over the known bases: sums and derivatives
+# ---------------------------------------------------------------------------
+#
+# A canonical denominator that factors over the known bases is monic, so it
+# is prod base_i^exps[i] exactly.  A result built over such a denominator
+# needs a division test only for a base that can divide its numerator
+# (Henrici); every other base is ruled out by the argument of the caller,
+# and `_strip` divides the tested ones out, capped by their exponent.
+
+_BASE_PRODUCTS: Dict[Tuple[int, ...], Poly] = {}
+
+
+def _exponents(den: Poly) -> Optional[Tuple[int, ...]]:
+    """The exponent of each known base in a monic den that is their power
+    product, or None."""
+    f = _factor_known(den)
+    if f is None or not f[0].is_one():
+        return None
+    return f[1]
+
+
+def _base_product(exps: Tuple[int, ...]) -> Poly:
+    """prod base_i^exps[i], cached by the exponent tuple."""
+    hit = _BASE_PRODUCTS.get(exps)
+    if hit is None:
+        hit = P_ONE
+        for (base, _), e in zip(_BASES, exps):
+            if e:
+                hit = hit * base ** e
+        _memo_store(_BASE_PRODUCTS, exps, hit)
+    return hit
+
+
+def _poly_sum(polys: Sequence[Poly]) -> Poly:
+    """The sum of one or more polynomials, in one dict."""
+    acc = dict(polys[0].terms)
+    for p in polys[1:]:
+        _accumulate(acc, p.terms)
+    return Poly(acc, _trusted=True)
+
+
+def _sum_factored(groups) -> "ScalarExpr":
+    """The canonical sum of num / prod base_i^exps[i] over the groups
+    (num, exps, weight), each num coprime to its denominator and weight
+    the number of terms summed into it.
+
+    The sum is formed over the lcm, whose exponents are the maxima.  A base
+    can divide the summed numerator only if at least two terms carry its
+    top power: when one term does, every other term's cofactor holds the
+    base while that term's numerator and cofactor do not.  Only those
+    bases are stripped.
+    """
+    top = tuple(map(max, zip(*(exps for _, exps, _ in groups))))
+    acc: Dict[Monomial, GRat] = {}
+    for num, exps, _ in groups:
+        if exps != top:
+            num = num * _base_product(tuple(t - e for t, e in zip(top, exps)))
+        _accumulate(acc, num.terms)
+    if not acc:
+        return S_ZERO
+    total = Poly(acc, _trusted=True)
+    final = list(top)
+    for idx, t in enumerate(top):
+        if t and sum(w for _, exps, w in groups if exps[idx] == t) > 1:
+            m, total = _strip(total, idx, t)
+            final[idx] -= m
+    return ScalarExpr(total, _base_product(tuple(final)), _canonical=True)
+
+
+def scalar_sum(terms: Iterable["ScalarExpr"]) -> "ScalarExpr":
+    """The canonical sum of canonical ScalarExprs, with one cancellation.
+
+    Terms are grouped by denominator.  When every denominator factors over
+    the known bases, the groups are summed over their lcm by
+    `_sum_factored`; otherwise the terms are folded with `+`.  A sum of
+    polynomials is one dict accumulation.
+    """
+    by_den: Dict[Poly, List[ScalarExpr]] = {}
+    for t in terms:
+        if t.num.terms:
+            by_den.setdefault(t.den, []).append(t)
+    if len(by_den) == 1:
+        (den, ts), = by_den.items()
+        if len(ts) == 1:
+            return ts[0]
+        if den.is_const():
+            total = _poly_sum([t.num for t in ts])
+            return ScalarExpr(total, den, _canonical=True) if total.terms else S_ZERO
+    groups = []
+    for den, ts in by_den.items():
+        exps = _exponents(den)
+        if exps is None:
+            return sum((t for ts in by_den.values() for t in ts), S_ZERO)
+        num = ts[0].num if len(ts) == 1 else _poly_sum([t.num for t in ts])
+        if num.terms:
+            groups.append((num, exps, len(ts)))
+    return _sum_factored(groups) if groups else S_ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +874,14 @@ class ScalarExpr:
     def __add__(self, other):
         """a/b + c/d by Henrici's cross-cancellation.
 
-        With g = gcd(b, d), b = g*b1, d = g*d1 and t = a*d1 + c*b1, no
-        factor of b1 or d1 divides t, so gcd(t, b*d1) = gcd(t, g): the sum
-        is (t/h) / ((b/h)*d1) with h = gcd(t, g), already canonical.
-        Coprime denominators need no second gcd at all.
+        When b and d factor over the known bases, the sum is formed over
+        their lcm and only the bases whose power is the same in b and d
+        are tested against the numerator (`_sum_factored`, shared with
+        `scalar_sum`); a base of higher power in one denominator cannot
+        divide it.  Otherwise, with g = gcd(b, d), b = g*b1, d = g*d1 and
+        t = a*d1 + c*b1, no factor of b1 or d1 divides t, so gcd(t, b*d1) =
+        gcd(t, g): the sum is (t/h) / ((b/h)*d1) with h = gcd(t, g), already
+        canonical.  Coprime denominators need no second gcd at all.
         """
         other = _as_scalar(other)
         if self.is_zero():
@@ -770,7 +889,15 @@ class ScalarExpr:
         if other.is_zero():
             return self
         a, b, c, d = self.num, self.den, other.num, other.den
-        if b == d:
+        same = b == d
+        if same and b.is_const():
+            t = a + c
+            return ScalarExpr(t, b, _canonical=True) if t.terms else S_ZERO
+        eb = _exponents(b)
+        ed = eb if same else _exponents(d)
+        if eb is not None and ed is not None:
+            return _sum_factored(((a, eb, 1), (c, ed, 1)))
+        if same:
             g, d1 = b, P_ONE
             t = a + c
         else:
@@ -851,12 +978,42 @@ class ScalarExpr:
     # -- calculus ----------------------------------------------------------
 
     def differentiate(self, name_or_id) -> "ScalarExpr":
+        """The derivative in one indeterminate, canonical.
+
+        When the denominator is d = prod B^e over the known bases, with D
+        the product of the bases that hold the variable, the quotient rule
+        reads (n/d)' = (n'D - n sum_B e B' D/B) / (d D).  No base of D
+        divides that numerator (B is irreducible and divides none of n,
+        D/B and B'), so only the bases free of the variable are tested.
+        Any other denominator goes through the normalizing constructor.
+        """
         sym = name_or_id if isinstance(name_or_id, int) else REG.id_of(name_or_id)
-        dn = self.num.diff(sym)
-        dd = self.den.diff(sym)
-        if dd.is_zero():
-            return ScalarExpr(dn, self.den)
-        return ScalarExpr(dn * self.den - self.num * dd, self.den * self.den)
+        n, d = self.num, self.den
+        dn = n.diff(sym)
+        exps = _exponents(d)
+        if exps is None:
+            dd = d.diff(sym)
+            if dd.is_zero():
+                return ScalarExpr(dn, d)
+            return ScalarExpr(dn * d - n * dd, d * d)
+        inner = tuple(int(e > 0 and sym in base_vars) for (_, base_vars), e in zip(_BASES, exps))
+        t = dn
+        if any(inner):
+            # sum_B e B' D/B, with D/B the product of the other bases of D
+            s = P_ZERO
+            for idx, (base, _) in enumerate(_BASES):
+                if inner[idx]:
+                    rest = _base_product(tuple(int(k and j != idx) for j, k in enumerate(inner)))
+                    s = s + (base.diff(sym) * rest).scale(exps[idx])
+            t = dn * _base_product(inner) - n * s
+        if not t.terms:
+            return S_ZERO
+        final = [e + k for e, k in zip(exps, inner)]
+        for idx, e in enumerate(exps):
+            if e and not inner[idx]:
+                m, t = _strip(t, idx, e)
+                final[idx] -= m
+        return ScalarExpr(t, _base_product(tuple(final)), _canonical=True)
 
     def substitute(self, bindings: Mapping) -> "ScalarExpr":
         """Simultaneous substitution indeterminate -> ScalarExpr, then normalize."""
@@ -928,15 +1085,15 @@ def _as_scalar(v) -> ScalarExpr:
 
 def _poly_subst(p: Poly, ids: Dict[int, ScalarExpr]) -> ScalarExpr:
     """Substitute into a polynomial; returns ScalarExpr (bindings may be rational)."""
-    total = S_ZERO
+    terms = []
     for m, c in p.terms.items():
         bound = [(sym, exp) for sym, exp in mono_items(m) if sym in ids]
         free = m - mono_pack(bound)
         term = ScalarExpr(Poly({free: c}, _trusted=True), P_ONE, _canonical=True)
         for sym, exp in bound:
             term = term * (ids[sym] ** exp)
-        total = total + term
-    return total
+        terms.append(term)
+    return scalar_sum(terms)
 
 
 def _poly_subst_one(p: Poly, sym: int) -> Poly:

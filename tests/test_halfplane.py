@@ -194,3 +194,43 @@ def test_partial_fractions_with_other_variables_matches_direct_decomposition():
         for mono, coeff in expr.terms.items():
             for got, want in zip((pf.plus, pf.minus, pf.poly), _decompose_scalar(coeff)):
                 assert {k: c.terms[mono] for k, c in got.items() if mono in c.terms} == want
+
+
+def _off_by_one(entry_plus):
+    """The principal parts with the coefficient of the highest pole order
+    increased by 1."""
+    top = max(entry_plus)
+    return {**entry_plus, top: entry_plus[top] + 1}
+
+
+def test_basis_reassembly_rejects_a_principal_part_off_by_one(monkeypatch):
+    from wresidue import halfplane
+
+    real = halfplane._decompose_scalar
+
+    def wrong(f):
+        plus, minus, poly = real(f)
+        return _off_by_one(plus), minus, poly
+
+    monkeypatch.setattr(halfplane, "_BASIS", {})
+    monkeypatch.setattr(halfplane, "_decompose_scalar", wrong)
+    den = (1 / ((XIN - IC) ** 3 * (XIN + IC) ** 2)).den
+    with pytest.raises(EngineError, match="internal: partial-fraction reassembly mismatch"):
+        halfplane.basis_fractions(den, 1)
+
+
+def test_partial_fractions_reassembly_rejects_a_principal_part_off_by_one(monkeypatch):
+    from wresidue import halfplane
+
+    f = (sym("h1") * XIN + 1) / ((XIN - IC) ** 2 * (XIN + IC))
+    partial_fractions(f)  # the basis entries are valid and cached
+    real = halfplane.basis_fractions
+
+    def wrong(den, d):
+        entry = real(den, d)
+        return halfplane._BasisEntry(_off_by_one(entry.plus), entry.minus, entry.poly,
+                                     entry.pi_plus, entry.residue)
+
+    monkeypatch.setattr(halfplane, "basis_fractions", wrong)
+    with pytest.raises(EngineError, match="internal: partial-fraction reassembly mismatch"):
+        partial_fractions(CliffordExpr({(): f, (1, 2): f * sym("X1")}))

@@ -2,6 +2,9 @@
 bases by exact division, and cross-cancelled rational arithmetic, each
 against a plain reimplementation."""
 
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,3 +172,107 @@ def test_sums_and_products_that_cancel_a_denominator_factor(a, q, f):
     c = ScalarExpr(q * a.den, f)
     assert a * c == ScalarExpr(a.num * q, f)
     assert c * a == a * c
+
+
+# ---------------------------------------------------------------------------
+# the n-ary sum and the quotient rule against the `+` fold and the
+# normalizing constructor
+# ---------------------------------------------------------------------------
+
+# a denominator that does not factor over the bases: `scalar_sum` folds
+_NON_FACTORING = Poly.var(REG.id_of("h1")) + Poly.const(3)
+
+
+@st.composite
+def sums_(draw):
+    """0-6 terms: base-product denominators, a repeated denominator, a term
+    that cancels another, and at times one denominator off the bases."""
+    xs = draw(st.lists(fractions_(), max_size=3))
+    if xs and draw(st.booleans()):
+        x = draw(st.sampled_from(xs))
+        xs.append(ScalarExpr(draw(polys()) * x.den + x.num, x.den))
+    if xs and draw(st.booleans()):
+        xs.append(-draw(st.sampled_from(xs)))
+    if draw(st.booleans()):
+        xs.append(ScalarExpr(draw(polys()), _NON_FACTORING))
+    return draw(st.permutations(xs))
+
+
+@given(sums_())
+@settings(max_examples=150, deadline=None)
+def test_scalar_sum_equals_the_add_fold(xs):
+    assert scalars.scalar_sum(xs) == functools.reduce(operator.add, xs, scalars.S_ZERO)
+
+
+@st.composite
+def pairs_sharing_powers(draw):
+    """a/b and c/d whose denominators share some bases at the same power,
+    some of them with a sum q/k that cancels bases of both."""
+    a = draw(fractions_())
+    extra = Poly.const(1)
+    for f in draw(st.lists(st.sampled_from(_factors), max_size=2)):
+        extra = extra * f
+    kind = draw(st.sampled_from(("shared", "cancel", "any")))
+    if kind == "shared":
+        return a, ScalarExpr(draw(polys()), a.den * extra)
+    if kind == "cancel":
+        q = draw(polys())
+        return a, ScalarExpr(q * a.den - a.num * extra, extra * a.den)
+    return a, draw(fractions_())
+
+
+@given(pairs_sharing_powers())
+@settings(max_examples=120, deadline=None)
+def test_two_term_add_equals_the_normalizing_constructor(pair):
+    a, c = pair
+    want = ScalarExpr(a.num * c.den + c.num * a.den, a.den * c.den)
+    assert a + c == want and c + a == want
+    assert scalars.scalar_sum([a, c]) == want
+
+
+def _count_divisions(monkeypatch):
+    calls = []
+    real = scalars.poly_divexact
+
+    def counted(a, b):
+        calls.append(len(a.terms))
+        return real(a, b)
+
+    monkeypatch.setattr(scalars, "poly_divexact", counted)
+    return calls
+
+
+def test_sum_tests_no_base_that_only_one_term_carries_at_top_power(monkeypatch):
+    lin_minus, lin_plus, sphere, _ = _factors
+    xi1, h1 = (ScalarExpr.var(n) for n in ("xi1", "h1"))
+    # xin - i: top power 2 in t1 only; xin + i: 2 in t2 only; |xi|^2: 1 in t3 only
+    t1 = ScalarExpr(xi1.num, lin_minus ** 2)
+    t2 = ScalarExpr(h1.num + Poly.const(1), lin_plus ** 2 * lin_minus)
+    t3 = ScalarExpr(xi1.num * h1.num, sphere * lin_minus * lin_plus)
+    terms = [t1, t2, t3]
+    want = functools.reduce(operator.add, terms)
+    scalars.scalar_sum(terms)  # factors the denominators once
+    calls = _count_divisions(monkeypatch)
+    assert scalars.scalar_sum(terms) == want
+    assert calls == []
+    # two terms at the top power of xin - i: that base is tested
+    assert scalars.scalar_sum(terms + [t1]) == want + t1
+    assert calls
+
+
+_DIFF_VARS = [REG.id_of(n) for n in ("xin", "xi1", "shx", "X1")]
+
+
+@given(fractions_(), st.sampled_from(_DIFF_VARS))
+@settings(max_examples=150, deadline=None)
+def test_differentiate_equals_the_normalizing_quotient_rule(f, v):
+    n, d = f.num, f.den
+    assert f.differentiate(v) == ScalarExpr(n.diff(v) * d - n * d.diff(v), d * d)
+
+
+def test_differentiate_cancels_a_base_free_of_the_variable():
+    lin_minus, _, sphere, _ = _factors
+    f = ScalarExpr(lin_minus + sphere, lin_minus * sphere)
+    got = f.differentiate("xi1")
+    assert got == ScalarExpr(Poly.var(REG.id_of("xi1")).scale(-2), sphere * sphere)
+    assert got.den == sphere * sphere

@@ -12,11 +12,17 @@ workload, pair i runs `perfbench/run.py --workload W --seed <seed+i>
 tree with its own `perfbench/`, from its own root), one run at a time, the
 base first in even pairs and the change first in odd ones.  The
 output holds, per workload and side, the median and quartiles of `setup_s`,
-`wall_s` and `peak_rss_mb` over the pairs, the failed and attempted
-operation counts, in how many pairs the change had the lower `wall_s`, and
-the sha256 of every JSON report either side wrote, with `same` true when
-both sides wrote exactly one digest for the operation and it is the same
-one.  The operations whose digests differ are printed at the end.
+`wall_s` and `peak_rss_mb` over the pairs, and the failed and attempted
+operation counts.  Per workload it also holds, for each of those metrics,
+in how many pairs the change was lower (`change_lower_pairs`;
+`change_faster_pairs` is its `wall_s` entry), and `over_bound`, the metrics
+whose change median is worse than the parent's by more than the relative
+bound that `BENCHMARK.json` gives them (the file is only read).  One
+summary line per workload is printed with the medians, quartiles and pair
+counts.  Last come the sha256 of every JSON report either side wrote, with
+`same` true when both sides wrote exactly one digest for the operation and
+it is the same one; the operations whose digests differ are printed at the
+end.
 """
 
 from __future__ import annotations
@@ -91,6 +97,35 @@ def side(runs) -> dict:
     }
 
 
+def end_to_end_bounds(root: Path) -> dict:
+    """metric -> (better, bound) from the `end_to_end` list of BENCHMARK.json."""
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def over_bound(parent: dict, change: dict, bounds: dict) -> list:
+    """The metrics whose change median is worse than the parent's by more
+    than their relative bound."""
+    out = []
+    for m in METRICS:
+        better, bound = bounds[m]
+        p, c = parent["metrics"][m]["median"], change["metrics"][m]["median"]
+        if (c > p * (1 + bound)) if better == "lower" else (c < p * (1 - bound)):
+            out.append(m)
+    return out
+
+
+def summary_line(name: str, entry: dict) -> str:
+    parts = []
+    for m in METRICS:
+        p, c = entry["parent"]["metrics"][m], entry["change"]["metrics"][m]
+        parts.append(f"{m} {p['median']:.3f} [{p['q1']:.3f}, {p['q3']:.3f}] -> "
+                     f"{c['median']:.3f} [{c['q1']:.3f}, {c['q3']:.3f}], change lower in "
+                     f"{entry['change_lower_pairs'][m]} of {len(entry['seeds'])}")
+    flag = ", ".join(entry["over_bound"])
+    return f"{name}: " + "; ".join(parts) + (f"; OVER BOUND: {flag}" if flag else "")
+
+
 def compare_digests(sides: dict) -> dict:
     """Both sides' digests of one operation, and whether each side wrote
     exactly one digest and it is the same one."""
@@ -113,6 +148,7 @@ def main(argv=None) -> int:
     if not (root / "perfbench" / "run.py").is_file():
         sys.stderr.write("error: run from the repository root\n")
         return 2
+    bounds = end_to_end_bounds(root)
     plan = []
     for item in args.workload:
         name, _, pairs = item.partition(":")
@@ -151,11 +187,15 @@ def main(argv=None) -> int:
                           f"({time.perf_counter() - t0:.0f} s)", flush=True)
                     for op, digest in r["hashes"].items():
                         out["report_hashes"].setdefault(op, {}).setdefault(label, set()).add(digest)
-            faster = sum(c["metrics"]["wall_s"] < p["metrics"]["wall_s"]
-                         for p, c in zip(runs["parent"], runs["change"]))
-            out["workloads"][name] = {"seeds": seeds, "parent": side(runs["parent"]),
-                                      "change": side(runs["change"]),
-                                      "change_faster_pairs": faster}
+            lower = {m: sum(c["metrics"][m] < p["metrics"][m]
+                            for p, c in zip(runs["parent"], runs["change"]))
+                     for m in METRICS}
+            entry = {"seeds": seeds, "parent": side(runs["parent"]),
+                     "change": side(runs["change"]), "change_lower_pairs": lower,
+                     "change_faster_pairs": lower["wall_s"]}
+            entry["over_bound"] = over_bound(entry["parent"], entry["change"], bounds)
+            out["workloads"][name] = entry
+            print(summary_line(name, entry), flush=True)
     out["report_hashes"] = {op: compare_digests(sides)
                             for op, sides in sorted(out["report_hashes"].items())}
     differ = [op for op, h in sorted(out["report_hashes"].items()) if not h["same"]]
