@@ -26,6 +26,7 @@ from .scalars import (
     ScalarExpr,
     S_ZERO,
     mono_items,
+    mono_rank,
     sym,
 )
 from .clifford import CliffordExpr
@@ -133,7 +134,7 @@ def _grat_from_tree(t: Dict) -> GRat:
 
 def _poly_tree(p: Poly) -> List:
     out = []
-    for m in sorted(p.terms, reverse=True):
+    for m in sorted(p.terms, key=mono_rank, reverse=True):
         out.append(
             {
                 "monomial": [[REG.name_of(s), e] for s, e in mono_items(m)],
@@ -250,7 +251,7 @@ def latex_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for m in sorted(p.terms, reverse=True):
+    for m in sorted(p.terms, key=mono_rank, reverse=True):
         c = p.terms[m]
         body = " ".join(
             _latex_name(REG.name_of(s)) + (f"^{{{e}}}" if e > 1 else "")

@@ -9,19 +9,28 @@ lexicographic order in registry order.  Equality of canonical forms is the
 engine's notion of symbolic equality.
 
 A monomial is one Python int with one 8-bit field per indeterminate.  Read
-as big-endian bytes, byte 0 holds the total degree and byte 1 + s the
-exponent of registry id s, so id 0 is the most significant exponent field:
+as little-endian bytes, byte 0 holds the total degree and byte 1 + s the
+exponent of registry id s:
 
-    m = deg << (8 * n)  +  sum_s  exp_s << (8 * (n - 1 - s))     (n = len(REG))
+    m = deg  +  sum_s  exp_s << (8 * (1 + s))
 
-Comparing two such ints compares the degrees first and then the exponents
-field by field in registry order, which is exactly graded lexicographic
-order with earlier ids ranking higher.  A product of monomials is the sum
-of their ints, a quotient their difference, and b divides a exactly when
-a - b + G keeps the top (guard) bit of every field, G having only those
-bits set.  This needs every exponent and every total degree to stay at or
-below 127 (the guard bit clear): building a larger monomial raises
+so the int is only as wide as the highest id it holds: a monomial in the
+cotangent variables, the metric data and the torsion atoms takes a few
+dozen bytes, not one byte per registry entry.  A product of monomials is
+the sum of their ints, a quotient their difference, and b divides a exactly
+when a - b + G keeps the top (guard) bit of every field, G having only
+those bits set.  This needs every exponent and every total degree to stay
+at or below 127 (the guard bit clear): building a larger monomial raises
 `EngineError`.  `mono_items` is the one decoder back to (sym, exp) pairs.
+
+Two orders are in use.  The monomial order of the engine is graded
+lexicographic order with earlier ids ranking higher; `mono_rank(m)` is its
+key, the little-endian bytes of m at full width, which compare the degree
+first and then the exponents in registry order.  `Poly.leading` (and with
+it every monic normalization) and the canonical renderers sort by it.  The
+native int order compares the highest id first: it is lexicographic order
+with later ids ranking higher, also a monomial order since a product is a
+sum, and `poly_divexact` runs its heap in it.
 
 All values are immutable after construction and safe to share between
 workers; the registry is frozen at configuration time.
@@ -188,13 +197,10 @@ OMEGA3 = REG.id_of("Omega3")
 
 _NSYM = len(REG)
 _NBYTES = _NSYM + 1
-_DEG_SHIFT = 8 * _NSYM
 MAX_EXP = 127
-_DEG_LIMIT = (MAX_EXP + 1) << _DEG_SHIFT
-_SHIFT = tuple(8 * (_NSYM - 1 - s) for s in range(_NSYM))
-_UNIT = tuple((1 << sh) | (1 << _DEG_SHIFT) for sh in _SHIFT)
-_GUARD = int.from_bytes(b"\x80" * _NBYTES, "big")
-_SYMS = range(_NSYM)
+_SHIFT = tuple(8 * (1 + s) for s in range(_NSYM))
+_UNIT = tuple((1 << sh) | 1 for sh in _SHIFT)
+_GUARD = int.from_bytes(b"\x80" * _NBYTES, "little")
 
 MONO_ONE: Monomial = 0
 _ONE_TERMS = {MONO_ONE: ONE}
@@ -209,15 +215,21 @@ def mono_pack(items) -> Monomial:
         if not 0 <= e <= MAX_EXP:
             raise EngineError(f"exponent {e} outside 0..{MAX_EXP}")
         m += e * _UNIT[s]
-    if m >= _DEG_LIMIT:
-        raise EngineError(f"monomial degree exceeds {MAX_EXP}")
+        if m & 0xFF > MAX_EXP:
+            raise EngineError(f"monomial degree exceeds {MAX_EXP}")
     return m
 
 
 def mono_items(m: Monomial) -> Tuple[Tuple[int, int], ...]:
     """The (sym, exp) pairs of m with exp > 0, in ascending sym order."""
-    b = m.to_bytes(_NBYTES, "big")
-    return tuple((s, b[s + 1]) for s in compress(_SYMS, b[1:]))
+    b = m.to_bytes((m.bit_length() + 7) >> 3, "little")
+    return tuple((s, b[s + 1]) for s in compress(range(len(b) - 1), b[1:]))
+
+
+def mono_rank(m: Monomial) -> bytes:
+    """The graded-lex key of m: its bytes at full width, degree first, then
+    the exponents in registry order."""
+    return m.to_bytes(_NBYTES, "little")
 
 
 def mono_mask(syms) -> int:
@@ -257,6 +269,9 @@ class Poly:
     coefficients.  Invariant: no stored coefficient is zero, so the zero
     polynomial is the empty dict and equal polynomials have equal term dicts
     (``is_zero``, ``__eq__``, ``__hash__`` and ``poly_text`` rely on this).
+    The int order of the keys is not the monomial order: ``leading`` and
+    ``poly_text`` order terms by the graded-lex key `mono_rank`, while
+    `poly_divexact` runs its heap on the ints themselves.
     The checking constructor also accepts ``((sym, exp), ...)`` tuple keys,
     packs them (summing terms whose keys pack alike) and drops zero
     coefficients.  ``_trusted=True`` skips those steps; pass it only for a
@@ -337,7 +352,7 @@ class Poly:
             return self
         if self.terms == _ONE_TERMS:
             return other
-        if max(self.terms) + max(other.terms) >= _DEG_LIMIT:
+        if max(m & 0xFF for m in self.terms) + max(m & 0xFF for m in other.terms) > MAX_EXP:
             raise EngineError(f"product degree exceeds {MAX_EXP}")
         out: Dict[Monomial, GRat] = {}
         get = out.get
@@ -388,7 +403,7 @@ class Poly:
     def leading(self) -> Tuple[Monomial, GRat]:
         if self.is_zero():
             raise EngineError("leading term of zero polynomial")
-        m = max(self.terms)
+        m = max(self.terms, key=mono_rank)
         return m, self.terms[m]
 
     def degree_in(self, sym_id: int) -> int:
@@ -446,7 +461,7 @@ def poly_text(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for m in sorted(p.terms, reverse=True):
+    for m in sorted(p.terms, key=mono_rank, reverse=True):
         c = p.terms[m]
         factors = [f"{REG.name_of(sym)}" + (f"^{exp}" if exp > 1 else "")
                    for sym, exp in mono_items(m)]
@@ -467,7 +482,12 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
 
     Heap-driven long division: the running remainder is a coefficient dict
     plus a max-heap of candidate leading monomials (negated packed ints), so
-    each reduction step costs O(|b| log n) instead of a fresh max scan.
+    each reduction step costs O(|b| log n) instead of a fresh max scan.  The
+    heap runs in the native int order, lexicographic with the highest id
+    first (see the module docstring), and b's leading term is taken in that
+    order too.  It is a monomial order and an exact quotient is unique, so
+    the quotient is the one a graded-lex division finds, with no byte key
+    built per term.
     """
     if b.is_zero():
         raise EngineError("zero denominator in exact division")
@@ -476,7 +496,8 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     if b.is_const():
         inv = b.const_value().inverse()
         return a.scale(inv)
-    bm, bc = b.leading()
+    bm = max(b.terms)
+    bc = b.terms[bm]
     b_rest = [(m, c) for m, c in b.terms.items() if m != bm]
     bc_inv = bc.inverse()
     rem: Dict[Monomial, GRat] = dict(a.terms)
@@ -555,7 +576,7 @@ def _monic(p: Poly) -> Poly:
 
 _GCD_CACHE: Dict[Tuple[Poly, Poly], Poly] = {}
 # Bound of the three memo caches, `_GCD_CACHE`, `_FACTOR_CACHE` and
-# `_BASE_PRODUCTS`.  `run --theorem all` stores about 630 entries in the
+# `_BASE_PRODUCTS`.  `run --theorem all` stores about 600 entries in the
 # first and about 40 in each of the others, so a report never reaches the
 # bound: sums and derivatives cancel without the gcd and store no
 # numerator.  A process that runs random suites stores about 240 new gcd

@@ -234,3 +234,19 @@ def test_partial_fractions_reassembly_rejects_a_principal_part_off_by_one(monkey
     monkeypatch.setattr(halfplane, "basis_fractions", wrong)
     with pytest.raises(EngineError, match="internal: partial-fraction reassembly mismatch"):
         partial_fractions(CliffordExpr({(): f, (1, 2): f * sym("X1")}))
+
+
+def test_basis_elements_built_without_a_gcd_equal_the_normalizing_constructor():
+    from wresidue import halfplane
+    from wresidue.report import RunConfig, run_computation
+    from wresidue.scalars import XIN as XIN_ID, Poly
+
+    run_computation(RunConfig(theorem="T5.4"))
+    keys = list(halfplane._BASIS)
+    assert keys
+    for den, d in keys:
+        num = Poly.var(XIN_ID, d) if d else Poly.const(1)
+        assert halfplane._basis_element(den, d) == ScalarExpr(num, den), (den, d)
+    # a den that xin divides is left to the normalizing constructor
+    den = (XIN * (XIN - IC)).num
+    assert halfplane._basis_element(den, 2) == XIN / (XIN - IC)

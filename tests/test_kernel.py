@@ -1,4 +1,4 @@
-"""The scalar kernel: packed monomials, stripping of the known denominator
+"""The scalar kernel: packed monomials and their two orders, stripping of the known denominator
 bases by exact division, and cross-cancelled rational arithmetic, each
 against a plain reimplementation."""
 
@@ -19,6 +19,9 @@ from wresidue.scalars import (
     mono_divides,
     mono_items,
     mono_pack,
+    mono_rank,
+    poly_divexact,
+    poly_text,
 )
 
 _N = len(REG)
@@ -26,6 +29,11 @@ _N = len(REG)
 # exponent dicts over a few registry ids spread from the first to the last
 _ids = st.sampled_from([0, 1, 2, 3, 4, 5, 14, 40, 100, 150, _N - 2, _N - 1])
 _exps = st.dictionaries(_ids, st.integers(1, 9), max_size=5)
+_coeff = st.builds(
+    GRat,
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
 
 
 def old_key(items):
@@ -43,7 +51,7 @@ def test_packed_order_is_the_graded_lex_key(ea, eb):
     a, b = as_items(ea), as_items(eb)
     ma, mb = mono_pack(a), mono_pack(b)
     assert mono_items(ma) == a and mono_items(mb) == b
-    assert (ma < mb) == (old_key(a) < old_key(b))
+    assert (mono_rank(ma) < mono_rank(mb)) == (old_key(a) < old_key(b))
     assert (ma == mb) == (a == b)
 
 
@@ -84,16 +92,95 @@ def test_exponent_and_degree_limits_raise():
     assert Poly.var(xi1) ** 127 == Poly.var(xi1, 127)
 
 
+@given(st.dictionaries(st.integers(0, 14), st.integers(1, 40), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_a_monomial_over_low_ids_is_as_wide_as_its_highest_id(exps):
+    # ids 0-14 are the cotangent variables, shx, h1, X, Y and dYn: with the
+    # degree byte that is 16 bytes, whatever the registry holds after them
+    items = as_items(exps)
+    if sum(exps.values()) > MAX_EXP:
+        with pytest.raises(EngineError):
+            mono_pack(items)
+        return
+    m = mono_pack(items)
+    assert m.bit_length() <= 128
+    assert mono_items(m) == items
+    half = {s: e // 2 for s, e in exps.items() if e // 2}
+    prod_ = Poly.var(REG.id_of("xi1")) * Poly({as_items(half): GRat(1)})
+    assert all(k.bit_length() <= 128 for k in prod_.terms)
+
+
+# ---------------------------------------------------------------------------
+# exact division in the native int order of the packed monomials
+# ---------------------------------------------------------------------------
+
+# low and high ids, so that the native order (highest id first) and the
+# graded-lex order pick different leading terms
+_div_names = st.sampled_from(["xi1", "xi3", "xin", "shx", "h1", "A[1,1,2]", "R[1,2,1,2]",
+                              "gXTYT", "pi", "Omega3"])
+
+
+@st.composite
+def div_polys(draw, max_terms=4):
+    out = Poly()
+    for _ in range(draw(st.integers(1, max_terms))):
+        mono = {}
+        for _ in range(draw(st.integers(0, 3))):
+            v = REG.id_of(draw(_div_names))
+            mono[v] = mono.get(v, 0) + draw(st.integers(1, 3))
+        out = out + Poly({as_items(mono): draw(_coeff)})
+    return out
+
+
+@given(div_polys(), div_polys(), _coeff.filter(lambda c: not c.is_zero()))
+@settings(max_examples=150, deadline=None)
+def test_exact_division_recovers_the_quotient_and_rejects_a_non_multiple(a, b, c):
+    if b.is_zero():
+        return
+    assert poly_divexact(a * b, b) == a
+    if not b.is_const():
+        # b divides no nonzero constant, so it divides no a*b + c
+        with pytest.raises(EngineError):
+            poly_divexact(a * b + Poly.const(c), b)
+
+
+def test_exact_division_where_the_two_orders_disagree():
+    xi1, pi, om = (Poly.var(REG.id_of(n)) for n in ("xi1", "pi", "Omega3"))
+    b = xi1 * xi1 + pi  # graded-lex leads with xi1^2, the native order with pi
+    assert b.leading()[0] == mono_pack(((REG.id_of("xi1"), 2),))
+    assert max(b.terms) == mono_pack(((REG.id_of("pi"), 1),))
+    a = xi1 * om + Poly.const(GRat(0, 1))
+    assert poly_divexact(a * b, b) == a
+    with pytest.raises(EngineError):
+        poly_divexact(a * b + xi1, b)
+
+
+# ---------------------------------------------------------------------------
+# the renderers list terms in graded-lex order
+# ---------------------------------------------------------------------------
+
+@given(st.lists(_exps, min_size=1, max_size=8, unique_by=lambda e: as_items(e)))
+@settings(max_examples=100, deadline=None)
+def test_renderers_list_terms_in_the_graded_lex_key(monos):
+    from wresidue.report import _poly_tree, latex_poly
+
+    items = [as_items(e) for e in monos]
+    # coefficient k + 2 marks term k in every rendering
+    p = Poly({it: GRat(k + 2) for k, it in enumerate(items)})
+    want = sorted(range(len(items)), key=lambda k: old_key(items[k]), reverse=True)
+    assert [int(part.split("*")[0]) - 2 for part in poly_text(p).split(" + ")] == want
+    assert [int(part.split()[0]) - 2 for part in latex_poly(p).split(" + ")] == want
+    tree = _poly_tree(p)
+    assert [t["coeff"]["re"][0] - 2 for t in tree] == want
+    assert [tuple((REG.id_of(n), e) for n, e in t["monomial"]) for t in tree] == [
+        items[k] for k in want]
+
+
 # ---------------------------------------------------------------------------
 # stripping the known denominator bases: the exact division is the
 # divisibility witness
 # ---------------------------------------------------------------------------
 
-_coeff = st.builds(
-    GRat,
-    st.fractions(min_value=-5, max_value=5, max_denominator=7),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7),
-)
 _poly_names = st.sampled_from(["xi1", "xi2", "xi3", "xin", "shx", "h1", "X1", "pi"])
 
 

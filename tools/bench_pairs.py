@@ -13,7 +13,9 @@ tree with its own `perfbench/`, from its own root), one run at a time, the
 base first in even pairs and the change first in odd ones.  The
 output holds, per workload and side, the median and quartiles of `setup_s`,
 `wall_s` and `peak_rss_mb` over the pairs, and the failed and attempted
-operation counts.  Per workload it also holds, for each of those metrics,
+operation counts, and `peak_rss_set_by`: in how many runs each operation
+set `peak_rss_mb` (read from the per-operation `rss_mb` of perfbench's
+result file).  Per workload it also holds, for each of those metrics,
 in how many pairs the change was lower (`change_lower_pairs`;
 `change_faster_pairs` is its `wall_s` entry), and `over_bound`, the metrics
 whose change median is worse than the parent's by more than the relative
@@ -39,6 +41,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
@@ -78,9 +81,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     detail = json.loads((tree / "perfbench" / "out" /
                          f"result-{workload}-{seed}-trace0.json").read_text(encoding="utf-8"))
     hashes = {op["name"]: op["sha256"] for op in detail["operations"] if op.get("sha256")}
-    return {"metrics": {m: result["metrics"][m]["value"] for m in METRICS},
-            "attempted": result["attempted"], "failed": result["failed"],
-            "correct": result["correct"], "hashes": hashes}
+    metrics = {m: result["metrics"][m]["value"] for m in METRICS}
+    return {"metrics": metrics, "attempted": result["attempted"], "failed": result["failed"],
+            "correct": result["correct"], "hashes": hashes,
+            "peak_op": peak_operation(detail["operations"], metrics["peak_rss_mb"])}
+
+
+def peak_operation(operations, peak: float) -> str:
+    """The operation whose process set `peak_rss_mb`, from the `rss_mb` that
+    perfbench records per operation: its name with any `@seed` suffix cut,
+    the names joined by `+` when operations share the process (the verify
+    suites run in one), or `setup` when a setup process set it."""
+    names = sorted({op["name"].partition("@")[0] for op in operations
+                    if op["rss_mb"] == peak})
+    return "+".join(names) or "setup"
 
 
 def summary(values):
@@ -94,6 +108,7 @@ def side(runs) -> dict:
         "failed": sum(r["failed"] for r in runs),
         "attempted": sum(r["attempted"] for r in runs),
         "correct": all(r["correct"] for r in runs),
+        "peak_rss_set_by": dict(Counter(r["peak_op"] for r in runs).most_common()),
     }
 
 
@@ -122,6 +137,9 @@ def summary_line(name: str, entry: dict) -> str:
         parts.append(f"{m} {p['median']:.3f} [{p['q1']:.3f}, {p['q3']:.3f}] -> "
                      f"{c['median']:.3f} [{c['q1']:.3f}, {c['q3']:.3f}], change lower in "
                      f"{entry['change_lower_pairs'][m]} of {len(entry['seeds'])}")
+    parts.append("peak set by " + " -> ".join(
+        ", ".join(f"{op} x{n}" for op, n in entry[label]["peak_rss_set_by"].items())
+        for label in ("parent", "change")))
     flag = ", ".join(entry["over_bound"])
     return f"{name}: " + "; ".join(parts) + (f"; OVER BOUND: {flag}" if flag else "")
 
@@ -182,7 +200,7 @@ def main(argv=None) -> int:
                     runs[label].append(r)
                     print(f"{name} seed {seed} {label}: wall_s {r['metrics']['wall_s']:.3f} "
                           f"setup_s {r['metrics']['setup_s']:.3f} "
-                          f"rss {r['metrics']['peak_rss_mb']:.1f} MB, "
+                          f"rss {r['metrics']['peak_rss_mb']:.1f} MB ({r['peak_op']}), "
                           f"{r['failed']}/{r['attempted']} failed "
                           f"({time.perf_counter() - t0:.0f} s)", flush=True)
                     for op, digest in r["hashes"].items():
