@@ -38,7 +38,6 @@ from .scalars import (
     _factor_known,
     _prem,
     _strip,
-    mono_mask,
     poly_divexact,
     scalar_sum,
 )
@@ -49,7 +48,6 @@ _POLE_PLUS = ScalarExpr.const(I)
 _POLE_MINUS = ScalarExpr.const(-I)
 _LIN_PLUS = _XIN_VAR - _POLE_PLUS   # xin - i
 _LIN_MINUS = _XIN_VAR - _POLE_MINUS  # xin + i
-_XIN_MASK = mono_mask((XIN,))
 
 
 def _factor_pole_denominator(den: Poly) -> Tuple[GRat, int, int]:
@@ -190,16 +188,6 @@ def _check_reassembly(num: Poly, den: Poly, plus: Dict[int, ScalarExpr],
         raise EngineError("internal: partial-fraction reassembly mismatch")
 
 
-def _basis_element(den: Poly, d: int) -> ScalarExpr:
-    """xin^d / den for a canonical den.  A den with a term free of xin is
-    not divisible by xin, so the fraction is coprime as it stands and needs
-    no gcd; any other den goes through the normalizing constructor."""
-    num = Poly.var(XIN, d) if d else P_ONE
-    if any(not m & _XIN_MASK for m in den.terms):
-        return ScalarExpr(num, den, _canonical=True)
-    return ScalarExpr(num, den)
-
-
 def basis_fractions(den: Poly, d: int) -> _BasisEntry:
     """Partial fractions of xin^d / den, cached; the polynomial identity of
     `_check_reassembly` validates each entry once."""
@@ -207,7 +195,10 @@ def basis_fractions(den: Poly, d: int) -> _BasisEntry:
     hit = _BASIS.get(key)
     if hit is not None:
         return hit
-    f = _basis_element(den, d)
+    # den is a canonical coefficient denominator, so xin^d / den needs no
+    # gcd; a den that xin divides is rejected by _factor_pole_denominator
+    # in the decomposition below.
+    f = ScalarExpr(Poly.var(XIN, d) if d else P_ONE, den, _canonical=True)
     plus, minus, poly = _decompose_scalar(f)
     _check_reassembly(f.num, f.den, plus, minus, poly)
     projected = scalar_sum([c * _LIN_PLUS ** (-m) for m, c in plus.items()])

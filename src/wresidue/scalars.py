@@ -25,12 +25,14 @@ at or below 127 (the guard bit clear): building a larger monomial raises
 
 Two orders are in use.  The monomial order of the engine is graded
 lexicographic order with earlier ids ranking higher; `mono_rank(m)` is its
-key, the little-endian bytes of m at full width, which compare the degree
-first and then the exponents in registry order.  `Poly.leading` (and with
+key, the little-endian bytes of m, which compare the degree first and then
+the exponents in registry order.  `Poly.leading` (and with
 it every monic normalization) and the canonical renderers sort by it.  The
 native int order compares the highest id first: it is lexicographic order
 with later ids ranking higher, also a monomial order since a product is a
-sum, and `poly_divexact` runs its heap in it.
+sum, and `poly_divexact` runs its heap in it.  That order does not bound
+the degree, so the division rejects any quotient term whose degree passes
+deg(a) - deg(b), which keeps every term it builds at or below 127.
 
 All values are immutable after construction and safe to share between
 workers; the registry is frozen at configuration time.
@@ -227,9 +229,10 @@ def mono_items(m: Monomial) -> Tuple[Tuple[int, int], ...]:
 
 
 def mono_rank(m: Monomial) -> bytes:
-    """The graded-lex key of m: its bytes at full width, degree first, then
-    the exponents in registry order."""
-    return m.to_bytes(_NBYTES, "little")
+    """The graded-lex key of m: its little-endian bytes, degree first, then
+    the exponents in registry order.  The minimal width suffices: a key that
+    is a prefix of another ranks lower, as its zero padding would."""
+    return m.to_bytes((m.bit_length() + 7) >> 3, "little")
 
 
 def mono_mask(syms) -> int:
@@ -487,7 +490,10 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     first (see the module docstring), and b's leading term is taken in that
     order too.  It is a monomial order and an exact quotient is unique, so
     the quotient is the one a graded-lex division finds, with no byte key
-    built per term.
+    built per term.  The native order does not bound the degree, so a
+    failing division could climb through ever higher terms; an exact
+    quotient has no term above deg(a) - deg(b), and a step past that raises
+    at once.
     """
     if b.is_zero():
         raise EngineError("zero denominator in exact division")
@@ -496,6 +502,9 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     if b.is_const():
         inv = b.const_value().inverse()
         return a.scale(inv)
+    top = max(m & 0xFF for m in a.terms) - max(m & 0xFF for m in b.terms)
+    if top < 0:
+        raise EngineError("inexact polynomial division")
     bm = max(b.terms)
     bc = b.terms[bm]
     b_rest = [(m, c) for m, c in b.terms.items() if m != bm]
@@ -514,6 +523,8 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
         if not mono_divides(rm, bm):
             raise EngineError("inexact polynomial division")
         qm = rm - bm
+        if qm & 0xFF > top:
+            raise EngineError("inexact polynomial division")
         qc = rc * bc_inv
         quo[qm] = qc
         for m2, c2 in b_rest:

@@ -246,7 +246,5 @@ def test_basis_elements_built_without_a_gcd_equal_the_normalizing_constructor():
     assert keys
     for den, d in keys:
         num = Poly.var(XIN_ID, d) if d else Poly.const(1)
-        assert halfplane._basis_element(den, d) == ScalarExpr(num, den), (den, d)
-    # a den that xin divides is left to the normalizing constructor
-    den = (XIN * (XIN - IC)).num
-    assert halfplane._basis_element(den, 2) == XIN / (XIN - IC)
+        f = ScalarExpr(num, den)
+        assert (f.num, f.den) == (num, den), (den, d)

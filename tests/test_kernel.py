@@ -155,6 +155,25 @@ def test_exact_division_where_the_two_orders_disagree():
         poly_divexact(a * b + xi1, b)
 
 
+def test_a_failing_division_stops_at_the_degree_bound(monkeypatch):
+    from wresidue import scalars
+
+    steps = []
+    monkeypatch.setattr(scalars, "mono_divides",
+                        lambda a, b: steps.append(a) or mono_divides(a, b))
+    xi1, pi = (Poly.var(REG.id_of(n)) for n in ("xi1", "pi"))
+    b = pi + xi1 * xi1  # leads with pi natively: each step trades pi for xi1^2
+    for k in (1, 3, 100, MAX_EXP):
+        steps.clear()
+        with pytest.raises(EngineError, match="inexact polynomial division"):
+            poly_divexact(pi ** k, b)
+        # deg(a) < deg(b) fails before any step; otherwise pi^(k-1), the
+        # first quotient term, already passes deg(a) - deg(b)
+        assert len(steps) == (k >= 2), k
+    with pytest.raises(EngineError, match="inexact polynomial division"):
+        poly_divexact(pi, b * pi)
+
+
 # ---------------------------------------------------------------------------
 # the renderers list terms in graded-lex order
 # ---------------------------------------------------------------------------
