@@ -13,13 +13,12 @@ from .scalars import (
     Poly,
     Registry,
     ScalarExpr,
-    normalize,
     sym,
 )
-from .clifford import CliffordExpr, cl_from_cotangent, cl_mul, cl_trace, matrix_oracle_trace
-from .halfplane import HalfLineRational, partial_fractions, pi_minus, pi_plus, pi_prime
+from .clifford import CliffordExpr, cl_trace, matrix_oracle_trace
+from .halfplane import pi_minus, pi_plus, pi_prime, principal_part
 from .integration import integrate_xi_n, numeric_contour_oracle, sphere_moment
-from .symbols import GradedSymbol, SymbolComponent, boundary_derivative, builtin_symbol, compose, invert
+from .symbols import GradedSymbol, SymbolComponent, builtin_symbol, compose, invert
 from .interior import EndomorphismE, curvature_trace_identities, einstein_functional_rhs, trace_e
 from .pipeline import CaseSpec, PhiReport, compute_case_term, enumerate_cases, total_boundary_term
 from .report import RunConfig, compare_with_reference, emit, run_computation

@@ -224,8 +224,9 @@ CL_ZERO = CliffordExpr()
 CL_ONE = CliffordExpr.scalar(1)
 
 
-def cl_mul(a: CliffordExpr, b: CliffordExpr) -> CliffordExpr:
-    return a * b
+def as_clifford(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
+    """A scalar as a multiple of the identity; a Clifford element as it is."""
+    return CliffordExpr.scalar(expr) if isinstance(expr, ScalarExpr) else expr
 
 
 def cl_trace(a: CliffordExpr) -> ScalarExpr:
@@ -254,10 +255,6 @@ def cl_trace_product(a: CliffordExpr, b: CliffordExpr) -> ScalarExpr:
             term = -term
         terms.append(term)
     return scalar_sum(terms) * ScalarExpr.const(TRACE_ID)
-
-
-def cl_from_cotangent(coeffs: Sequence) -> CliffordExpr:
-    return CliffordExpr.from_cotangent(coeffs)
 
 
 def clifford_inverse(a: CliffordExpr) -> CliffordExpr:

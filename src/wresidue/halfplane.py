@@ -1,4 +1,4 @@
-"""Projections pi+ and pi' on rational functions of xin with poles at +/-i.
+"""Projections pi+, pi- and pi' on rational functions of xin with poles at +/-i.
 
 After restriction to the unit tangential co-sphere, every symbol coefficient
 is a rational function of xin whose denominator is a product of powers of
@@ -8,23 +8,23 @@ principal parts at +i, pi- collects the -i parts together with the
 polynomial part, and pi' returns i times the residue at +i (the normalized
 upper contour integral).
 
-There is one partial-fraction kernel.  The decomposition is linear over
-xin-free coefficients, so a coefficient num/den is expanded against the
-basis xin^d / den.  `basis_fractions` decomposes each basis element once,
-validates it, and caches its principal parts, its polynomial part, its
-assembled pi+ and its residue at +i.  The projections here and the residue
-in `integration.integrate_xi_n` read that cache; `partial_fractions` also
-validates its full result, coefficient by coefficient.  Both validations
-are exact and check a polynomial identity: the numerator equals the
-principal parts and the polynomial part multiplied back over the
-denominator (`_check_reassembly`), with no rational function rebuilt.
-Sums of coefficients go through `scalars.scalar_sum`.
+There is one partial-fraction kernel and one basis.  The decomposition is
+linear over xin-free coefficients, so a coefficient num/den is expanded
+against the basis xin^d / den.  `basis_fractions` decomposes each basis
+element once and caches its principal parts, its polynomial part and its
+assembled pi+; the entry is checked once, exactly, by a polynomial
+identity: the numerator equals the principal parts and the polynomial part
+multiplied back over the denominator (`_check_reassembly`), with no
+rational function rebuilt.  pi+, pi-, pi', `principal_part` and the xin
+integral of `integration.integrate_xi_n` are linear maps over that cache,
+coefficient by coefficient (`_over_basis`), so no monomial outside the
+input can appear and no result is checked a second time.  Sums of
+coefficients go through `scalars.scalar_sum`.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Tuple
 
 from .gaussian import GRat, I
 from .scalars import (
@@ -41,7 +41,7 @@ from .scalars import (
     poly_divexact,
     scalar_sum,
 )
-from .clifford import CliffordExpr, cl_sum
+from .clifford import CliffordExpr, as_clifford
 
 _XIN_VAR = ScalarExpr.var(XIN)
 _POLE_PLUS = ScalarExpr.const(I)
@@ -68,34 +68,6 @@ def _factor_pole_denominator(den: Poly) -> Tuple[GRat, int, int]:
     return work.const_value(), p, q
 
 
-@dataclass
-class HalfLineRational:
-    """Partial-fraction data: principal parts at +/-i and a polynomial part."""
-
-    plus: Dict[int, CliffordExpr] = field(default_factory=dict)   # mult -> coeff
-    minus: Dict[int, CliffordExpr] = field(default_factory=dict)  # mult -> coeff
-    poly: Dict[int, CliffordExpr] = field(default_factory=dict)   # xin degree -> coeff
-
-    def reassemble(self) -> CliffordExpr:
-        return cl_sum(self._plus_pieces() + self._minus_pieces())
-
-    def pi_plus_part(self) -> CliffordExpr:
-        return cl_sum(self._plus_pieces())
-
-    def pi_minus_part(self) -> CliffordExpr:
-        return cl_sum(self._minus_pieces())
-
-    def _plus_pieces(self):
-        return [c.scale(_LIN_PLUS ** (-m)) for m, c in self.plus.items()]
-
-    def _minus_pieces(self):
-        return ([c.scale(_LIN_MINUS ** (-m)) for m, c in self.minus.items()]
-                + [c.scale(_XIN_VAR ** d) for d, c in self.poly.items()])
-
-    def residue_plus(self) -> CliffordExpr:
-        return self.plus.get(1, CliffordExpr())
-
-
 def _decompose_scalar(f: ScalarExpr) -> Tuple[Dict[int, ScalarExpr], Dict[int, ScalarExpr], Dict[int, ScalarExpr]]:
     const, p, q = _factor_pole_denominator(f.den)
     inv_const = ScalarExpr.const(const.inverse())
@@ -108,26 +80,20 @@ def _decompose_scalar(f: ScalarExpr) -> Tuple[Dict[int, ScalarExpr], Dict[int, S
     plus: Dict[int, ScalarExpr] = {}
     minus: Dict[int, ScalarExpr] = {}
     rem_expr = ScalarExpr.from_poly(rem) * inv_const
-    if p:
-        g = rem_expr / (_LIN_MINUS ** q)
+    # the principal parts at each pole, with the other pole's factor divided out
+    for pole, order, other, table in ((_POLE_PLUS, p, _LIN_MINUS ** q, plus),
+                                      (_POLE_MINUS, q, _LIN_PLUS ** p, minus)):
+        if not order:
+            continue
+        g = rem_expr / other
         fact = 1
-        for k in range(p):
+        for k in range(order):
             if k:
                 fact *= k
                 g = g.differentiate(XIN)
-            coeff = g.substitute({XIN: _POLE_PLUS}) / ScalarExpr.const(fact)
+            coeff = g.substitute({XIN: pole}) / ScalarExpr.const(fact)
             if not coeff.is_zero():
-                plus[p - k] = coeff
-    if q:
-        g = rem_expr / (_LIN_PLUS ** p)
-        fact = 1
-        for k in range(q):
-            if k:
-                fact *= k
-                g = g.differentiate(XIN)
-            coeff = g.substitute({XIN: _POLE_MINUS}) / ScalarExpr.const(fact)
-            if not coeff.is_zero():
-                minus[q - k] = coeff
+                table[order - k] = coeff
     return plus, minus, poly_part
 
 
@@ -139,7 +105,6 @@ class _BasisEntry:
     minus: Dict[int, ScalarExpr]
     poly: Dict[int, ScalarExpr]
     pi_plus: ScalarExpr   # the assembled principal part at +i
-    residue: ScalarExpr   # the residue at +i
 
 
 _BASIS: Dict[Tuple[Poly, int], _BasisEntry] = {}
@@ -202,60 +167,45 @@ def basis_fractions(den: Poly, d: int) -> _BasisEntry:
     plus, minus, poly = _decompose_scalar(f)
     _check_reassembly(f.num, f.den, plus, minus, poly)
     projected = scalar_sum([c * _LIN_PLUS ** (-m) for m, c in plus.items()])
-    hit = _BASIS[key] = _BasisEntry(plus, minus, poly, projected, plus.get(1, S_ZERO))
+    hit = _BASIS[key] = _BasisEntry(plus, minus, poly, projected)
     return hit
 
 
-def partial_fractions(expr: "CliffordExpr | ScalarExpr") -> HalfLineRational:
-    """Exact decomposition into principal parts at +/-i plus polynomial part.
-
-    Accepts a Clifford-valued rational function of xin (scalars are wrapped).
-    The decomposition is linear over xin-free coefficients, so each Clifford
-    coefficient is expanded against the cached basis xin^d / den; the result
-    is validated, monomial by monomial, by the polynomial identity of
-    `_check_reassembly`.
-    """
-    if isinstance(expr, ScalarExpr):
-        expr = CliffordExpr.scalar(expr)
-    out = HalfLineRational()
-    targets = (out.plus, out.minus, out.poly)
-    for mono, coeff in expr.terms.items():
-        parts: Dict[Tuple[int, int], list] = {}
-        for d, cp in coeff.num.coeffs_in(XIN).items():
-            entry = basis_fractions(coeff.den, d)
-            scale = ScalarExpr.from_poly(cp)
-            for kind, table in enumerate((entry.plus, entry.minus, entry.poly)):
-                for m, c in table.items():
-                    parts.setdefault((kind, m), []).append(scale * c)
-        for (kind, m), cs in parts.items():
-            c = scalar_sum(cs)
-            if not c.is_zero():
-                target = targets[kind]
-                target[m] = target.get(m, CliffordExpr()) + CliffordExpr({mono: c})
-    for mono, coeff in expr.terms.items():
-        _check_reassembly(coeff.num, coeff.den,
-                          *({k: e.coefficient(mono) for k, e in t.items()} for t in targets))
-    if any(mono not in expr.terms for t in targets for e in t.values() for mono in e.terms):
-        raise EngineError("internal: partial-fraction reassembly mismatch")
-    return out
-
-
-def pi_plus(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
-    """Principal parts at +i; the polynomial part and -i parts are dropped."""
-    return partial_fractions(expr).pi_plus_part()
+def _over_basis(f: ScalarExpr, part: Callable[[_BasisEntry], ScalarExpr]) -> ScalarExpr:
+    """sum_d cp_d * part(basis_fractions(f.den, d)) over the xin-free
+    coefficients cp_d of f.num = sum_d cp_d xin^d: a linear map of f read
+    off the cached basis."""
+    return scalar_sum([ScalarExpr.from_poly(cp) * part(basis_fractions(f.den, d))
+                       for d, cp in f.num.coeffs_in(XIN).items()])
 
 
 def pi_plus_scalar(f: ScalarExpr) -> ScalarExpr:
     """pi+ on a single scalar coefficient, from the cached basis projections."""
-    return scalar_sum([ScalarExpr.from_poly(cp) * basis_fractions(f.den, d).pi_plus
-                       for d, cp in f.num.coeffs_in(XIN).items()])
+    return _over_basis(f, lambda entry: entry.pi_plus)
+
+
+def pi_plus(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
+    """Principal parts at +i; the polynomial part and -i parts are dropped."""
+    return as_clifford(expr).map_coeffs(pi_plus_scalar)
+
+
+def _pi_minus_part(entry: _BasisEntry) -> ScalarExpr:
+    return scalar_sum([c * _LIN_MINUS ** (-m) for m, c in entry.minus.items()]
+                      + [c * _XIN_VAR ** d for d, c in entry.poly.items()])
 
 
 def pi_minus(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
-    """Complement of pi+: -i principal parts plus the polynomial part."""
-    return partial_fractions(expr).pi_minus_part()
+    """Complement of pi+: -i principal parts plus the polynomial part, read
+    off the basis tables (not computed as expr - pi+(expr))."""
+    return as_clifford(expr).map_coeffs(lambda c: _over_basis(c, _pi_minus_part))
+
+
+def principal_part(expr: "CliffordExpr | ScalarExpr", m: int) -> CliffordExpr:
+    """The coefficient of (xin - i)^-m in the partial fractions of expr."""
+    return as_clifford(expr).map_coeffs(
+        lambda c: _over_basis(c, lambda entry: entry.plus.get(m, S_ZERO)))
 
 
 def pi_prime(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
     """(1/2pi) * upper contour integral = i * residue at +i."""
-    return partial_fractions(expr).residue_plus().scale(ScalarExpr.const(I))
+    return principal_part(expr, 1).scale(ScalarExpr.const(I))

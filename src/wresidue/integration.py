@@ -2,8 +2,9 @@
 
 The xin integral of a rational function decaying at least like xin^-2 with
 poles only at +/-i closes upward: the exact value is 2*pi*i times the residue
-at +i.  The residue is read off the single partial-fraction kernel of
-`halfplane` (its cached decomposition of each basis element xin^d / den).
+at +i.  The integral is a linear map over the checked basis of `halfplane`:
+each coefficient is expanded against the cached residues of the basis
+elements xin^d / den, through the same helper as pi+, pi- and pi'.
 Two oracles back this path in the test suites: an exact one that computes
 the residue by the derivative formula at the pole, independent of partial
 fractions, and a floating-point one that integrates numerically (adaptive
@@ -36,10 +37,9 @@ from .scalars import (
     XIN,
     mono_items,
     mono_pack,
-    scalar_sum,
 )
-from .clifford import CliffordExpr
-from .halfplane import _factor_pole_denominator, basis_fractions
+from .clifford import CliffordExpr, as_clifford
+from .halfplane import _factor_pole_denominator, _over_basis
 
 _TANGENTIAL = set(XI[:3])
 _PI_VAR = ScalarExpr.var(PI)
@@ -56,6 +56,13 @@ def _check_decay(coeff: ScalarExpr, required: int = 2):
         )
 
 
+def _constant_residue(entry) -> ScalarExpr:
+    res = entry.plus.get(1, S_ZERO)
+    if not (res.is_poly() and res.num.is_const()):
+        raise EngineError("internal: non-constant basis residue")
+    return res
+
+
 def integrate_xi_n(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
     """Exact integral over the real xin line via the residue at +i.
 
@@ -64,24 +71,13 @@ def integrate_xi_n(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
     coefficients, so each coefficient is expanded against the residues of
     xin^d / den held by the partial-fraction cache of `halfplane`.
     """
-    if isinstance(expr, ScalarExpr):
-        expr = CliffordExpr.scalar(expr)
-    out = CliffordExpr()
     two_pi_i = _PI_VAR * ScalarExpr.const(GRat(0, 2))
-    for mono, coeff in expr.terms.items():
+
+    def integral(coeff: ScalarExpr) -> ScalarExpr:
         _check_decay(coeff)
-        terms = []
-        for d, cp in sorted(coeff.num.coeffs_in(XIN).items()):
-            res = basis_fractions(coeff.den, d).residue
-            if res.is_zero():
-                continue
-            if not (res.is_poly() and res.num.is_const()):
-                raise EngineError("internal: non-constant basis residue")
-            terms.append(ScalarExpr.from_poly(cp) * res)
-        acc = scalar_sum(terms)
-        if not acc.is_zero():
-            out = out + CliffordExpr({mono: acc * two_pi_i})
-    return out
+        return _over_basis(coeff, _constant_residue) * two_pi_i
+
+    return as_clifford(expr).map_coeffs(integral)
 
 
 def residue_derivative_oracle(coeff: ScalarExpr) -> ScalarExpr:
@@ -103,8 +99,7 @@ def residue_derivative_oracle(coeff: ScalarExpr) -> ScalarExpr:
 
 def integrate_via_residue_oracle(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
     """2*pi*i times the derivative-formula residue, coefficient by coefficient."""
-    if isinstance(expr, ScalarExpr):
-        expr = CliffordExpr.scalar(expr)
+    expr = as_clifford(expr)
     out = CliffordExpr()
     two_pi_i = _PI_VAR * ScalarExpr.const(GRat(0, 2))
     for mono, coeff in expr.terms.items():

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List
 from .gaussian import GRat, I
 from .scalars import ScalarExpr, S_ZERO, S_ONE, atom_A, atom_T, sym
 from .clifford import CliffordExpr, cl_trace_product
-from .halfplane import pi_plus
+from .halfplane import pi_plus, principal_part
 from .pipeline import AxisStages, case_stages, case_trace_integrand, find_case
 from .symbols import (
     builtin_symbol,
@@ -689,10 +689,7 @@ def _slot_5_30(ctx):
     _ref_5_31,
 )
 def _slot_5_31(ctx):
-    from .halfplane import partial_fractions
-
-    pf = partial_fractions(_first_item_sandwich())
-    return pf.plus.get(1, CliffordExpr()).scale(ScalarExpr.const(-4))
+    return principal_part(_first_item_sandwich(), 1).scale(ScalarExpr.const(-4))
 
 
 @_slot(
@@ -701,10 +698,7 @@ def _slot_5_31(ctx):
     _ref_5_32,
 )
 def _slot_5_32(ctx):
-    from .halfplane import partial_fractions
-
-    pf = partial_fractions(_first_item_sandwich())
-    return pf.plus.get(2, CliffordExpr()).scale(ScalarExpr.const(-4))
+    return principal_part(_first_item_sandwich(), 2).scale(ScalarExpr.const(-4))
 
 
 def _ref_5_33() -> CliffordExpr:
@@ -732,13 +726,10 @@ def _ref_5_33() -> CliffordExpr:
     _ref_5_33,
 )
 def _slot_5_33(ctx):
-    from .halfplane import partial_fractions
-
     cxi = c_xi(at_point=True).restrict_sphere()
     uv = torsion_u() + torsion_v()
     sandwich = (cxi * uv * cxi).scale(q_bilinear().restrict_sphere() / _den_1x2(2))
-    pf = partial_fractions(sandwich)
-    return pf.plus.get(2, CliffordExpr()).scale(ScalarExpr.const(4))
+    return principal_part(sandwich, 2).scale(ScalarExpr.const(4))
 
 
 @_slot(

@@ -29,7 +29,7 @@ from .scalars import (
     mono_rank,
     sym,
 )
-from .clifford import CliffordExpr
+from .clifford import CliffordExpr, as_clifford
 from .interior import (
     clifford_part_top_coefficient,
     curvature_trace_identities,
@@ -274,30 +274,14 @@ def latex_scalar(e: ScalarExpr) -> str:
     return rf"\frac{{{latex_poly(e.num)}}}{{{latex_poly(e.den)}}}"
 
 
-def latex_clifford(e: CliffordExpr) -> str:
-    if e.is_zero():
-        return "0"
-    parts = []
-    for mono in sorted(e.terms, key=lambda m: (len(m), m)):
-        coeff = latex_scalar(e.terms[mono])
-        body = "".join(
-            rf"c(dx_{{n}})" if i == 4 else rf"c(e_{{{i}}})" for i in mono
-        )
-        if body:
-            parts.append(rf"\left[{coeff}\right]{body}")
-        else:
-            parts.append(coeff)
-    return " + ".join(parts)
-
-
 def emit(expr, output_format: str) -> str:
-    """Render an expression as canonical text, LaTeX, or a JSON tree."""
+    """Render an expression as canonical text, LaTeX (a scalar only), or a JSON tree."""
     if output_format == "text":
         return expr.text()
     if output_format == "latex":
-        if isinstance(expr, ScalarExpr):
-            return latex_scalar(expr)
-        return latex_clifford(expr)
+        if not isinstance(expr, ScalarExpr):
+            raise EngineError("LaTeX rendering takes a scalar expression")
+        return latex_scalar(expr)
     if output_format == "json":
         return json.dumps(expr_to_tree(expr), sort_keys=True, separators=(",", ":"))
     raise EngineError(f"unknown output format {output_format!r}")
@@ -315,12 +299,6 @@ def parse_emitted(text: str):
 _FOUR_PI = ScalarExpr.const(4) * sym("pi")
 
 
-def _as_clifford(e) -> CliffordExpr:
-    if isinstance(e, ScalarExpr):
-        return CliffordExpr.scalar(e)
-    return e
-
-
 def _switch(expr, cfg: RunConfig):
     """A scalar or Clifford value under the config switches: the switched-off
     torsion families set to zero, then Omega3 = 4 pi if asked for.  Every
@@ -336,7 +314,7 @@ def _compare_under(value, ref, cfg: RunConfig):
     between the two: 'match' iff the exact difference is zero, in which case
     the delta is None.  Every verdict of the report comes from here."""
     value, ref = _switch(value, cfg), _switch(ref, cfg)
-    delta = _as_clifford(value) - _as_clifford(ref)
+    delta = as_clifford(value) - as_clifford(ref)
     if delta.is_zero():
         return value, ref, "match", None
     return value, ref, "mismatch", delta
@@ -465,8 +443,8 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
             continue
         # the case's printed-intermediate slots, compared when the row is emitted
         slot_steps = [
-            TrailStep(slot.slot_id, "printed-intermediate", _as_clifford(slot.build_engine(ctx)),
-                      ref_id=slot.slot_id, ref=_as_clifford(slot.build_ref()))
+            TrailStep(slot.slot_id, "printed-intermediate", as_clifford(slot.build_engine(ctx)),
+                      ref_id=slot.slot_id, ref=as_clifford(slot.build_ref()))
             for slot in slots_for(theorem) if slot.case_id == case_id
         ]
         rows.append(_row_dict(replace(rep, trail=rep.trail + slot_steps), refs[case_id], cfg))

@@ -102,9 +102,6 @@ class Registry:
     def name_of(self, sym_id: int) -> str:
         return self._by_id[sym_id].name
 
-    def names(self) -> List[str]:
-        return [s.name for s in self._by_id]
-
     def ids_of_family(self, family: str) -> List[int]:
         return [s.sym_id for s in self._by_id if s.family == family]
 
@@ -714,11 +711,6 @@ def _factor_known(p: Poly):
     return out
 
 
-def _multiplicity_in(a: Poly, base_idx: int, cap: int) -> int:
-    """Multiplicity of the indexed base in a, at most cap."""
-    return _strip(a, base_idx, cap)[0]
-
-
 def _structured_gcd(a: Poly, b: Poly) -> Optional[Poly]:
     fb = _factor_known(b)
     if fb is not None:
@@ -731,7 +723,7 @@ def _structured_gcd(a: Poly, b: Poly) -> Optional[Poly]:
     _, exps = fb
     out = P_ONE
     for idx, mult in enumerate(exps):
-        m = _multiplicity_in(other, idx, mult) if mult else 0
+        m = _strip(other, idx, mult)[0] if mult else 0
         if m:
             out = out * _BASES[idx][0] ** m
     return out
@@ -1182,13 +1174,8 @@ def _poly_reduce_sphere(p: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Normalization entry point and atom constructors
+# Atom constructors
 # ---------------------------------------------------------------------------
-
-def normalize(num: Poly, den: Poly) -> ScalarExpr:
-    """Canonicalize a raw ratio of polynomials (spec operation)."""
-    return ScalarExpr(num, den)
-
 
 def sym(name: str) -> ScalarExpr:
     return ScalarExpr.var(name)

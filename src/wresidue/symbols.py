@@ -218,25 +218,6 @@ def d_x_tangential(component: SymbolComponent) -> SymbolComponent:
     return SymbolComponent(CL_ZERO, at_point=True, homogeneous=component.homogeneous)
 
 
-def boundary_derivative(component: SymbolComponent, axis: str) -> SymbolComponent:
-    """Spec surface: axis in {x1..x4, xn, xi1..xi4, xin}."""
-    if axis in ("xn", "x4"):
-        return d_xn(component)
-    if axis.startswith("x") and not axis.startswith("xi"):
-        j = int(axis[1:])
-        if 1 <= j <= 3:
-            return d_x_tangential(component)
-        raise EngineError(f"unknown derivative axis {axis!r}")
-    if axis == "xin":
-        axis = "xi4"
-    if axis.startswith("xi"):
-        j = int(axis[2:])
-        if 1 <= j <= 4:
-            return SymbolComponent(d_xi(component.value, j), component.at_point,
-                                   component.homogeneous)
-    raise EngineError(f"unknown derivative axis {axis!r}")
-
-
 def _mul_components(a: SymbolComponent, b: SymbolComponent) -> SymbolComponent:
     if a.at_point or b.at_point:
         va = _at_point_value(a.value) if not a.at_point else a.value

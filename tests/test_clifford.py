@@ -12,8 +12,6 @@ from wresidue.scalars import EngineError, ScalarExpr, S_ONE, S_ZERO, sym
 from wresidue.clifford import (
     CL_ONE,
     CliffordExpr,
-    cl_from_cotangent,
-    cl_mul,
     cl_trace,
     cl_trace_product,
     clifford_inverse,
@@ -28,7 +26,7 @@ def c(i):
 def test_generator_relations():
     for i in range(1, 5):
         for j in range(1, 5):
-            anti = cl_mul(c(i), c(j)) + cl_mul(c(j), c(i))
+            anti = c(i) * c(j) + c(j) * c(i)
             want = CliffordExpr.scalar(-2 if i == j else 0)
             assert anti == want
 
@@ -37,7 +35,7 @@ def test_mul_examples():
     assert c(1) * c(1) == CliffordExpr.scalar(-1)
     assert c(2) * c(1) == -(c(1) * c(2))
     xi = [sym(f"xi{j}") for j in (1, 2, 3)]
-    cxi = cl_from_cotangent(xi + [S_ZERO])
+    cxi = CliffordExpr.from_cotangent(xi + [S_ZERO])
     assert cxi * cxi == CliffordExpr.scalar(-(xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2))
 
 
@@ -48,11 +46,11 @@ def test_trace_examples():
 
 
 def test_from_cotangent():
-    e2 = cl_from_cotangent([S_ZERO, S_ONE, S_ZERO, S_ZERO])
+    e2 = CliffordExpr.from_cotangent([S_ZERO, S_ONE, S_ZERO, S_ZERO])
     assert e2 == c(2)
-    assert cl_from_cotangent([S_ZERO] * 4).is_zero()
+    assert CliffordExpr.from_cotangent([S_ZERO] * 4).is_zero()
     with pytest.raises(EngineError):
-        cl_from_cotangent([S_ONE] * 3)
+        CliffordExpr.from_cotangent([S_ONE] * 3)
 
 
 def test_all_16_monomial_traces_match_matrix_oracle():

@@ -6,15 +6,15 @@ from fractions import Fraction
 import pytest
 
 from wresidue.gaussian import GRat, I
-from wresidue.scalars import EngineError, ScalarExpr, S_ONE, S_ZERO, sym
+from wresidue.scalars import EngineError, ScalarExpr, S_ONE, S_ZERO, scalar_sum, sym
 from wresidue.clifford import CliffordExpr
 from wresidue.halfplane import (
-    HalfLineRational,
-    partial_fractions,
+    basis_fractions,
     pi_minus,
     pi_plus,
     pi_plus_scalar,
     pi_prime,
+    principal_part,
 )
 
 XIN = sym("xin")
@@ -22,18 +22,22 @@ IC = ScalarExpr.const(I)
 
 
 def test_partial_fractions_simple_pole_pair():
-    pf = partial_fractions(1 / (1 + XIN ** 2))
-    want_plus = CliffordExpr.scalar(1 / (2 * IC))
-    want_minus = CliffordExpr.scalar(-1 / (2 * IC))
-    assert pf.plus == {1: want_plus}
-    assert pf.minus == {1: want_minus}
-    assert not pf.poly
+    f = 1 / (1 + XIN ** 2)
+    entry = basis_fractions(f.den, 0)
+    want_plus = 1 / (2 * IC)
+    want_minus = -1 / (2 * IC)
+    assert entry.plus == {1: want_plus}
+    assert entry.minus == {1: want_minus}
+    assert not entry.poly
+    assert principal_part(f, 1) == CliffordExpr.scalar(want_plus)
+    assert principal_part(f, 2).is_zero()
 
 
 def test_partial_fractions_polynomial_part():
-    pf = partial_fractions(XIN ** 2 / (1 + XIN ** 2))
-    assert pf.poly == {0: CliffordExpr.scalar(S_ONE)}
-    assert set(pf.plus) == {1} and set(pf.minus) == {1}
+    f = XIN ** 2 / (1 + XIN ** 2)
+    entry = basis_fractions(f.den, 2)
+    assert entry.poly == {0: S_ONE}
+    assert set(entry.plus) == {1} and set(entry.minus) == {1}
 
 
 def _solve_linear_system(matrix, rhs):
@@ -55,8 +59,9 @@ def _solve_linear_system(matrix, rhs):
 def test_partial_fractions_seven_coefficients_vs_linear_system():
     """1/((x-i)^5 (x+i)^2): clear denominators and solve the linear system."""
     f = 1 / ((XIN - IC) ** 5 * (XIN + IC) ** 2)
-    pf = partial_fractions(f)
-    assert len(pf.plus) == 5 and len(pf.minus) == 2 and not pf.poly
+    assert f.num == S_ONE.num
+    entry = basis_fractions(f.den, 0)
+    assert len(entry.plus) == 5 and len(entry.minus) == 2 and not entry.poly
     # oracle: coefficients a_m, b_m with
     #   1 = sum_m a_m (x-i)^(5-m) (x+i)^2 + sum_m b_m (x+i)^(2-m) (x-i)^5
     # solved exactly as a 7x7 linear system in the monomial basis of x.
@@ -81,14 +86,15 @@ def test_partial_fractions_seven_coefficients_vs_linear_system():
     rhs = [GRat(1)] + [GRat(0)] * 6
     solved = _solve_linear_system(matrix, rhs)
     for (side, mult), val in zip(unknown_shapes, solved):
-        got = (pf.plus if side == "plus" else pf.minus)[mult].scalar_part()
+        got = (entry.plus if side == "plus" else entry.minus)[mult]
         assert got == ScalarExpr.const(val), (side, mult)
+        if side == "plus":
+            assert principal_part(f, mult) == CliffordExpr.scalar(got)
 
 
 def test_reassembly_invariant():
     f = (XIN ** 3 - 2 * XIN + 5) / ((XIN - IC) ** 3 * (XIN + IC) ** 2)
-    pf = partial_fractions(f)
-    assert pf.reassemble() == CliffordExpr.scalar(f)
+    assert pi_plus(f) + pi_minus(f) == CliffordExpr.scalar(f)
 
 
 def test_pi_plus_examples():
@@ -157,13 +163,13 @@ def test_pi_prime_examples():
 
 def test_pole_elsewhere_rejected():
     with pytest.raises(EngineError) as err:
-        partial_fractions(1 / (XIN - 1))
+        pi_plus(1 / (XIN - 1))
     assert "pole" in str(err.value)
 
 
 def test_denominator_with_other_variables_rejected():
     with pytest.raises(EngineError):
-        partial_fractions(1 / (sym("xi1") * (1 + XIN ** 2)))
+        pi_plus(1 / (sym("xi1") * (1 + XIN ** 2)))
 
 
 def test_pi_plus_scalar_agrees_with_clifford_route():
@@ -174,11 +180,12 @@ def test_pi_plus_scalar_agrees_with_clifford_route():
 def test_partial_fractions_with_other_variables_matches_direct_decomposition():
     """Coefficients carrying h1, X1, Y2 decompose as the direct per-coefficient kernel does.
 
-    `partial_fractions` expands each coefficient against cached basis
-    elements xin^d / den; `_decompose_scalar` on the whole coefficient is the
-    reference route.
+    `principal_part` and `pi_minus` expand each coefficient against cached
+    basis elements xin^d / den; `_decompose_scalar` on the whole coefficient
+    is the reference route.
     """
-    from wresidue.halfplane import _decompose_scalar
+    from wresidue.halfplane import _LIN_MINUS, _decompose_scalar
+    from wresidue.scalars import XIN as XIN_ID
     from wresidue.verify import _rand_halfline
 
     rng = random.Random(11)
@@ -190,10 +197,14 @@ def test_partial_fractions_with_other_variables_matches_direct_decomposition():
             for w in rng.sample(weights, 2):
                 coeff = coeff + w * _rand_halfline(rng, decay=rng.choice((0, 1, 2)))
             expr = expr + CliffordExpr({mono: coeff})
-        pf = partial_fractions(expr)
+        minus_part = pi_minus(expr)
         for mono, coeff in expr.terms.items():
-            for got, want in zip((pf.plus, pf.minus, pf.poly), _decompose_scalar(coeff)):
-                assert {k: c.terms[mono] for k, c in got.items() if mono in c.terms} == want
+            plus, minus, poly = _decompose_scalar(coeff)
+            for m in range(1, coeff.den.degree_in(XIN_ID) + 2):
+                assert principal_part(expr, m).coefficient(mono) == plus.get(m, S_ZERO)
+            want = scalar_sum([c * _LIN_MINUS ** (-m) for m, c in minus.items()]
+                              + [c * XIN ** d for d, c in poly.items()])
+            assert minus_part.coefficient(mono) == want
 
 
 def _off_by_one(entry_plus):
@@ -219,21 +230,29 @@ def test_basis_reassembly_rejects_a_principal_part_off_by_one(monkeypatch):
         halfplane.basis_fractions(den, 1)
 
 
-def test_partial_fractions_reassembly_rejects_a_principal_part_off_by_one(monkeypatch):
+@pytest.mark.parametrize("table", ["minus", "poly"])
+def test_complement_check_catches_an_off_by_one_basis_table(monkeypatch, table):
+    """pi- is read off the basis tables, not computed as f - pi+(f): with one
+    table of every basis entry off by one, `pi+ + pi- = id` fails in the
+    halfplane suite, and no other check does."""
     from wresidue import halfplane
+    from wresidue.verify import halfplane_suite
 
-    f = (sym("h1") * XIN + 1) / ((XIN - IC) ** 2 * (XIN + IC))
-    partial_fractions(f)  # the basis entries are valid and cached
+    assert halfplane_suite(3, 30)["failures"] == []
     real = halfplane.basis_fractions
 
     def wrong(den, d):
         entry = real(den, d)
-        return halfplane._BasisEntry(_off_by_one(entry.plus), entry.minus, entry.poly,
-                                     entry.pi_plus, entry.residue)
+        if not getattr(entry, table):
+            return entry
+        tables = {"plus": entry.plus, "minus": entry.minus, "poly": entry.poly}
+        tables[table] = _off_by_one(tables[table])
+        return halfplane._BasisEntry(**tables, pi_plus=entry.pi_plus)
 
     monkeypatch.setattr(halfplane, "basis_fractions", wrong)
-    with pytest.raises(EngineError, match="internal: partial-fraction reassembly mismatch"):
-        partial_fractions(CliffordExpr({(): f, (1, 2): f * sym("X1")}))
+    failures = halfplane_suite(3, 30)["failures"]
+    assert failures
+    assert all(f.startswith("pi+ + pi- = id #") for f in failures), failures
 
 
 def test_basis_elements_built_without_a_gcd_equal_the_normalizing_constructor():
