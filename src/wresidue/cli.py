@@ -43,17 +43,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute computations and emit the report")
-    run_p.add_argument("--theorem", choices=THEOREM_CHOICES, default="all")
+    run_p.add_argument("--theorem", choices=THEOREM_CHOICES, default=None,
+                       help="default: all")
     run_p.add_argument("--case", choices=CASE_CHOICES, default=None)
-    run_p.add_argument("--format", choices=FORMAT_CHOICES, default="text")
+    run_p.add_argument("--format", choices=FORMAT_CHOICES, default=None,
+                       dest="output_format", help="default: text")
     run_p.add_argument("--no-torsion", action="store_true",
                        help="switch off all torsion atom families (A, T, V)")
     run_p.add_argument("--subst-omega3", action="store_true",
                        help="substitute Omega3 = 4*pi in reported values")
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--oracle-samples", type=int, default=0,
-                       help="also run the oracle suites with this sample count")
-    run_p.add_argument("--sigma3-variant", choices=SIGMA3_CHOICES, default="printed")
+    run_p.add_argument("--seed", type=int, default=None, help="default: 0")
+    run_p.add_argument("--oracle-samples", type=int, default=None,
+                       help="also run the oracle suites with this sample count "
+                            "(default: 0, none)")
+    run_p.add_argument("--sigma3-variant", choices=SIGMA3_CHOICES, default=None,
+                       help="default: printed")
     run_p.add_argument("--config", type=str, default=None,
                        help="JSON file with a flat RunConfig mapping")
     run_p.add_argument("--out", type=str, default=None)
@@ -71,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    """Config file first (flat key-value JSON), then CLI flag overrides."""
+    """Config file first (flat key-value JSON), then every flag given on the
+    command line, even at its default value."""
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -80,22 +85,14 @@ def _config_from_args(args) -> RunConfig:
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise ConfigError(f"config file {args.config!r} is not valid JSON: {exc}")
     cfg = RunConfig.from_mapping(data) if args.config else RunConfig()
-    if args.theorem != "all" or not data:
-        cfg.theorem = args.theorem
-    if args.case is not None:
-        cfg.case = args.case
-    if args.format != "text" or not data:
-        cfg.output_format = args.format
+    for key in ("theorem", "case", "output_format", "seed", "oracle_samples",
+                "sigma3_variant"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     if args.no_torsion:
         cfg.torsion_a = cfg.torsion_t = cfg.torsion_v = False
     if args.subst_omega3:
         cfg.subst_omega3 = True
-    if args.seed:
-        cfg.seed = args.seed
-    if args.oracle_samples:
-        cfg.oracle_samples = args.oracle_samples
-    if args.sigma3_variant != "printed":
-        cfg.sigma3_variant = args.sigma3_variant
     cfg.validate()
     return cfg
 

@@ -7,8 +7,10 @@ each coefficient is expanded against the cached residues of the basis
 elements xin^d / den, through the same helper as pi+, pi- and pi'.
 Two oracles back this path in the test suites: an exact one that computes
 the residue by the derivative formula at the pole, independent of partial
-fractions, and a floating-point one that integrates numerically (adaptive
-QUADPACK on a Horner-evaluated integrand).
+fractions, and a floating-point one that integrates numerically: after
+xin = tan(theta) the integrand is a trigonometric polynomial, on which the
+midpoint rule at deg(den) + 1 nodes is exact up to rounding (Trefethen and
+Weideman, SIAM Review 56, 2014); the rule at twice as many nodes checks it.
 
 Sphere moments over the unit tangential co-sphere are exact: odd monomials
 vanish, even ones follow the double-factorial formula, and the total measure
@@ -17,13 +19,15 @@ a tangential polynomial numerically over the unit sphere, with Omega3 =
 4 pi, by a product rule (Gauss-Legendre in cos(theta), trapezoid in phi)
 sized from the polynomial's degree so that it is exact up to rounding; it
 shares nothing with the double-factorial formula.
+
+Both oracles sum in plain `complex` and need only the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .gaussian import GRat, I
 from .scalars import (
@@ -129,25 +133,47 @@ def _horner(coeffs: List[complex], x: float) -> complex:
     return acc
 
 
-def numeric_contour_oracle(coeff: ScalarExpr) -> complex:
-    """Adaptive quadrature of coeff over the real line; testing only."""
-    from scipy.integrate import quad
+def _midpoint_rule(num_c: List[complex], den_c: List[complex], n: int):
+    """The n-point midpoint rule for the integral of num/den over the real
+    line after xin = tan(theta), and the same rule applied to |num/den|."""
+    total = 0j
+    mass = 0.0
+    for j in range(n):
+        x = math.tan(math.pi * ((j + 0.5) / n - 0.5))
+        try:
+            value = _horner(num_c, x) / _horner(den_c, x) * (1.0 + x * x)
+        except ZeroDivisionError:
+            raise EngineError("pole on the real line in numeric quadrature") from None
+        total += value
+        mass += abs(value)
+    step = math.pi / n
+    return total * step, mass * step
 
-    tol = 1e-10
+
+def numeric_contour_oracle(coeff: ScalarExpr) -> complex:
+    """The integral of coeff over the real xin line in floating point; testing only.
+
+    With xin = tan(theta), dxin = sec(theta)^2 dtheta, and xin -/+ i =
+    -/+ i e^(+/-i theta) / cos(theta).  So for num / (c (xin - i)^p
+    (xin + i)^q) with deg num <= p + q - 2, coeff(tan(theta)) sec(theta)^2
+    on (-pi/2, pi/2) is a trigonometric polynomial in 2 theta of degree
+    max(p, q) - 1, and
+    the N-point midpoint rule is exact on it for N >= max(p, q): here
+    N = deg(den) + 1.  The rules at N and 2N nodes are compared as a
+    self-check; they must agree to 1e-9 times the integral of |coeff|, or a
+    pole off +/-i (which leaves an integrand that is not such a polynomial)
+    is reported as an `EngineError`.  The integrand is a Horner loop in
+    plain `complex`, independent of the residue routes.
+    """
     _check_decay(coeff)
     num_c = _univariate_complex_coeffs(coeff.num)
     den_c = _univariate_complex_coeffs(coeff.den)
-
-    def f(x: float) -> complex:
-        return _horner(num_c, x) / _horner(den_c, x)
-
-    re, re_err = quad(lambda x: f(x).real, -math.inf, math.inf, epsabs=tol, epsrel=tol,
-                      limit=400)
-    im, im_err = quad(lambda x: f(x).imag, -math.inf, math.inf, epsabs=tol, epsrel=tol,
-                      limit=400)
-    if re_err + im_err > 1e-6:
-        raise EngineError("non-convergent tail in numeric quadrature")
-    return complex(re, im)
+    n = len(den_c)
+    coarse, _ = _midpoint_rule(num_c, den_c, n)
+    fine, mass = _midpoint_rule(num_c, den_c, 2 * n)
+    if abs(fine - coarse) > 1e-9 * mass:
+        raise EngineError("numeric quadrature is not exact: a pole off +/-i?")
+    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +229,35 @@ def sphere_moment(expr: ScalarExpr, sphere_dim: int = 3) -> ScalarExpr:
     return total / ScalarExpr.from_poly(expr.den)
 
 
+def _legendre(n: int, u: float) -> Tuple[float, float]:
+    """P_n(u) and P_n'(u), from the three-term recurrence
+    (j + 1) P_(j+1) = (2j + 1) u P_j - j P_(j-1)."""
+    p_prev, p = 1.0, u
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * u * p - j * p_prev) / (j + 1)
+    return p, n * (u * p - p_prev) / (u * u - 1.0)
+
+
+def _gauss_legendre(n: int) -> List[Tuple[float, float]]:
+    """The n-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs.
+
+    Each node is a root of P_n, found by Newton's method from the estimate
+    cos(pi (k - 1/4) / (n + 1/2)); its weight is 2 / ((1 - u^2) P_n'(u)^2).
+    """
+    rule = []
+    for k in range(1, n + 1):
+        u = math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(50):
+            p, dp = _legendre(n, u)
+            step = p / dp
+            u -= step
+            if abs(step) <= 1e-15:
+                break
+        dp = _legendre(n, u)[1]
+        rule.append((u, 2.0 / ((1.0 - u * u) * dp * dp)))
+    return rule
+
+
 def sphere_mc_oracle(expr: ScalarExpr) -> complex:
     """Integral of a tangential polynomial over the unit sphere, total 4*pi.
 
@@ -221,22 +276,24 @@ def sphere_mc_oracle(expr: ScalarExpr) -> complex:
     by name and `BENCHMARK.json` lists its time as
     `integration.sphere_mc_oracle.s`.
     """
-    import numpy as np
-
     if not (expr.variables() <= _TANGENTIAL and expr.den.is_const()):
         raise EngineError("sphere oracle handles pure tangential polynomials only")
-    terms = [(c.to_complex(), dict(mono_items(mono))) for mono, c in expr.num.terms.items()]
-    degree = max((sum(exps.values()) for _, exps in terms), default=0)
-    u, u_weights = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    terms = [(c.to_complex(), [(XI.index(v), e) for v, e in mono_items(mono)])
+             for mono, c in expr.num.terms.items()]
+    degree = max((sum(e for _, e in exps) for _, exps in terms), default=0)
     m = degree + 1
-    phi = 2.0 * np.pi * np.arange(m) / m
-    sin_t = np.sqrt(1.0 - u * u)[:, None]
-    axes = {XI[0]: sin_t * np.cos(phi), XI[1]: sin_t * np.sin(phi), XI[2]: u[:, None]}
-    acc = np.zeros((u.size, m), dtype=complex)
-    for c, exps in terms:
-        term = np.full((u.size, m), c)
-        for sym, e in exps.items():
-            term = term * axes[sym] ** e
-        acc += term
-    total = complex(u_weights @ acc.sum(axis=1)) * (2.0 * np.pi / m)
-    return total / expr.den.const_value().to_complex()
+    angles = [(math.cos(2.0 * math.pi * k / m), math.sin(2.0 * math.pi * k / m))
+              for k in range(m)]
+    total = 0j
+    for u, weight in _gauss_legendre(degree // 2 + 1):
+        sin_t = math.sqrt(1.0 - u * u)
+        ring = 0j
+        for cos_p, sin_p in angles:
+            point = (sin_t * cos_p, sin_t * sin_p, u)
+            for c, exps in terms:
+                term = c
+                for axis, e in exps:
+                    term *= point[axis] ** e
+                ring += term
+        total += weight * ring
+    return total * (2.0 * math.pi / m) / expr.den.const_value().to_complex()

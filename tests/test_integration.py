@@ -12,6 +12,7 @@ from wresidue.scalars import EngineError, Poly, ScalarExpr, S_ONE, S_ZERO, sym
 from wresidue.clifford import CliffordExpr
 from wresidue.pipeline import case_trace_integrand, enumerate_cases, make_context
 from wresidue.integration import (
+    _gauss_legendre,
     integrate_via_residue_oracle,
     integrate_xi_n,
     monomial_moment,
@@ -19,7 +20,7 @@ from wresidue.integration import (
     sphere_mc_oracle,
     sphere_moment,
 )
-from wresidue.verify import sphere_suite
+from wresidue.verify import contour_suite, sphere_suite
 
 XIN = sym("xin")
 IC = ScalarExpr.const(I)
@@ -56,6 +57,11 @@ def test_real_axis_pole_rejected():
         integrate_xi_n(1 / ((XIN - 1) * (1 + XIN ** 2)))
 
 
+def _as_complex(exact: ScalarExpr) -> complex:
+    coeff = exact.substitute({"pi": S_ONE}).evaluate({})
+    return complex(float(coeff.re) * math.pi, float(coeff.im) * math.pi)
+
+
 def test_randomized_exact_vs_numeric():
     rng = random.Random(5)
     for _ in range(80):
@@ -70,10 +76,56 @@ def test_randomized_exact_vs_numeric():
         f = num / ((XIN - IC) ** p * (XIN + IC) ** q)
         exact = integrate_xi_n(f).scalar_part()
         assert exact == integrate_via_residue_oracle(f).scalar_part()
-        coeff = exact.substitute({"pi": S_ONE}).evaluate({})
-        want = complex(float(coeff.re) * math.pi, float(coeff.im) * math.pi)
+        want = _as_complex(exact)
         got = numeric_contour_oracle(f)
         assert abs(got - want) <= 1e-9 * max(abs(want), 1.0)
+
+
+def test_contour_oracle_is_exact_on_the_basis():
+    """Every xin^d / ((xin - i)^p (xin + i)^q), p, q <= 4, d <= p + q - 2,
+    against the derivative-formula residue: relative 1e-13, or absolute
+    1e-13 where the integral vanishes."""
+    for p, q in itertools.product(range(5), repeat=2):
+        for d in range(p + q - 1):
+            f = XIN ** d / ((XIN - IC) ** p * (XIN + IC) ** q)
+            want = _as_complex(integrate_via_residue_oracle(f).scalar_part())
+            got = numeric_contour_oracle(f)
+            assert isinstance(got, complex)
+            assert abs(got - want) <= 1e-13 * (abs(want) or 1.0), (p, q, d)
+
+
+@pytest.mark.parametrize("den", [XIN ** 2 + 4, (XIN ** 2 + 1) * (XIN ** 2 + 4)])
+def test_contour_oracle_rejects_a_pole_off_plus_minus_i(den):
+    """The rules at N and 2N nodes disagree where the integrand is not a
+    trigonometric polynomial after xin = tan(theta)."""
+    with pytest.raises(EngineError, match="numeric quadrature is not exact"):
+        numeric_contour_oracle(S_ONE / den)
+
+
+def test_contour_oracle_rejects_a_pole_on_a_node():
+    # 1/(xin^2 (xin^2 + 1)) at the middle node theta = 0 of the 5-point rule
+    with pytest.raises(EngineError, match="pole on the real line"):
+        numeric_contour_oracle(S_ONE / (XIN ** 2 * (XIN ** 2 + 1)))
+
+
+def test_contour_suite_quadrature_catches_a_wrong_exact_value(monkeypatch):
+    """With both exact routes off by the same factor 1 + 1e-6, only the
+    numeric oracle can see it, and it fails every sample."""
+    from wresidue import verify
+
+    factor = CliffordExpr.scalar(ScalarExpr.const(GRat(Fraction(1000001, 1000000))))
+
+    def scaled(route):
+        return lambda f: route(f) * factor
+
+    monkeypatch.setattr(verify, "integrate_xi_n", scaled(integrate_xi_n))
+    monkeypatch.setattr(verify, "integrate_via_residue_oracle",
+                        scaled(integrate_via_residue_oracle))
+    result = contour_suite(seed=3, count=20)
+    assert result["passed"] == 0
+    assert len(result["failures"]) == 20
+    for k, failure in enumerate(result["failures"]):
+        assert failure.startswith(f"quadrature #{k}:"), failure
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +219,27 @@ def test_sphere_oracle_rejects_non_polynomial_input():
         sphere_mc_oracle(XIN ** 2)
     with pytest.raises(EngineError):
         sphere_mc_oracle(S_ONE / (1 + sym("xi1") ** 2))
+
+
+@pytest.mark.parametrize("n, want", [
+    (1, [(0.0, 2.0)]),
+    (2, [(1 / math.sqrt(3), 1.0), (-1 / math.sqrt(3), 1.0)]),
+    (3, [(math.sqrt(3 / 5), 5 / 9), (0.0, 8 / 9), (-math.sqrt(3 / 5), 5 / 9)]),
+])
+def test_gauss_legendre_closed_forms(n, want):
+    got = _gauss_legendre(n)
+    assert len(got) == n
+    for (u, w), (u_want, w_want) in zip(got, want):
+        assert u == pytest.approx(u_want, abs=1e-15)
+        assert w == pytest.approx(w_want, abs=1e-15)
+
+
+def test_gauss_legendre_is_exact_to_degree_2n_minus_1():
+    for n in range(1, 9):
+        rule = _gauss_legendre(n)
+        for k in range(2 * n):
+            want = 0.0 if k % 2 else 2 / (k + 1)
+            assert abs(sum(w * u ** k for u, w in rule) - want) <= 1e-14, (n, k)
 
 
 @pytest.mark.parametrize("seed", [11, 20, 24])

@@ -419,6 +419,20 @@ def test_cli_import_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("suite", ["contour", "sphere"])
+def test_cli_numeric_oracles_load_neither_numpy_nor_scipy(suite):
+    """Both numeric oracles are standard-library code, so a verify run of
+    their suites loads neither numpy nor scipy."""
+    out = _run_python(
+        "-c",
+        "import sys; from wresidue.cli import main; "
+        f"rc = main(['verify', '--suite', '{suite}', '--samples', '20']); "
+        "print(rc, 'numpy' in sys.modules, 'scipy' in sys.modules)",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False False", out.stdout
+
+
 def test_cli_list():
     out = _run_cli("list")
     assert out.returncode == 0
@@ -443,6 +457,29 @@ def test_cli_config_file_and_json_format(tmp_path):
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["meta"]["config"]["theorem"] == "T2.3"
+
+
+@pytest.mark.parametrize("flags, key, want", [
+    (["--seed", "0"], "seed", 0),
+    (["--format", "text"], "output_format", "text"),
+    (["--theorem", "all"], "theorem", "all"),
+    (["--oracle-samples", "0"], "oracle_samples", 0),
+    (["--sigma3-variant", "printed"], "sigma3_variant", "printed"),
+    ([], "seed", 7),
+])
+def test_cli_flag_at_its_default_overrides_the_config_file(tmp_path, flags, key, want):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "theorem": "T2.3", "seed": 7, "output_format": "json", "oracle_samples": 3,
+        "sigma3_variant": "xik",
+    }))
+    args = cli._build_parser().parse_args(["run", "--config", str(cfg_path), *flags])
+    assert getattr(cli._config_from_args(args), key) == want
+
+
+def test_cli_flags_without_config_give_the_default_config():
+    args = cli._build_parser().parse_args(["run"])
+    assert cli._config_from_args(args) == RunConfig()
 
 
 def test_cli_usage_error_exit_code():
