@@ -107,7 +107,7 @@ def _open_out(out: Optional[str]):
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     with _open_out(args.out) as fh:
-        fh.write(render_report(run_computation(cfg), cfg.output_format))
+        render_report(run_computation(cfg), cfg.output_format, fh)
     return 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
 from .gaussian import GRat
 from .scalars import (
@@ -544,11 +544,16 @@ def run_computation(cfg: RunConfig) -> Dict:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def render_report(doc: Dict, output_format: str) -> str:
+def render_report(doc: Dict, output_format: str, out: TextIO) -> None:
+    """Write the report to the open text stream `out` as it is encoded, so
+    no copy of the whole rendering is held in memory."""
     if output_format == "json":
-        return json.dumps(doc, sort_keys=True, indent=1)
-    lines: List[str] = []
-    push = lines.append
+        json.dump(doc, out, sort_keys=True, indent=1)
+        return
+
+    def push(line: str) -> None:
+        out.write(line + "\n")
+
     push("wresidue report")
     push(f"config: {json.dumps(doc['meta']['config'], sort_keys=True)}")
     for section in doc["sections"]:
@@ -588,5 +593,3 @@ def render_report(doc: Dict, output_format: str) -> str:
         push("== oracle suites ==")
         for name, result in sorted(doc["oracle_suites"].items()):
             push(f"  {name}: {result['passed']} passed, {len(result['failures'])} failed")
-    push("")
-    return "\n".join(lines)

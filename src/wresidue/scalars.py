@@ -582,14 +582,12 @@ def _monic(p: Poly) -> Poly:
     return p.scale(lc.inverse())
 
 
-_GCD_CACHE: Dict[Tuple[Poly, Poly], Poly] = {}
-# Bound of the three memo caches, `_GCD_CACHE`, `_FACTOR_CACHE` and
-# `_BASE_PRODUCTS`.  `run --theorem all` stores about 600 entries in the
-# first and about 40 in each of the others, so a report never reaches the
-# bound: sums and derivatives cancel without the gcd and store no
-# numerator.  A process that runs random suites stores about 240 new gcd
-# entries per round for good; a full cache is emptied and refilled, which
-# keeps its memory flat and changes no result.
+# Bound of the two memo caches, `_FACTOR_CACHE` and `_BASE_PRODUCTS`.
+# `run --theorem all` stores about 40 entries in each, all of them
+# denominators and their exponent tuples.  Random suites also factor the
+# operands that reach the generic gcd: a round of the suites stores about
+# 200, and rounds at the same seeds add none.  A full cache is emptied and
+# refilled, which keeps its memory flat and changes no result.
 _MEMO_LIMIT = 1 << 12
 
 
@@ -600,7 +598,7 @@ def _memo_store(cache: dict, key, value) -> None:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q(i), cached.
+    """Monic gcd over Q(i); nothing about the operands is stored.
 
     Denominators in this engine are power products of a handful of known
     irreducible polynomials.  When one operand factors over that base set,
@@ -614,14 +612,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _monic(a)
     if a.is_const() or b.is_const():
         return P_ONE
-    key = (a, b) if hash(a) <= hash(b) else (b, a)
-    hit = _GCD_CACHE.get(key)
-    if hit is not None:
-        return hit
     out = _structured_gcd(a, b)
     if out is None:
         out = _poly_gcd_uncached(a, b)
-    _memo_store(_GCD_CACHE, key, out)
     return out
 
 

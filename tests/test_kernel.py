@@ -4,6 +4,7 @@ against a plain reimplementation."""
 
 import functools
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from wresidue.scalars import (
     poly_divexact,
     poly_text,
 )
+from wresidue.verify import _rand_halfline
 
 _N = len(REG)
 
@@ -278,6 +280,75 @@ def test_sums_and_products_that_cancel_a_denominator_factor(a, q, f):
     c = ScalarExpr(q * a.den, f)
     assert a * c == ScalarExpr(a.num * q, f)
     assert c * a == a * c
+
+
+def _generic_canonical(num, den):
+    """(num, den) cancelled by the generic gcd and scaled to a monic den."""
+    if num.is_zero():
+        return scalars.P_ZERO, scalars.P_ONE
+    if not den.is_const():
+        g = scalars._poly_gcd_uncached(num, den)
+        num, den = poly_divexact(num, g), poly_divexact(den, g)
+    inv = den.leading()[1].inverse()
+    return num.scale(inv), den.scale(inv)
+
+
+# (xin -/+ i shx): the linear bases once shx = 1
+_SHIFTED = [Poly.var(scalars.XIN) + Poly.var(scalars.SHX).scale(GRat(0, s)) for s in (-1, 1)]
+
+
+@st.composite
+def halfline_products(draw):
+    """A random rational of `verify._rand_halfline` and a factor u * N / D:
+    u a quadratic in shx, N a product of powers of xin -/+ i and
+    xin -/+ i shx, D a product of up to two of xin -/+ i and at most one
+    shx^2 |xi'|^2 + xin^2, never 1.  Restriction changes the denominators:
+    the last base becomes (xin - i)(xin + i) on the sphere, and
+    xin -/+ i shx a linear base at shx = 1.  |xi|^2 and higher powers of
+    the last base stay out of the inputs, because the generic gcd can
+    stall on them."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    f = _rand_halfline(rng, decay=rng.choice((0, 1, 2)))
+    shx = Poly.var(scalars.SHX)
+    num = Poly()
+    for e in range(3):
+        num = num + (shx ** e).scale(draw(_coeff))
+    if num.is_zero():
+        num = Poly.const(1)
+    lin_minus, lin_plus, _, sphere_shx = _factors
+    for base, e in draw(st.lists(st.tuples(st.sampled_from([lin_minus, lin_plus] + _SHIFTED),
+                                          st.integers(1, 3)), max_size=2)):
+        num = num * base ** e
+    den = sphere_shx if draw(st.booleans()) else Poly.const(1)
+    for base in draw(st.lists(st.sampled_from([lin_minus, lin_plus]),
+                              min_size=int(den.is_const()), max_size=2)):
+        den = den * base
+    return f, ScalarExpr(num, den)
+
+
+@given(halfline_products())
+@settings(max_examples=60, deadline=None)
+def test_products_and_restrictions_equal_the_generic_gcd(pair):
+    """`__mul__`, `subst_shx_one` and `restrict_sphere` cancel over the known
+    bases; each equals the uncancelled result normalized by the generic gcd.
+    The inputs stay small, and `subst_shx_one` is checked only where shx
+    is not in the denominator, which would put |xi|^2 there: the generic
+    gcd can stall on those and on the paper's stage values."""
+    f, k = pair
+    h = f * k
+    assert (h.num, h.den) == _generic_canonical(f.num * k.num, f.den * k.den)
+
+    def at_one(p):
+        return scalars._poly_subst_one(p, scalars.SHX)
+
+    def on_sphere(p):
+        return scalars._poly_reduce_sphere(at_one(p))
+
+    got = h.restrict_sphere()
+    assert (got.num, got.den) == _generic_canonical(on_sphere(h.num), on_sphere(h.den))
+    if scalars.SHX not in h.den.variables():
+        got = h.subst_shx_one()
+        assert (got.num, got.den) == _generic_canonical(at_one(h.num), at_one(h.den))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Report assembly, serialization round-trips, CLI contract, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -38,6 +39,13 @@ from wresidue.references import REFERENCES, reference_value, slots_for
 
 def frac(a, b=1):
     return ScalarExpr.const(GRat(Fraction(a, b)))
+
+
+def _rendered(doc, output_format):
+    """The report `render_report` writes, as one string."""
+    out = io.StringIO()
+    render_report(doc, output_format, out)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +300,29 @@ def test_json_report_bytes_pinned():
     ]
     for fields_, fmt, digest in pinned:
         cfg = RunConfig(output_format=fmt, **fields_)
-        text = render_report(run_computation(cfg), fmt)
+        text = _rendered(run_computation(cfg), fmt)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (fields_, fmt)
+
+
+def test_cli_streams_the_pinned_report_bytes(tmp_path, capsys):
+    """`run` streams the report into stdout or `--out` with the bytes that
+    `render_report` gives: the T4.6 JSON digest is the pinned one both ways,
+    and text and LaTeX equal a render into a string buffer."""
+    t46 = "f3336b239836bd33a0bdf228070681950e55d73a755a7636cfcc689613ab4b79"
+    argv = ["run", "--theorem", "T4.6", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == t46
+    path = tmp_path / "t46.json"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == t46
+    for flags, cfg in (
+        (["--theorem", "T2.3", "--format", "text"],
+         RunConfig(theorem="T2.3", output_format="text")),
+        (["--theorem", "T4.6", "--sigma3-variant", "xik", "--format", "latex"],
+         RunConfig(theorem="T4.6", sigma3_variant="xik", output_format="latex")),
+    ):
+        assert cli.main(["run"] + flags) == 0
+        assert capsys.readouterr().out == _rendered(run_computation(cfg), cfg.output_format)
 
 
 def test_slots_read_the_restricted_bases_of_their_cases():
@@ -326,8 +355,8 @@ def test_slots_read_the_restricted_bases_of_their_cases():
 def test_determinism_byte_identical():
     cfg1 = RunConfig(theorem="T4.6", output_format="json", seed=42)
     cfg2 = RunConfig(theorem="T4.6", output_format="json", seed=42)
-    doc1 = render_report(run_computation(cfg1), "json")
-    doc2 = render_report(run_computation(cfg2), "json")
+    doc1 = _rendered(run_computation(cfg1), "json")
+    doc2 = _rendered(run_computation(cfg2), "json")
     assert doc1.encode() == doc2.encode()
 
 
@@ -346,7 +375,7 @@ def test_interior_report_rows():
 
 def test_interior_text_render_lists_every_row():
     doc = run_computation(RunConfig(theorem="T2.3"))
-    text = render_report(doc, "text")
+    text = _rendered(doc, "text")
     for row in doc["sections"][0]["rows"]:
         assert f"  {row['id']}: " in text
     out = _run_cli("run", "--theorem", "T2.3")

@@ -270,7 +270,7 @@ def test_memo_caches_stay_bounded_and_answers_do_not_change(monkeypatch):
         return [f * g + g for f, g in zip(fs, fs[1:])]
 
     want = work()
-    caches = ("_GCD_CACHE", "_FACTOR_CACHE", "_BASE_PRODUCTS")
+    caches = ("_FACTOR_CACHE", "_BASE_PRODUCTS")
     for name in caches:
         monkeypatch.setattr(scalars, name, {})
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 8)
@@ -287,5 +287,5 @@ def test_memo_caches_stay_bounded_and_answers_do_not_change(monkeypatch):
 
     monkeypatch.setattr(scalars, "_memo_store", store)
     assert work() == want
-    assert stores["_GCD_CACHE"] > 8
+    assert stores["_FACTOR_CACHE"] > 8
     assert max(sizes.values()) <= 8
