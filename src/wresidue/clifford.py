@@ -215,11 +215,6 @@ def _collect(pairs: Iterable[Tuple[CliffMono, ScalarExpr]]) -> CliffordExpr:
     return CliffordExpr({mono: scalar_sum(cs) for mono, cs in by_mono.items()})
 
 
-def cl_sum(exprs: Iterable[CliffordExpr]) -> CliffordExpr:
-    """The sum of Clifford elements, one `scalar_sum` per monomial."""
-    return _collect((mono, c) for e in exprs for mono, c in e.terms.items())
-
-
 CL_ZERO = CliffordExpr()
 CL_ONE = CliffordExpr.scalar(1)
 

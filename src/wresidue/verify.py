@@ -336,7 +336,7 @@ def symbol_suite(seed: int, count: int) -> Dict:
                 failures.append(f"compose associativity order {order} #{k}")
         passed += len(failures) == before
     # parametrix identities for the operator library
-    for op_id, inv_id in (("D_T", "D_T^-1"), ("D_T*", "(D_T*)^-1")):
+    for op_id in ("D_T", "D_T*"):
         p = builtin_symbol(op_id)
         q = invert(p, -2)
         for left_first in (True, False):
