@@ -289,17 +289,23 @@ class TheoremContext:
     factor1: GradedSymbol
     factor2: GradedSymbol
     sigma3_variant: str = "printed"
+    # the torsion families built as 0 in the factors (see `builtin_symbol`)
+    torsion_off: Tuple[str, ...] = ()
     # per-case stage chains, evaluated on first use (see `case_stages`)
     stages: Dict[CaseSpec, List[AxisStages]] = field(default_factory=dict, repr=False)
 
 
-def make_context(theorem: str, sigma3_variant: str = "printed") -> TheoremContext:
+def make_context(theorem: str, sigma3_variant: str = "printed",
+                 torsion_off: Tuple[str, ...] = ()) -> TheoremContext:
+    """The two factors of a theorem, with the torsion families in
+    `torsion_off` switched off at the source."""
     f1_id, f2_id = _FACTOR_IDS[theorem]
     return TheoremContext(
         theorem,
-        builtin_symbol(f1_id, sigma3_variant),
-        builtin_symbol(f2_id, sigma3_variant),
+        builtin_symbol(f1_id, sigma3_variant, torsion_off),
+        builtin_symbol(f2_id, sigma3_variant, torsion_off),
         sigma3_variant,
+        tuple(torsion_off),
     )
 
 
@@ -443,7 +449,8 @@ def total_boundary_term(reports: List[PhiReport], theorem: str) -> PhiReport:
 def apply_torsion_switches(value, a: bool, t: bool, v: bool):
     """Set the switched-off torsion atom families to zero in a ScalarExpr or
     a CliffordExpr by dropping every monomial that holds one; a value free of
-    them is returned as it is."""
+    them, such as one built from a context with those families off, is
+    returned as it is."""
     if a and t and v:
         return value
     ids = set(zero_torsion_bindings(a=not a, t=not t, v=not v))

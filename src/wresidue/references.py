@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from .gaussian import GRat, I
 from .scalars import ScalarExpr, S_ZERO, S_ONE, atom_A, atom_T, sym
@@ -636,17 +636,17 @@ def _slot_5_27(ctx):
     return _stage(ctx, "b").f2
 
 
-def _p0_full() -> CliffordExpr:
-    return (sigma0_dirac_lc() + torsion_u() + torsion_v()).map_coeffs(
+def _p0_full(off: Tuple[str, ...] = ()) -> CliffordExpr:
+    return (sigma0_dirac_lc() + torsion_u(off) + torsion_v(off)).map_coeffs(
         lambda c: c.subst_shx_one()
     )
 
 
-def _first_item_sandwich() -> CliffordExpr:
+def _first_item_sandwich(ctx) -> CliffordExpr:
     """(c(xi)sigma_0(D_T)c(xi) + c(xi)c(dx_n) d_x_n c(xi'))/(1+xi_n^2)^2 at |xi'| = 1."""
     cxi = c_xi(at_point=True).restrict_sphere()
     dc = c_xi_prime(at_point=True).scale(_h1() / 2)
-    inner = cxi * _p0_full() * cxi + cxi * c_dxn() * dc
+    inner = cxi * _p0_full(ctx.torsion_off) * cxi + cxi * c_dxn() * dc
     return inner.scale(S_ONE / _den_1x2(2))
 
 
@@ -680,7 +680,7 @@ def _ref_5_32() -> CliffordExpr:
     ),
 )
 def _slot_5_30(ctx):
-    return pi_plus(_first_item_sandwich())
+    return pi_plus(_first_item_sandwich(ctx))
 
 
 @_slot(
@@ -689,7 +689,7 @@ def _slot_5_30(ctx):
     _ref_5_31,
 )
 def _slot_5_31(ctx):
-    return principal_part(_first_item_sandwich(), 1).scale(ScalarExpr.const(-4))
+    return principal_part(_first_item_sandwich(ctx), 1).scale(ScalarExpr.const(-4))
 
 
 @_slot(
@@ -698,7 +698,7 @@ def _slot_5_31(ctx):
     _ref_5_32,
 )
 def _slot_5_32(ctx):
-    return principal_part(_first_item_sandwich(), 2).scale(ScalarExpr.const(-4))
+    return principal_part(_first_item_sandwich(ctx), 2).scale(ScalarExpr.const(-4))
 
 
 def _ref_5_33() -> CliffordExpr:
@@ -727,7 +727,7 @@ def _ref_5_33() -> CliffordExpr:
 )
 def _slot_5_33(ctx):
     cxi = c_xi(at_point=True).restrict_sphere()
-    uv = torsion_u() + torsion_v()
+    uv = torsion_u(ctx.torsion_off) + torsion_v(ctx.torsion_off)
     sandwich = (cxi * uv * cxi).scale(q_bilinear().restrict_sphere() / _den_1x2(2))
     return principal_part(sandwich, 2).scale(ScalarExpr.const(4))
 
@@ -794,9 +794,10 @@ def _slot_5_35(ctx):
     for j in (1, 2, 3):
         tangential_y = tangential_y + sym(f"Y{j}") * xi_var(j)
         tangential_x = tangential_x + sym(f"X{j}") * xi_var(j)
-    tbar_x = torsion_two_form("X").map_coeffs(lambda c: c.subst_shx_one())
-    tbar_y = torsion_two_form("Y").map_coeffs(lambda c: c.subst_shx_one())
-    sigma_m1 = builtin_symbol("D_T^-1").component(-1).value.restrict_sphere()
+    off = ctx.torsion_off
+    tbar_x = torsion_two_form("X", off).map_coeffs(lambda c: c.subst_shx_one())
+    tbar_y = torsion_two_form("Y", off).map_coeffs(lambda c: c.subst_shx_one())
+    sigma_m1 = builtin_symbol("D_T^-1", "printed", off).component(-1).value.restrict_sphere()
     first = (tbar_x.scale(i_s * tangential_y) + tbar_y.scale(i_s * tangential_x)) * sigma_m1
     projected = pi_plus(first.restrict_sphere())
     return CliffordExpr.scalar(cl_trace_product(projected, _stage(ctx, "b").f2))
@@ -933,7 +934,8 @@ def _slot_5_49(ctx):
     projected = _projected_leading_f1(ctx).differentiate("xin")
     cxi = c_xi(at_point=True).restrict_sphere()
     torsion_block = (
-        cxi * (torsion_u().scale(ScalarExpr.const(3)) - torsion_v()) * cxi
+        cxi * (torsion_u(ctx.torsion_off).scale(ScalarExpr.const(3))
+               - torsion_v(ctx.torsion_off)) * cxi
     ).scale(S_ONE / _den_1x2(3))
     return CliffordExpr.scalar(cl_trace_product(projected, torsion_block))
 

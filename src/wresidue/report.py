@@ -116,6 +116,12 @@ class RunConfig:
     def to_mapping(self) -> Dict:
         return asdict(self)
 
+    @property
+    def torsion_off(self) -> Tuple[str, ...]:
+        """The torsion families switched off, in the order A, T, V."""
+        flags = (self.torsion_a, self.torsion_t, self.torsion_v)
+        return tuple(family for family, on in zip("ATV", flags) if not on)
+
 
 # ---------------------------------------------------------------------------
 # Expression serialization: canonical text, LaTeX, JSON tree
@@ -404,8 +410,8 @@ def _symbol_diff_rows(theorem: str, cfg: RunConfig) -> List[Dict]:
     else:
         pairs = [("D_T^-1", (-1, -2)), ("(D_T*D_TD_T*)^-1", (-3, -4))]
     for op_id, orders in pairs:
-        stated = builtin_symbol(op_id, cfg.sigma3_variant)
-        recomputed = recomputed_symbol(op_id)
+        stated = builtin_symbol(op_id, cfg.sigma3_variant, cfg.torsion_off)
+        recomputed = recomputed_symbol(op_id, cfg.torsion_off)
         for order in orders:
             sv, rv = (s.component(order).value.restrict_sphere() for s in (stated, recomputed))
             _, _, verdict, delta = _compare_under(sv, rv, cfg)
@@ -423,9 +429,11 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     """All rows for one boundary theorem: cases, total, interior, diffs.
 
     Every case is computed, since the totals are reported; under `cfg.case`
-    only that case's row and printed-intermediate slots are built.
+    only that case's row and printed-intermediate slots are built.  The
+    symbols are built with the switched-off torsion families at 0, and
+    `_switch` maps every field as well, so the two agree.
     """
-    ctx = make_context(theorem, cfg.sigma3_variant)
+    ctx = make_context(theorem, cfg.sigma3_variant, cfg.torsion_off)
     refs = _CASE_REFS[theorem]
     reports = [compute_case_term(ctx, case) for case in enumerate_cases(theorem)]
     total = total_boundary_term(reports, theorem)
@@ -470,7 +478,8 @@ def _sigma3_variant_rows(ctx: TheoremContext, cfg: RunConfig) -> List[Dict]:
 
     The run's context supplies its own reading; only the other is evaluated.
     """
-    other = make_context(ctx.theorem, "xik" if ctx.sigma3_variant == "printed" else "printed")
+    other = make_context(ctx.theorem, "xik" if ctx.sigma3_variant == "printed" else "printed",
+                         ctx.torsion_off)
     printed, xik = (ctx, other) if ctx.sigma3_variant == "printed" else (other, ctx)
     rows = []
     for case in enumerate_cases(ctx.theorem):

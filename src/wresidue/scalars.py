@@ -21,7 +21,8 @@ the sum of their ints, a quotient their difference, and b divides a exactly
 when a - b + G keeps the top (guard) bit of every field, G having only
 those bits set.  This needs every exponent and every total degree to stay
 at or below 127 (the guard bit clear): building a larger monomial raises
-`EngineError`.  `mono_items` is the one decoder back to (sym, exp) pairs.
+`EngineError`.  `mono_items` decodes a monomial back to (sym, exp) pairs;
+`poly_text` reads the same bytes.
 
 Two orders are in use.  The monomial order of the engine is graded
 lexicographic order with earlier ids ranking higher; `mono_rank(m)` is its
@@ -456,15 +457,29 @@ P_ZERO = Poly()
 P_ONE = Poly.const(1)
 
 
+# The text of each factor sym^exp, keyed by sym << 8 | exp: at most one entry
+# per registry id and exponent, so the table stays small without eviction.
+_FACTOR_TEXT: Dict[int, str] = {}
+
+
 def poly_text(p: Poly) -> str:
-    """Canonical text: monomials in descending graded-lex order."""
+    """Canonical text: monomials in descending graded-lex order.  Each
+    factor's text is built once, in `_FACTOR_TEXT`."""
     if p.is_zero():
         return "0"
     parts = []
+    table = _FACTOR_TEXT
     for m in sorted(p.terms, key=mono_rank, reverse=True):
         c = p.terms[m]
-        factors = [f"{REG.name_of(sym)}" + (f"^{exp}" if exp > 1 else "")
-                   for sym, exp in mono_items(m)]
+        fields = mono_rank(m)  # byte 1 + s is the exponent of id s
+        factors = []
+        for s in compress(range(len(fields) - 1), fields[1:]):
+            key = s << 8 | fields[s + 1]
+            text = table.get(key)
+            if text is None:
+                exp = fields[s + 1]
+                text = table[key] = REG.name_of(s) + (f"^{exp}" if exp > 1 else "")
+            factors.append(text)
         body = "*".join(factors)
         cs = str(c)
         if "+" in cs[1:] or "-" in cs[1:]:
@@ -576,12 +591,11 @@ def _monic(p: Poly) -> Poly:
     return p.scale(lc.inverse())
 
 
-# Bound of the two memo caches, `_FACTOR_CACHE` and `_BASE_PRODUCTS`.
-# `run --theorem all` stores about 40 entries in each, all of them
-# denominators and their exponent tuples.  Random suites also factor the
-# operands that reach the generic gcd: a round of the benchmark's suite plan
-# stores about 185, 161 of them None, and rounds at the same seeds add none.
-# A full cache is emptied and refilled: flat memory, no result changed.
+# Bound of the two memo caches, `_FACTOR_CACHE` and `_BASE_PRODUCTS`.  They
+# store only denominators that factor over the known bases, and their
+# exponent tuples: about 40 of each in `run --theorem all`.  The random
+# suites' generic-gcd operands do not factor and are not stored.  A full
+# cache is emptied and refilled: flat memory, no result changed.
 _MEMO_LIMIT = 1 << 12
 
 
@@ -660,22 +674,61 @@ def _known_bases() -> List[Tuple[Poly, frozenset]]:
 
 
 _BASES = _known_bases()
+_BASE_VARS = frozenset().union(*(base_vars for _, base_vars in _BASES))
 _NO_BASES = (0,) * len(_BASES)
-_FACTOR_CACHE: Dict[Poly, Optional[Tuple[GRat, Tuple[int, ...]]]] = {}
+_FACTOR_CACHE: Dict[Poly, Tuple[GRat, Tuple[int, ...]]] = {}
+# the root of each linear base as a power of i: xin - i at i, xin + i at i^3
+_LINEAR_ROOTS = {0: 1, 1: 3}
+
+
+def _vanishes_at_root(p: Poly, quarter: int) -> bool:
+    """True when p(xin = i^quarter) = 0, that is when xin - i^quarter
+    divides p (remainder theorem).  A term c * xin^e * rest takes the value
+    c * i^(quarter*e) * rest, so each coefficient triple (a, b, d) is only
+    turned by quarter turns, and the terms are summed per rest over a
+    common denominator, with no GRat built."""
+    sh, unit = _SHIFT[XIN], _UNIT[XIN]
+    acc: Dict[Monomial, List[int]] = {}
+    get = acc.get
+    for m, c in p.terms.items():
+        e = (m >> sh) & 0xFF
+        a, b, d = c.a, c.b, c.d
+        turns = (quarter * e) & 3
+        if turns == 1:
+            a, b = -b, a
+        elif turns == 2:
+            a, b = -a, -b
+        elif turns == 3:
+            a, b = b, -a
+        rest = m - e * unit
+        cur = get(rest)
+        if cur is None:
+            acc[rest] = [a, b, d]
+        elif cur[2] == d:
+            cur[0] += a
+            cur[1] += b
+        else:
+            den = cur[2]
+            cur[:] = cur[0] * d + a * den, cur[1] * d + b * den, den * d
+    return not any(t[0] or t[1] for t in acc.values())
 
 
 def _strip(work: Poly, base_idx: int, cap: Optional[int] = None) -> Tuple[int, Poly]:
     """(multiplicity, quotient): divide the indexed base out of work until
     the exact division fails or, given a cap, cap times.  A multiple of the
     base holds all of the base's variables, so work without one of them is
-    returned at once.  This is the one strip loop: factoring, the gcd's
-    multiplicities and the cancellation of sums and derivatives call it,
-    and it stores nothing."""
+    returned at once, and a linear base is divided only once work vanishes
+    at its root, so no division by it fails.  This is the one strip loop:
+    factoring, the gcd's multiplicities and the cancellation of sums,
+    products and derivatives call it, and it stores nothing."""
     base, base_vars = _BASES[base_idx]
     if not base_vars <= work.variables():
         return 0, work
+    root = _LINEAR_ROOTS.get(base_idx)
     mult = 0
     while mult != cap:
+        if root is not None and not _vanishes_at_root(work, root):
+            break
         try:
             work = poly_divexact(work, base)
         except EngineError:
@@ -686,16 +739,22 @@ def _strip(work: Poly, base_idx: int, cap: Optional[int] = None) -> Tuple[int, P
 
 def _factor_known(p: Poly):
     """(const, exps) with p = const * prod base_i^exps[i] over the known
-    bases, or None."""
-    if p in _FACTOR_CACHE:
-        return _FACTOR_CACHE[p]
+    bases, or None.  Only factorizations are stored: a polynomial that does
+    not factor is usually a gcd operand, met once."""
+    hit = _FACTOR_CACHE.get(p)
+    if hit is not None:
+        return hit
+    if not p.is_const() and not (XIN in (names := p.variables()) <= _BASE_VARS):
+        return None  # every base holds xin, and none holds another variable
     work = p
     exps = list(_NO_BASES)
     for idx in range(len(_BASES)):
         if work.is_const():
             break
         exps[idx], work = _strip(work, idx)
-    out = (work.const_value(), tuple(exps)) if work.is_const() else None
+    if not work.is_const():
+        return None
+    out = (work.const_value(), tuple(exps))
     _memo_store(_FACTOR_CACHE, p, out)
     return out
 
@@ -940,11 +999,29 @@ class ScalarExpr:
 
     def __mul__(self, other):
         """a/b * c/d as (a/g1)*(c/g2) / ((b/g2)*(d/g1)) with g1 = gcd(a, d)
-        and g2 = gcd(c, b): canonical when both factors are (Henrici)."""
+        and g2 = gcd(c, b): canonical when both factors are (Henrici).  When
+        b and d factor over the known bases, g1 and g2 are found by `_strip`
+        and the denominator is read from its exponents, with no gcd."""
         other = _as_scalar(other)
         if self.is_zero() or other.is_zero():
             return S_ZERO
         a, b, c, d = self.num, self.den, other.num, other.den
+        if b.terms == _ONE_TERMS and d.terms == _ONE_TERMS:  # two polynomials
+            return ScalarExpr(a * c, P_ONE, _canonical=True)
+        eb = _exponents(b)
+        ed = _exponents(d) if eb is not None else None
+        if ed is not None:
+            # a is coprime to b, so only a base of d that b lacks can divide
+            # it, and likewise for c; a base of both divides neither
+            final = [x + y for x, y in zip(eb, ed)]
+            for idx, (x, y) in enumerate(zip(eb, ed)):
+                if y and not x:
+                    m, a = _strip(a, idx, y)
+                    final[idx] -= m
+                elif x and not y:
+                    m, c = _strip(c, idx, x)
+                    final[idx] -= m
+            return ScalarExpr(a * c, _base_product(tuple(final)), _canonical=True)
         g = poly_gcd(a, d)
         if not g.is_const():
             a, d = poly_divexact(a, g), poly_divexact(d, g)

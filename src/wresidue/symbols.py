@@ -91,8 +91,11 @@ def q_bilinear() -> ScalarExpr:
     return xdot_xi("X") * xdot_xi("Y")
 
 
-def torsion_u() -> CliffordExpr:
-    """(1/4) sum over pairwise distinct (i,s,t) of A_ist c(e_i)c(e_s)c(e_t)."""
+def torsion_u(off: Tuple[str, ...] = ()) -> CliffordExpr:
+    """(1/4) sum over pairwise distinct (i,s,t) of A_ist c(e_i)c(e_s)c(e_t);
+    0 when the family "A" is in `off`, the torsion families switched off."""
+    if "A" in off:
+        return CL_ZERO
     quarter = ScalarExpr.const(GRat(1) / GRat(4))
     total = CL_ZERO
     for i in range(1, 5):
@@ -107,8 +110,11 @@ def torsion_u() -> CliffordExpr:
     return total
 
 
-def torsion_v() -> CliffordExpr:
-    """(1/4)[ -sum A_iit c(e_t) + sum A_isi c(e_s) - sum A_iss c(e_i) + 2 sum A_iii c(e_i) ]."""
+def torsion_v(off: Tuple[str, ...] = ()) -> CliffordExpr:
+    """(1/4)[ -sum A_iit c(e_t) + sum A_isi c(e_s) - sum A_iss c(e_i) + 2 sum A_iii c(e_i) ];
+    0 when the family "A" is in `off`."""
+    if "A" in off:
+        return CL_ZERO
     quarter = ScalarExpr.const(GRat(1) / GRat(4))
     total = CL_ZERO
     for i in range(1, 5):
@@ -135,17 +141,21 @@ def spin_connection_term(prefix: str) -> CliffordExpr:
     return total
 
 
-def torsion_two_form(prefix: str) -> CliffordExpr:
-    """T-bar(X) = (3/2) sum_{i<j} T(X,e_i,e_j)c(e_i)c(e_j) - (1/2)c(V)c(X) - (1/2)<V,X>."""
+def torsion_two_form(prefix: str, off: Tuple[str, ...] = ()) -> CliffordExpr:
+    """T-bar(X) = (3/2) sum_{i<j} T(X,e_i,e_j)c(e_i)c(e_j) - (1/2)c(V)c(X) - (1/2)<V,X>,
+    without the T part or the V parts when "T" or "V" is in `off`."""
     three_half = ScalarExpr.const(GRat(3) / GRat(2))
     half = ScalarExpr.const(GRat(1) / GRat(2))
     total = CL_ZERO
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            coeff = S_ZERO
-            for a in range(1, 5):
-                coeff = coeff + sym(f"{prefix}{a}") * atom_T(a, i, j)
-            total = total + (c_gen(i) * c_gen(j)).scale(coeff * three_half)
+    if "T" not in off:
+        for i in range(1, 5):
+            for j in range(i + 1, 5):
+                coeff = S_ZERO
+                for a in range(1, 5):
+                    coeff = coeff + sym(f"{prefix}{a}") * atom_T(a, i, j)
+                total = total + (c_gen(i) * c_gen(j)).scale(coeff * three_half)
+    if "V" in off:
+        return total
     cv = c_vector([atom_V(k) for k in range(1, 5)])
     cx = c_vector([sym(f"{prefix}{k}") for k in range(1, 5)])
     total = total - (cv * cx).scale(half)
@@ -362,9 +372,9 @@ def check_homogeneity(component: SymbolComponent, order: int) -> bool:
 SIGMA3_VARIANTS = ("printed", "xik")
 
 
-def _sym_dirac(star: bool) -> GradedSymbol:
-    u = torsion_u()
-    v = torsion_v()
+def _sym_dirac(star: bool, off: Tuple[str, ...]) -> GradedSymbol:
+    u = torsion_u(off)
+    v = torsion_v(off)
     p0 = sigma0_dirac_lc() + u + (v if not star else -v)
     return GradedSymbol(
         "D_T*" if star else "D_T",
@@ -377,12 +387,12 @@ def _sym_dirac(star: bool) -> GradedSymbol:
     )
 
 
-def _sym_nabla2() -> GradedSymbol:
+def _sym_nabla2(off: Tuple[str, ...]) -> GradedSymbol:
     q = q_bilinear()
     sigma2 = CliffordExpr.scalar(-q)
     dyn_term = CliffordExpr.scalar(S_I * sym("X4") * sym("dYn") * xi_var(4))
-    ax = spin_connection_term("X") + torsion_two_form("X")
-    ay = spin_connection_term("Y") + torsion_two_form("Y")
+    ax = spin_connection_term("X") + torsion_two_form("X", off)
+    ay = spin_connection_term("Y") + torsion_two_form("Y", off)
     sigma1 = dyn_term + ay.scale(S_I * xdot_xi("X")) + ax.scale(S_I * xdot_xi("Y"))
     return GradedSymbol(
         "nablaXY",
@@ -395,7 +405,7 @@ def _sym_nabla2() -> GradedSymbol:
     )
 
 
-def _sigma_m3_laplacian_ground(variant: str) -> CliffordExpr:
+def _sigma_m3_laplacian_ground(variant: str, off: Tuple[str, ...]) -> CliffordExpr:
     """Evaluated order -3 data of the inverse torsion Laplacian at x0."""
     if variant not in SIGMA3_VARIANTS:
         raise EngineError(f"unknown sigma_-3 variant {variant!r}")
@@ -410,8 +420,8 @@ def _sigma_m3_laplacian_ground(variant: str) -> CliffordExpr:
             m_cliff = m_cliff + (c_gen(k) * c_gen(4)).scale(xin)
     else:
         m_cliff = c_xi_prime(at_point=True) * c_gen(4)
-    u = torsion_u()
-    v = torsion_v()
+    u = torsion_u(off)
+    v = torsion_v(off)
     cxi = c_xi(at_point=True)
     bracket = CliffordExpr.scalar(h1 * xin * ScalarExpr.const(GRat(5) / GRat(2))) \
         - m_cliff.scale(h1 * ScalarExpr.const(GRat(1) / GRat(2)))
@@ -423,23 +433,23 @@ def _sigma_m3_laplacian_ground(variant: str) -> CliffordExpr:
     return term1 + term2 + term3
 
 
-def _sym_laplacian_inv(variant: str) -> GradedSymbol:
+def _sym_laplacian_inv(variant: str, off: Tuple[str, ...]) -> GradedSymbol:
     norm2 = norm_xi_sq()
     return GradedSymbol(
         "(D_T*D_T)^-1",
         {
             -2: SymbolComponent(CliffordExpr.scalar(norm2 ** -1), at_point=False),
-            -3: SymbolComponent(_sigma_m3_laplacian_ground(variant), at_point=True),
+            -3: SymbolComponent(_sigma_m3_laplacian_ground(variant, off), at_point=True),
         },
         top=-2,
         known_down_to=-3,
     )
 
 
-def _sym_dirac_inv(star: bool) -> GradedSymbol:
+def _sym_dirac_inv(star: bool, off: Tuple[str, ...]) -> GradedSymbol:
     """Stated inverse symbols of the torsion Dirac operator at x0."""
-    u = torsion_u()
-    v = torsion_v()
+    u = torsion_u(off)
+    v = torsion_v(off)
     p0 = _at_point_value(sigma0_dirac_lc()) + u + (v if not star else -v)
     norm2 = norm_xi_sq().subst_shx_one()
     cxi = c_xi(at_point=True)
@@ -463,7 +473,7 @@ def _sym_dirac_inv(star: bool) -> GradedSymbol:
     )
 
 
-def sigma2_cube_evaluated() -> CliffordExpr:
+def sigma2_cube_evaluated(off: Tuple[str, ...] = ()) -> CliffordExpr:
     """Order-2 symbol of the Dirac-cube combination, evaluated at x0.
 
     Connection data at x0: sigma^k = (1/4)h'(0)c(e_k)c(e_4) for k < 4 (zero
@@ -478,20 +488,20 @@ def sigma2_cube_evaluated() -> CliffordExpr:
     inner = (cxip * c_gen(4)).scale(h1) - CliffordExpr.scalar(
         ScalarExpr.const(3) * h1 * xin
     )
-    u = torsion_u()
-    v = torsion_v()
+    u = torsion_u(off)
+    v = torsion_v(off)
     lc_part = c_dxn().scale(h1 * ScalarExpr.const(GRat(-3) / GRat(4)) * norm2)
     return cxi * inner + lc_part + (u.scale(ScalarExpr.const(3)) - v).scale(norm2)
 
 
-def _sigma_m4_cube_ground() -> CliffordExpr:
+def _sigma_m4_cube_ground(off: Tuple[str, ...]) -> CliffordExpr:
     """Evaluated order -4 data of the inverse Dirac-cube combination at x0."""
     h1 = sym("h1")
     xin = xi_var(4)
     norm2 = norm_xi_sq().subst_shx_one()
     cxi = c_xi(at_point=True)
     dc = c_xi_prime(at_point=True).scale(S_HALF_H1.subst_shx_one())
-    sandwich = (cxi * sigma2_cube_evaluated() * cxi).scale(norm2 ** -4)
+    sandwich = (cxi * sigma2_cube_evaluated(off) * cxi).scale(norm2 ** -4)
     paren = (
         (c_gen(4) * dc).scale(norm2 ** 2)
         - (c_gen(4) * cxi).scale(ScalarExpr.const(2) * h1)
@@ -501,13 +511,13 @@ def _sigma_m4_cube_ground() -> CliffordExpr:
     return sandwich + (cxi.scale(S_I) * paren).scale(norm2 ** -4)
 
 
-def _sym_cube_inv() -> GradedSymbol:
+def _sym_cube_inv(off: Tuple[str, ...]) -> GradedSymbol:
     norm2 = norm_xi_sq()
     return GradedSymbol(
         "(D_T*D_TD_T*)^-1",
         {
             -3: SymbolComponent(c_xi().scale(S_I * norm2 ** -2), at_point=False),
-            -4: SymbolComponent(_sigma_m4_cube_ground(), at_point=True,
+            -4: SymbolComponent(_sigma_m4_cube_ground(off), at_point=True,
                                 homogeneous=False),
         },
         top=-3,
@@ -515,61 +525,69 @@ def _sym_cube_inv() -> GradedSymbol:
     )
 
 
-_BUILTIN_CACHE: Dict[Tuple[str, str], GradedSymbol] = {}
+_BUILTIN_CACHE: Dict[Tuple[str, ...], GradedSymbol] = {}
 
 
-def builtin_symbol(operator_id: str, sigma3_variant: str = "printed") -> GradedSymbol:
+def builtin_symbol(operator_id: str, sigma3_variant: str = "printed",
+                   off: Tuple[str, ...] = ()) -> GradedSymbol:
     """Stated graded symbols, with composites built by the composition formula.
 
-    Results are cached; graded symbols are pure values and safe to share.
+    `off` names the torsion families ("A", "T", "V", in that order) whose
+    atoms are built as 0; setting atoms to 0 is a ring homomorphism, so
+    every stage downstream equals the switched full result.  Results are
+    cached by (operator_id, sigma3_variant) plus `off`; graded symbols are
+    pure values and safe to share.
     """
-    key = (operator_id, sigma3_variant)
+    off = tuple(off)
+    key = (operator_id, sigma3_variant) + off
     hit = _BUILTIN_CACHE.get(key)
     if hit is None:
-        hit = _build_symbol(operator_id, sigma3_variant)
+        hit = _build_symbol(operator_id, sigma3_variant, off)
         _BUILTIN_CACHE[key] = hit
     return hit
 
 
-def _build_symbol(operator_id: str, sigma3_variant: str) -> GradedSymbol:
+def _build_symbol(operator_id: str, sigma3_variant: str, off: Tuple[str, ...]) -> GradedSymbol:
     if operator_id == "D_T":
-        return _sym_dirac(star=False)
+        return _sym_dirac(False, off)
     if operator_id == "D_T*":
-        return _sym_dirac(star=True)
+        return _sym_dirac(True, off)
     if operator_id == "nablaXY":
-        return _sym_nabla2()
+        return _sym_nabla2(off)
     if operator_id == "D_T*D_T":
-        return compose(_sym_dirac(star=True), _sym_dirac(star=False), 1, label="D_T*D_T")
+        return compose(_sym_dirac(True, off), _sym_dirac(False, off), 1, label="D_T*D_T")
     if operator_id == "(D_T*D_T)^-1":
-        return _sym_laplacian_inv(sigma3_variant)
+        return _sym_laplacian_inv(sigma3_variant, off)
     if operator_id == "D_T^-1":
-        return _sym_dirac_inv(star=False)
+        return _sym_dirac_inv(False, off)
     if operator_id == "(D_T*)^-1":
-        return _sym_dirac_inv(star=True)
+        return _sym_dirac_inv(True, off)
     if operator_id == "D_T*D_TD_T*":
-        dsd = compose(_sym_dirac(star=True), _sym_dirac(star=False), 1, label="D_T*D_T")
-        return compose(dsd, _sym_dirac(star=True), 2, label="D_T*D_TD_T*")
+        dsd = compose(_sym_dirac(True, off), _sym_dirac(False, off), 1, label="D_T*D_T")
+        return compose(dsd, _sym_dirac(True, off), 2, label="D_T*D_TD_T*")
     if operator_id == "(D_T*D_TD_T*)^-1":
-        return _sym_cube_inv()
+        return _sym_cube_inv(off)
     if operator_id == "nablaXY(D_T*D_T)^-1":
-        return compose(_sym_nabla2(), _sym_laplacian_inv(sigma3_variant), -1,
+        return compose(_sym_nabla2(off), _sym_laplacian_inv(sigma3_variant, off), -1,
                        label="nablaXY(D_T*D_T)^-1")
     if operator_id == "nablaXY D_T^-1":
-        return compose(_sym_nabla2(), _sym_dirac_inv(star=False), 0,
+        return compose(_sym_nabla2(off), _sym_dirac_inv(False, off), 0,
                        label="nablaXY D_T^-1")
     raise EngineError(f"unknown operator id {operator_id!r}")
 
 
-def recomputed_symbol(operator_id: str) -> GradedSymbol:
-    """Independent recomputation via invert() for the inverse-symbol library."""
+def recomputed_symbol(operator_id: str, off: Tuple[str, ...] = ()) -> GradedSymbol:
+    """Independent recomputation via invert() for the inverse-symbol library,
+    from the builtin symbols with the torsion families in `off` built as 0."""
     if operator_id == "(D_T*D_T)^-1":
-        return invert(builtin_symbol("D_T*D_T"), -3, label="(D_T*D_T)^-1 [recomputed]")
+        return invert(builtin_symbol("D_T*D_T", "printed", off), -3,
+                      label="(D_T*D_T)^-1 [recomputed]")
     if operator_id == "D_T^-1":
-        return invert(builtin_symbol("D_T"), -2, label="D_T^-1 [recomputed]")
+        return invert(builtin_symbol("D_T", "printed", off), -2, label="D_T^-1 [recomputed]")
     if operator_id == "(D_T*)^-1":
-        return invert(builtin_symbol("D_T*"), -2, label="(D_T*)^-1 [recomputed]")
+        return invert(builtin_symbol("D_T*", "printed", off), -2,
+                      label="(D_T*)^-1 [recomputed]")
     if operator_id == "(D_T*D_TD_T*)^-1":
-        return invert(builtin_symbol("D_T*D_TD_T*"), -4,
+        return invert(builtin_symbol("D_T*D_TD_T*", "printed", off), -4,
                       label="(D_T*D_TD_T*)^-1 [recomputed]")
     raise EngineError(f"no recomputation route for {operator_id!r}")
-

@@ -236,6 +236,32 @@ def test_witness_rules_out_a_non_multiple():
         assert scalars._strip(p, idx) == (0, p)
 
 
+def _plain_strip(work, idx, cap=None):
+    """The strip loop with no root check: divide until a division fails."""
+    base = scalars._BASES[idx][0]
+    mult = 0
+    while mult != cap:
+        try:
+            work = poly_divexact(work, base)
+        except EngineError:
+            break
+        mult += 1
+    return mult, work
+
+
+@given(polys(), st.sampled_from([0, 1]), st.integers(0, 3), polys(), st.sampled_from([0, 1]),
+       st.one_of(st.none(), st.integers(0, 4)))
+@settings(max_examples=150, deadline=None)
+def test_strip_with_the_root_check_equals_the_plain_division_loop(p, made_of, k, q, idx, cap):
+    """p * (xin -/+ i)^k * q, stripped by either linear base, capped or not:
+    the check p(xin = +/-i) = 0 before each division gives the multiplicity
+    and quotient that dividing until a division fails gives."""
+    work = p * scalars._BASES[made_of][0] ** k * q
+    if work.is_zero():
+        return
+    assert scalars._strip(work, idx, cap) == _plain_strip(work, idx, cap)
+
+
 # ---------------------------------------------------------------------------
 # cross-cancelled ScalarExpr operations against the normalizing constructor
 # ---------------------------------------------------------------------------
@@ -280,6 +306,24 @@ def test_sums_and_products_that_cancel_a_denominator_factor(a, q, f):
     c = ScalarExpr(q * a.den, f)
     assert a * c == ScalarExpr(a.num * q, f)
     assert c * a == a * c
+
+
+@given(fractions_(), fractions_(), st.lists(st.sampled_from(_factors), max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_factored_product_equals_the_normalizing_constructor(a, b, shared):
+    """a/b * c/d with both denominators over the known bases, c holding some
+    bases of b and the two denominators some bases in common: the product
+    strips its numerators with no gcd and equals ScalarExpr(a*c, b*d)."""
+    extra = functools.reduce(operator.mul, shared, Poly.const(1))
+    c = ScalarExpr(b.num * a.den, b.den * extra)
+    wants = [ScalarExpr(x.num * y.num, x.den * y.den) for x, y in ((a, c), (c, a), (a, b))]
+
+    def no_gcd(*_):
+        raise AssertionError("a product over factored denominators ran a gcd")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "poly_gcd", no_gcd)
+        assert [a * c, c * a, a * b] == wants
 
 
 def _generic_canonical(num, den):
@@ -407,15 +451,16 @@ def test_two_term_add_equals_the_normalizing_constructor(pair):
     assert scalars.scalar_sum([a, c]) == want
 
 
-def _count_divisions(monkeypatch):
+def _count_base_tests(monkeypatch):
+    """The size of every dividend that a base is tested against: by an
+    exact division, or for a linear base by the root check before it."""
     calls = []
-    real = scalars.poly_divexact
+    for name in ("poly_divexact", "_vanishes_at_root"):
+        def counted(a, b, real=getattr(scalars, name)):
+            calls.append(len(a.terms))
+            return real(a, b)
 
-    def counted(a, b):
-        calls.append(len(a.terms))
-        return real(a, b)
-
-    monkeypatch.setattr(scalars, "poly_divexact", counted)
+        monkeypatch.setattr(scalars, name, counted)
     return calls
 
 
@@ -429,7 +474,7 @@ def test_sum_tests_no_base_that_only_one_term_carries_at_top_power(monkeypatch):
     terms = [t1, t2, t3]
     want = functools.reduce(operator.add, terms)
     scalars.scalar_sum(terms)  # factors the denominators once
-    calls = _count_divisions(monkeypatch)
+    calls = _count_base_tests(monkeypatch)
     assert scalars.scalar_sum(terms) == want
     assert calls == []
     # two terms at the top power of xin - i: that base is tested

@@ -18,6 +18,7 @@ from wresidue.scalars import EngineError, REG, ScalarExpr, S_ZERO, sym
 from wresidue.clifford import CliffordExpr
 from wresidue.pipeline import (
     apply_torsion_switches,
+    case_stages,
     collect_form,
     collected_to_scalar,
     compute_case_term,
@@ -35,6 +36,7 @@ from wresidue.report import (
     run_computation,
 )
 from wresidue.references import REFERENCES, reference_value, slots_for
+from wresidue.symbols import builtin_symbol, recomputed_symbol
 
 
 def frac(a, b=1):
@@ -179,8 +181,8 @@ def _run_keeping_context(monkeypatch, cfg):
 
     contexts = []
 
-    def keep(theorem, sigma3_variant="printed"):
-        contexts.append(make_context(theorem, sigma3_variant))
+    def keep(*args, **kwargs):
+        contexts.append(make_context(*args, **kwargs))
         return contexts[-1]
 
     monkeypatch.setattr(report, "make_context", keep)
@@ -252,6 +254,81 @@ def test_no_torsion_config_strips_atoms(monkeypatch):
         doc["sections"][0], ctx,
         lambda v: apply_torsion_switches(v, False, False, False), _TORSION_ATOMS,
     )
+
+
+# (torsion_a, torsion_t, torsion_v): each family off alone, then all three
+_SWITCHES = [(False, True, True), (True, False, True), (True, True, False), (False, False, False)]
+_DIFFED_SYMBOLS = {"T4.6": ("(D_T*D_T)^-1",), "T5.4": ("D_T^-1", "(D_T*D_TD_T*)^-1")}
+
+
+@pytest.fixture(scope="module")
+def full_torsion_runs():
+    """The full torsion context of T4.6 and T5.4, every case evaluated, and
+    the engine value of each of its printed-intermediate slots."""
+    out = {}
+    for theorem in ("T4.6", "T5.4"):
+        ctx = make_context(theorem)
+        for case in enumerate_cases(theorem):
+            case_stages(ctx, case)
+        out[theorem] = ctx, {slot.slot_id: slot.build_engine(ctx) for slot in slots_for(theorem)}
+    return out
+
+
+def _assert_same_components(mine, theirs, switch):
+    assert mine.orders() == theirs.orders(), theirs.label
+    for order in theirs.orders():
+        want = switch(theirs.component(order).value)
+        assert mine.component(order).value == want, (theirs.label, order)
+
+
+@pytest.mark.parametrize("flags", _SWITCHES, ids=["no-A", "no-T", "no-V", "no-torsion"])
+@pytest.mark.parametrize("theorem", ["T4.6", "T5.4"])
+def test_switching_at_the_source_equals_switching_the_full_run(full_torsion_runs, theorem,
+                                                               flags):
+    """Building the symbols with torsion families at 0 gives, in every
+    symbol component, stage field, trail step and slot, the full torsion
+    value after `apply_torsion_switches`: an atom that the source switch
+    missed would stay in one side."""
+    def switch(value):
+        return apply_torsion_switches(value, *flags)
+
+    off = RunConfig(torsion_a=flags[0], torsion_t=flags[1], torsion_v=flags[2]).torsion_off
+    full, slot_values = full_torsion_runs[theorem]
+    ctx = make_context(theorem, "printed", off)
+    assert ctx.torsion_off == off
+    _assert_same_components(ctx.factor1, full.factor1, switch)
+    _assert_same_components(ctx.factor2, full.factor2, switch)
+    for op_id in _DIFFED_SYMBOLS[theorem]:
+        _assert_same_components(builtin_symbol(op_id, "printed", off), builtin_symbol(op_id),
+                                switch)
+        _assert_same_components(recomputed_symbol(op_id, off), recomputed_symbol(op_id), switch)
+    for case in enumerate_cases(theorem):
+        for mine, theirs in zip(case_stages(ctx, case), case_stages(full, case), strict=True):
+            for name in ("f2_base", "f2", "f1_base", "f1", "traced", "moment"):
+                want = getattr(theirs, name)
+                want = None if want is None else switch(want)
+                assert getattr(mine, name) == want, (case.case_id, name)
+            assert len(mine.steps) == len(theirs.steps), case.case_id
+            for step, full_step in zip(mine.steps, theirs.steps):
+                assert (step.step_id, step.op, step.note) == (
+                    full_step.step_id, full_step.op, full_step.note)
+                want = None if full_step.expr is None else switch(full_step.expr)
+                assert step.expr == want, (case.case_id, step.step_id)
+    for slot in slots_for(theorem):
+        assert slot.build_engine(ctx) == switch(slot_values[slot.slot_id]), slot.slot_id
+
+
+def test_a_switched_run_leaves_the_default_run_unchanged(monkeypatch):
+    """Switched symbols are cached under their own key: after a run with
+    one family off builds every symbol first, the default run in the same
+    process still gives its pinned bytes."""
+    from wresidue import symbols
+
+    monkeypatch.setattr(symbols, "_BUILTIN_CACHE", {})
+    run_computation(RunConfig(theorem="T4.6", output_format="json", torsion_t=False))
+    text = _rendered(run_computation(RunConfig(theorem="T4.6", output_format="json")), "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f3336b239836bd33a0bdf228070681950e55d73a755a7636cfcc689613ab4b79")
 
 
 def test_subst_omega3(monkeypatch):

@@ -17,11 +17,14 @@ operation counts, and `peak_rss_set_by`: in how many runs each operation
 set `peak_rss_mb` (read from the per-operation `rss_mb` of perfbench's
 result file).  Per workload it also holds, for each of those metrics,
 in how many pairs the change was lower (`change_lower_pairs`;
-`change_faster_pairs` is its `wall_s` entry), and `over_bound`, the metrics
-whose change median is worse than the parent's by more than the relative
-bound that `BENCHMARK.json` gives them (the file is only read).  One
-summary line per workload is printed with the medians, quartiles and pair
-counts.  Last come the sha256 of every JSON report either side wrote, with
+`change_faster_pairs` is its `wall_s` entry), `clears_parent_iqr`, for
+each metric whether the two medians differ by more than the parent's
+interquartile range (q3 - q1), and `over_bound`, the metrics whose change
+median is worse than the parent's by more than the relative bound that
+`BENCHMARK.json` gives them (the file is only read).  A claimed gain holds
+where the change is lower in nearly every pair and `clears_parent_iqr` is
+true.  One summary line per workload is printed with the medians,
+quartiles, pair counts and the IQR test.  Last come the sha256 of every JSON report either side wrote, with
 `same` true when both sides wrote exactly one digest for the operation and
 it is the same one; the operations whose digests differ are printed at the
 end.
@@ -130,13 +133,23 @@ def over_bound(parent: dict, change: dict, bounds: dict) -> list:
     return out
 
 
+def clears_parent_iqr(parent: dict, change: dict) -> dict:
+    """metric -> whether |change median - parent median| > parent q3 - q1."""
+    out = {}
+    for m in METRICS:
+        p, c = parent["metrics"][m], change["metrics"][m]
+        out[m] = abs(c["median"] - p["median"]) > p["q3"] - p["q1"]
+    return out
+
+
 def summary_line(name: str, entry: dict) -> str:
     parts = []
     for m in METRICS:
         p, c = entry["parent"]["metrics"][m], entry["change"]["metrics"][m]
         parts.append(f"{m} {p['median']:.3f} [{p['q1']:.3f}, {p['q3']:.3f}] -> "
                      f"{c['median']:.3f} [{c['q1']:.3f}, {c['q3']:.3f}], change lower in "
-                     f"{entry['change_lower_pairs'][m]} of {len(entry['seeds'])}")
+                     f"{entry['change_lower_pairs'][m]} of {len(entry['seeds'])}, "
+                     f"{'clears' if entry['clears_parent_iqr'][m] else 'within'} parent IQR")
     parts.append("peak set by " + " -> ".join(
         ", ".join(f"{op} x{n}" for op, n in entry[label]["peak_rss_set_by"].items())
         for label in ("parent", "change")))
@@ -211,6 +224,7 @@ def main(argv=None) -> int:
             entry = {"seeds": seeds, "parent": side(runs["parent"]),
                      "change": side(runs["change"]), "change_lower_pairs": lower,
                      "change_faster_pairs": lower["wall_s"]}
+            entry["clears_parent_iqr"] = clears_parent_iqr(entry["parent"], entry["change"])
             entry["over_bound"] = over_bound(entry["parent"], entry["change"], bounds)
             out["workloads"][name] = entry
             print(summary_line(name, entry), flush=True)
