@@ -13,13 +13,16 @@ matrices s1, s2, s3 set
 
 which are Hermitian, square to +I and pairwise anticommute; the generators
 are represented by gamma_k = i * G_k so that gamma_k^2 = -I.  All entries are
-Gaussian rationals, so the oracle is exact.
+Gaussian rationals, so the oracle is exact.  The matrix of each of the 16
+canonical monomials, the product of its gamma factors, is computed once per
+process on first use (`_gamma_table`).
 
 Pure values throughout; nothing mutates after construction.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GRat, ONE, ZERO, I
@@ -323,21 +326,31 @@ GAMMA: Tuple[Matrix, ...] = tuple(
 MAT_ZERO = tuple(tuple(ZERO for _ in range(4)) for _ in range(4))
 
 
-def _mono_matrix(mono: CliffMono) -> Matrix:
-    m = MAT_ID
-    for i in mono:
-        m = _mat_mul(m, GAMMA[i - 1])
-    return m
+_MONO_MATRICES: Dict[CliffMono, Matrix] = {}
+
+
+def _gamma_table() -> Dict[CliffMono, Matrix]:
+    """The matrix of each of the 16 canonical monomials, the product of its
+    `GAMMA` factors in index order; filled on first use, once per process."""
+    if not _MONO_MATRICES:
+        for r in range(N_GEN + 1):
+            for mono in combinations(range(1, N_GEN + 1), r):
+                m = MAT_ID
+                for i in mono:
+                    m = _mat_mul(m, GAMMA[i - 1])
+                _MONO_MATRICES[mono] = m
+    return _MONO_MATRICES
 
 
 def matrix_representation(a: CliffordExpr, bindings: Mapping) -> Matrix:
     """Evaluate a in the fixed gamma representation at numeric bindings."""
     out = MAT_ZERO
+    table = _gamma_table()
     for mono, coeff in a.terms.items():
         val = coeff.evaluate(bindings)
         if val.is_zero():
             continue
-        out = _mat_add(out, _mat_scale(_mono_matrix(mono), val))
+        out = _mat_add(out, _mat_scale(table[mono], val))
     return out
 
 

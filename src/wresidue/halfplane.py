@@ -11,8 +11,10 @@ upper contour integral).
 There is one partial-fraction kernel and one basis.  The decomposition is
 linear over xin-free coefficients, so a coefficient num/den is expanded
 against the basis xin^d / den.  `basis_fractions` decomposes each basis
-element once and caches its principal parts, its polynomial part and its
-assembled pi+; the entry is checked once, exactly, by a polynomial
+element once, in closed form over Q(i): the principal parts from the
+binomial series of xin^d (xin +/- i)^-q at each pole, the polynomial part
+by long division.  It caches the principal parts, the polynomial part and
+the assembled pi+; the entry is checked once, exactly, by a polynomial
 identity: the numerator equals the principal parts and the polynomial part
 multiplied back over the denominator (`_check_reassembly`), with no
 rational function rebuilt.  pi+, pi-, pi', `principal_part` and the xin
@@ -24,9 +26,11 @@ coefficients go through `scalars.scalar_sum`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
 from typing import Callable, Dict, Tuple
 
-from .gaussian import GRat, I
+from .gaussian import GRat, I, ONE, ZERO
 from .scalars import (
     EngineError,
     P_ONE,
@@ -36,18 +40,14 @@ from .scalars import (
     S_ZERO,
     XIN,
     _factor_known,
-    _prem,
     _strip,
-    poly_divexact,
     scalar_sum,
 )
 from .clifford import CliffordExpr, as_clifford
 
 _XIN_VAR = ScalarExpr.var(XIN)
-_POLE_PLUS = ScalarExpr.const(I)
-_POLE_MINUS = ScalarExpr.const(-I)
-_LIN_PLUS = _XIN_VAR - _POLE_PLUS   # xin - i
-_LIN_MINUS = _XIN_VAR - _POLE_MINUS  # xin + i
+_LIN_PLUS = _XIN_VAR - ScalarExpr.const(I)   # xin - i
+_LIN_MINUS = _XIN_VAR + ScalarExpr.const(I)  # xin + i
 
 
 def _factor_pole_denominator(den: Poly) -> Tuple[GRat, int, int]:
@@ -68,33 +68,55 @@ def _factor_pole_denominator(den: Poly) -> Tuple[GRat, int, int]:
     return work.const_value(), p, q
 
 
-def _decompose_scalar(f: ScalarExpr) -> Tuple[Dict[int, ScalarExpr], Dict[int, ScalarExpr], Dict[int, ScalarExpr]]:
-    const, p, q = _factor_pole_denominator(f.den)
-    inv_const = ScalarExpr.const(const.inverse())
-    # den is monic in xin (canonical form), so the pseudo-remainder is the remainder
-    rem = _prem(f.num, f.den, XIN)
-    quo = poly_divexact(f.num - rem, f.den)
-    poly_part: Dict[int, ScalarExpr] = {}
-    if not quo.is_zero():
-        poly_part = {d: ScalarExpr.from_poly(cp) for d, cp in quo.coeffs_in(XIN).items()}
-    plus: Dict[int, ScalarExpr] = {}
-    minus: Dict[int, ScalarExpr] = {}
-    rem_expr = ScalarExpr.from_poly(rem) * inv_const
-    # the principal parts at each pole, with the other pole's factor divided out
-    for pole, order, other, table in ((_POLE_PLUS, p, _LIN_MINUS ** q, plus),
-                                      (_POLE_MINUS, q, _LIN_PLUS ** p, minus)):
-        if not order:
+def _principal_part(z: GRat, order: int, other: int, d: int, scale: GRat) -> Dict[int, ScalarExpr]:
+    """The coefficients of (xin - z)^-m, m = 1..order, in scale * xin^d /
+    ((xin - z)^order (xin + z)^other), highest m first, zeros left out.
+
+    With t = xin - z, xin^d = sum_j C(d, j) z^(d-j) t^j and (t + 2z)^-other
+    = sum_k s_k t^k, s_0 = (2z)^-other and s_k = s_(k-1) * -(other + k - 1)
+    / (2z k); the coefficient of t^-m is that of t^(order-m) in their product.
+    """
+    inv_2z = (z * 2).inverse()
+    series = [inv_2z ** other]
+    for k in range(1, order):
+        series.append(series[-1] * inv_2z * GRat(Fraction(-(other + k - 1), k)))
+    power = [z ** (d - j) * comb(d, j) for j in range(min(d, order - 1) + 1)]
+    out: Dict[int, ScalarExpr] = {}
+    for m in range(order, 0, -1):
+        n = order - m
+        g = sum((power[j] * series[n - j] for j in range(min(n, d) + 1)), ZERO)
+        if not g.is_zero():
+            out[m] = ScalarExpr.const(g * scale)
+    return out
+
+
+def _polynomial_part(den: Poly, d: int) -> Dict[int, ScalarExpr]:
+    """The quotient of xin^d by den (xin only), by univariate long division."""
+    n = den.degree_in(XIN)
+    if d < n:
+        return {}
+    coeffs = den.coeffs_in(XIN)
+    den_c = [coeffs[k].const_value() if k in coeffs else ZERO for k in range(n + 1)]
+    inv_lead = den_c[n].inverse()
+    rem = [ZERO] * d + [ONE]
+    out: Dict[int, ScalarExpr] = {}
+    for k in range(d, n - 1, -1):
+        qk = rem[k] * inv_lead
+        if qk.is_zero():
             continue
-        g = rem_expr / other
-        fact = 1
-        for k in range(order):
-            if k:
-                fact *= k
-                g = g.differentiate(XIN)
-            coeff = g.substitute({XIN: pole}) / ScalarExpr.const(fact)
-            if not coeff.is_zero():
-                table[order - k] = coeff
-    return plus, minus, poly_part
+        out[k - n] = ScalarExpr.const(qk)
+        for j in range(n + 1):
+            rem[k - n + j] = rem[k - n + j] - qk * den_c[j]
+    return out
+
+
+def _basis_tables(den: Poly, d: int) -> Tuple[Dict[int, ScalarExpr], Dict[int, ScalarExpr], Dict[int, ScalarExpr]]:
+    """Principal parts at +i and -i and the polynomial part of xin^d / den,
+    in closed form over Q(i); den = c (xin - i)^p (xin + i)^q."""
+    c, p, q = _factor_pole_denominator(den)
+    inv_c = c.inverse()
+    return (_principal_part(I, p, q, d, inv_c), _principal_part(-I, q, p, d, inv_c),
+            _polynomial_part(den, d))
 
 
 @dataclass(frozen=True)
@@ -160,12 +182,11 @@ def basis_fractions(den: Poly, d: int) -> _BasisEntry:
     hit = _BASIS.get(key)
     if hit is not None:
         return hit
-    # den is a canonical coefficient denominator, so xin^d / den needs no
-    # gcd; a den that xin divides is rejected by _factor_pole_denominator
-    # in the decomposition below.
-    f = ScalarExpr(Poly.var(XIN, d) if d else P_ONE, den, _canonical=True)
-    plus, minus, poly = _decompose_scalar(f)
-    _check_reassembly(f.num, f.den, plus, minus, poly)
+    # den is a canonical coefficient denominator, so xin^d / den is in
+    # lowest terms; a den that xin divides is rejected by
+    # _factor_pole_denominator in _basis_tables.
+    plus, minus, poly = _basis_tables(den, d)
+    _check_reassembly(Poly.var(XIN, d) if d else P_ONE, den, plus, minus, poly)
     projected = scalar_sum([c * _LIN_PLUS ** (-m) for m, c in plus.items()])
     hit = _BASIS[key] = _BasisEntry(plus, minus, poly, projected)
     return hit

@@ -204,6 +204,13 @@ def einstein_functional_rhs(m: int = 2) -> ScalarExpr:
     )
 
 
+_DENSITY: Dict[int, ScalarExpr] = {}
+
+
 def interior_density(m: int = 2) -> ScalarExpr:
-    """The interior integrand shared by both boundary theorems (n = 4)."""
-    return einstein_functional_rhs(m)
+    """The interior integrand shared by both boundary theorems (n = 4); it
+    depends on no run input, so it is built once per process and m."""
+    hit = _DENSITY.get(m)
+    if hit is None:
+        hit = _DENSITY[m] = einstein_functional_rhs(m)
+    return hit

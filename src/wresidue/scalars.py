@@ -469,6 +469,8 @@ def poly_text(p: Poly) -> str:
         return "0"
     parts = []
     table = _FACTOR_TEXT
+    # each rank is built again per term, not kept from the sort: holding the
+    # ranks of a large polynomial through the loop raises the peak RSS
     for m in sorted(p.terms, key=mono_rank, reverse=True):
         c = p.terms[m]
         fields = mono_rank(m)  # byte 1 + s is the exponent of id s
@@ -481,9 +483,7 @@ def poly_text(p: Poly) -> str:
                 text = table[key] = REG.name_of(s) + (f"^{exp}" if exp > 1 else "")
             factors.append(text)
         body = "*".join(factors)
-        cs = str(c)
-        if "+" in cs[1:] or "-" in cs[1:]:
-            cs = f"({cs})"
+        cs = f"({c})" if c.a and c.b else str(c)  # a sign inside a + bi
         parts.append(f"{cs}*{body}" if body else cs)
     return " + ".join(parts)
 

@@ -151,3 +151,56 @@ def test_clifford_suite_counts_a_sample_with_two_failures_once(monkeypatch):
     result = verify.clifford_suite(seed=0, count=5)
     assert len(result["failures"]) == 16 + 2 * 5
     assert result["passed"] == 0
+
+
+def test_gamma_table_entries_are_fresh_gamma_products():
+    from wresidue.clifford import GAMMA, MAT_ID, _gamma_table, _mat_mul
+
+    table = _gamma_table()
+    assert sorted(table) == sorted(
+        mono for r in range(5) for mono in itertools.combinations(range(1, 5), r))
+    for mono, matrix in table.items():
+        want = MAT_ID
+        for i in mono:
+            want = _mat_mul(want, GAMMA[i - 1])
+        assert matrix == want, mono
+
+
+def test_gamma_table_obeys_the_generator_relations():
+    """c(e_i)c(e_j) + c(e_j)c(e_i) = -2 delta_ij on the table's generators,
+    and the product of any two entries is the entry of the reduced word,
+    with its sign."""
+    from wresidue.clifford import MAT_ID, MAT_ZERO, _gamma_table, _mat_add, _mat_mul, \
+        _mat_scale, _reduce_word
+
+    table = _gamma_table()
+    for i in range(1, 5):
+        for j in range(1, 5):
+            gi, gj = table[(i,)], table[(j,)]
+            anti = _mat_add(_mat_mul(gi, gj), _mat_mul(gj, gi))
+            assert anti == (_mat_scale(MAT_ID, GRat(-2)) if i == j else MAT_ZERO), (i, j)
+    for m1, a in table.items():
+        for m2, b in table.items():
+            sign, mono = _reduce_word(m1 + m2)
+            assert _mat_mul(a, b) == _mat_scale(table[mono], sign), (m1, m2)
+
+
+def test_clifford_suite_fails_on_a_gamma_table_entry_with_one_sign_flipped(monkeypatch):
+    """A table entry of c(e_1)c(e_2) with the sign of one diagonal element
+    flipped gives that monomial a nonzero trace: its monomial check fails,
+    and so does the oracle check of every sample whose c(e_1)c(e_2)
+    coefficient is not zero."""
+    from wresidue import clifford, verify
+
+    table = dict(clifford._gamma_table())
+    rows = [list(row) for row in table[(1, 2)]]
+    assert not rows[0][0].is_zero()
+    rows[0][0] = -rows[0][0]
+    table[(1, 2)] = tuple(tuple(row) for row in rows)
+    monkeypatch.setattr(clifford, "_gamma_table", lambda: table)
+    result = verify.clifford_suite(seed=0, count=20)
+    assert "monomial trace (1, 2)" in result["failures"]
+    oracle = [f for f in result["failures"] if f.startswith("oracle equivalence #")]
+    assert oracle
+    assert len(result["failures"]) == 1 + len(oracle)
+    assert result["passed"] == 20 - len(oracle)

@@ -21,6 +21,41 @@ XIN = sym("xin")
 IC = ScalarExpr.const(I)
 
 
+def _decompose_scalar(f):
+    """The derivative-formula route to the partial fractions of f, a
+    reference for the closed form of `basis_fractions`: the polynomial part
+    by exact division, and at each pole of order n the coefficient of
+    (xin - pole)^-(n-k) as g^(k)(pole) / k!, g the remainder over the other
+    pole's factor."""
+    from wresidue.halfplane import _factor_pole_denominator
+    from wresidue.scalars import XIN as XIN_ID, _prem, poly_divexact
+
+    const, p, q = _factor_pole_denominator(f.den)
+    inv_const = ScalarExpr.const(const.inverse())
+    # den is monic in xin (canonical form), so the pseudo-remainder is the remainder
+    rem = _prem(f.num, f.den, XIN_ID)
+    quo = poly_divexact(f.num - rem, f.den)
+    poly_part = {}
+    if not quo.is_zero():
+        poly_part = {d: ScalarExpr.from_poly(cp) for d, cp in quo.coeffs_in(XIN_ID).items()}
+    plus, minus = {}, {}
+    rem_expr = ScalarExpr.from_poly(rem) * inv_const
+    for pole, order, other, table in ((IC, p, (XIN + IC) ** q, plus),
+                                      (-IC, q, (XIN - IC) ** p, minus)):
+        if not order:
+            continue
+        g = rem_expr / other
+        fact = 1
+        for k in range(order):
+            if k:
+                fact *= k
+                g = g.differentiate(XIN_ID)
+            coeff = g.substitute({XIN_ID: pole}) / ScalarExpr.const(fact)
+            if not coeff.is_zero():
+                table[order - k] = coeff
+    return plus, minus, poly_part
+
+
 def test_partial_fractions_simple_pole_pair():
     f = 1 / (1 + XIN ** 2)
     entry = basis_fractions(f.den, 0)
@@ -184,7 +219,7 @@ def test_partial_fractions_with_other_variables_matches_direct_decomposition():
     basis elements xin^d / den; `_decompose_scalar` on the whole coefficient
     is the reference route.
     """
-    from wresidue.halfplane import _LIN_MINUS, _decompose_scalar
+    from wresidue.halfplane import _LIN_MINUS
     from wresidue.scalars import XIN as XIN_ID
     from wresidue.verify import _rand_halfline
 
@@ -217,17 +252,35 @@ def _off_by_one(entry_plus):
 def test_basis_reassembly_rejects_a_principal_part_off_by_one(monkeypatch):
     from wresidue import halfplane
 
-    real = halfplane._decompose_scalar
+    real = halfplane._basis_tables
 
-    def wrong(f):
-        plus, minus, poly = real(f)
+    def wrong(den, d):
+        plus, minus, poly = real(den, d)
         return _off_by_one(plus), minus, poly
 
     monkeypatch.setattr(halfplane, "_BASIS", {})
-    monkeypatch.setattr(halfplane, "_decompose_scalar", wrong)
+    monkeypatch.setattr(halfplane, "_basis_tables", wrong)
     den = (1 / ((XIN - IC) ** 3 * (XIN + IC) ** 2)).den
     with pytest.raises(EngineError, match="internal: partial-fraction reassembly mismatch"):
         halfplane.basis_fractions(den, 1)
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_closed_form_basis_equals_the_derivative_formula_route(p):
+    """Every basis element xin^d / ((xin - i)^p (xin + i)^q), q <= 4 and
+    d <= p + q + 2: the closed-form tables equal the derivative-formula
+    reference entry for entry, zeros left out alike."""
+    from wresidue.halfplane import _basis_tables
+    from wresidue.scalars import XIN as XIN_ID, Poly
+
+    for q in range(5):
+        den = ((XIN - IC) ** p * (XIN + IC) ** q).num
+        for d in range(p + q + 3):
+            num = Poly.var(XIN_ID, d) if d else Poly.const(1)
+            want = _decompose_scalar(ScalarExpr(num, den))
+            assert _basis_tables(den, d) == want, (p, q, d)
+            entry = basis_fractions(den, d)
+            assert (entry.plus, entry.minus, entry.poly) == want, (p, q, d)
 
 
 @pytest.mark.parametrize("table", ["minus", "poly"])

@@ -15,7 +15,13 @@ output holds, per workload and side, the median and quartiles of `setup_s`,
 `wall_s` and `peak_rss_mb` over the pairs, and the failed and attempted
 operation counts, and `peak_rss_set_by`: in how many runs each operation
 set `peak_rss_mb` (read from the per-operation `rss_mb` of perfbench's
-result file).  Per workload it also holds, for each of those metrics,
+result file), and `operation_wall_s`: per operation, named with any
+`@seed` suffix cut, the median over the side's runs of its median `wall_s`
+over a run's rounds (calls that share a cut name in one round, such as the
+`scalars` suite at three seeds, add up).  Per workload it also holds
+`operations_moved`, each operation's two medians and their difference,
+largest move first, so the call that carries a gain or a loss is named,
+and, for each of the three metrics,
 in how many pairs the change was lower (`change_lower_pairs`;
 `change_faster_pairs` is its `wall_s` entry), `clears_parent_iqr`, for
 each metric whether the two medians differ by more than the parent's
@@ -24,7 +30,8 @@ median is worse than the parent's by more than the relative bound that
 `BENCHMARK.json` gives them (the file is only read).  A claimed gain holds
 where the change is lower in nearly every pair and `clears_parent_iqr` is
 true.  One summary line per workload is printed with the medians,
-quartiles, pair counts and the IQR test.  Last come the sha256 of every JSON report either side wrote, with
+quartiles, pair counts and the IQR test, and one with the five
+operations that moved most.  Last come the sha256 of every JSON report either side wrote, with
 `same` true when both sides wrote exactly one digest for the operation and
 it is the same one; the operations whose digests differ are printed at the
 end.
@@ -87,7 +94,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     metrics = {m: result["metrics"][m]["value"] for m in METRICS}
     return {"metrics": metrics, "attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"], "hashes": hashes,
-            "peak_op": peak_operation(detail["operations"], metrics["peak_rss_mb"])}
+            "peak_op": peak_operation(detail["operations"], metrics["peak_rss_mb"]),
+            "op_wall": operation_wall(detail["operations"])}
+
+
+def operation_wall(operations) -> dict:
+    """Cut operation name -> median over the run's rounds of its wall time
+    in a round; operations that share a cut name in a round add up."""
+    per_round = {}
+    for op in operations:
+        key = (op["name"].partition("@")[0], op["round"])
+        per_round[key] = per_round.get(key, 0.0) + op["wall_s"]
+    rounds = {}
+    for (name, _), wall in per_round.items():
+        rounds.setdefault(name, []).append(wall)
+    return {name: statistics.median(walls) for name, walls in sorted(rounds.items())}
 
 
 def peak_operation(operations, peak: float) -> str:
@@ -112,7 +133,19 @@ def side(runs) -> dict:
         "attempted": sum(r["attempted"] for r in runs),
         "correct": all(r["correct"] for r in runs),
         "peak_rss_set_by": dict(Counter(r["peak_op"] for r in runs).most_common()),
+        "operation_wall_s": {name: statistics.median(r["op_wall"][name] for r in runs
+                                                     if name in r["op_wall"])
+                             for name in sorted({n for r in runs for n in r["op_wall"]})},
     }
+
+
+def operations_moved(parent: dict, change: dict) -> list:
+    """Each operation's median wall time on both sides and the change minus
+    the parent, largest move first."""
+    p, c = parent["operation_wall_s"], change["operation_wall_s"]
+    rows = [{"operation": name, "parent": p[name], "change": c[name],
+             "delta": c[name] - p[name]} for name in sorted(p.keys() & c.keys())]
+    return sorted(rows, key=lambda row: -abs(row["delta"]))
 
 
 def end_to_end_bounds(root: Path) -> dict:
@@ -226,8 +259,12 @@ def main(argv=None) -> int:
                      "change_faster_pairs": lower["wall_s"]}
             entry["clears_parent_iqr"] = clears_parent_iqr(entry["parent"], entry["change"])
             entry["over_bound"] = over_bound(entry["parent"], entry["change"], bounds)
+            entry["operations_moved"] = operations_moved(entry["parent"], entry["change"])
             out["workloads"][name] = entry
             print(summary_line(name, entry), flush=True)
+            print(f"{name}: operations moved most (median wall_s, parent -> change): " + "; ".join(
+                f"{row['operation']} {row['parent']:.3f} -> {row['change']:.3f} "
+                f"({row['delta']:+.3f})" for row in entry["operations_moved"][:5]), flush=True)
     out["report_hashes"] = {op: compare_digests(sides)
                             for op, sides in sorted(out["report_hashes"].items())}
     differ = [op for op, h in sorted(out["report_hashes"].items()) if not h["same"]]
