@@ -2,7 +2,13 @@
 
 Generators c(e_1)..c(e_4) obey c(e_i)c(e_j) + c(e_j)c(e_i) = -2 delta_ij.
 Elements are finite linear combinations of canonically ordered monomials
-(strictly increasing index tuples) with ScalarExpr coefficients.  The trace
+(strictly increasing index tuples) with ScalarExpr coefficients.  One rule
+multiplies monomials (`_mono_product`, the reordering sign of basis blades):
+
+    c_S c_T = (-1)^#{(i, j) in S x T : i >= j} c_(S xor T),
+
+with S xor T the symmetric difference in increasing order; in particular
+c_S c_S = (-1)^(k(k+1)/2) for |S| = k.  The trace
 functional returns 2^(n/2) times the identity coefficient; every nonempty
 canonical monomial is traceless, including the top monomial c1 c2 c3 c4.
 
@@ -25,7 +31,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .gaussian import GRat, ONE, ZERO, I
+from .gaussian import GRat, ZERO, I
 from .scalars import (
     EngineError,
     ScalarExpr,
@@ -42,33 +48,16 @@ TRACE_ID = GRat(2 ** (N_GEN // 2))  # = 4
 TOP_MONO: CliffMono = (1, 2, 3, 4)
 
 
-def _reduce_word(word: Sequence[int]) -> Tuple[GRat, CliffMono]:
-    """Reduce a generator word to +/- a canonical monomial.
+def _mono_product(m1: CliffMono, m2: CliffMono) -> Tuple[int, CliffMono]:
+    """c_m1 c_m2 = sign * c_m for canonical monomials m1 and m2.
 
-    Adjacent transpositions flip the sign (anticommutation); adjacent equal
-    generators annihilate to the scalar -1 (delta metric).
+    m is the symmetric difference of m1 and m2 in increasing order.  Each
+    generator j of m2 anticommutes past the generators i > j of m1 and then,
+    if j is in m1, meets its equal (c_j c_j = -1), so the sign is -1 to the
+    number of pairs (i, j) in m1 x m2 with i >= j.
     """
-    seq = list(word)
-    neg = False
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(seq):
-            a, b = seq[i], seq[i + 1]
-            if a == b:
-                del seq[i : i + 2]
-                neg = not neg
-                changed = True
-                i = max(i - 1, 0)
-            elif a > b:
-                seq[i], seq[i + 1] = b, a
-                neg = not neg
-                changed = True
-                i += 1
-            else:
-                i += 1
-    return (-ONE if neg else ONE), tuple(seq)
+    flips = sum(1 for i in m1 for j in m2 if i >= j)
+    return (-1 if flips % 2 else 1), tuple(sorted(set(m1).symmetric_difference(m2)))
 
 
 class CliffordExpr:
@@ -162,13 +151,9 @@ class CliffordExpr:
         pairs = []
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                sign, mono = _reduce_word(m1 + m2)
+                sign, mono = _mono_product(m1, m2)
                 c = c1 * c2
-                if sign == -ONE:
-                    c = -c
-                elif sign != ONE:
-                    c = c * ScalarExpr.const(sign)
-                pairs.append((mono, c))
+                pairs.append((mono, c if sign > 0 else -c))
         return _collect(pairs)
 
     def __rmul__(self, other):
@@ -232,11 +217,6 @@ def cl_trace(a: CliffordExpr) -> ScalarExpr:
     return a.scalar_part() * ScalarExpr.const(TRACE_ID)
 
 
-def _mono_square_sign(k: int) -> int:
-    """c_S^2 = (-1)^(k(k+1)/2) for a canonical monomial of length k."""
-    return -1 if (k * (k + 1) // 2) % 2 else 1
-
-
 def cl_trace_product(a: CliffordExpr, b: CliffordExpr) -> ScalarExpr:
     """Tr(a*b) without forming the product.
 
@@ -249,7 +229,7 @@ def cl_trace_product(a: CliffordExpr, b: CliffordExpr) -> ScalarExpr:
         if cb is None:
             continue
         term = ca * cb
-        if _mono_square_sign(len(mono)) < 0:
+        if _mono_product(mono, mono)[0] < 0:
             term = -term
         terms.append(term)
     return scalar_sum(terms) * ScalarExpr.const(TRACE_ID)
@@ -343,15 +323,22 @@ def _gamma_table() -> Dict[CliffMono, Matrix]:
 
 
 def matrix_representation(a: CliffordExpr, bindings: Mapping) -> Matrix:
-    """Evaluate a in the fixed gamma representation at numeric bindings."""
-    out = MAT_ZERO
+    """Evaluate a in the fixed gamma representation at numeric bindings.
+
+    Each monomial's matrix has one nonzero entry per row; only those are
+    scaled and added.
+    """
+    out = [list(row) for row in MAT_ZERO]
     table = _gamma_table()
     for mono, coeff in a.terms.items():
         val = coeff.evaluate(bindings)
         if val.is_zero():
             continue
-        out = _mat_add(out, _mat_scale(table[mono], val))
-    return out
+        for row, mat_row in zip(out, table[mono]):
+            for j, x in enumerate(mat_row):
+                if not x.is_zero():
+                    row[j] = row[j] + x * val
+    return tuple(tuple(row) for row in out)
 
 
 def matrix_oracle_trace(a: CliffordExpr, bindings: Mapping) -> GRat:

@@ -10,6 +10,7 @@ density in dimension n = 2m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
@@ -177,13 +178,6 @@ def curvature_trace_identities() -> Dict[str, ScalarExpr]:
 # Functional assembly
 # ---------------------------------------------------------------------------
 
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def einstein_functional_rhs(m: int = 2) -> ScalarExpr:
     """Density of the Einstein functional with torsion in dimension n = 2m.
 
@@ -195,7 +189,7 @@ def einstein_functional_rhs(m: int = 2) -> ScalarExpr:
     for name, val in ids.items():
         if not val.is_zero():
             raise EngineError(f"curvature trace identity {name} failed to vanish")
-    upsilon = _frac(2, _factorial(m - 1)) * sym("pi") ** m
+    upsilon = _frac(2, math.factorial(m - 1)) * sym("pi") ** m
     g_term = sym("RicVW") - _frac(1, 2) * sym("s_scal") * sym("gVW")
     te = trace_e()
     return (

@@ -27,6 +27,7 @@ computations; reports merge in case order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -255,11 +256,7 @@ _TANGENTIAL_AXES = (1, 2, 3)
 
 def _prefactor(case: CaseSpec) -> GRat:
     e = case.alpha + case.j + case.k + 1
-    out = GRat(0, -1) ** e
-    fact = 1
-    for i in range(2, case.j + case.k + 2):
-        fact *= i
-    return out / GRat(fact)
+    return GRat(0, -1) ** e / GRat(math.factorial(case.j + case.k + 1))
 
 
 @dataclass

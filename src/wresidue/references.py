@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from .gaussian import GRat, I
-from .scalars import ScalarExpr, S_ZERO, S_ONE, atom_A, atom_T, sym
+from .scalars import EngineError, ScalarExpr, S_ZERO, S_ONE, atom_A, atom_T, sym
 from .clifford import CliffordExpr, cl_trace_product
 from .halfplane import pi_plus, principal_part
 from .pipeline import AxisStages, case_stages, case_trace_integrand, find_case
@@ -29,6 +29,7 @@ from .symbols import (
     c_xi_prime,
     q_bilinear,
     sigma0_dirac_lc,
+    torsion_two_form,
     torsion_u,
     torsion_v,
     xi_var,
@@ -122,8 +123,6 @@ def _ref(ref_id: str, quote: str):
 
 def reference_value(ref_id: str):
     if ref_id not in REFERENCES:
-        from .scalars import EngineError
-
         raise EngineError(f"unknown reference {ref_id!r}")
     return REFERENCES[ref_id].build()
 
@@ -786,8 +785,6 @@ def _ref_5_35() -> CliffordExpr:
     _ref_5_35,
 )
 def _slot_5_35(ctx):
-    from .symbols import torsion_two_form
-
     i_s = ScalarExpr.const(I)
     tangential_x = S_ZERO
     tangential_y = S_ZERO
@@ -797,7 +794,7 @@ def _slot_5_35(ctx):
     off = ctx.torsion_off
     tbar_x = torsion_two_form("X", off).map_coeffs(lambda c: c.subst_shx_one())
     tbar_y = torsion_two_form("Y", off).map_coeffs(lambda c: c.subst_shx_one())
-    sigma_m1 = builtin_symbol("D_T^-1", "printed", off).component(-1).value.restrict_sphere()
+    sigma_m1 = builtin_symbol("D_T^-1", "printed", off).component(-1).value
     first = (tbar_x.scale(i_s * tangential_y) + tbar_y.scale(i_s * tangential_x)) * sigma_m1
     projected = pi_plus(first.restrict_sphere())
     return CliffordExpr.scalar(cl_trace_product(projected, _stage(ctx, "b").f2))
@@ -872,8 +869,6 @@ def _slot_5_47(ctx):
     dc = cxip.scale(_h1() / 2)
     first = cl_trace_product(cxip * cxip * c_dxn(), dc).restrict_sphere()
     if not first.is_zero():
-        from .scalars import EngineError
-
         raise EngineError("first trace of the frame-derivative pair is nonzero")
     second = cl_trace_product(c_dxn() * cxip * c_dxn(), dc).restrict_sphere()
     return CliffordExpr.scalar(second)

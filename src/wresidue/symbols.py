@@ -22,6 +22,7 @@ parametrix recursively from the leading component.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -228,24 +229,21 @@ def d_x_tangential(component: SymbolComponent) -> SymbolComponent:
     return SymbolComponent(CL_ZERO, at_point=True, homogeneous=component.homogeneous)
 
 
-def _mul_components(a: SymbolComponent, b: SymbolComponent) -> SymbolComponent:
-    if a.at_point or b.at_point:
-        va = _at_point_value(a.value) if not a.at_point else a.value
-        vb = _at_point_value(b.value) if not b.at_point else b.value
-        return SymbolComponent(va * vb, at_point=True,
-                               homogeneous=a.homogeneous and b.homogeneous)
-    return SymbolComponent(a.value * b.value, at_point=False,
+def _combine_components(a: SymbolComponent, b: SymbolComponent, op) -> SymbolComponent:
+    """op of the two values; if either is at the boundary point, both are moved there."""
+    at_point = a.at_point or b.at_point
+    va, vb = (_at_point_value(c.value) if at_point and not c.at_point else c.value
+              for c in (a, b))
+    return SymbolComponent(op(va, vb), at_point=at_point,
                            homogeneous=a.homogeneous and b.homogeneous)
+
+
+def _mul_components(a: SymbolComponent, b: SymbolComponent) -> SymbolComponent:
+    return _combine_components(a, b, operator.mul)
 
 
 def _add_components(a: SymbolComponent, b: SymbolComponent) -> SymbolComponent:
-    if a.at_point or b.at_point:
-        va = a.value if a.at_point else _at_point_value(a.value)
-        vb = b.value if b.at_point else _at_point_value(b.value)
-        return SymbolComponent(va + vb, at_point=True,
-                               homogeneous=a.homogeneous and b.homogeneous)
-    return SymbolComponent(a.value + b.value, at_point=False,
-                           homogeneous=a.homogeneous and b.homogeneous)
+    return _combine_components(a, b, operator.add)
 
 
 _ZERO_COMPONENT = SymbolComponent(CL_ZERO, at_point=False)

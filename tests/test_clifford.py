@@ -129,16 +129,33 @@ def test_oracle_equivalence_with_symbolic_bindings():
         assert cl_trace(expr).evaluate(bindings) == matrix_oracle_trace(expr, bindings)
 
 
-@given(st.integers(0, 4), st.integers(0, 4))
-@settings(max_examples=30, deadline=None)
-def test_monomial_square_sign(k1, k2):
-    from wresidue.clifford import _mono_square_sign
+def test_monomial_square_sign():
+    """c_S c_S = (-1)^(k(k+1)/2) for each of the 16 canonical monomials S of
+    length k."""
+    for k in range(5):
+        for mono in itertools.combinations(range(1, 5), k):
+            expr = CliffordExpr({mono: S_ONE})
+            want = CliffordExpr.scalar(-1 if (k * (k + 1) // 2) % 2 else 1)
+            assert expr * expr == want, mono
 
-    mono = tuple(range(1, k1 + 1))
-    expr = CliffordExpr({mono: S_ONE})
-    square = expr * expr
-    want = CliffordExpr.scalar(_mono_square_sign(len(mono)))
-    assert square == want
+
+_fraction = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_grat = st.builds(GRat, _fraction, _fraction)
+_numeric_clifford = st.dictionaries(
+    st.sampled_from([m for r in range(5) for m in itertools.combinations(range(1, 5), r)]),
+    _grat.map(ScalarExpr.const), max_size=6,
+).map(CliffordExpr)
+
+
+@given(_numeric_clifford, _numeric_clifford)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_product_matches_the_matrix_product(a, b):
+    """Every coefficient of a * b, not only the traced identity one, agrees
+    with the product of the two gamma representations."""
+    from wresidue.clifford import _mat_mul, matrix_representation
+
+    assert matrix_representation(a * b, {}) == _mat_mul(
+        matrix_representation(a, {}), matrix_representation(b, {}))
 
 
 def test_clifford_suite_counts_a_sample_with_two_failures_once(monkeypatch):
@@ -171,7 +188,7 @@ def test_gamma_table_obeys_the_generator_relations():
     and the product of any two entries is the entry of the reduced word,
     with its sign."""
     from wresidue.clifford import MAT_ID, MAT_ZERO, _gamma_table, _mat_add, _mat_mul, \
-        _mat_scale, _reduce_word
+        _mat_scale, _mono_product
 
     table = _gamma_table()
     for i in range(1, 5):
@@ -181,8 +198,8 @@ def test_gamma_table_obeys_the_generator_relations():
             assert anti == (_mat_scale(MAT_ID, GRat(-2)) if i == j else MAT_ZERO), (i, j)
     for m1, a in table.items():
         for m2, b in table.items():
-            sign, mono = _reduce_word(m1 + m2)
-            assert _mat_mul(a, b) == _mat_scale(table[mono], sign), (m1, m2)
+            sign, mono = _mono_product(m1, m2)
+            assert _mat_mul(a, b) == _mat_scale(table[mono], GRat(sign)), (m1, m2)
 
 
 def test_clifford_suite_fails_on_a_gamma_table_entry_with_one_sign_flipped(monkeypatch):
