@@ -284,10 +284,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def _mat_scale(a: Matrix, c: GRat) -> Matrix:
     return tuple(tuple(x * c for x in row) for row in a)
 

@@ -156,6 +156,16 @@ class TrailStep:
     ref: object = None
 
 
+# The reporting monomials of a boundary density, each with its label in
+# `CollectedForm.text`: g(X^T,Y^T) = Sum_{j<n} X_jY_j, X_nY_n and X_n dY_n/dx_n.
+G_XT_YT = sym("X1") * sym("Y1") + sym("X2") * sym("Y2") + sym("X3") * sym("Y3")
+XN_YN = sym("X4") * sym("Y4")
+XN_DYN = sym("X4") * sym("dYn")
+REPORTING_MONOMIALS: Tuple[Tuple[str, ScalarExpr], ...] = (
+    ("g(X^T,Y^T)", G_XT_YT), ("Xn*Yn", XN_YN), ("Xn*dYn", XN_DYN),
+)
+
+
 @dataclass
 class CollectedForm:
     """Boundary density in the reporting monomial basis."""
@@ -165,14 +175,14 @@ class CollectedForm:
     normal_dyn: ScalarExpr  # coefficient of X_n dY_n/dx_n
     leftover: ScalarExpr    # anything outside the basis (should be zero)
 
+    def coefficients(self) -> Tuple[ScalarExpr, ScalarExpr, ScalarExpr]:
+        """The coefficients in the order of `REPORTING_MONOMIALS`."""
+        return self.tangential, self.normal, self.normal_dyn
+
     def text(self) -> str:
-        parts = []
-        if not self.tangential.is_zero():
-            parts.append(f"[{self.tangential.text()}] * g(X^T,Y^T)")
-        if not self.normal.is_zero():
-            parts.append(f"[{self.normal.text()}] * Xn*Yn")
-        if not self.normal_dyn.is_zero():
-            parts.append(f"[{self.normal_dyn.text()}] * Xn*dYn")
+        parts = [f"[{c.text()}] * {label}"
+                 for c, (label, _) in zip(self.coefficients(), REPORTING_MONOMIALS)
+                 if not c.is_zero()]
         if not self.leftover.is_zero():
             parts.append(f"[{self.leftover.text()}] (outside basis)")
         return " + ".join(parts) if parts else "0"
@@ -235,16 +245,11 @@ def collect_form(value: ScalarExpr) -> CollectedForm:
 
 
 def collected_to_scalar(c: CollectedForm) -> ScalarExpr:
-    """Reassemble with the raw tangential contraction (sum X_j Y_j)."""
-    tang = S_ZERO
-    for j in (1, 2, 3):
-        tang = tang + sym(f"X{j}") * sym(f"Y{j}")
-    return (
-        c.tangential * tang
-        + c.normal * sym("X4") * sym("Y4")
-        + c.normal_dyn * sym("X4") * sym("dYn")
-        + c.leftover
-    )
+    """Reassemble over the reporting monomials, g(X^T,Y^T) as Sum X_j Y_j."""
+    out = c.leftover
+    for coeff, (_, mono) in zip(c.coefficients(), REPORTING_MONOMIALS):
+        out = out + coeff * mono
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,15 @@ keyed by the source text's equation numbering, together with the verbatim
 line it came from.  Comparison is by exact symbolic difference; a mismatch
 never alters the engine value, it is reported with the delta.
 
+A printed result is a table row: its Gaussian-rational coefficients over
+one named basis of monomials (`BASIS`), written with the print's own
+denominators so that a row reads against its quote, and the report rows it
+is checked against.  `reference_value` sums coefficient times basis element.
+
 Intermediate "slot" entries pair a printed display with the engine
 computation that reproduces it, so each case's step trail can carry
-match/mismatch verdicts for every printed intermediate.
+match/mismatch verdicts for every printed intermediate.  Slots are still
+functions: a printed builder and an engine builder each.
 """
 
 from __future__ import annotations
@@ -20,7 +26,15 @@ from .gaussian import GRat, I
 from .scalars import EngineError, ScalarExpr, S_ZERO, S_ONE, atom_A, atom_T, sym
 from .clifford import CliffordExpr, cl_trace_product
 from .halfplane import pi_plus, principal_part
-from .pipeline import AxisStages, case_stages, case_trace_integrand, find_case
+from .pipeline import (
+    G_XT_YT,
+    XN_DYN,
+    XN_YN,
+    AxisStages,
+    case_stages,
+    case_trace_integrand,
+    find_case,
+)
 from .symbols import (
     builtin_symbol,
     c_dxn,
@@ -40,56 +54,32 @@ def _g(re, im=0) -> ScalarExpr:
     return ScalarExpr.const(GRat(Fraction(re), Fraction(im)))
 
 
-def _pi() -> ScalarExpr:
-    return sym("pi")
-
-
-def _om() -> ScalarExpr:
-    return sym("Omega3")
-
-
-def _h1() -> ScalarExpr:
-    return sym("h1")
-
-
-def _txy() -> ScalarExpr:
-    out = S_ZERO
-    for j in (1, 2, 3):
-        out = out + sym(f"X{j}") * sym(f"Y{j}")
-    return out
-
-
-def _xy_normal() -> ScalarExpr:
-    return sym("X4") * sym("Y4")
+_H1 = sym("h1")
 
 
 def _sum_a_iin() -> ScalarExpr:
+    """Sum_i A_iin over the tangential i; A_nnn is 0 (antisymmetric in s, t)."""
+    return atom_A(1, 1, 4) + atom_A(2, 2, 4) + atom_A(3, 3, 4)
+
+
+def _tangential_dot(prefix: str) -> ScalarExpr:
+    """Sum_{j<n} V_j xi_j for the vector V named by `prefix` (X or Y)."""
     out = S_ZERO
-    for i_ in (1, 2, 3):
-        out = out + atom_A(i_, i_, 4)
+    for j in (1, 2, 3):
+        out = out + sym(f"{prefix}{j}") * xi_var(j)
     return out
 
 
 def _mixed_xj_yn() -> ScalarExpr:
-    out = S_ZERO
-    for j in (1, 2, 3):
-        out = out + sym(f"X{j}") * sym("Y4") * xi_var(j)
-    return out
+    return _tangential_dot("X") * sym("Y4")
 
 
 def _mixed_xn_yl() -> ScalarExpr:
-    out = S_ZERO
-    for l in (1, 2, 3):
-        out = out + sym("X4") * sym(f"Y{l}") * xi_var(l)
-    return out
+    return sym("X4") * _tangential_dot("Y")
 
 
 def _qt() -> ScalarExpr:
-    out = S_ZERO
-    for j in (1, 2, 3):
-        for l in (1, 2, 3):
-            out = out + sym(f"X{j}") * sym(f"Y{l}") * xi_var(j) * xi_var(l)
-    return out
+    return _tangential_dot("X") * _tangential_dot("Y")
 
 
 def _lin_minus(k: int = 1) -> ScalarExpr:
@@ -104,253 +94,138 @@ def _den_1x2(k: int) -> ScalarExpr:
     return (S_ONE + xi_var(4) ** 2) ** k
 
 
-@dataclass
+# ---------------------------------------------------------------------------
+# Printed results: coefficient tables over one reporting basis
+# ---------------------------------------------------------------------------
+
+_PI2 = sym("pi") ** 2
+_PI_OMEGA3 = sym("pi") * sym("Omega3")
+_SUM_A = _sum_a_iin()
+_G_VW = sym("gVW")
+
+# The named basis of the printed results; in the names gT is g(X^T,Y^T), SumA
+# is Sum_{i<n} A_iin and g alone is g(V,W).
+BASIS: Dict[str, ScalarExpr] = {
+    # boundary monomials: theorems 4.6 and 5.4 and their cases
+    "h1 gT pi^2": _H1 * G_XT_YT * _PI2,
+    "h1 XnYn pi^2": _H1 * XN_YN * _PI2,
+    "h1 XnYn piOmega3": _H1 * XN_YN * _PI_OMEGA3,
+    "Xn dYn piOmega3": XN_DYN * _PI_OMEGA3,
+    "SumA gT pi^2": _SUM_A * G_XT_YT * _PI2,
+    "SumA XnYn piOmega3": _SUM_A * XN_YN * _PI_OMEGA3,
+    # Sum_{j,l<n} X_jY_l = (Sum_j X_j)(Sum_l Y_l)
+    "SumA XjYl pi^2": _SUM_A * (sym("X1") + sym("X2") + sym("X3"))
+                      * (sym("Y1") + sym("Y2") + sym("Y3")) * _PI2,
+    # interior monomials: eq. 2.21 and theorems 2.3, 4.1 and 5.1
+    "Rg": sym("Rg"),
+    "divV": sym("divV"),
+    "normT2": sym("normT2"),
+    "normV2": sym("normV2"),
+    "Rg g": sym("Rg") * _G_VW,
+    "divV g": sym("divV") * _G_VW,
+    "normT2 g": sym("normT2") * _G_VW,
+    "normV2 g": sym("normV2") * _G_VW,
+    "pi^2 (Ric - s g/2)": _PI2 * (sym("RicVW") - _g("1/2") * sym("s_scal") * _G_VW),
+}
+
+
+@dataclass(frozen=True)
 class RefEntry:
+    """One printed result: its quote, the report rows checked against it, and
+    its coefficients, basis name -> (re, im) as Fraction strings."""
+
     ref_id: str
     quote: str
-    build: Callable[[], object]  # ScalarExpr or CliffordExpr
+    rows: Tuple[str, ...]
+    coeffs: Dict[str, Tuple[str, str]]
+
+    def __post_init__(self):
+        for name in self.coeffs:
+            if name not in BASIS:
+                raise EngineError(f"{self.ref_id}: {name!r} names no basis monomial")
+
+    def value(self) -> ScalarExpr:
+        out = S_ZERO
+        for name, (re, im) in self.coeffs.items():
+            out = out + _g(re, im) * BASIS[name]
+        return out
 
 
-REFERENCES: Dict[str, RefEntry] = {}
+# m = 2 in theorem 2.3: 2^{m+1}pi^m/(6 Gamma(m)) = 4pi^2/3 and 2^{m-1} = 2
+_INTERIOR_DENSITY = {
+    "pi^2 (Ric - s g/2)": ("4/3", "0"),
+    "Rg g": ("-1/2", "0"),
+    "divV g": ("-3", "0"),
+    "normT2 g": ("3", "0"),
+    "normV2 g": ("9", "0"),
+}
+
+_TABLE = (
+    # interior; 2^{n/2} = 4 at n = 4
+    RefEntry("eq_2_21", "Tr^{S(TM)}(E)=2^{n/2}(-1/4R^g-3/2div^g(V)+3/2||T||^2+9/2||V||^2)",
+             ("T2.3/trace-E", "T4.1/trace-E", "T5.1/trace-E"),
+             {"Rg": ("-1", "0"), "divV": ("-6", "0"), "normT2": ("6", "0"), "normV2": ("18", "0")}),
+    RefEntry("thm_2_3", "2^{m+1}pi^m/(6Gamma(m)) (Ric(V,W)-1/2 s g(V,W)) + 2^{m-1}(-1/4R^g"
+             "-3/2div^g(V)+3/2||T||^2+9/2||V||^2)g(V,W)", ("T2.3/density",), _INTERIOR_DENSITY),
+    RefEntry("thm_4_1", "4pi^2/3 (Ric(X,Y)-1/2 s g(X,Y)) + (-1/2R^g-3div^g(X)+3||T||^2"
+             "+9||X||^2)g(X,Y)", ("T4.1/density", "T4.6/interior"), _INTERIOR_DENSITY),
+    RefEntry("thm_5_1", "-1/2R^g-3div^g(X)+3||T||^2+9||X||^2 (same integrand as the quadratic "
+             "case)", ("T5.1/density", "T5.4/interior"), _INTERIOR_DENSITY),
+    # first pipeline: theorem 4.6
+    RefEntry("eq_4_26", "so Phi_1=0", ("T4.6/a1",), {}),
+    RefEntry("eq_4_32", "13pi^2/24 Sum X_jY_jh'(0)dx'+13/32 X_nY_n h'(0)piOmega_3dx'",
+             ("T4.6/a2",), {"h1 gT pi^2": ("13/24", "0"), "h1 XnYn piOmega3": ("13/32", "0")}),
+    RefEntry("eq_4_39", "5pi^2/12 Sum X_jY_jh'(0)dx'+5i/16 X_nY_n h'(0)piOmega_3dx'",
+             ("T4.6/a3",), {"h1 gT pi^2": ("5/12", "0"), "h1 XnYn piOmega3": ("0", "5/16")}),
+    RefEntry("eq_4_44", "(1-5i)pi^2/12 Sum X_jY_jh'(0)dx'+11i/16 X_nY_n h'(0)piOmega_3dx'",
+             ("T4.6/b",), {"h1 gT pi^2": ("1/12", "-5/12"), "h1 XnYn piOmega3": ("0", "11/16")}),
+    RefEntry("eq_4_55", "((5i-13)/6 Sum X_jY_j + (3-96i)/8 X_nY_n) h'(0)pi^2 dx' "
+             "- X_n dY_n/dx_n (pi/2)Omega_3 dx'", ("T4.6/c",),
+             {"h1 gT pi^2": ("-13/6", "5/6"), "h1 XnYn pi^2": ("3/8", "-96/8"),
+              "Xn dYn piOmega3": ("-1/2", "0")}),
+    RefEntry("eq_4_56", "(15-362i)/32 X_nY_nh'(0)piOmega_3 + (10i-27)pi^2/24 g(X^T,Y^T)h'(0) "
+             "- X_n dY_n/dx_n (pi/2)Omega_3", ("T4.6/total",),
+             {"h1 XnYn piOmega3": ("15/32", "-362/32"), "h1 gT pi^2": ("-27/24", "10/24"),
+              "Xn dYn piOmega3": ("-1/2", "0")}),
+    RefEntry("thm_4_6", "((15-362i)/32 X_nY_n pi h'(0) - X_n dY_n/dx_n pi/2)Omega_3 "
+             "+ (10i-27)pi^2/24 g(X^T,Y^T)h'(0)", ("T4.6/theorem",),
+             {"h1 XnYn piOmega3": ("15/32", "-362/32"), "Xn dYn piOmega3": ("-1/2", "0"),
+              "h1 gT pi^2": ("-27/24", "10/24")}),
+    # second pipeline: theorem 5.4
+    RefEntry("eq_5_13", "so tilde-Phi_1=0", ("T5.4/a1",), {}),
+    RefEntry("eq_5_19", "-592/3 pi^2 Sum X_jY_jh'(0)dx' - (461/4+23/4 i) X_nY_n h'(0)piOmega_3dx'",
+             ("T5.4/a2",),
+             {"h1 gT pi^2": ("-592/3", "0"), "h1 XnYn piOmega3": ("-461/4", "-23/4")}),
+    RefEntry("eq_5_25", "5ipi^2/6 Sum X_jY_jh'(0)dx' + 5i/8 X_nY_n h'(0)piOmega_3dx'",
+             ("T5.4/a3",), {"h1 gT pi^2": ("0", "5/6"), "h1 XnYn piOmega3": ("0", "5/8")}),
+    RefEntry("eq_5_43", "(55pi^2/3 Sum X_jY_j + (4-15i)/8 X_nY_n piOmega_3)h'(0) "
+             "+ (2pi^2/3 Sum_{j,l} X_jY_l + 3/8 X_nY_n piOmega_3) Sum A_iin", ("T5.4/b",),
+             {"h1 gT pi^2": ("55/3", "0"), "h1 XnYn piOmega3": ("4/8", "-15/8"),
+              "SumA XjYl pi^2": ("2/3", "0"), "SumA XnYn piOmega3": ("3/8", "0")}),
+    RefEntry("eq_5_50", "((-35/3+50i/3) Sum X_jY_j pi^2 + (5-137i/32) X_nY_n piOmega_3)h'(0)dx'",
+             ("T5.4/c",),
+             {"h1 gT pi^2": ("-35/3", "50/3"), "h1 XnYn piOmega3": ("5", "-137/32")}),
+    RefEntry("eq_5_51", "[(-2801/12-33i/32)X_nY_npiOmega_3+(-572/3+35i/2)pi^2 g(X^T,Y^T)]h'(0) "
+             "+ ((3/8-3i/8)X_nY_npiOmega_3+(4+3i)/6 pi^2 g(X^T,Y^T)) Sum A_iin", ("T5.4/total",),
+             {"h1 XnYn piOmega3": ("-2801/12", "-33/32"), "h1 gT pi^2": ("-572/3", "35/2"),
+              "SumA XnYn piOmega3": ("3/8", "-3/8"), "SumA gT pi^2": ("4/6", "3/6")}),
+    RefEntry("thm_5_4", "((-2801/24-33i/32)X_nY_npiOmega_3+(35i/2-572/3)pi^2 g(X^T,Y^T))h'(0) "
+             "+ ((3/8-3i/8)X_nY_npiOmega_3+(4+3i)/6 pi^2 g(X^T,Y^T)) Sum A_iin",
+             ("T5.4/theorem",),
+             {"h1 XnYn piOmega3": ("-2801/24", "-33/32"), "h1 gT pi^2": ("-572/3", "35/2"),
+              "SumA XnYn piOmega3": ("3/8", "-3/8"), "SumA gT pi^2": ("4/6", "3/6")}),
+)
+
+REFERENCES: Dict[str, RefEntry] = {entry.ref_id: entry for entry in _TABLE}
+
+# report row id -> the printed result it is checked against
+REFERENCE_OF_ROW: Dict[str, str] = {row: entry.ref_id for entry in _TABLE for row in entry.rows}
 
 
-def _ref(ref_id: str, quote: str):
-    def deco(fn):
-        REFERENCES[ref_id] = RefEntry(ref_id, quote, fn)
-        return fn
-    return deco
-
-
-def reference_value(ref_id: str):
+def reference_value(ref_id: str) -> ScalarExpr:
     if ref_id not in REFERENCES:
         raise EngineError(f"unknown reference {ref_id!r}")
-    return REFERENCES[ref_id].build()
-
-
-# ---------------------------------------------------------------------------
-# Interior results
-# ---------------------------------------------------------------------------
-
-@_ref("eq_2_21", "Tr^{S(TM)}(E)=2^{n/2}(-1/4R^g-3/2div^g(V)+3/2||T||^2+9/2||V||^2)")
-def _eq_2_21():
-    return ScalarExpr.const(4) * (
-        _g(-1, 0) / 4 * sym("Rg")
-        - _g(3, 0) / 2 * sym("divV")
-        + _g(3, 0) / 2 * sym("normT2")
-        + _g(9, 0) / 2 * sym("normV2")
-    )
-
-
-@_ref(
-    "thm_2_3",
-    "2^{m+1}pi^m/(6Gamma(m)) (Ric(V,W)-1/2 s g(V,W)) + 2^{m-1}(-1/4R^g-3/2div^g(V)"
-    "+3/2||T||^2+9/2||V||^2)g(V,W)",
-)
-def _thm_2_3():
-    pi2 = _pi() ** 2
-    return (
-        _g(4, 0) / 3 * pi2 * (sym("RicVW") - _g(1, 0) / 2 * sym("s_scal") * sym("gVW"))
-        + ScalarExpr.const(2)
-        * (
-            _g(-1, 0) / 4 * sym("Rg")
-            - _g(3, 0) / 2 * sym("divV")
-            + _g(3, 0) / 2 * sym("normT2")
-            + _g(9, 0) / 2 * sym("normV2")
-        )
-        * sym("gVW")
-    )
-
-
-@_ref(
-    "thm_4_1",
-    "4pi^2/3 (Ric(X,Y)-1/2 s g(X,Y)) + (-1/2R^g-3div^g(X)+3||T||^2+9||X||^2)g(X,Y)",
-)
-def _thm_4_1():
-    pi2 = _pi() ** 2
-    return _g(4, 0) / 3 * pi2 * (
-        sym("RicVW") - _g(1, 0) / 2 * sym("s_scal") * sym("gVW")
-    ) + (
-        _g(-1, 0) / 2 * sym("Rg")
-        - ScalarExpr.const(3) * sym("divV")
-        + ScalarExpr.const(3) * sym("normT2")
-        + ScalarExpr.const(9) * sym("normV2")
-    ) * sym("gVW")
-
-
-REFERENCES["thm_5_1"] = RefEntry(
-    "thm_5_1",
-    "-1/2R^g-3div^g(X)+3||T||^2+9||X||^2 (same integrand as the quadratic case)",
-    _thm_4_1,
-)
-
-
-# ---------------------------------------------------------------------------
-# Boundary case results, first pipeline
-# ---------------------------------------------------------------------------
-
-@_ref("eq_4_26", "so Phi_1=0")
-def _eq_4_26():
-    return S_ZERO
-
-
-@_ref("eq_4_32", "13pi^2/24 Sum X_jY_jh'(0)dx'+13/32 X_nY_n h'(0)piOmega_3dx'")
-def _eq_4_32():
-    return (
-        _g(13, 0) / 24 * _pi() ** 2 * _txy() * _h1()
-        + _g(13, 0) / 32 * _xy_normal() * _h1() * _pi() * _om()
-    )
-
-
-@_ref("eq_4_39", "5pi^2/12 Sum X_jY_jh'(0)dx'+5i/16 X_nY_n h'(0)piOmega_3dx'")
-def _eq_4_39():
-    return (
-        _g(5, 0) / 12 * _pi() ** 2 * _txy() * _h1()
-        + _g(0, 5) / 16 * _xy_normal() * _h1() * _pi() * _om()
-    )
-
-
-@_ref("eq_4_44", "(1-5i)pi^2/12 Sum X_jY_jh'(0)dx'+11i/16 X_nY_n h'(0)piOmega_3dx'")
-def _eq_4_44():
-    return (
-        _g(1, -5) / 12 * _pi() ** 2 * _txy() * _h1()
-        + _g(0, 11) / 16 * _xy_normal() * _h1() * _pi() * _om()
-    )
-
-
-@_ref(
-    "eq_4_55",
-    "((5i-13)/6 Sum X_jY_j + (3-96i)/8 X_nY_n) h'(0)pi^2 dx' "
-    "- X_n dY_n/dx_n (pi/2)Omega_3 dx'",
-)
-def _eq_4_55():
-    pi2 = _pi() ** 2
-    return (
-        _g(-13, 5) / 6 * _txy() * _h1() * pi2
-        + _g(3, -96) / 8 * _xy_normal() * _h1() * pi2
-        - sym("X4") * sym("dYn") * _pi() / 2 * _om()
-    )
-
-
-@_ref(
-    "eq_4_56",
-    "(15-362i)/32 X_nY_nh'(0)piOmega_3 + (10i-27)pi^2/24 g(X^T,Y^T)h'(0) "
-    "- X_n dY_n/dx_n (pi/2)Omega_3",
-)
-def _eq_4_56():
-    return (
-        _g(15, -362) / 32 * _xy_normal() * _h1() * _pi() * _om()
-        + _g(-27, 10) / 24 * _pi() ** 2 * _txy() * _h1()
-        - sym("X4") * sym("dYn") * _pi() / 2 * _om()
-    )
-
-
-REFERENCES["thm_4_6"] = RefEntry(
-    "thm_4_6",
-    "((15-362i)/32 X_nY_n pi h'(0) - X_n dY_n/dx_n pi/2)Omega_3 "
-    "+ (10i-27)pi^2/24 g(X^T,Y^T)h'(0)",
-    _eq_4_56,
-)
-
-
-# ---------------------------------------------------------------------------
-# Boundary case results, second pipeline
-# ---------------------------------------------------------------------------
-
-@_ref("eq_5_13", "so tilde-Phi_1=0")
-def _eq_5_13():
-    return S_ZERO
-
-
-@_ref(
-    "eq_5_19",
-    "-592/3 pi^2 Sum X_jY_jh'(0)dx' - (461/4+23/4 i) X_nY_n h'(0)piOmega_3dx'",
-)
-def _eq_5_19():
-    return (
-        _g(-592, 0) / 3 * _pi() ** 2 * _txy() * _h1()
-        - (_g(461, 23) / 4) * _xy_normal() * _h1() * _pi() * _om()
-    )
-
-
-@_ref("eq_5_25", "5ipi^2/6 Sum X_jY_jh'(0)dx' + 5i/8 X_nY_n h'(0)piOmega_3dx'")
-def _eq_5_25():
-    return (
-        _g(0, 5) / 6 * _pi() ** 2 * _txy() * _h1()
-        + _g(0, 5) / 8 * _xy_normal() * _h1() * _pi() * _om()
-    )
-
-
-@_ref(
-    "eq_5_43",
-    "(55pi^2/3 Sum X_jY_j + (4-15i)/8 X_nY_n piOmega_3)h'(0) "
-    "+ (2pi^2/3 Sum_{j,l} X_jY_l + 3/8 X_nY_n piOmega_3) Sum A_iin",
-)
-def _eq_5_43():
-    sum_x = S_ZERO
-    sum_y = S_ZERO
-    for j in (1, 2, 3):
-        sum_x = sum_x + sym(f"X{j}")
-        sum_y = sum_y + sym(f"Y{j}")
-    return (
-        _g(55, 0) / 3 * _pi() ** 2 * _txy() * _h1()
-        + _g(4, -15) / 8 * _xy_normal() * _pi() * _om() * _h1()
-        + (
-            _g(2, 0) / 3 * _pi() ** 2 * sum_x * sum_y
-            + _g(3, 0) / 8 * _xy_normal() * _pi() * _om()
-        )
-        * _sum_a_iin()
-    )
-
-
-@_ref(
-    "eq_5_50",
-    "((-35/3+50i/3) Sum X_jY_j pi^2 + (5-137i/32) X_nY_n piOmega_3)h'(0)dx'",
-)
-def _eq_5_50():
-    return (
-        (_g(-35, 50) / 3) * _txy() * _pi() ** 2 * _h1()
-        + (_g(5, 0) - _g(0, 137) / 32) * _xy_normal() * _pi() * _om() * _h1()
-    )
-
-
-@_ref(
-    "eq_5_51",
-    "[(-2801/12-33i/32)X_nY_npiOmega_3+(-572/3+35i/2)pi^2 g(X^T,Y^T)]h'(0) "
-    "+ ((3/8-3i/8)X_nY_npiOmega_3+(4+3i)/6 pi^2 g(X^T,Y^T)) Sum A_iin",
-)
-def _eq_5_51():
-    return (
-        (
-            (_g(-2801, 0) / 12 - _g(0, 33) / 32) * _xy_normal() * _pi() * _om()
-            + (_g(-572, 0) / 3 + _g(0, 35) / 2) * _pi() ** 2 * _txy()
-        )
-        * _h1()
-        + (
-            _g(3, -3) / 8 * _xy_normal() * _pi() * _om()
-            + _g(4, 3) / 6 * _pi() ** 2 * _txy()
-        )
-        * _sum_a_iin()
-    )
-
-
-@_ref(
-    "thm_5_4",
-    "((-2801/24-33i/32)X_nY_npiOmega_3+(35i/2-572/3)pi^2 g(X^T,Y^T))h'(0) "
-    "+ ((3/8-3i/8)X_nY_npiOmega_3+(4+3i)/6 pi^2 g(X^T,Y^T)) Sum A_iin",
-)
-def _thm_5_4():
-    return (
-        (
-            (_g(-2801, 0) / 24 - _g(0, 33) / 32) * _xy_normal() * _pi() * _om()
-            + (_g(-572, 0) / 3 + _g(0, 35) / 2) * _pi() ** 2 * _txy()
-        )
-        * _h1()
-        + (
-            _g(3, -3) / 8 * _xy_normal() * _pi() * _om()
-            + _g(4, 3) / 6 * _pi() ** 2 * _txy()
-        )
-        * _sum_a_iin()
-    )
+    return REFERENCES[ref_id].value()
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +279,7 @@ def _slot_4_27(ctx):
     "eq_4_29", "T4.6", "a2",
     "partial_x_n sigma_0 = Sum X_jY_l xi_j xi_l h'(0)|xi'|^2/(1+xi_n^2)^2",
     lambda: CliffordExpr.scalar(
-        (q_bilinear().restrict_sphere()) * _h1() / _den_1x2(2)
+        (q_bilinear().restrict_sphere()) * _H1 / _den_1x2(2)
     ),
 )
 def _slot_4_29(ctx):
@@ -416,9 +291,9 @@ def _slot_4_29(ctx):
     "pi+ d_x_n sigma_0 = -i xi_n/(4(xi_n-i)^2) Sum' X_jY_l xi_j xi_l h'(0) "
     "+ (2-i xi_n)/(4(xi_n-i)^2) X_nY_nh'(0) - i/(4(xi_n-i)^2)(mixed sums)",
     lambda: CliffordExpr.scalar(
-        ScalarExpr.const(GRat(0, -1)) * xi_var(4) / (ScalarExpr.const(4) * _lin_minus(2)) * _qt() * _h1()
+        ScalarExpr.const(GRat(0, -1)) * xi_var(4) / (ScalarExpr.const(4) * _lin_minus(2)) * _qt() * _H1
         + (ScalarExpr.const(2) - ScalarExpr.const(I) * xi_var(4))
-        / (ScalarExpr.const(4) * _lin_minus(2)) * _xy_normal() * _h1()
+        / (ScalarExpr.const(4) * _lin_minus(2)) * XN_YN * _H1
         - ScalarExpr.const(I) / (ScalarExpr.const(4) * _lin_minus(2)) * _mixed_xj_yn()
         - ScalarExpr.const(I) / (ScalarExpr.const(4) * _lin_minus(2)) * _mixed_xn_yl()
     ),
@@ -430,7 +305,7 @@ def _slot_4_31(ctx):
 @_slot(
     "eq_4_34", "T4.6", "a3",
     "partial_x_n sigma_-2((D_T^*D_T)^{-1})|_{|xi'|=1} = -h'(0)/(1+xi_n^2)^2",
-    lambda: CliffordExpr.scalar(-_h1() / _den_1x2(2)),
+    lambda: CliffordExpr.scalar(-_H1 / _den_1x2(2)),
 )
 def _slot_4_34(ctx):
     return _stage(ctx, "a3").f2_base
@@ -443,7 +318,7 @@ def _slot_4_34(ctx):
     lambda: CliffordExpr.scalar(
         ScalarExpr.const(2)
         * (S_ONE + ScalarExpr.const(I) * xi_var(4) - ScalarExpr.const(GRat(0, 3)) * xi_var(4) ** 3 - ScalarExpr.const(I))
-        / (_lin_minus(5) * _lin_plus(3)) * (_qt() * _h1() + _xy_normal() * _h1())
+        / (_lin_minus(5) * _lin_plus(3)) * (_qt() * _H1 + XN_YN * _H1)
         + ScalarExpr.const(2) * (S_ONE - ScalarExpr.const(3) * xi_var(4) ** 2) * ScalarExpr.const(I)
         / (_lin_minus(5) * _lin_plus(3)) * (_mixed_xj_yn() + _mixed_xn_yl())
     ),
@@ -458,7 +333,7 @@ def _slot_4_35(ctx):
     "- 1/(2(xi_n-i)) (mixed sums)",
     lambda: CliffordExpr.scalar(
         ScalarExpr.const(I) / (ScalarExpr.const(2) * _lin_minus()) * _qt()
-        - S_ONE / (ScalarExpr.const(2) * _lin_minus()) * _xy_normal()
+        - S_ONE / (ScalarExpr.const(2) * _lin_minus()) * XN_YN
         - S_ONE / (ScalarExpr.const(2) * _lin_minus()) * (_mixed_xj_yn() + _mixed_xn_yl())
     ),
 )
@@ -470,7 +345,7 @@ def _slot_4_36(ctx):
     "eq_4_37", "T4.6", "a3",
     "partial_xi_n^2 pi+ sigma_0 = i/(xi_n-i)^3 Sum' X_jY_l xi_j xi_l - 1/(xi_n-i)^3 X_nY_n",
     lambda: CliffordExpr.scalar(
-        ScalarExpr.const(I) / _lin_minus(3) * _qt() - S_ONE / _lin_minus(3) * _xy_normal()
+        ScalarExpr.const(I) / _lin_minus(3) * _qt() - S_ONE / _lin_minus(3) * XN_YN
     ),
 )
 def _slot_4_37(ctx):
@@ -482,8 +357,8 @@ def _slot_4_37(ctx):
     "=-4 h'(0)i/((xi_n-i)^5(xi_n+i)^2) Sum X_jY_l xi_j xi_l "
     "+ 4h'(0)/((xi_n-i)^5(xi_n+i)^2) X_nY_n",
     lambda: CliffordExpr.scalar(
-        ScalarExpr.const(GRat(0, -4)) * _h1() / (_lin_minus(5) * _lin_plus(2)) * _qt()
-        + ScalarExpr.const(4) * _h1() / (_lin_minus(5) * _lin_plus(2)) * _xy_normal()
+        ScalarExpr.const(GRat(0, -4)) * _H1 / (_lin_minus(5) * _lin_plus(2)) * _qt()
+        + ScalarExpr.const(4) * _H1 / (_lin_minus(5) * _lin_plus(2)) * XN_YN
     ),
 )
 def _slot_4_38(ctx):
@@ -491,7 +366,7 @@ def _slot_4_38(ctx):
 
 
 def _sigma_m3_ref_printed() -> CliffordExpr:
-    h1 = _h1()
+    h1 = _H1
     xin = xi_var(4)
     m_cliff = CliffordExpr()
     for k in (1, 2, 3):
@@ -524,12 +399,12 @@ def _slot_4_41(ctx):
     "=-h'(0)(5xi_n^2-5+4xi_n)/((xi_n-i)^5(xi_n+i)^3) Sum X_jY_l xi_j xi_l "
     "+ h'(0)i(5xi_n^3-xi_n)/((xi_n-i)^5(xi_n+i)^3) X_nY_n",
     lambda: CliffordExpr.scalar(
-        -_h1()
+        -_H1
         * (ScalarExpr.const(5) * xi_var(4) ** 2 - ScalarExpr.const(5) + ScalarExpr.const(4) * xi_var(4))
         / (_lin_minus(5) * _lin_plus(3)) * _qt()
-        + _h1() * ScalarExpr.const(I)
+        + _H1 * ScalarExpr.const(I)
         * (ScalarExpr.const(5) * xi_var(4) ** 3 - xi_var(4))
-        / (_lin_minus(5) * _lin_plus(3)) * _xy_normal()
+        / (_lin_minus(5) * _lin_plus(3)) * XN_YN
     ),
 )
 def _slot_4_43(ctx):
@@ -560,10 +435,10 @@ def _slot_5_15(ctx):
     "+ c(xi)h'(0)|xi'|^2/(1+xi_n^2)^2]",
     lambda: (
         c_xi_prime(at_point=True).scale(
-            q_bilinear().restrict_sphere() * _h1() / 2 / _den_1x2(1)
+            q_bilinear().restrict_sphere() * _H1 / 2 / _den_1x2(1)
         )
         + c_xi(at_point=True).restrict_sphere().scale(
-            q_bilinear().restrict_sphere() * _h1() / _den_1x2(2)
+            q_bilinear().restrict_sphere() * _H1 / _den_1x2(2)
         )
     ),
 )
@@ -576,8 +451,8 @@ def _slot_5_16(ctx):
     "partial_x_n sigma_-3|_{|xi'|=1} = i d_x_n[c(xi')]/(1+xi_n^2)^4 "
     "- 2i h'(0)c(xi)|xi'|^2/(1+xi_n^2)^6",
     lambda: (
-        c_xi_prime(at_point=True).scale(ScalarExpr.const(I) * _h1() / 2 / _den_1x2(4))
-        + c_xi(at_point=True).restrict_sphere().scale(_g(0, -2) * _h1() / _den_1x2(6))
+        c_xi_prime(at_point=True).scale(ScalarExpr.const(I) * _H1 / 2 / _den_1x2(4))
+        + c_xi(at_point=True).restrict_sphere().scale(_g(0, -2) * _H1 / _den_1x2(6))
     ),
 )
 def _slot_5_21(ctx):
@@ -590,7 +465,7 @@ def _slot_5_21(ctx):
     "-(c(xi')+ic(dx_n))/(2(xi_n-i)) X_nY_n - (ic(xi')-c(dx_n))/(2(xi_n-i)) (mixed)",
     lambda: (
         (c_xi_prime(at_point=True) + c_dxn().scale(ScalarExpr.const(I))).scale(
-            -(_qt() + _xy_normal()) / (ScalarExpr.const(2) * _lin_minus())
+            -(_qt() + XN_YN) / (ScalarExpr.const(2) * _lin_minus())
         )
         + (c_xi_prime(at_point=True).scale(ScalarExpr.const(I)) - c_dxn()).scale(
             -(_mixed_xj_yn() + _mixed_xn_yl()) / (ScalarExpr.const(2) * _lin_minus())
@@ -605,7 +480,7 @@ def _slot_5_22(ctx):
     "eq_5_23", "T5.4", "a3",
     "partial_xi_n^2 pi+ sigma_1 = -(c(xi')+ic(dx_n))/(xi_n-i)^3 (Sum' X_jY_l xi_j xi_l + X_nY_n)",
     lambda: (c_xi_prime(at_point=True) + c_dxn().scale(ScalarExpr.const(I))).scale(
-        -(_qt() + _xy_normal()) / _lin_minus(3)
+        -(_qt() + XN_YN) / _lin_minus(3)
     ),
 )
 def _slot_5_23(ctx):
@@ -616,7 +491,7 @@ def _slot_5_23(ctx):
     "eq_5_24", "T5.4", "a3",
     "=-2h'(0)/((xi_n-i)^5(xi_n+i)^2)(Sum X_jY_l xi_j xi_l + X_nY_n)",
     lambda: CliffordExpr.scalar(
-        _g(-2, 0) * _h1() / (_lin_minus(5) * _lin_plus(2)) * (_qt() + _xy_normal())
+        _g(-2, 0) * _H1 / (_lin_minus(5) * _lin_plus(2)) * (_qt() + XN_YN)
     ),
 )
 def _slot_5_24(ctx):
@@ -644,26 +519,26 @@ def _p0_full(off: Tuple[str, ...] = ()) -> CliffordExpr:
 def _first_item_sandwich(ctx) -> CliffordExpr:
     """(c(xi)sigma_0(D_T)c(xi) + c(xi)c(dx_n) d_x_n c(xi'))/(1+xi_n^2)^2 at |xi'| = 1."""
     cxi = c_xi(at_point=True).restrict_sphere()
-    dc = c_xi_prime(at_point=True).scale(_h1() / 2)
+    dc = c_xi_prime(at_point=True).scale(_H1 / 2)
     inner = cxi * _p0_full(ctx.torsion_off) * cxi + cxi * c_dxn() * dc
     return inner.scale(S_ONE / _den_1x2(2))
 
 
 def _ref_5_31() -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
-    dc = cxip.scale(_h1() / 2)
+    dc = cxip.scale(_H1 / 2)
     p0 = _p0_full()
     i_s = ScalarExpr.const(I)
     return (
         (cxip * p0 * cxip).scale(i_s)
-        + (c_dxn() * c_dxn().scale(_g(-3, 0) / 4 * _h1()) * c_dxn()).scale(i_s)
+        + (c_dxn() * c_dxn().scale(_g(-3, 0) / 4 * _H1) * c_dxn()).scale(i_s)
         + (cxip * c_dxn() * dc).scale(i_s)
     )
 
 
 def _ref_5_32() -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
-    dc = cxip.scale(_h1() / 2)
+    dc = cxip.scale(_H1 / 2)
     p0 = _p0_full()
     mix = cxip + c_dxn().scale(ScalarExpr.const(I))
     return mix * p0 * mix + cxip * c_dxn() * dc - dc.scale(ScalarExpr.const(I))
@@ -715,7 +590,7 @@ def _ref_5_33() -> CliffordExpr:
         + (c_dxn() * uv * cxip + cxip * uv * c_dxn()).scale(-i_s)
         + c_dxn() * uv * c_dxn()
     )
-    return tang.scale(_qt()) + norm.scale(_xy_normal())
+    return tang.scale(_qt()) + norm.scale(XN_YN)
 
 
 @_slot(
@@ -762,11 +637,8 @@ def _ref_5_35() -> CliffordExpr:
             out = out + coeff * xi_var(i_)
         return out
 
-    y_dot = S_ZERO
-    x_dot = S_ZERO
-    for j in (1, 2, 3):
-        y_dot = y_dot + sym(f"Y{j}") * xi_var(j)
-        x_dot = x_dot + sym(f"X{j}") * xi_var(j)
+    y_dot = _tangential_dot("Y")
+    x_dot = _tangential_dot("X")
     k1 = _g(0, 2) * xin / (_lin_minus() * _den_1x2(3))
     k2 = (ScalarExpr.const(3) * xin ** 2 - S_ONE) / (ScalarExpr.const(2) * _lin_minus() * _den_1x2(3))
     k3 = (ScalarExpr.const(3) * xin ** 2 - S_ONE) / (_lin_minus() * _den_1x2(3))
@@ -786,11 +658,8 @@ def _ref_5_35() -> CliffordExpr:
 )
 def _slot_5_35(ctx):
     i_s = ScalarExpr.const(I)
-    tangential_x = S_ZERO
-    tangential_y = S_ZERO
-    for j in (1, 2, 3):
-        tangential_y = tangential_y + sym(f"Y{j}") * xi_var(j)
-        tangential_x = tangential_x + sym(f"X{j}") * xi_var(j)
+    tangential_x = _tangential_dot("X")
+    tangential_y = _tangential_dot("Y")
     off = ctx.torsion_off
     tbar_x = torsion_two_form("X", off).map_coeffs(lambda c: c.subst_shx_one())
     tbar_y = torsion_two_form("Y", off).map_coeffs(lambda c: c.subst_shx_one())
@@ -802,7 +671,7 @@ def _slot_5_35(ctx):
 
 def _sigma_m4_nontorsion_ref() -> CliffordExpr:
     xin = xi_var(4)
-    h1 = _h1()
+    h1 = _H1
     i_s = ScalarExpr.const(I)
     cxip = c_xi_prime(at_point=True)
     dc = cxip.scale(h1 / 2)
@@ -847,10 +716,10 @@ def _slot_5_45(ctx):
     "- (c(xi')+ic(dx_n))/(2(xi_n-i)^2) X_nY_n + (ic(xi')-c(dx_n))/(2(xi_n-i)^2)(mixed, full sums)",
     lambda: (
         (c_xi_prime(at_point=True) + c_dxn().scale(ScalarExpr.const(I))).scale(
-            (_qt() - _xy_normal()) / (ScalarExpr.const(2) * _lin_minus(2))
+            (_qt() - XN_YN) / (ScalarExpr.const(2) * _lin_minus(2))
         )
         + (c_xi_prime(at_point=True).scale(ScalarExpr.const(I)) - c_dxn()).scale(
-            (_mixed_xj_yn() + _mixed_xn_yl() + ScalarExpr.const(2) * _xy_normal() * xi_var(4))
+            (_mixed_xj_yn() + _mixed_xn_yl() + ScalarExpr.const(2) * XN_YN * xi_var(4))
             / (ScalarExpr.const(2) * _lin_minus(2))
         )
     ),
@@ -862,11 +731,11 @@ def _slot_5_46(ctx):
 @_slot(
     "eq_5_47", "T5.4", "c",
     "tr[c(xi')c(xi')c(dx_n)d_x_n c(xi')]=0 ; tr[c(dx_n)c(xi')c(dx_n)d_x_n c(xi')]=-2h'(0)",
-    lambda: CliffordExpr.scalar(_g(-2, 0) * _h1()),
+    lambda: CliffordExpr.scalar(_g(-2, 0) * _H1),
 )
 def _slot_5_47(ctx):
     cxip = c_xi_prime(at_point=True)
-    dc = cxip.scale(_h1() / 2)
+    dc = cxip.scale(_H1 / 2)
     first = cl_trace_product(cxip * cxip * c_dxn(), dc).restrict_sphere()
     if not first.is_zero():
         raise EngineError("first trace of the frame-derivative pair is nonzero")
@@ -876,7 +745,7 @@ def _slot_5_47(ctx):
 
 def _ref_5_48() -> CliffordExpr:
     xin = xi_var(4)
-    h1 = _h1()
+    h1 = _H1
     tang_num = (
         _g(7, 6)
         - (_g(20, -15)) * xin
@@ -893,7 +762,7 @@ def _ref_5_48() -> CliffordExpr:
     )
     return CliffordExpr.scalar(
         _qt() * h1 * tang_num / (_lin_minus(5) * _lin_plus(4))
-        + _xy_normal() * norm_num / (_lin_minus(2) * _lin_plus(4))
+        + XN_YN * norm_num / (_lin_minus(2) * _lin_plus(4))
     )
 
 
@@ -912,11 +781,8 @@ def _slot_5_48(ctx):
 
 
 def _ref_5_49() -> CliffordExpr:
-    coeff = _g(0, -3) / 8 * _pi()
-    total = S_ZERO
-    for i_ in range(1, 5):
-        total = total + atom_A(i_, i_, 4)
-    return CliffordExpr.scalar((_qt() + _xy_normal()) * coeff * total)
+    coeff = _g(0, -3) / 8 * sym("pi")
+    return CliffordExpr.scalar((_qt() + XN_YN) * coeff * _sum_a_iin())
 
 
 @_slot(

@@ -48,7 +48,7 @@ from .pipeline import (
     make_context,
     total_boundary_term,
 )
-from .references import reference_value, slots_for
+from .references import REFERENCE_OF_ROW, reference_value, slots_for
 from .symbols import builtin_symbol, recomputed_symbol
 
 ENGINE_VERSION = "0.1.0"
@@ -336,30 +336,6 @@ def compare_with_reference(expr, reference_id: str) -> Tuple[str, Optional[objec
 # Row assembly
 # ---------------------------------------------------------------------------
 
-_CASE_REFS = {
-    "T4.6": {
-        "a1": "eq_4_26",
-        "a2": "eq_4_32",
-        "a3": "eq_4_39",
-        "b": "eq_4_44",
-        "c": "eq_4_55",
-        "total": "eq_4_56",
-        "theorem": "thm_4_6",
-        "interior": "thm_4_1",
-    },
-    "T5.4": {
-        "a1": "eq_5_13",
-        "a2": "eq_5_19",
-        "a3": "eq_5_25",
-        "b": "eq_5_43",
-        "c": "eq_5_50",
-        "total": "eq_5_51",
-        "theorem": "thm_5_4",
-        "interior": "thm_5_1",
-    },
-}
-
-
 def _trail_dict(step: TrailStep, cfg: RunConfig) -> Dict:
     """A trail step as emitted: its expression switched, a slot step compared."""
     if step.ref_id is not None:
@@ -373,7 +349,8 @@ def _trail_dict(step: TrailStep, cfg: RunConfig) -> Dict:
     return {"step": step.step_id, "op": step.op, "expr": text}
 
 
-def _row_dict(report: PhiReport, ref_id: str, cfg: RunConfig) -> Dict:
+def _row_dict(report: PhiReport, cfg: RunConfig) -> Dict:
+    ref_id = REFERENCE_OF_ROW[report.row_id]
     value, ref, verdict, delta = _compare_under(report.value, reference_value(ref_id), cfg)
     row = {
         "id": report.row_id,
@@ -391,7 +368,8 @@ def _row_dict(report: PhiReport, ref_id: str, cfg: RunConfig) -> Dict:
     return row
 
 
-def _interior_row(row_id: str, value: ScalarExpr, ref_id: str, cfg: RunConfig) -> Dict:
+def _interior_row(row_id: str, value: ScalarExpr, cfg: RunConfig) -> Dict:
+    ref_id = REFERENCE_OF_ROW[row_id]
     value, _, verdict, delta = _compare_under(value, reference_value(ref_id), cfg)
     return {
         "id": row_id,
@@ -434,7 +412,6 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     `_switch` maps every field as well, so the two agree.
     """
     ctx = make_context(theorem, cfg.sigma3_variant, cfg.torsion_off)
-    refs = _CASE_REFS[theorem]
     reports = [compute_case_term(ctx, case) for case in enumerate_cases(theorem)]
     total = total_boundary_term(reports, theorem)
     # sum consistency: total must equal the exact sum of the cases
@@ -455,16 +432,14 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
                       ref_id=slot.slot_id, ref=as_clifford(slot.build_ref()))
             for slot in slots_for(theorem) if slot.case_id == case_id
         ]
-        rows.append(_row_dict(replace(rep, trail=rep.trail + slot_steps), refs[case_id], cfg))
+        rows.append(_row_dict(replace(rep, trail=rep.trail + slot_steps), cfg))
     out = {
         "theorem": theorem,
         "rows": rows,
         "totals": {
-            "boundary": _row_dict(total, refs["total"], cfg),
-            "theorem_statement": _row_dict(theorem_row, refs["theorem"], cfg),
-            "interior": _interior_row(
-                f"{theorem}/interior", interior_density(), refs["interior"], cfg
-            ),
+            "boundary": _row_dict(total, cfg),
+            "theorem_statement": _row_dict(theorem_row, cfg),
+            "interior": _interior_row(f"{theorem}/interior", interior_density(), cfg),
         },
         "symbol_diffs": _symbol_diff_rows(theorem, cfg),
     }
@@ -505,9 +480,8 @@ def run_interior(cfg: RunConfig, theorem: str = "T2.3") -> Dict:
         val, _, verdict, _ = _compare_under(val, S_ZERO, cfg)
         rows.append({"id": f"{theorem}/{name}", "engine_value": emit(val, "text"),
                      "verdict": verdict})
-    ref_ids = {"T2.3": "thm_2_3", "T4.1": "thm_4_1", "T5.1": "thm_5_1"}
-    rows.append(_interior_row(f"{theorem}/trace-E", trace_e(), "eq_2_21", cfg))
-    rows.append(_interior_row(f"{theorem}/density", interior_density(), ref_ids[theorem], cfg))
+    rows.append(_interior_row(f"{theorem}/trace-E", trace_e(), cfg))
+    rows.append(_interior_row(f"{theorem}/density", interior_density(), cfg))
     rows.append(
         {
             "id": f"{theorem}/four-form-top-coefficient",

@@ -23,6 +23,11 @@ def c(i):
     return CliffordExpr.gen(i)
 
 
+def _mat_add(a, b):
+    """Entrywise sum of two matrices of the oracle (tuples of GRat rows)."""
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
 def test_generator_relations():
     for i in range(1, 5):
         for j in range(1, 5):
@@ -187,8 +192,8 @@ def test_gamma_table_obeys_the_generator_relations():
     """c(e_i)c(e_j) + c(e_j)c(e_i) = -2 delta_ij on the table's generators,
     and the product of any two entries is the entry of the reduced word,
     with its sign."""
-    from wresidue.clifford import MAT_ID, MAT_ZERO, _gamma_table, _mat_add, _mat_mul, \
-        _mat_scale, _mono_product
+    from wresidue.clifford import MAT_ID, MAT_ZERO, _gamma_table, _mat_mul, _mat_scale, \
+        _mono_product
 
     table = _gamma_table()
     for i in range(1, 5):

@@ -35,7 +35,13 @@ from wresidue.report import (
     render_report,
     run_computation,
 )
-from wresidue.references import REFERENCES, reference_value, slots_for
+from wresidue.references import (
+    REFERENCE_OF_ROW,
+    REFERENCES,
+    RefEntry,
+    reference_value,
+    slots_for,
+)
 from wresidue.symbols import builtin_symbol, recomputed_symbol
 
 
@@ -105,6 +111,60 @@ def test_round_trip_every_reference_value():
         assert not mismatch, rid
 
 
+# The sha256 of the text of every printed result as the hand-built reference
+# builders gave it, before the tables over the reporting basis replaced them.
+_REFERENCE_TEXT_SHA256 = {
+    "eq_2_21": "f1503c5fa1b9e45572512eade40634297eec08fff95e43a02942bec59bdb9f23",
+    "eq_4_26": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    "eq_4_32": "bb3a434364d9ba48079079aa03bf6f993e608ad457c66f0c014457bc7f4531a4",
+    "eq_4_39": "76a0134549129792b9ac34053c5b8611810690faeaba6efbe9caa182aeebd186",
+    "eq_4_44": "e8a22649c5f166631d512487ad70268d22116a4e0427fa8f28b5160ac8cbaa3c",
+    "eq_4_55": "df217b430c34c0bfc0098ba31cdb0296d5a54d546749a874933370a704f67f29",
+    "eq_4_56": "2c775aee4a4be489c72269f006ed41f1af873a1ad7bf1759c4b64a70ebd7a291",
+    "eq_5_13": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    "eq_5_19": "105cdc50627f4c8a0d00072fae3cd2b39ec315cd1d8145ab87c3d0104fb1bac6",
+    "eq_5_25": "2a93d6e6ab69069a1b6d0cda1def308ac5ce08eb947e836eab7e0e56783b3342",
+    "eq_5_43": "a3217d4fb35ac8c43c6dcdf51be6507b5893210b542aaa70391c8ebf0b454049",
+    "eq_5_50": "8ff5c7f7d252eded455c3fc71ff03202d7c549aed7771ad79b1d095ce7d55fcb",
+    "eq_5_51": "08f90aff72039b2f8b2761735b119e2fabc0aa5f9dbd041c83ca951a8cb3f95d",
+    "thm_2_3": "a8b622877977b0abcf07dc8559d3f9343c0cd20287d0cc010ef46377bfbf0764",
+    "thm_4_1": "a8b622877977b0abcf07dc8559d3f9343c0cd20287d0cc010ef46377bfbf0764",
+    "thm_4_6": "2c775aee4a4be489c72269f006ed41f1af873a1ad7bf1759c4b64a70ebd7a291",
+    "thm_5_1": "a8b622877977b0abcf07dc8559d3f9343c0cd20287d0cc010ef46377bfbf0764",
+    "thm_5_4": "3488b1ac5aeab51c01da143bce455f30c7aec5899dfcde9ecf3b24c97541c879",
+}
+
+
+@pytest.mark.parametrize("ref_id", sorted(_REFERENCE_TEXT_SHA256))
+def test_reference_table_text_is_pinned(ref_id):
+    """A transcription slip in a coefficient table changes the text of its value."""
+    text = reference_value(ref_id).text()
+    assert hashlib.sha256(text.encode()).hexdigest() == _REFERENCE_TEXT_SHA256[ref_id]
+
+
+def test_every_printed_result_is_pinned():
+    assert set(REFERENCES) == set(_REFERENCE_TEXT_SHA256)
+
+
+def test_a_table_key_naming_no_basis_monomial_fails():
+    with pytest.raises(EngineError, match="names no basis monomial"):
+        RefEntry("eq_0_0", "a slip", ("T4.6/a1",), {"h1 X_nY_n pi^2": ("1", "0")})
+
+
+def test_report_rows_and_table_rows_name_each_other(all_doc):
+    """Each report row with a reference is named by exactly one table row, and
+    every table row is read by some report row: no dead entries."""
+    read = {}
+    for section in all_doc["sections"]:
+        for row in section["rows"] + list(section.get("totals", {}).values()):
+            if "reference" in row:
+                assert row["reference"] in REFERENCES, row["id"]
+                read[row["id"]] = row["reference"]
+    assert read == REFERENCE_OF_ROW
+    assert sum(len(entry.rows) for entry in REFERENCES.values()) == len(REFERENCE_OF_ROW)
+    assert set(read.values()) == set(REFERENCES)
+
+
 # ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
@@ -134,6 +194,11 @@ def test_compare_unknown_reference_rejected():
 @pytest.fixture(scope="module")
 def t46_doc():
     return run_computation(RunConfig(theorem="T4.6"))
+
+
+@pytest.fixture(scope="module")
+def all_doc():
+    return run_computation(RunConfig(theorem="all"))
 
 
 def test_report_structure(t46_doc):
@@ -540,10 +605,15 @@ def test_cli_numeric_oracles_load_neither_numpy_nor_scipy(suite):
 
 
 def test_cli_list():
+    """The listing, quotes from the reference table included, is pinned byte
+    for byte."""
     out = _run_cli("list")
     assert out.returncode == 0
     assert "eq_4_32" in out.stdout
     assert "T4.6" in out.stdout
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+        "da667687808a3fb2c9d6724ffde462adfafdf323fdca903dd40bbc6ba0ff5052"
+    )
 
 
 def test_cli_run_single_case(tmp_path):
