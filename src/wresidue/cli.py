@@ -140,7 +140,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_list(_args) -> int:
-    from .references import REFERENCES, SLOTS
+    from .printed import REFERENCES
+    from .references import SLOTS
     from .pipeline import THEOREM_IDS, enumerate_cases
 
     lines = ["computations:"]

@@ -34,11 +34,14 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 from .gaussian import GRat, ZERO, I
 from .scalars import (
     EngineError,
+    Poly,
     ScalarExpr,
     S_ONE,
     S_ZERO,
     _as_scalar,
+    mono_mask,
     scalar_sum,
+    zero_torsion_bindings,
 )
 
 CliffMono = Tuple[int, ...]  # strictly increasing generator indices, () = identity
@@ -252,6 +255,28 @@ def clifford_inverse(a: CliffordExpr) -> CliffordExpr:
         raise EngineError("non-invertible leading symbol: vanishing norm form")
     reflect = CliffordExpr.scalar(alpha) - CliffordExpr.from_cotangent(w)
     return reflect.scale(quad.inverse())
+
+
+def apply_torsion_switches(value, a: bool, t: bool, v: bool):
+    """Set the switched-off torsion atom families to zero in a ScalarExpr or
+    a CliffordExpr by dropping every monomial that holds one; a value free of
+    them, such as one built from a context with those families off, is
+    returned as it is."""
+    if a and t and v:
+        return value
+    ids = set(zero_torsion_bindings(a=not a, t=not t, v=not v))
+    if ids.isdisjoint(value.variables()):
+        return value
+
+    mask = mono_mask(ids)
+
+    def keep(p: Poly) -> Poly:
+        return Poly({m: k for m, k in p.terms.items() if not m & mask}, _trusted=True)
+
+    def drop(c: ScalarExpr) -> ScalarExpr:
+        return ScalarExpr(keep(c.num), keep(c.den))
+
+    return value.map_coeffs(drop) if isinstance(value, CliffordExpr) else drop(value)
 
 
 # ---------------------------------------------------------------------------

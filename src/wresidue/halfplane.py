@@ -25,10 +25,9 @@ coefficients go through `scalars.scalar_sum`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from .gaussian import GRat, I, ONE, ZERO
 from .scalars import (
@@ -119,8 +118,7 @@ def _basis_tables(den: Poly, d: int) -> Tuple[Dict[int, ScalarExpr], Dict[int, S
             _polynomial_part(den, d))
 
 
-@dataclass(frozen=True)
-class _BasisEntry:
+class _BasisEntry(NamedTuple):
     """Partial fractions of one basis element xin^d / den (constant coefficients)."""
 
     plus: Dict[int, ScalarExpr]

@@ -11,9 +11,8 @@ density in dimension n = 2m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from .gaussian import GRat
 from .scalars import (
@@ -43,8 +42,7 @@ def _frac(a: int, b: int) -> ScalarExpr:
     return ScalarExpr.const(GRat(Fraction(a, b)))
 
 
-@dataclass
-class EndomorphismE:
+class EndomorphismE(NamedTuple):
     """Scalar and Clifford parts of the Laplacian endomorphism."""
 
     scalar_part: ScalarExpr

@@ -28,8 +28,7 @@ computations; reports merge in case order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .gaussian import GRat
 from .scalars import (
@@ -39,14 +38,14 @@ from .scalars import (
     ScalarExpr,
     S_ZERO,
     mono_items,
-    mono_mask,
     mono_pack,
     sym,
-    zero_torsion_bindings,
 )
-from .clifford import CliffordExpr, cl_trace_product
+# apply_torsion_switches is read from this module by perfbench/tracer.py
+from .clifford import CliffordExpr, apply_torsion_switches, cl_trace_product  # noqa: F401
 from .halfplane import pi_plus_scalar
 from .integration import integrate_xi_n, sphere_moment
+from .printed import G_XT_YT, XN_DYN, XN_YN
 from .symbols import (
     GradedSymbol,
     builtin_symbol,
@@ -60,8 +59,7 @@ N_DIM = 4
 THEOREM_IDS = ("T4.6", "T5.4")
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(NamedTuple):
     theorem: str
     case_id: str
     r: int
@@ -142,8 +140,7 @@ def enumerate_cases(theorem: str) -> List[CaseSpec]:
 # Trail and report records
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TrailStep:
+class TrailStep(NamedTuple):
     """One trail step.  The report shows `note` then the text of `expr` under
     the config switches; a printed-intermediate step compares `expr` with
     its printed reference `ref`."""
@@ -158,16 +155,12 @@ class TrailStep:
 
 # The reporting monomials of a boundary density, each with its label in
 # `CollectedForm.text`: g(X^T,Y^T) = Sum_{j<n} X_jY_j, X_nY_n and X_n dY_n/dx_n.
-G_XT_YT = sym("X1") * sym("Y1") + sym("X2") * sym("Y2") + sym("X3") * sym("Y3")
-XN_YN = sym("X4") * sym("Y4")
-XN_DYN = sym("X4") * sym("dYn")
 REPORTING_MONOMIALS: Tuple[Tuple[str, ScalarExpr], ...] = (
     ("g(X^T,Y^T)", G_XT_YT), ("Xn*Yn", XN_YN), ("Xn*dYn", XN_DYN),
 )
 
 
-@dataclass
-class CollectedForm:
+class CollectedForm(NamedTuple):
     """Boundary density in the reporting monomial basis."""
 
     tangential: ScalarExpr  # coefficient of g(X^T, Y^T)
@@ -188,12 +181,11 @@ class CollectedForm:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass
-class PhiReport:
+class PhiReport(NamedTuple):
     case: Optional[CaseSpec]
     row_id: str
     value: ScalarExpr
-    trail: List[TrailStep] = field(default_factory=list)
+    trail: List[TrailStep]
 
 
 def collect_form(value: ScalarExpr) -> CollectedForm:
@@ -264,8 +256,7 @@ def _prefactor(case: CaseSpec) -> GRat:
     return GRat(0, -1) ** e / GRat(math.factorial(case.j + case.k + 1))
 
 
-@dataclass
-class AxisStages:
+class AxisStages(NamedTuple):
     """The stage chain of one tangential axis of a case (one pass if |alpha| = 0).
 
     `f2_base` and `f1_base` are the second and first factors after their
@@ -285,16 +276,15 @@ class AxisStages:
     moment: ScalarExpr = S_ZERO
 
 
-@dataclass
-class TheoremContext:
+class TheoremContext(NamedTuple):
     theorem: str
     factor1: GradedSymbol
     factor2: GradedSymbol
-    sigma3_variant: str = "printed"
+    sigma3_variant: str
     # the torsion families built as 0 in the factors (see `builtin_symbol`)
-    torsion_off: Tuple[str, ...] = ()
+    torsion_off: Tuple[str, ...]
     # per-case stage chains, evaluated on first use (see `case_stages`)
-    stages: Dict[CaseSpec, List[AxisStages]] = field(default_factory=dict, repr=False)
+    stages: Dict[CaseSpec, List[AxisStages]]
 
 
 def make_context(theorem: str, sigma3_variant: str = "printed",
@@ -308,6 +298,7 @@ def make_context(theorem: str, sigma3_variant: str = "printed",
         builtin_symbol(f2_id, sigma3_variant, torsion_off),
         sigma3_variant,
         tuple(torsion_off),
+        {},
     )
 
 
@@ -446,25 +437,3 @@ def total_boundary_term(reports: List[PhiReport], theorem: str) -> PhiReport:
         value=total,
         trail=[TrailStep("total", "sum", total)],
     )
-
-
-def apply_torsion_switches(value, a: bool, t: bool, v: bool):
-    """Set the switched-off torsion atom families to zero in a ScalarExpr or
-    a CliffordExpr by dropping every monomial that holds one; a value free of
-    them, such as one built from a context with those families off, is
-    returned as it is."""
-    if a and t and v:
-        return value
-    ids = set(zero_torsion_bindings(a=not a, t=not t, v=not v))
-    if ids.isdisjoint(value.variables()):
-        return value
-
-    mask = mono_mask(ids)
-
-    def keep(p: Poly) -> Poly:
-        return Poly({m: k for m, k in p.terms.items() if not m & mask}, _trusted=True)
-
-    def drop(c: ScalarExpr) -> ScalarExpr:
-        return ScalarExpr(keep(c.num), keep(c.den))
-
-    return value.map_coeffs(drop) if isinstance(value, CliffordExpr) else drop(value)

@@ -8,14 +8,18 @@ The exit-code contract lives here: a paper-mismatch is a reportable verdict
 
 Rendering is deterministic: identical config and seed give byte-identical
 output.
+
+The interior theorems need only the modules imported at the top.  The
+boundary stack (`pipeline`, the slots of `references`, `symbols`, and
+`halfplane` and `integration` under them) is imported inside `run_theorem`
+and its helpers, so a process loads it on its first boundary theorem.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, TextIO, Tuple
 
 from .gaussian import GRat
 from .scalars import (
@@ -29,27 +33,17 @@ from .scalars import (
     mono_rank,
     sym,
 )
-from .clifford import CliffordExpr, as_clifford
+from .clifford import CliffordExpr, apply_torsion_switches, as_clifford
 from .interior import (
     clifford_part_top_coefficient,
     curvature_trace_identities,
     interior_density,
     trace_e,
 )
-from .pipeline import (
-    PhiReport,
-    THEOREM_IDS,
-    TheoremContext,
-    TrailStep,
-    apply_torsion_switches,
-    collect_form,
-    compute_case_term,
-    enumerate_cases,
-    make_context,
-    total_boundary_term,
-)
-from .references import REFERENCE_OF_ROW, reference_value, slots_for
-from .symbols import builtin_symbol, recomputed_symbol
+from .printed import REFERENCE_OF_ROW, reference_value
+
+if TYPE_CHECKING:
+    from .pipeline import PhiReport, TheoremContext, TrailStep
 
 ENGINE_VERSION = "0.1.0"
 
@@ -59,6 +53,7 @@ ENGINE_VERSION = "0.1.0"
 # ---------------------------------------------------------------------------
 
 THEOREM_CHOICES = ("T2.3", "T4.1", "T4.6", "T5.1", "T5.4", "all")
+INTERIOR_THEOREMS = ("T2.3", "T4.1", "T5.1")  # the others are `pipeline.THEOREM_IDS`
 CASE_CHOICES = ("a1", "a2", "a3", "b", "c")
 FORMAT_CHOICES = ("text", "json", "latex")
 SIGMA3_CHOICES = ("printed", "xik")
@@ -74,28 +69,37 @@ class ConfigError(EngineError):
     """A usage or configuration error; the CLI exits 1 on it."""
 
 
-@dataclass
 class RunConfig:
-    """Deterministic batch configuration; identical config => identical report."""
+    """Deterministic batch configuration; identical config => identical report.
 
-    theorem: str = "all"
-    case: Optional[str] = None
-    torsion_a: bool = True
-    torsion_t: bool = True
-    torsion_v: bool = True
-    output_format: str = "text"  # text | json | latex
-    subst_omega3: bool = False
-    seed: int = 0
-    oracle_samples: int = 0
-    sigma3_variant: str = "printed"
+    `FIELDS` maps each field to its default; a bool or int default fixes the
+    type the field takes.
+    """
+
+    FIELDS = {
+        "theorem": "all",
+        "case": None,
+        "torsion_a": True,
+        "torsion_t": True,
+        "torsion_v": True,
+        "output_format": "text",  # text | json | latex
+        "subst_omega3": False,
+        "seed": 0,
+        "oracle_samples": 0,
+        "sigma3_variant": "printed",
+    }
+    __slots__ = tuple(FIELDS)
+
+    def __init__(self, **values):
+        for name, default in self.FIELDS.items():
+            setattr(self, name, values.pop(name, default))
+        if values:
+            raise ConfigError(f"unknown configuration key {next(iter(values))!r}")
 
     @staticmethod
     def from_mapping(data: Dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("a configuration must be a JSON object")
-        unknown = [key for key in data if key not in {f.name for f in fields(RunConfig)}]
-        if unknown:
-            raise ConfigError(f"unknown configuration key {unknown[0]!r}")
         cfg = RunConfig(**data)
         cfg.validate()
         return cfg
@@ -104,17 +108,23 @@ class RunConfig:
         for name, choices in _CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
-        for f in fields(self):  # bool and int fields take exactly that type
-            if f.type in ("bool", "int") and type(getattr(self, f.name)).__name__ != f.type:
-                kind = "true or false" if f.type == "bool" else "an integer"
-                raise ConfigError(f"{f.name} must be {kind}")
+        for name, default in self.FIELDS.items():  # bool and int fields take exactly that type
+            if type(default) in (bool, int) and type(getattr(self, name)) is not type(default):
+                kind = "true or false" if type(default) is bool else "an integer"
+                raise ConfigError(f"{name} must be {kind}")
         if self.oracle_samples < 0:
             raise ConfigError("oracle_samples must not be negative")
-        if self.case is not None and self.theorem not in THEOREM_IDS + ("all",):
+        if self.case is not None and self.theorem in INTERIOR_THEOREMS:
             raise ConfigError(f"theorem {self.theorem} has no boundary cases; drop the case")
 
     def to_mapping(self) -> Dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    def __eq__(self, other):
+        return isinstance(other, RunConfig) and self.to_mapping() == other.to_mapping()
+
+    def __repr__(self):
+        return "RunConfig(" + ", ".join(f"{k}={v!r}" for k, v in self.to_mapping().items()) + ")"
 
     @property
     def torsion_off(self) -> Tuple[str, ...]:
@@ -350,6 +360,8 @@ def _trail_dict(step: TrailStep, cfg: RunConfig) -> Dict:
 
 
 def _row_dict(report: PhiReport, cfg: RunConfig) -> Dict:
+    from .pipeline import collect_form
+
     ref_id = REFERENCE_OF_ROW[report.row_id]
     value, ref, verdict, delta = _compare_under(report.value, reference_value(ref_id), cfg)
     row = {
@@ -382,6 +394,8 @@ def _interior_row(row_id: str, value: ScalarExpr, cfg: RunConfig) -> Dict:
 
 def _symbol_diff_rows(theorem: str, cfg: RunConfig) -> List[Dict]:
     """Stated-vs-recomputed inverse symbol diffs (never silently reconciled)."""
+    from .symbols import builtin_symbol, recomputed_symbol
+
     rows: List[Dict] = []
     if theorem == "T4.6":
         pairs = [("(D_T*D_T)^-1", (-2, -3))]
@@ -411,6 +425,10 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     symbols are built with the switched-off torsion families at 0, and
     `_switch` maps every field as well, so the two agree.
     """
+    from .pipeline import (TrailStep, compute_case_term, enumerate_cases, make_context,
+                           total_boundary_term)
+    from .references import slots_for
+
     ctx = make_context(theorem, cfg.sigma3_variant, cfg.torsion_off)
     reports = [compute_case_term(ctx, case) for case in enumerate_cases(theorem)]
     total = total_boundary_term(reports, theorem)
@@ -420,7 +438,7 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
         check = check - rep.value
     if not check.is_zero():
         raise EngineError("internal: case sum does not reproduce the total")
-    theorem_row = replace(total, row_id=f"{theorem}/theorem", trail=[])
+    theorem_row = total._replace(row_id=f"{theorem}/theorem", trail=[])
     rows = []
     for rep in reports:
         case_id = rep.case.case_id
@@ -432,7 +450,7 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
                       ref_id=slot.slot_id, ref=as_clifford(slot.build_ref()))
             for slot in slots_for(theorem) if slot.case_id == case_id
         ]
-        rows.append(_row_dict(replace(rep, trail=rep.trail + slot_steps), cfg))
+        rows.append(_row_dict(rep._replace(trail=rep.trail + slot_steps), cfg))
     out = {
         "theorem": theorem,
         "rows": rows,
@@ -453,6 +471,8 @@ def _sigma3_variant_rows(ctx: TheoremContext, cfg: RunConfig) -> List[Dict]:
 
     The run's context supplies its own reading; only the other is evaluated.
     """
+    from .pipeline import compute_case_term, enumerate_cases, make_context
+
     other = make_context(ctx.theorem, "xik" if ctx.sigma3_variant == "printed" else "printed",
                          ctx.torsion_off)
     printed, xik = (ctx, other) if ctx.sigma3_variant == "printed" else (other, ctx)
@@ -500,7 +520,7 @@ def run_computation(cfg: RunConfig) -> Dict:
         ["T2.3", "T4.1", "T4.6", "T5.1", "T5.4"] if cfg.theorem == "all" else [cfg.theorem]
     )
     for th in theorems:
-        if th in ("T2.3", "T4.1", "T5.1"):
+        if th in INTERIOR_THEOREMS:
             sections.append(run_interior(cfg, th))
         else:
             sections.append(run_theorem(th, cfg))

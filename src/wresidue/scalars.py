@@ -41,10 +41,9 @@ workers; the registry is frozen at configuration time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import GRat, ONE, ZERO
 
@@ -65,8 +64,7 @@ KIND_GEOMETRIC = "geometric"
 KIND_TRANSCENDENTAL = "transcendental"
 
 
-@dataclass(frozen=True)
-class Indeterminate:
+class Indeterminate(NamedTuple):
     sym_id: int
     name: str
     kind: str

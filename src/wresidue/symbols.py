@@ -23,8 +23,7 @@ parametrix recursively from the leading component.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .gaussian import GRat, I
 from .scalars import (
@@ -171,8 +170,7 @@ def torsion_two_form(prefix: str, off: Tuple[str, ...] = ()) -> CliffordExpr:
 # Graded symbols
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SymbolComponent:
+class SymbolComponent(NamedTuple):
     """One homogeneity component of a symbol.
 
     at_point: the value is evaluated data at x0 (no shx dependence left);
@@ -185,8 +183,7 @@ class SymbolComponent:
     homogeneous: bool = True
 
 
-@dataclass
-class GradedSymbol:
+class GradedSymbol(NamedTuple):
     label: str
     components: Dict[int, SymbolComponent]
     top: int
@@ -525,6 +522,10 @@ def _sym_cube_inv(off: Tuple[str, ...]) -> GradedSymbol:
 
 _BUILTIN_CACHE: Dict[Tuple[str, ...], GradedSymbol] = {}
 
+# the operators whose symbol reads the sigma3 variant; the others are cached
+# once, under the variant "printed", whichever variant is asked for
+_READS_SIGMA3 = frozenset({"(D_T*D_T)^-1", "nablaXY(D_T*D_T)^-1"})
+
 
 def builtin_symbol(operator_id: str, sigma3_variant: str = "printed",
                    off: Tuple[str, ...] = ()) -> GradedSymbol:
@@ -533,9 +534,12 @@ def builtin_symbol(operator_id: str, sigma3_variant: str = "printed",
     `off` names the torsion families ("A", "T", "V", in that order) whose
     atoms are built as 0; setting atoms to 0 is a ring homomorphism, so
     every stage downstream equals the switched full result.  Results are
-    cached by (operator_id, sigma3_variant) plus `off`; graded symbols are
-    pure values and safe to share.
+    cached by (operator_id, sigma3_variant) plus `off`, and a composite
+    takes its factors from this cache, so a process builds each symbol
+    once; graded symbols are pure values and safe to share.
     """
+    if operator_id not in _READS_SIGMA3:
+        sigma3_variant = "printed"
     off = tuple(off)
     key = (operator_id, sigma3_variant) + off
     hit = _BUILTIN_CACHE.get(key)
@@ -546,6 +550,9 @@ def builtin_symbol(operator_id: str, sigma3_variant: str = "printed",
 
 
 def _build_symbol(operator_id: str, sigma3_variant: str, off: Tuple[str, ...]) -> GradedSymbol:
+    def factor(factor_id: str) -> GradedSymbol:
+        return builtin_symbol(factor_id, sigma3_variant, off)
+
     if operator_id == "D_T":
         return _sym_dirac(False, off)
     if operator_id == "D_T*":
@@ -553,7 +560,7 @@ def _build_symbol(operator_id: str, sigma3_variant: str, off: Tuple[str, ...]) -
     if operator_id == "nablaXY":
         return _sym_nabla2(off)
     if operator_id == "D_T*D_T":
-        return compose(_sym_dirac(True, off), _sym_dirac(False, off), 1, label="D_T*D_T")
+        return compose(factor("D_T*"), factor("D_T"), 1, label="D_T*D_T")
     if operator_id == "(D_T*D_T)^-1":
         return _sym_laplacian_inv(sigma3_variant, off)
     if operator_id == "D_T^-1":
@@ -561,16 +568,14 @@ def _build_symbol(operator_id: str, sigma3_variant: str, off: Tuple[str, ...]) -
     if operator_id == "(D_T*)^-1":
         return _sym_dirac_inv(True, off)
     if operator_id == "D_T*D_TD_T*":
-        dsd = compose(_sym_dirac(True, off), _sym_dirac(False, off), 1, label="D_T*D_T")
-        return compose(dsd, _sym_dirac(True, off), 2, label="D_T*D_TD_T*")
+        return compose(factor("D_T*D_T"), factor("D_T*"), 2, label="D_T*D_TD_T*")
     if operator_id == "(D_T*D_TD_T*)^-1":
         return _sym_cube_inv(off)
     if operator_id == "nablaXY(D_T*D_T)^-1":
-        return compose(_sym_nabla2(off), _sym_laplacian_inv(sigma3_variant, off), -1,
+        return compose(factor("nablaXY"), factor("(D_T*D_T)^-1"), -1,
                        label="nablaXY(D_T*D_T)^-1")
     if operator_id == "nablaXY D_T^-1":
-        return compose(_sym_nabla2(off), _sym_dirac_inv(False, off), 0,
-                       label="nablaXY D_T^-1")
+        return compose(factor("nablaXY"), factor("D_T^-1"), 0, label="nablaXY D_T^-1")
     raise EngineError(f"unknown operator id {operator_id!r}")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from wresidue.gaussian import GRat, I
 from wresidue.scalars import EngineError, ScalarExpr, S_ONE, S_ZERO, scalar_sum, sym
-from wresidue.clifford import CliffordExpr
+from wresidue.clifford import CliffordExpr, as_clifford
 from wresidue.halfplane import (
     basis_fractions,
     pi_minus,
@@ -306,6 +306,24 @@ def test_complement_check_catches_an_off_by_one_basis_table(monkeypatch, table):
     failures = halfplane_suite(3, 30)["failures"]
     assert failures
     assert all(f.startswith("pi+ + pi- = id #") for f in failures), failures
+
+
+def test_halfplane_suite_catches_a_pi_plus_that_keeps_lower_half_poles(monkeypatch):
+    """pi+(f lower) = pi+(pi+(f) lower) holds because pi+ kills pi-(f) lower.
+    A pi+ that keeps the principal parts at -i of order 2 and up leaves part
+    of pi-(f) lower, and the suite reports the lower-half multiplication."""
+    from wresidue import halfplane, verify
+
+    assert verify.halfplane_suite(3, 30)["failures"] == []
+
+    def leaky_scalar(f):
+        return halfplane._over_basis(f, lambda entry: scalar_sum(
+            [entry.pi_plus] + [c * (XIN + IC) ** -m for m, c in entry.minus.items() if m >= 2]))
+
+    monkeypatch.setattr(verify, "pi_plus",
+                        lambda expr: as_clifford(expr).map_coeffs(leaky_scalar))
+    failures = verify.halfplane_suite(3, 30)["failures"]
+    assert any(f.startswith("pi+ lower-half multiplication #") for f in failures), failures
 
 
 def test_basis_elements_built_without_a_gcd_equal_the_normalizing_constructor():

@@ -35,13 +35,8 @@ from wresidue.report import (
     render_report,
     run_computation,
 )
-from wresidue.references import (
-    REFERENCE_OF_ROW,
-    REFERENCES,
-    RefEntry,
-    reference_value,
-    slots_for,
-)
+from wresidue.printed import REFERENCE_OF_ROW, REFERENCES, RefEntry, reference_value
+from wresidue.references import slots_for
 from wresidue.symbols import builtin_symbol, recomputed_symbol
 
 
@@ -242,7 +237,7 @@ _OMEGA3_ATOM = re.compile(r"\bOmega3\b")
 
 def _run_keeping_context(monkeypatch, cfg):
     """run_computation, and the context of the configured reading it evaluated."""
-    from wresidue import report
+    from wresidue import pipeline
 
     contexts = []
 
@@ -250,7 +245,7 @@ def _run_keeping_context(monkeypatch, cfg):
         contexts.append(make_context(*args, **kwargs))
         return contexts[-1]
 
-    monkeypatch.setattr(report, "make_context", keep)
+    monkeypatch.setattr(pipeline, "make_context", keep)
     doc = run_computation(cfg)
     return doc, contexts[0]
 
@@ -588,6 +583,74 @@ def test_cli_import_does_not_load_numpy():
     out = _run_python("-c", "import sys, wresidue.cli; print('numpy' in sys.modules)")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_dataclasses():
+    """No record of the engine is a dataclass, so importing the CLI does not
+    pay for loading `dataclasses` (and `inspect` under it)."""
+    out = _run_python("-c", "import sys, wresidue.cli; print('dataclasses' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+_BOUNDARY_STACK = ("wresidue.pipeline", "wresidue.references", "wresidue.symbols",
+                   "wresidue.halfplane", "wresidue.integration")
+
+
+def test_interior_run_loads_no_boundary_module():
+    """An interior theorem reads its references from `printed`, so a cold
+    `run --theorem T2.3 --format json` loads none of the boundary stack, and
+    no `dataclasses`; its report is the pinned one."""
+    names = _BOUNDARY_STACK + ("dataclasses",)
+    out = _run_python(
+        "-c",
+        "import os, sys; from wresidue.cli import main; "
+        "rc = main(['run', '--theorem', 'T2.3', '--format', 'json', '--out', os.devnull]); "
+        f"print(rc, [n for n in {names!r} if n in sys.modules])",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0 []", out.stdout
+
+
+def test_boundary_modules_do_not_load_the_report():
+    """The package re-exports lazily: importing `pipeline` loads the boundary
+    stack it needs, and neither `report`, the slots, `verify` nor `cli`."""
+    out = _run_python(
+        "-c",
+        "import json, sys, wresidue.pipeline; "
+        "print(json.dumps([n for n in sys.modules if n.startswith('wresidue.')]))",
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout))
+    assert set(_BOUNDARY_STACK) - {"wresidue.references"} <= loaded
+    assert loaded.isdisjoint({"wresidue.report", "wresidue.references", "wresidue.verify",
+                              "wresidue.cli"}), loaded
+
+
+_PACKAGE_EXPORTS = (
+    "GRat", "EngineError", "Indeterminate", "Poly", "Registry", "ScalarExpr", "sym",
+    "CliffordExpr", "cl_trace", "matrix_oracle_trace",
+    "pi_minus", "pi_plus", "pi_prime", "principal_part",
+    "integrate_xi_n", "numeric_contour_oracle", "sphere_moment",
+    "GradedSymbol", "SymbolComponent", "builtin_symbol", "compose", "invert",
+    "EndomorphismE", "curvature_trace_identities", "einstein_functional_rhs", "trace_e",
+    "CaseSpec", "PhiReport", "compute_case_term", "enumerate_cases", "total_boundary_term",
+    "RunConfig", "compare_with_reference", "emit", "run_computation",
+)
+
+
+def test_every_package_export_resolves():
+    """Each name the package exports resolves, on first access, to the object
+    its defining module holds; other names are still missing."""
+    import importlib
+
+    assert sorted(wresidue.__all__) == sorted(_PACKAGE_EXPORTS)
+    for name in _PACKAGE_EXPORTS:
+        value = getattr(wresidue, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert "GRat" in dir(wresidue)
+    with pytest.raises(AttributeError):
+        wresidue.no_such_name
 
 
 @pytest.mark.parametrize("suite", ["contour", "sphere"])

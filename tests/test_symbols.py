@@ -206,3 +206,35 @@ def test_sigma3_variants_available():
     assert not (printed - xik).is_zero()
     with pytest.raises(EngineError):
         builtin_symbol("(D_T*D_T)^-1", "bogus")
+
+
+def test_run_all_builds_each_symbol_once(monkeypatch, tmp_path):
+    """Composites take their factors from the symbol cache, and an operator
+    that does not read the sigma3 variant is cached once: in one
+    `run --theorem all`, no symbol and no factor of one is built twice."""
+    from collections import Counter
+
+    from wresidue import cli, symbols
+
+    builds = Counter()
+
+    def counting(name):
+        real = getattr(symbols, name)
+
+        def build(*args):
+            builds[(name,) + args] += 1
+            return real(*args)
+        return build
+
+    monkeypatch.setattr(symbols, "_BUILTIN_CACHE", {})
+    for name in ("_build_symbol", "_sym_dirac", "_sym_nabla2", "_sym_laplacian_inv",
+                 "_sym_dirac_inv", "_sym_cube_inv"):
+        monkeypatch.setattr(symbols, name, counting(name))
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--theorem", "all", "--format", "json", "--out", str(out)]) == 0
+    assert {key: n for key, n in builds.items() if n > 1} == {}
+    # both readings of the inverse Laplacian, and the composites of both theorems
+    assert {("_sym_laplacian_inv", "printed", ()), ("_sym_laplacian_inv", "xik", ()),
+            ("_build_symbol", "nablaXY(D_T*D_T)^-1", "xik", ()),
+            ("_build_symbol", "D_T*D_TD_T*", "printed", ()),
+            ("_build_symbol", "nablaXY D_T^-1", "printed", ())} <= set(builds)

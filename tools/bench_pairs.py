@@ -31,7 +31,11 @@ median is worse than the parent's by more than the relative bound that
 where the change is lower in nearly every pair and `clears_parent_iqr` is
 true.  One summary line per workload is printed with the medians,
 quartiles, pair counts and the IQR test, and one with the five
-operations that moved most.  Last come the sha256 of every JSON report either side wrote, with
+operations that moved most.  The `machine` block records `dont_write_bytecode`, set
+by PYTHONDONTWRITEBYTECODE, which the runs inherit: without cached bytecode
+each cold process compiles the engine's sources again, so an import-time
+gain is comparable only between files with the same flag.  Last come the
+sha256 of every JSON report either side wrote, with
 `same` true when both sides wrote exactly one digest for the operation and
 it is the same one; the operations whose digests differ are printed at the
 end.
@@ -220,7 +224,8 @@ def main(argv=None) -> int:
 
     out = {
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
-                    "cpus": os.cpu_count(), "processor": platform.machine()},
+                    "cpus": os.cpu_count(), "processor": platform.machine(),
+                    "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
         "parent": {"sha": git(root, "rev-parse", args.base)},
         "change": {"sha": git(root, "rev-parse", "HEAD"),
                    "uncommitted": bool(git(root, "status", "--porcelain", "--", "src"))},
