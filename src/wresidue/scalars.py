@@ -22,7 +22,8 @@ when a - b + G keeps the top (guard) bit of every field, G having only
 those bits set.  This needs every exponent and every total degree to stay
 at or below 127 (the guard bit clear): building a larger monomial raises
 `EngineError`.  `mono_items` decodes a monomial back to (sym, exp) pairs;
-`poly_text` reads the same bytes.
+`poly_text` renders its fields in two blocks, the cotangent variables and
+the rest, and keeps each block's text in a per-process table.
 
 Two orders are in use.  The monomial order of the engine is graded
 lexicographic order with earlier ids ranking higher; `mono_rank(m)` is its
@@ -455,32 +456,64 @@ P_ZERO = Poly()
 P_ONE = Poly.const(1)
 
 
-# The text of each factor sym^exp, keyed by sym << 8 | exp: at most one entry
-# per registry id and exponent, so the table stays small without eviction.
-_FACTOR_TEXT: Dict[int, str] = {}
+# Bound of the memo caches: `_FACTOR_CACHE` and `_BASE_PRODUCTS`, which store
+# only denominators that factor over the known bases and their exponent
+# tuples (about 40 of each in `run --theorem all`; the random suites'
+# generic-gcd operands do not factor and are not stored), and the two text
+# tables of `poly_text`.  A full cache is emptied and refilled: flat memory,
+# no result changed.
+_MEMO_LIMIT = 1 << 12
+
+
+def _memo_store(cache: dict, key, value) -> None:
+    if len(cache) >= _MEMO_LIMIT:
+        cache.clear()
+    cache[key] = value
+
+
+# `poly_text` reads a monomial in two blocks: the ids up to the last
+# cotangent variable (xi1, xi2, xi3, xin) and the rest.  Each block's text is
+# kept per process in a table keyed by the block's packed bits, so a term
+# costs two lookups, not one per factor; `run --theorem all` fills about 270
+# cotangent and 1,200 rest entries.
+_COT_END = max(XI) + 1
+_REST_SHIFT = _SHIFT[_COT_END]
+_COT_BITS = (1 << _REST_SHIFT) - 0x100  # the exponent fields of ids below _COT_END
+_COT_TEXT: Dict[int, str] = {}
+_REST_TEXT: Dict[int, str] = {}
+
+
+def _fields_text(fields: int, first: int) -> str:
+    """The factors sym^exp of packed exponent fields whose lowest byte is id
+    first, in ascending id order and joined by "*"."""
+    b = fields.to_bytes((fields.bit_length() + 7) >> 3, "little")
+    return "*".join(REG.name_of(first + k) + (f"^{e}" if e > 1 else "")
+                    for k, e in enumerate(b) if e)
 
 
 def poly_text(p: Poly) -> str:
-    """Canonical text: monomials in descending graded-lex order.  Each
-    factor's text is built once, in `_FACTOR_TEXT`."""
+    """Canonical text: monomials in descending graded-lex order.  A
+    monomial's body is its cotangent text and its rest text, each read from
+    its table (`_COT_TEXT`, `_REST_TEXT`)."""
     if p.is_zero():
         return "0"
     parts = []
-    table = _FACTOR_TEXT
-    # each rank is built again per term, not kept from the sort: holding the
-    # ranks of a large polynomial through the loop raises the peak RSS
+    cot_table, rest_table = _COT_TEXT, _REST_TEXT
+    # the loop reads both blocks from the int, so no rank outlives the sort:
+    # holding the ranks of a large polynomial through the loop raises the peak RSS
     for m in sorted(p.terms, key=mono_rank, reverse=True):
         c = p.terms[m]
-        fields = mono_rank(m)  # byte 1 + s is the exponent of id s
-        factors = []
-        for s in compress(range(len(fields) - 1), fields[1:]):
-            key = s << 8 | fields[s + 1]
-            text = table.get(key)
-            if text is None:
-                exp = fields[s + 1]
-                text = table[key] = REG.name_of(s) + (f"^{exp}" if exp > 1 else "")
-            factors.append(text)
-        body = "*".join(factors)
+        key = m & _COT_BITS
+        cot = cot_table.get(key)
+        if cot is None:
+            cot = _fields_text(key >> 8, 0)
+            _memo_store(cot_table, key, cot)
+        key = m >> _REST_SHIFT
+        rest = rest_table.get(key)
+        if rest is None:
+            rest = _fields_text(key, _COT_END)
+            _memo_store(rest_table, key, rest)
+        body = f"{cot}*{rest}" if cot and rest else cot or rest
         cs = f"({c})" if c.a and c.b else str(c)  # a sign inside a + bi
         parts.append(f"{cs}*{body}" if body else cs)
     return " + ".join(parts)
@@ -589,20 +622,6 @@ def _monic(p: Poly) -> Poly:
     return p.scale(lc.inverse())
 
 
-# Bound of the two memo caches, `_FACTOR_CACHE` and `_BASE_PRODUCTS`.  They
-# store only denominators that factor over the known bases, and their
-# exponent tuples: about 40 of each in `run --theorem all`.  The random
-# suites' generic-gcd operands do not factor and are not stored.  A full
-# cache is emptied and refilled: flat memory, no result changed.
-_MEMO_LIMIT = 1 << 12
-
-
-def _memo_store(cache: dict, key, value) -> None:
-    if len(cache) >= _MEMO_LIMIT:
-        cache.clear()
-    cache[key] = value
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q(i); nothing about the operands is stored.
 
@@ -677,18 +696,38 @@ _NO_BASES = (0,) * len(_BASES)
 _FACTOR_CACHE: Dict[Poly, Tuple[GRat, Tuple[int, ...]]] = {}
 # the root of each linear base as a power of i: xin - i at i, xin + i at i^3
 _LINEAR_ROOTS = {0: 1, 1: 3}
+# every bit but the degree and the xin field: two monomials agree on these
+# exactly when they have the same rest (the degree follows from the fields)
+_REST_FIELDS = ~(0xFF | 0xFF << _SHIFT[XIN])
 
 
 def _vanishes_at_root(p: Poly, quarter: int) -> bool:
     """True when p(xin = i^quarter) = 0, that is when xin - i^quarter
     divides p (remainder theorem).  A term c * xin^e * rest takes the value
-    c * i^(quarter*e) * rest, so each coefficient triple (a, b, d) is only
-    turned by quarter turns, and the terms are summed per rest over a
-    common denominator, with no GRat built."""
+    c * i^(quarter*e) * rest.  Distinct rests are independent monomials, so
+    p vanishes at the root exactly when the terms of each rest sum to zero
+    there.  The terms that share the first term's rest are summed first, in
+    one pass that builds nothing for the others: if they do not vanish,
+    neither does p, and this exit is exact.  Only otherwise is every rest
+    summed (`_root_sums_vanish`)."""
+    terms = p.terms.items()
+    if terms:
+        keep = _REST_FIELDS
+        first = next(iter(p.terms)) & keep
+        if not _root_sums_vanish(((m, c) for m, c in terms if m & keep == first), quarter):
+            return False
+    return _root_sums_vanish(terms, quarter)
+
+
+def _root_sums_vanish(terms, quarter: int) -> bool:
+    """True when, at xin = i^quarter, the (monomial, coefficient) pairs sum
+    to zero per rest monomial.  Each coefficient triple (a, b, d) is only
+    turned by quarter turns, and the terms are summed per rest over a common
+    denominator, with no GRat built."""
     sh, unit = _SHIFT[XIN], _UNIT[XIN]
     acc: Dict[Monomial, List[int]] = {}
     get = acc.get
-    for m, c in p.terms.items():
+    for m, c in terms:
         e = (m >> sh) & 0xFF
         a, b, d = c.a, c.b, c.d
         turns = (quarter * e) & 3

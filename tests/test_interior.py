@@ -128,3 +128,34 @@ def test_torsion_free_specialization():
 
 def test_interior_density_matches_functional():
     assert interior_density() == einstein_functional_rhs(2)
+
+
+def test_run_all_builds_e_and_the_trace_identities_once(monkeypatch):
+    """E and the trace identities depend on no run input: one
+    `run --theorem all` builds each once, through three interior theorems
+    and the interior density of both boundary theorems."""
+    from wresidue import interior
+    from wresidue.report import RunConfig, run_computation
+
+    builds = {"_endomorphism_e": 0, "_curvature_trace_identities": 0}
+
+    def counting(name):
+        real = getattr(interior, name)
+
+        def build():
+            builds[name] += 1
+            return real()
+        return build
+
+    monkeypatch.setattr(interior, "_BUILT", {})
+    for name in builds:
+        monkeypatch.setattr(interior, name, counting(name))
+    run_computation(RunConfig(theorem="all"))
+    assert builds == {"_endomorphism_e": 1, "_curvature_trace_identities": 1}
+
+
+def test_trace_identities_come_in_a_new_dict():
+    ids = curvature_trace_identities()
+    ids.clear()
+    assert sorted(curvature_trace_identities()) == [
+        "connection-bracket-trace", "connection-commutator-trace", "connection-derivative-trace"]

@@ -262,6 +262,46 @@ def test_strip_with_the_root_check_equals_the_plain_division_loop(p, made_of, k,
     assert scalars._strip(work, idx, cap) == _plain_strip(work, idx, cap)
 
 
+def _base_divides(p, idx):
+    try:
+        poly_divexact(p, scalars._BASES[idx][0])
+    except EngineError:
+        return False
+    return True
+
+
+@given(polys(), st.sampled_from([0, 1]), st.integers(0, 2), st.one_of(st.none(), polys()))
+@settings(max_examples=200, deadline=None)
+def test_the_root_check_agrees_with_exact_division(p, made_of, k, q):
+    """p(xin = i) = 0 exactly when xin - i divides p, and p(xin = -i) = 0
+    exactly when xin + i does, on multiples of either base and on sums that
+    are not."""
+    work = p * scalars._BASES[made_of][0] ** k
+    if q is not None:
+        work = work + q
+    for idx, quarter in scalars._LINEAR_ROOTS.items():
+        assert scalars._vanishes_at_root(work, quarter) == _base_divides(work, idx)
+
+
+@given(polys(), st.sampled_from([0, 1]), _coeff.filter(lambda c: not c.is_zero()),
+       st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_the_root_check_looks_past_a_first_group_that_vanishes(r, idx, c, e):
+    """The terms that share the first term's rest vanish at the root and
+    the terms of another rest do not: p does not vanish there, and the
+    linear base does not divide it."""
+    vanishing = (r if r.terms else Poly.const(1)) * scalars._BASES[idx][0]
+    # X2 is in no term of vanishing, so this term's rest is a group of its own
+    other = Poly({((REG.id_of("xin"), e), (REG.id_of("X2"), 1)): c})
+    p = Poly({**vanishing.terms, **other.terms}, _trusted=True)
+    first = next(iter(p.terms)) & scalars._REST_FIELDS
+    group = Poly({m: v for m, v in p.terms.items() if m & scalars._REST_FIELDS == first},
+                 _trusted=True)
+    assert _base_divides(group, idx)
+    assert not scalars._vanishes_at_root(p, scalars._LINEAR_ROOTS[idx])
+    assert not _base_divides(p, idx)
+
+
 # ---------------------------------------------------------------------------
 # cross-cancelled ScalarExpr operations against the normalizing constructor
 # ---------------------------------------------------------------------------

@@ -17,9 +17,13 @@ from wresidue.scalars import (
     atom_R,
     atom_T,
     atom_dT4,
+    mono_items,
+    mono_pack,
+    mono_rank,
     norm_xi_sq,
     poly_divexact,
     poly_gcd,
+    poly_text,
     sym,
 )
 
@@ -288,4 +292,109 @@ def test_memo_caches_stay_bounded_and_answers_do_not_change(monkeypatch):
     monkeypatch.setattr(scalars, "_memo_store", store)
     assert work() == want
     assert stores["_FACTOR_CACHE"] > 8
+    assert max(sizes.values()) <= 8
+
+
+# ---------------------------------------------------------------------------
+# the canonical text, against the factor-by-factor renderer
+# ---------------------------------------------------------------------------
+
+def _factor_poly_text(p):
+    """The factor-by-factor renderer, a reference for the two block tables
+    of `poly_text`: the text of each factor sym^exp of each monomial, in
+    ascending id order."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for m in sorted(p.terms, key=mono_rank, reverse=True):
+        c = p.terms[m]
+        body = "*".join(REG.name_of(s) + (f"^{e}" if e > 1 else "") for s, e in mono_items(m))
+        cs = f"({c})" if c.a and c.b else str(c)
+        parts.append(f"{cs}*{body}" if body else cs)
+    return " + ".join(parts)
+
+
+_COT = [s for s in range(len(REG)) if s <= REG.id_of("xin")]
+_GEO = [s for s in range(len(REG)) if s > REG.id_of("xin")]
+
+
+@st.composite
+def text_monomials(draw):
+    """A packed monomial: a constant, purely cotangent, purely geometric or
+    mixed, over any registry id, its total degree split among its ids and
+    at times at the cap of 127."""
+    kind = draw(st.sampled_from(("const", "cotangent", "geometric", "mixed")))
+    if kind == "const":
+        return 0
+    if kind == "mixed":
+        ids = draw(st.lists(st.sampled_from(_COT), min_size=1, max_size=3, unique=True))
+        ids += draw(st.lists(st.sampled_from(_GEO), min_size=1, max_size=3, unique=True))
+    else:
+        ids = draw(st.lists(st.sampled_from(_COT if kind == "cotangent" else _GEO),
+                            min_size=1, max_size=4, unique=True))
+    deg = draw(st.one_of(st.just(127), st.integers(len(ids), 127)))
+    cuts = []
+    if len(ids) > 1:
+        cuts = sorted(draw(st.lists(st.integers(1, deg - 1), min_size=len(ids) - 1,
+                                    max_size=len(ids) - 1, unique=True)))
+    exps = [b - a for a, b in zip([0] + cuts, cuts + [deg])]
+    return mono_pack(zip(sorted(ids), exps))
+
+
+@st.composite
+def text_coefficients(draw):
+    """A nonzero coefficient with a real part only, an imaginary part only,
+    or both, over a denominator that is at times greater than 1."""
+    parts = draw(st.sampled_from(("a", "b", "ab")))
+    d = draw(st.integers(1, 12))
+    a = draw(st.integers(-30, 30).filter(bool)) if "a" in parts else 0
+    b = draw(st.integers(-30, 30).filter(bool)) if "b" in parts else 0
+    return GRat(Fraction(a, d), Fraction(b, d))
+
+
+@st.composite
+def text_polys(draw):
+    terms = draw(st.dictionaries(text_monomials(), text_coefficients(), max_size=8))
+    return Poly(terms, _trusted=True)
+
+
+@given(text_polys())
+@settings(max_examples=300, deadline=None)
+def test_poly_text_equals_the_factor_renderer(p):
+    assert poly_text(p) == _factor_poly_text(p)
+
+
+def test_text_tables_stay_bounded_and_texts_do_not_change(monkeypatch):
+    """Full text tables are emptied and refilled: with room for 8 entries
+    each, every text equals the factor renderer's."""
+    import random
+
+    from wresidue import scalars
+
+    rng = random.Random(23)
+
+    def monomial():
+        ids = rng.sample(_COT, rng.randint(0, 4)) + rng.sample(_GEO, rng.randint(0, 2))
+        return mono_pack((s, rng.randint(1, 3)) for s in ids)
+
+    polys = [Poly({monomial(): GRat(rng.randint(1, 9), rng.randint(-2, 2)) for _ in range(6)})
+             for _ in range(40)]
+    tables = ("_COT_TEXT", "_REST_TEXT")
+    for name in tables:
+        monkeypatch.setattr(scalars, name, {})
+    monkeypatch.setattr(scalars, "_MEMO_LIMIT", 8)
+    sizes = {name: 0 for name in tables}
+    stores = {name: 0 for name in tables}
+    real_store = scalars._memo_store
+
+    def store(cache, key, value):
+        real_store(cache, key, value)
+        for name in tables:
+            if cache is getattr(scalars, name):
+                sizes[name] = max(sizes[name], len(cache))
+                stores[name] += 1
+
+    monkeypatch.setattr(scalars, "_memo_store", store)
+    assert [poly_text(p) for p in polys] == [_factor_poly_text(p) for p in polys]
+    assert min(stores.values()) > 8
     assert max(sizes.values()) <= 8

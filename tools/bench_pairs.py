@@ -18,8 +18,10 @@ set `peak_rss_mb` (read from the per-operation `rss_mb` of perfbench's
 result file), and `operation_wall_s`: per operation, named with any
 `@seed` suffix cut, the median over the side's runs of its median `wall_s`
 over a run's rounds (calls that share a cut name in one round, such as the
-`scalars` suite at three seeds, add up).  Per workload it also holds
-`operations_moved`, each operation's two medians and their difference,
+`scalars` suite at three seeds, add up), and `operation_rss_mb`: per
+operation, the median over the side's runs of its median `rss_mb` over a
+run's rounds, so a move of one process's peak names the process.  Per
+workload it also holds `operations_moved`, each operation's two medians and their difference,
 largest move first, so the call that carries a gain or a loss is named,
 and, for each of the three metrics,
 in how many pairs the change was lower (`change_lower_pairs`;
@@ -99,7 +101,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"metrics": metrics, "attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"], "hashes": hashes,
             "peak_op": peak_operation(detail["operations"], metrics["peak_rss_mb"]),
-            "op_wall": operation_wall(detail["operations"])}
+            "op_wall": operation_wall(detail["operations"]),
+            "op_rss": operation_rss(detail["operations"])}
 
 
 def operation_wall(operations) -> dict:
@@ -113,6 +116,21 @@ def operation_wall(operations) -> dict:
     for (name, _), wall in per_round.items():
         rounds.setdefault(name, []).append(wall)
     return {name: statistics.median(walls) for name, walls in sorted(rounds.items())}
+
+
+def operation_rss(operations) -> dict:
+    """Cut operation name -> median of its `rss_mb` over the run's rounds
+    (operations that share a process share its peak)."""
+    rss = {}
+    for op in operations:
+        rss.setdefault(op["name"].partition("@")[0], []).append(op["rss_mb"])
+    return {name: statistics.median(values) for name, values in sorted(rss.items())}
+
+
+def per_operation(runs, key: str) -> dict:
+    """Operation -> the median over the runs of their per-operation figure."""
+    return {name: statistics.median(r[key][name] for r in runs if name in r[key])
+            for name in sorted({n for r in runs for n in r[key]})}
 
 
 def peak_operation(operations, peak: float) -> str:
@@ -137,9 +155,8 @@ def side(runs) -> dict:
         "attempted": sum(r["attempted"] for r in runs),
         "correct": all(r["correct"] for r in runs),
         "peak_rss_set_by": dict(Counter(r["peak_op"] for r in runs).most_common()),
-        "operation_wall_s": {name: statistics.median(r["op_wall"][name] for r in runs
-                                                     if name in r["op_wall"])
-                             for name in sorted({n for r in runs for n in r["op_wall"]})},
+        "operation_wall_s": per_operation(runs, "op_wall"),
+        "operation_rss_mb": per_operation(runs, "op_rss"),
     }
 
 
