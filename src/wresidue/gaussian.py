@@ -5,6 +5,12 @@ Every coefficient in the engine lives here, as one canonical integer triple
 values have equal triples, so equality and hashing compare three ints, and
 every operation runs on Python ints, with a fast path for d == 1.
 
+The triple rule has one home: `_canon` for one value, and two dict-level
+kernels for the term loops of a sparse polynomial, `_terms_product` (the
+coefficient dict of a product; keys add) and `_terms_add` (acc += +/-terms
+in place).  Each runs its whole loop on the triples, with no GRat operator
+called per term, so a polynomial pays one call per loop, not one per term.
+
 `fractions.Fraction` appears only at the edges: the constructor accepts it,
 and the read-only `re` and `im` views return it.  Floats only appear through
 the explicit `to_complex` escape hatch used by the numeric oracles.
@@ -214,6 +220,101 @@ def _canon(a: int, b: int, d: int) -> GRat:
         z.b = b // g
         z.d = d // g
     return z
+
+
+def _terms_add(acc: dict, terms: dict, sign: int = 1) -> None:
+    """acc += sign * terms in place, sign 1 or -1, over any keys: a key new
+    to acc takes the coefficient (negated when sign is -1), and a sum that
+    cancels is deleted, so acc keeps no zero coefficient."""
+    get = acc.get
+    new = _new
+    for m, c in terms.items():
+        cur = get(m)
+        if cur is None:
+            if sign > 0:
+                acc[m] = c
+            else:
+                z = new(GRat)
+                z.a = -c.a
+                z.b = -c.b
+                z.d = c.d
+                acc[m] = z
+            continue
+        d, e = cur.d, c.d
+        if d == e:
+            a = cur.a + sign * c.a
+            b = cur.b + sign * c.b
+            if not (a or b):
+                del acc[m]
+                continue
+            g = 1 if d == 1 else gcd(a, b, d)
+        else:
+            # canonical triples of opposite values share their d, so this
+            # sum is not zero
+            a = cur.a * e + sign * c.a * d
+            b = cur.b * e + sign * c.b * d
+            d *= e
+            g = gcd(a, b, d)
+        z = new(GRat)
+        if g == 1:
+            z.a = a
+            z.b = b
+            z.d = d
+        else:
+            z.a = a // g
+            z.b = b // g
+            z.d = d // g
+        acc[m] = z
+
+
+def _terms_product(st: dict, ot: dict) -> dict:
+    """The coefficient dict of the product of two polynomials, given theirs:
+    each pair of terms adds its keys and multiplies its triples.
+
+    A key's first pair builds a fresh GRat, not yet canonical, and a later
+    pair on that key adds into it in place over the lcm of the two
+    denominators; no other code sees these objects until the last pass
+    divides each by gcd(a, b, d) and drops the zeros."""
+    acc: dict = {}
+    get = acc.get
+    new = _new
+    rows = [(m, c.a, c.b, c.d) for m, c in ot.items()]
+    for m1, c1 in st.items():
+        a1, b1, d1 = c1.a, c1.b, c1.d
+        for m2, a2, b2, d2 in rows:
+            m = m1 + m2
+            cur = get(m)
+            if cur is None:
+                z = new(GRat)
+                z.a = a1 * a2 - b1 * b2
+                z.b = a1 * b2 + b1 * a2
+                z.d = d1 * d2
+                acc[m] = z
+                continue
+            d, e = cur.d, d1 * d2
+            if d == e:
+                cur.a += a1 * a2 - b1 * b2
+                cur.b += a1 * b2 + b1 * a2
+            else:
+                g = gcd(d, e)
+                u, v = e // g, d // g
+                cur.a = cur.a * u + (a1 * a2 - b1 * b2) * v
+                cur.b = cur.b * u + (a1 * b2 + b1 * a2) * v
+                cur.d = d * u
+    zeros = []
+    for m, z in acc.items():
+        a, b, d = z.a, z.b, z.d
+        if not (a or b):
+            zeros.append(m)
+        elif d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                z.a = a // g
+                z.b = b // g
+                z.d = d // g
+    for m in zeros:
+        del acc[m]
+    return acc
 
 
 ZERO = GRat(0)

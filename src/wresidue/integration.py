@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GRat, I
 from .scalars import (
@@ -39,15 +39,18 @@ from .scalars import (
     S_ZERO,
     XI,
     XIN,
+    _SHIFT,
     mono_items,
+    mono_mask,
     mono_pack,
 )
 from .clifford import CliffordExpr, as_clifford
 from .halfplane import _factor_pole_denominator, _over_basis
 
 _TANGENTIAL = set(XI[:3])
+_TANGENTIAL_FIELDS = mono_mask(XI[:3])
+_OMEGA3_POLY = Poly.var(OMEGA3)
 _PI_VAR = ScalarExpr.var(PI)
-_OMEGA3_VAR = ScalarExpr.var(OMEGA3)
 _POLE_PLUS = ScalarExpr.const(I)
 
 
@@ -210,23 +213,32 @@ def sphere_moment(expr: ScalarExpr, sphere_dim: int = 3) -> ScalarExpr:
     """Exact integral over the unit tangential co-sphere, total volume Omega3.
 
     The input must not involve xin; tangential variables may appear only in
-    the numerator.  Non-tangential factors pass through unchanged.
+    the numerator.  Non-tangential factors pass through unchanged.  Each
+    numerator term adds its coefficient times the moment of its tangential
+    part into one dict under its rest monomial; the moment is computed once
+    per tangential exponent triple.
     """
     if XIN in expr.variables():
         raise EngineError("xin present in sphere integrand")
     if expr.den.variables() & _TANGENTIAL:
         raise EngineError("tangential variables in sphere-integrand denominator")
-    total = S_ZERO
+    moments: Dict[int, Tuple[GRat, int]] = {}
+    acc: Dict[int, GRat] = {}
     for mono, c in expr.num.terms.items():
-        exps = dict(mono_items(mono))
-        tang = [exps.get(s, 0) for s in XI[:3]]
-        factor = monomial_moment(tang, sphere_dim)
-        if factor == 0:
+        key = mono & _TANGENTIAL_FIELDS
+        hit = moments.get(key)
+        if hit is None:
+            tang = [(key >> _SHIFT[s]) & 0xFF for s in XI[:3]]
+            hit = moments[key] = (GRat(monomial_moment(tang, sphere_dim)),
+                                  mono_pack(zip(XI[:3], tang)))
+        factor, tang_mono = hit
+        if factor.is_zero():
             continue
-        rest = mono - mono_pack(zip(XI[:3], tang))
-        passthrough = ScalarExpr.from_poly(Poly({rest: c}, _trusted=True))
-        total = total + passthrough * ScalarExpr.const(GRat(factor)) * _OMEGA3_VAR
-    return total / ScalarExpr.from_poly(expr.den)
+        rest = mono - tang_mono
+        cur = acc.get(rest)
+        acc[rest] = c * factor if cur is None else cur + c * factor
+    total = Poly({m: v for m, v in acc.items() if not v.is_zero()}, _trusted=True) * _OMEGA3_POLY
+    return ScalarExpr.from_poly(total) / ScalarExpr.from_poly(expr.den)
 
 
 def _legendre(n: int, u: float) -> Tuple[float, float]:

@@ -36,6 +36,13 @@ sum, and `poly_divexact` runs its heap in it.  That order does not bound
 the degree, so the division rejects any quotient term whose degree passes
 deg(a) - deg(b), which keeps every term it builds at or below 127.
 
+The term loops of `Poly` run on the coefficient triples in the dict-level
+kernels of `gaussian`, one call per loop: `_terms_product` for a product
+of two operands of two or more terms, and `_terms_add` for `+`, `-`, the
+n-ary sums and each Horner step of the co-sphere reduction.  A one-term
+factor multiplies each coefficient by its own with one GRat product, or
+only shifts the keys when its coefficient is 1.
+
 All values are immutable after construction and safe to share between
 workers; the registry is frozen at configuration time.
 """
@@ -46,7 +53,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import GRat, ONE, ZERO
+from .gaussian import GRat, ONE, ZERO, _terms_add, _terms_product
 
 Monomial = int  # packed exponent fields; see the module docstring
 
@@ -247,21 +254,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 # Sparse polynomials
 # ---------------------------------------------------------------------------
 
-def _accumulate(acc: Dict[Monomial, GRat], terms: Dict[Monomial, GRat]) -> None:
-    """acc += terms in place, dropping coefficients that cancel."""
-    get = acc.get
-    for m, c in terms.items():
-        cur = get(m)
-        if cur is None:
-            acc[m] = c
-        else:
-            s = cur + c
-            if s.is_zero():
-                del acc[m]
-            else:
-                acc[m] = s
-
-
 class Poly:
     """Sparse multivariate polynomial with GRat coefficients.
 
@@ -336,14 +328,18 @@ class Poly:
         if other.is_zero():
             return self
         out = dict(self.terms)
-        _accumulate(out, other.terms)
+        _terms_add(out, other.terms)
         return Poly(out, _trusted=True)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()}, _trusted=True)
+        return P_ZERO - self
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if other.is_zero():
+            return self
+        out = dict(self.terms)
+        _terms_add(out, other.terms, -1)
+        return Poly(out, _trusted=True)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
@@ -352,24 +348,24 @@ class Poly:
             return self
         if self.terms == _ONE_TERMS:
             return other
-        if max(m & 0xFF for m in self.terms) + max(m & 0xFF for m in other.terms) > MAX_EXP:
+        st, ot = self.terms, other.terms
+        if max(m & 0xFF for m in st) + max(m & 0xFF for m in ot) > MAX_EXP:
             raise EngineError(f"product degree exceeds {MAX_EXP}")
-        out: Dict[Monomial, GRat] = {}
-        get = out.get
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                c = c1 * c2
-                acc = get(m)
-                if acc is None:
-                    out[m] = c
-                else:
-                    s = acc + c
-                    if s.is_zero():
-                        del out[m]
-                    else:
-                        out[m] = s
-        return Poly(out, _trusted=True)
+        # with a one-term operand the keys stay distinct, so nothing
+        # accumulates, and a unit coefficient only shifts the other's keys
+        if len(st) == 1:
+            (m1, c1), = st.items()
+        elif len(ot) == 1:
+            (m1, c1), = ot.items()
+            ot = st
+        else:
+            return Poly(_terms_product(st, ot), _trusted=True)
+        if c1.a == 1 and c1.d == 1 and not c1.b:
+            return Poly({m1 + m2: c2 for m2, c2 in ot.items()}, _trusted=True)
+        if len(ot) == 1:  # no comprehension frame for a product of two terms
+            (m2, c2), = ot.items()
+            return Poly({m1 + m2: c1 * c2}, _trusted=True)
+        return Poly({m1 + m2: c1 * c2 for m2, c2 in ot.items()}, _trusted=True)
 
     def scale(self, c) -> "Poly":
         c = GRat.of(c)
@@ -459,7 +455,7 @@ P_ONE = Poly.const(1)
 # Bound of the memo caches: `_FACTOR_CACHE` and `_BASE_PRODUCTS`, which store
 # only denominators that factor over the known bases and their exponent
 # tuples (about 40 of each in `run --theorem all`; the random suites'
-# generic-gcd operands do not factor and are not stored), and the two text
+# generic-gcd operands do not factor and are not stored), and the three text
 # tables of `poly_text`.  A full cache is emptied and refilled: flat memory,
 # no result changed.
 _MEMO_LIMIT = 1 << 12
@@ -475,12 +471,15 @@ def _memo_store(cache: dict, key, value) -> None:
 # cotangent variable (xi1, xi2, xi3, xin) and the rest.  Each block's text is
 # kept per process in a table keyed by the block's packed bits, so a term
 # costs two lookups, not one per factor; `run --theorem all` fills about 270
-# cotangent and 1,200 rest entries.
+# cotangent and 1,200 rest entries.  A third table keeps the text of each
+# coefficient, keyed by its triple (a, b, d): cold T5.4 renders 35,816
+# terms with 332 distinct coefficients.
 _COT_END = max(XI) + 1
 _REST_SHIFT = _SHIFT[_COT_END]
 _COT_BITS = (1 << _REST_SHIFT) - 0x100  # the exponent fields of ids below _COT_END
 _COT_TEXT: Dict[int, str] = {}
 _REST_TEXT: Dict[int, str] = {}
+_COEF_TEXT: Dict[Tuple[int, int, int], str] = {}
 
 
 def _fields_text(fields: int, first: int) -> str:
@@ -494,11 +493,12 @@ def _fields_text(fields: int, first: int) -> str:
 def poly_text(p: Poly) -> str:
     """Canonical text: monomials in descending graded-lex order.  A
     monomial's body is its cotangent text and its rest text, each read from
-    its table (`_COT_TEXT`, `_REST_TEXT`)."""
+    its table (`_COT_TEXT`, `_REST_TEXT`), and its coefficient's text is
+    read from `_COEF_TEXT`."""
     if p.is_zero():
         return "0"
     parts = []
-    cot_table, rest_table = _COT_TEXT, _REST_TEXT
+    cot_table, rest_table, coef_table = _COT_TEXT, _REST_TEXT, _COEF_TEXT
     # the loop reads both blocks from the int, so no rank outlives the sort:
     # holding the ranks of a large polynomial through the loop raises the peak RSS
     for m in sorted(p.terms, key=mono_rank, reverse=True):
@@ -514,7 +514,11 @@ def poly_text(p: Poly) -> str:
             rest = _fields_text(key, _COT_END)
             _memo_store(rest_table, key, rest)
         body = f"{cot}*{rest}" if cot and rest else cot or rest
-        cs = f"({c})" if c.a and c.b else str(c)  # a sign inside a + bi
+        key = (c.a, c.b, c.d)
+        cs = coef_table.get(key)
+        if cs is None:
+            cs = f"({c})" if c.a and c.b else str(c)  # a sign inside a + bi
+            _memo_store(coef_table, key, cs)
         parts.append(f"{cs}*{body}" if body else cs)
     return " + ".join(parts)
 
@@ -852,7 +856,7 @@ def _poly_sum(polys: Sequence[Poly]) -> Poly:
     """The sum of one or more polynomials, in one dict."""
     acc = dict(polys[0].terms)
     for p in polys[1:]:
-        _accumulate(acc, p.terms)
+        _terms_add(acc, p.terms)
     return Poly(acc, _trusted=True)
 
 
@@ -872,7 +876,7 @@ def _sum_factored(groups) -> "ScalarExpr":
     for num, exps, _ in groups:
         if exps != top:
             num = num * _base_product(tuple(t - e for t, e in zip(top, exps)))
-        _accumulate(acc, num.terms)
+        _terms_add(acc, num.terms)
     if not acc:
         return S_ZERO
     total = Poly(acc, _trusted=True)
@@ -1178,13 +1182,29 @@ class ScalarExpr:
         """Evaluate at the boundary point on the unit tangential co-sphere.
 
         Substitutes shx -> 1 and reduces modulo xi1^2+xi2^2+xi3^2 = 1 by
-        eliminating even powers of xi3.
+        eliminating even powers of xi3.  A denominator over the known bases
+        restricts to (xin - i)^p (xin + i)^q: xin -/+ i stay, and |xi|^2
+        and shx^2 |xi'|^2 + xin^2 both become (xin - i)(xin + i).  So p and
+        q are read off its exponents, and only xin -/+ i, capped at p and
+        q, are stripped from the restricted numerator, with no gcd.
         """
         num = _poly_reduce_sphere(_poly_subst_one(self.num, SHX))
-        den = _poly_reduce_sphere(_poly_subst_one(self.den, SHX))
-        if den.is_zero():
-            raise EngineError("zero denominator after sphere restriction")
-        return ScalarExpr(num, den)
+        exps = _exponents(self.den)
+        if exps is None:
+            den = _poly_reduce_sphere(_poly_subst_one(self.den, SHX))
+            if den.is_zero():
+                raise EngineError("zero denominator after sphere restriction")
+            return ScalarExpr(num, den)
+        if not num.terms:
+            return S_ZERO
+        # the bases in `_BASES` order: xin - i, xin + i and the two quadratics
+        quadratic = exps[2] + exps[3]
+        final = [exps[0] + quadratic, exps[1] + quadratic, 0, 0]
+        for idx in (0, 1):
+            if final[idx]:
+                m, num = _strip(num, idx, final[idx])
+                final[idx] -= m
+        return ScalarExpr(num, _base_product(tuple(final)), _canonical=True)
 
     # -- rendering ---------------------------------------------------------
 
@@ -1242,38 +1262,37 @@ def _poly_subst_one(p: Poly, sym: int) -> Poly:
 
 
 _XI3 = XI[2]
-_SPHERE_COMPLEMENT = Poly.const(1) - Poly.var(XI[0], 2) - Poly.var(XI[1], 2)
-_COMPLEMENT_POWERS: List[Poly] = [P_ONE]  # _SPHERE_COMPLEMENT ** k, grown on demand
+# the packed xi1^2 and xi2^2: adding one to a key multiplies its term by it
+_XI1_SQ, _XI2_SQ = 2 * _UNIT[XI[0]], 2 * _UNIT[XI[1]]
 
 
 def _poly_reduce_sphere(p: Poly) -> Poly:
     """Reduce mod (xi1^2+xi2^2+xi3^2-1): xi3^(2k+r) -> (1-xi1^2-xi2^2)^k xi3^r.
 
-    One pass that accumulates every term into a single dict.
+    The terms are grouped by k, with xi3^(2k) taken out, and the groups
+    g_k summed by Horner's rule in s = xi3^2: acc = acc * s + g_k from the
+    top k down, with s = 1 - xi1^2 - xi2^2.  That factor has unit
+    coefficients, so a step is a copy of acc, two subtractions of acc with
+    its keys shifted by xi1^2 and by xi2^2, and the addition of g_k.
     """
     sh, unit = _SHIFT[_XI3], _UNIT[_XI3]
-    powers = _COMPLEMENT_POWERS
-    out: Dict[Monomial, GRat] = {}
+    groups: Dict[int, Dict[Monomial, GRat]] = {}
     for m, c in p.terms.items():
         k = ((m >> sh) & 0xFF) >> 1
-        if not k:
-            pairs = ((m, c),)
-        else:
-            while len(powers) <= k:
-                powers.append(powers[-1] * _SPHERE_COMPLEMENT)
-            rest = m - 2 * k * unit
-            pairs = [(rest + cm, c * cc) for cm, cc in powers[k].terms.items()]
-        for tm, tc in pairs:
-            acc = out.get(tm)
-            if acc is None:
-                out[tm] = tc
-            else:
-                s2 = acc + tc
-                if s2.is_zero():
-                    del out[tm]
-                else:
-                    out[tm] = s2
-    return Poly(out, _trusted=True)
+        groups.setdefault(k, {})[m - 2 * k * unit] = c
+    top = max(groups, default=0)
+    if not top:
+        return p
+    acc = groups[top]
+    for k in range(top - 1, -1, -1):
+        out = dict(acc)
+        _terms_add(out, {m + _XI1_SQ: c for m, c in acc.items()}, -1)
+        _terms_add(out, {m + _XI2_SQ: c for m, c in acc.items()}, -1)
+        low = groups.get(k)
+        if low:
+            _terms_add(out, low)
+        acc = out
+    return Poly(acc, _trusted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from wresidue.gaussian import GRat, I
-from wresidue.scalars import EngineError, Poly, ScalarExpr, S_ONE, S_ZERO, sym
+from wresidue.scalars import (
+    EngineError, Poly, REG, ScalarExpr, S_ONE, S_ZERO, mono_items, mono_pack, sym)
 from wresidue.clifford import CliffordExpr
-from wresidue.pipeline import case_trace_integrand, enumerate_cases, make_context
+from wresidue.pipeline import case_stages, case_trace_integrand, enumerate_cases, make_context
 from wresidue.integration import (
     _gauss_legendre,
     integrate_via_residue_oracle,
@@ -165,6 +166,60 @@ def test_moment_invariances():
     assert sphere_moment(p.substitute({"xi1": -x1})) == sphere_moment(p)
     a, b = sym("X1"), sym("h1")
     assert sphere_moment(a * x1 ** 2 + b * x2 ** 2) == (a + b) * OM / 3
+
+
+def _term_by_term_moment(expr):
+    """The sphere moment as one ScalarExpr product and sum per numerator
+    term: the formula `sphere_moment` sums into one dict."""
+    xis = [REG.id_of(n) for n in ("xi1", "xi2", "xi3")]
+    total = S_ZERO
+    for mono, c in expr.num.terms.items():
+        exps = dict(mono_items(mono))
+        tang = [exps.get(s, 0) for s in xis]
+        factor = monomial_moment(tang)
+        if factor == 0:
+            continue
+        rest = mono - mono_pack(zip(xis, tang))
+        passthrough = ScalarExpr.from_poly(Poly({rest: c}, _trusted=True))
+        total = total + passthrough * ScalarExpr.const(GRat(factor)) * OM
+    return total / ScalarExpr.from_poly(expr.den)
+
+
+def test_moment_equals_the_term_by_term_formula():
+    """Random integrands whose terms share rest monomials, some of them
+    cancelling after the moments, over constant and non-constant
+    denominators free of the tangential variables."""
+    rng = random.Random(24)
+    names = ("xi1", "xi2", "xi3")
+    rests = [S_ONE, sym("h1"), sym("X1") * sym("pi"), sym("A[1,1,2]") ** 2]
+    dens = [S_ONE, ScalarExpr.const(3), sym("h1") + 2, PI * (sym("X2") - 1)]
+    for _ in range(60):
+        num = S_ZERO
+        for _ in range(rng.randint(1, 12)):
+            term = rng.choice(rests) * ScalarExpr.const(
+                GRat(Fraction(rng.randint(-4, 4), rng.randint(1, 4)), rng.randint(-2, 2)))
+            for name in names:
+                term = term * sym(name) ** rng.randint(0, 4)
+            num = num + term
+        expr = num / rng.choice(dens)
+        assert sphere_moment(expr) == _term_by_term_moment(expr)
+    x1, x2 = sym("xi1"), sym("xi2")
+    # the two moments are equal, so this integrand has moment zero
+    cancelling = sym("h1") * (x1 ** 2 * x2 ** 2 - x1 ** 2 * sym("xi3") ** 2)
+    assert sphere_moment(cancelling).is_zero()
+    assert _term_by_term_moment(cancelling).is_zero()
+
+
+def test_moment_equals_the_term_by_term_formula_on_every_t46_stage():
+    ctx = make_context("T4.6")
+    checked = 0
+    for case in enumerate_cases("T4.6"):
+        for stage in case_stages(ctx, case):
+            for step in stage.steps:
+                if step.op == "integrate_xi_n":
+                    assert sphere_moment(step.expr) == _term_by_term_moment(step.expr)
+                    checked += 1
+    assert checked
 
 
 def test_moment_of_sphere_reduced_polynomial_agrees():

@@ -1,8 +1,10 @@
 """The scalar kernel: packed monomials and their two orders, stripping of the known denominator
-bases by exact division, and cross-cancelled rational arithmetic, each
-against a plain reimplementation."""
+bases by exact division, cross-cancelled rational arithmetic, and the
+triple kernels of products, sums and the co-sphere reduction, each against
+a plain reimplementation."""
 
 import functools
+import math
 import operator
 import random
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wresidue import scalars
-from wresidue.gaussian import GRat
+from wresidue.gaussian import GRat, _terms_add
 from wresidue.scalars import (
     EngineError,
     MAX_EXP,
@@ -538,3 +540,189 @@ def test_differentiate_cancels_a_base_free_of_the_variable():
     got = f.differentiate("xi1")
     assert got == ScalarExpr(Poly.var(REG.id_of("xi1")).scale(-2), sphere * sphere)
     assert got.den == sphere * sphere
+
+
+# ---------------------------------------------------------------------------
+# the triple kernels against the operator loops they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_accumulate(acc, terms, sign=1):
+    """acc += sign * terms with one GRat operator per term: the loop that
+    `_terms_add` replaced."""
+    for m, c in terms.items():
+        if sign < 0:
+            c = -c
+        cur = acc.get(m)
+        if cur is None:
+            acc[m] = c
+        else:
+            s = cur + c
+            if s.is_zero():
+                del acc[m]
+            else:
+                acc[m] = s
+
+
+def _ref_product(st_, ot):
+    """The coefficient dict of a product, one GRat product and sum per pair
+    of terms: the loop of `Poly.__mul__` before `_terms_product`."""
+    out = {}
+    for m1, c1 in st_.items():
+        for m2, c2 in ot.items():
+            _ref_accumulate(out, {m1 + m2: c1 * c2})
+    return out
+
+
+def _ref_reduce_sphere(p):
+    """xi3^(2k+r) -> (1 - xi1^2 - xi2^2)^k xi3^r, each term expanded against
+    the k-th power: the reduction before Horner's rule."""
+    xi3 = REG.id_of("xi3")
+    complement = {0: GRat(1), mono_pack(((REG.id_of("xi1"), 2),)): GRat(-1),
+                  mono_pack(((REG.id_of("xi2"), 2),)): GRat(-1)}
+    out = {}
+    for m, c in p.terms.items():
+        k = dict(mono_items(m)).get(xi3, 0) // 2
+        power = {0: GRat(1)}
+        for _ in range(k):
+            power = _ref_product(power, complement)
+        rest = m - mono_pack(((xi3, 2 * k),))
+        _ref_accumulate(out, {rest + cm: c * cc for cm, cc in power.items()})
+    return out
+
+
+def _triples(terms):
+    """The exact triples, so that a sum or product left undivided by
+    gcd(a, b, d) differs from the canonical one."""
+    return {m: (c.a, c.b, c.d) for m, c in terms.items()}
+
+
+def _canonical(terms):
+    return all(c.d > 0 and math.gcd(c.a, c.b, c.d) == 1 and (c.a or c.b)
+               for c in terms.values())
+
+
+# few keys over low and high ids, so that products and sums collide often
+_KEY_POOL = [mono_pack(items) for items in (
+    (), ((0, 1),), ((0, 2),), ((1, 1),), ((0, 1), (1, 1)), ((3, 1),), ((0, 1), (3, 2)),
+    ((_N - 1, 1),), ((0, 1), (_N - 1, 1)))]
+_int_coeff = st.builds(GRat, st.integers(-3, 3), st.integers(-3, 3))  # d = 1
+_frac_part = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_mixed_coeff = st.builds(GRat, _frac_part, _frac_part)  # mixed denominators
+_kernel_coeff = st.one_of(_int_coeff, _mixed_coeff, st.just(GRat(1))).filter(
+    lambda c: not c.is_zero())
+_kernel_terms = st.dictionaries(st.sampled_from(_KEY_POOL), _kernel_coeff, min_size=1,
+                                max_size=6)
+
+
+@given(_kernel_terms, _kernel_terms)
+@settings(max_examples=300, deadline=None)
+def test_product_equals_the_operator_loop(a, b):
+    """Both product paths (two multi-term operands, and a one-term operand
+    with a unit or other coefficient) give the triples of the old loop."""
+    got = (Poly(a, _trusted=True) * Poly(b, _trusted=True)).terms
+    want = _ref_product(a, b)
+    assert _triples(got) == _triples(want)
+    assert _canonical(got)
+
+
+@given(_kernel_terms, _kernel_terms)
+@settings(max_examples=200, deadline=None)
+def test_product_with_cancelling_cross_terms(a, b):
+    """(a + b)(a - b) = a^2 - b^2: the cross terms cancel exactly."""
+    pa, pb = Poly(a, _trusted=True), Poly(b, _trusted=True)
+    plus, minus = pa + pb, pa - pb
+    got = (plus * minus).terms
+    assert _triples(got) == _triples(_ref_product(plus.terms, minus.terms))
+    assert _triples(got) == _triples((pa * pa - pb * pb).terms)
+    assert _canonical(got)
+
+
+@given(_kernel_terms, _kernel_terms, st.sampled_from([1, -1]))
+@settings(max_examples=300, deadline=None)
+def test_sum_and_difference_equal_the_operator_loop(a, b, sign):
+    got = dict(a)
+    _terms_add(got, b, sign)
+    want = dict(a)
+    _ref_accumulate(want, b, sign)
+    assert _triples(got) == _triples(want)
+    assert list(got) == list(want)  # the same keys in the same order
+    assert _canonical(got)
+    pa, pb = Poly(a, _trusted=True), Poly(b, _trusted=True)
+    assert _triples((pa + pb if sign > 0 else pa - pb).terms) == _triples(want)
+
+
+@given(_kernel_terms)
+@settings(max_examples=100, deadline=None)
+def test_a_polynomial_minus_itself_is_empty(a):
+    p = Poly(a, _trusted=True)
+    assert (p - p).terms == {}
+    acc = dict(a)
+    _terms_add(acc, a, -1)
+    assert acc == {}
+
+
+_sphere_names = st.sampled_from(["xi1", "xi2", "xin", "h1", "pi"])
+
+
+@st.composite
+def sphere_polys(draw):
+    """Terms in xi1, xi2, xin and two other ids with xi3 powers up to 8."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        mono = {REG.id_of("xi3"): draw(st.integers(0, 8))}
+        for _ in range(draw(st.integers(0, 2))):
+            v = REG.id_of(draw(_sphere_names))
+            mono[v] = mono.get(v, 0) + draw(st.integers(1, 3))
+        mono = {s: e for s, e in mono.items() if e}
+        terms[mono_pack(as_items(mono))] = draw(_kernel_coeff)
+    return Poly(terms, _trusted=True)
+
+
+@given(sphere_polys())
+@settings(max_examples=200, deadline=None)
+def test_horner_sphere_reduction_equals_the_expansion(p):
+    got = scalars._poly_reduce_sphere(p).terms
+    assert _triples(got) == _triples(_ref_reduce_sphere(p))
+    assert _canonical(got)
+    xi3 = REG.id_of("xi3")
+    assert all(dict(mono_items(m)).get(xi3, 0) < 2 for m in got)
+
+
+def test_horner_sphere_reduction_cancels_to_zero():
+    """xi3^8 - (1 - xi1^2 - xi2^2)^4 and xi3^2 + xi1^2 + xi2^2 - 1 vanish
+    on the sphere."""
+    x1, x2, x3 = (Poly.var(REG.id_of(n)) for n in ("xi1", "xi2", "xi3"))
+    one = Poly.const(1)
+    assert scalars._poly_reduce_sphere(x3 ** 8 - (one - x1 * x1 - x2 * x2) ** 4).terms == {}
+    assert scalars._poly_reduce_sphere(x3 * x3 + x1 * x1 + x2 * x2 - one).terms == {}
+    assert scalars._poly_reduce_sphere(x3 ** 7) == x3 * (one - x1 * x1 - x2 * x2) ** 3
+
+
+@pytest.mark.parametrize("theorem", ["T4.6", "T5.4"])
+def test_restriction_equals_the_gcd_route_on_every_stage_value(theorem, monkeypatch):
+    """Every value the stage chains of a theorem restrict: the denominator
+    read off the base exponents and the numerator stripped of xin -/+ i
+    equal the restricted pair normalized through `poly_gcd`."""
+    from wresidue.pipeline import case_stages, enumerate_cases, make_context
+
+    seen = []
+    real = ScalarExpr.restrict_sphere
+
+    def record(self):
+        seen.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ScalarExpr, "restrict_sphere", record)
+    ctx = make_context(theorem)
+    for case in enumerate_cases(theorem):
+        case_stages(ctx, case)
+    monkeypatch.undo()
+    assert seen
+    factored = 0
+    for value in seen:
+        on_sphere = [scalars._poly_reduce_sphere(scalars._poly_subst_one(p, scalars.SHX))
+                     for p in (value.num, value.den)]
+        got = value.restrict_sphere()
+        assert (got.num, got.den) == (ScalarExpr(*on_sphere).num, ScalarExpr(*on_sphere).den)
+        factored += scalars._exponents(value.den) is not None
+    assert factored == len(seen)

@@ -300,9 +300,9 @@ def test_memo_caches_stay_bounded_and_answers_do_not_change(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _factor_poly_text(p):
-    """The factor-by-factor renderer, a reference for the two block tables
-    of `poly_text`: the text of each factor sym^exp of each monomial, in
-    ascending id order."""
+    """The factor-by-factor renderer, a reference for the text tables of
+    `poly_text`: the text of each factor sym^exp of each monomial, in
+    ascending id order, and each coefficient's text built afresh."""
     if p.is_zero():
         return "0"
     parts = []
@@ -365,8 +365,9 @@ def test_poly_text_equals_the_factor_renderer(p):
 
 
 def test_text_tables_stay_bounded_and_texts_do_not_change(monkeypatch):
-    """Full text tables are emptied and refilled: with room for 8 entries
-    each, every text equals the factor renderer's."""
+    """Full text tables (the two monomial blocks and the coefficients) are
+    emptied and refilled: with room for 8 entries each, every text equals
+    the factor renderer's."""
     import random
 
     from wresidue import scalars
@@ -377,9 +378,12 @@ def test_text_tables_stay_bounded_and_texts_do_not_change(monkeypatch):
         ids = rng.sample(_COT, rng.randint(0, 4)) + rng.sample(_GEO, rng.randint(0, 2))
         return mono_pack((s, rng.randint(1, 3)) for s in ids)
 
-    polys = [Poly({monomial(): GRat(rng.randint(1, 9), rng.randint(-2, 2)) for _ in range(6)})
-             for _ in range(40)]
-    tables = ("_COT_TEXT", "_REST_TEXT")
+    def coefficient():
+        parts = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
+        return GRat(*parts) if any(parts) else GRat(1)
+
+    polys = [Poly({monomial(): coefficient() for _ in range(6)}) for _ in range(40)]
+    tables = ("_COT_TEXT", "_REST_TEXT", "_COEF_TEXT")
     for name in tables:
         monkeypatch.setattr(scalars, name, {})
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 8)
