@@ -138,7 +138,17 @@ class CliffordExpr:
         return CliffordExpr({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "CliffordExpr") -> "CliffordExpr":
-        return self + (-other)
+        if other.is_zero():
+            return self
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            acc = out.get(m)
+            s = -c if acc is None else acc - c
+            if s.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = s
+        return CliffordExpr(out)
 
     def scale(self, c) -> "CliffordExpr":
         c = _as_scalar(c)
@@ -151,13 +161,12 @@ class CliffordExpr:
             return self.scale(other)
         if not isinstance(other, CliffordExpr):
             return NotImplemented
-        pairs = []
+        signed = []
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 sign, mono = _mono_product(m1, m2)
-                c = c1 * c2
-                pairs.append((mono, c if sign > 0 else -c))
-        return _collect(pairs)
+                signed.append((mono, sign, c1 * c2))
+        return _collect(signed)
 
     def __rmul__(self, other):
         if isinstance(other, (int, GRat, ScalarExpr)):
@@ -197,13 +206,18 @@ class CliffordExpr:
         return f"CliffordExpr({self.text()})"
 
 
-def _collect(pairs: Iterable[Tuple[CliffMono, ScalarExpr]]) -> CliffordExpr:
-    """The Clifford element sum c * mono over (mono, c) pairs: the
-    coefficients of each monomial are added by one `scalar_sum`."""
-    by_mono: Dict[CliffMono, list] = {}
-    for mono, c in pairs:
-        by_mono.setdefault(mono, []).append(c)
-    return CliffordExpr({mono: scalar_sum(cs) for mono, cs in by_mono.items()})
+def _collect(signed: Iterable[Tuple[CliffMono, int, ScalarExpr]]) -> CliffordExpr:
+    """The Clifford element sum sign * c * mono over (mono, sign, c), sign 1
+    or -1: the coefficients of each monomial are added and subtracted by
+    one `scalar_sum`, so no product is negated on its own."""
+    by_mono: Dict[CliffMono, Tuple[list, list]] = {}
+    for mono, sign, c in signed:
+        plus_minus = by_mono.get(mono)
+        if plus_minus is None:
+            plus_minus = by_mono[mono] = ([], [])
+        plus_minus[sign < 0].append(c)
+    return CliffordExpr({mono: scalar_sum(plus, minus)
+                         for mono, (plus, minus) in by_mono.items()})
 
 
 CL_ZERO = CliffordExpr()
@@ -226,16 +240,12 @@ def cl_trace_product(a: CliffordExpr, b: CliffordExpr) -> ScalarExpr:
     Only equal monomials pair into the identity: Tr(a b) =
     4 * sum_S a_S b_S c_S^2.  Agrees with cl_trace(a*b) (property-tested).
     """
-    terms = []
+    plus_minus = ([], [])
     for mono, ca in a.terms.items():
         cb = b.terms.get(mono)
-        if cb is None:
-            continue
-        term = ca * cb
-        if _mono_product(mono, mono)[0] < 0:
-            term = -term
-        terms.append(term)
-    return scalar_sum(terms) * ScalarExpr.const(TRACE_ID)
+        if cb is not None:
+            plus_minus[_mono_product(mono, mono)[0] < 0].append(ca * cb)
+    return scalar_sum(*plus_minus) * ScalarExpr.const(TRACE_ID)
 
 
 def clifford_inverse(a: CliffordExpr) -> CliffordExpr:

@@ -27,6 +27,7 @@ from .symbols import (
     c_gen,
     c_xi,
     c_xi_prime,
+    once_per_off,
     q_bilinear,
     sigma0_dirac_lc,
     torsion_two_form,
@@ -352,20 +353,23 @@ def _slot_5_27(ctx):
     return _stage(ctx, "b").f2
 
 
+@once_per_off
 def _p0_full(off: Tuple[str, ...] = ()) -> CliffordExpr:
     return (sigma0_dirac_lc() + torsion_u(off) + torsion_v(off)).map_coeffs(
         lambda c: c.subst_shx_one()
     )
 
 
-def _first_item_sandwich(ctx) -> CliffordExpr:
+@once_per_off
+def _first_item_sandwich(off: Tuple[str, ...] = ()) -> CliffordExpr:
     """(c(xi)sigma_0(D_T)c(xi) + c(xi)c(dx_n) d_x_n c(xi'))/(1+xi_n^2)^2 at |xi'| = 1."""
     cxi = c_xi(at_point=True).restrict_sphere()
     dc = c_xi_prime(at_point=True).scale(_H1 / 2)
-    inner = cxi * _p0_full(ctx.torsion_off) * cxi + cxi * c_dxn() * dc
+    inner = cxi * _p0_full(off) * cxi + cxi * c_dxn() * dc
     return inner.scale(S_ONE / _den_1x2(2))
 
 
+@once_per_off
 def _ref_5_31() -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
     dc = cxip.scale(_H1 / 2)
@@ -378,6 +382,7 @@ def _ref_5_31() -> CliffordExpr:
     )
 
 
+@once_per_off
 def _ref_5_32() -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
     dc = cxip.scale(_H1 / 2)
@@ -396,7 +401,7 @@ def _ref_5_32() -> CliffordExpr:
     ),
 )
 def _slot_5_30(ctx):
-    return pi_plus(_first_item_sandwich(ctx))
+    return pi_plus(_first_item_sandwich(ctx.torsion_off))
 
 
 @_slot(
@@ -405,7 +410,7 @@ def _slot_5_30(ctx):
     _ref_5_31,
 )
 def _slot_5_31(ctx):
-    return principal_part(_first_item_sandwich(ctx), 1).scale(ScalarExpr.const(-4))
+    return principal_part(_first_item_sandwich(ctx.torsion_off), 1).scale(ScalarExpr.const(-4))
 
 
 @_slot(
@@ -414,7 +419,7 @@ def _slot_5_31(ctx):
     _ref_5_32,
 )
 def _slot_5_32(ctx):
-    return principal_part(_first_item_sandwich(ctx), 2).scale(ScalarExpr.const(-4))
+    return principal_part(_first_item_sandwich(ctx.torsion_off), 2).scale(ScalarExpr.const(-4))
 
 
 def _ref_5_33() -> CliffordExpr:

@@ -13,13 +13,25 @@ The interior theorems need only the modules imported at the top.  The
 boundary stack (`pipeline`, the slots of `references`, `symbols`, and
 `halfplane` and `integration` under them) is imported inside `run_theorem`
 and its helpers, so a process loads it on its first boundary theorem.
+
+The cases of a boundary theorem are independent.  Once its symbols are
+built, `run_theorem` forks one worker for the case named in `_WORKER_CASE`
+(T5.4's case b): the worker evaluates that case, its printed-intermediate
+slots and its row, pickles them through a pipe and leaves by `os._exit`,
+while this process evaluates the other cases and the symbol diffs.  The
+same task runs inline where `os.fork` is missing, fewer than two CPUs are
+usable or a second thread runs, and the report bytes are the same either
+way.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, TextIO, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from .gaussian import GRat
 from .scalars import (
@@ -417,20 +429,130 @@ def _symbol_diff_rows(theorem: str, cfg: RunConfig) -> List[Dict]:
     return rows
 
 
+# The case of each boundary theorem that `run_theorem` evaluates in a forked
+# worker, chosen by measurement: T5.4's case b is about 60 % of that
+# theorem's work after its symbols are built, while a worker for T4.6's
+# largest case gained nothing over its fork and pipe costs.
+_WORKER_CASE = {"T5.4": "b"}
+
+
+def _fork_helps() -> bool:
+    """Whether a forked worker can run beside this process: `os.fork`
+    exists, this process runs one thread (the worker would hold only the
+    forking thread, and any lock another thread held stays locked in it),
+    and at least two CPUs are usable."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return False
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
+
+
+@contextmanager
+def _beside(task: Callable[[], object], fork: bool) -> Iterator[Callable[[], object]]:
+    """Run `task()` beside the body of the `with`, which calls the yielded
+    function once for the task's result; an exception of the task is
+    raised there.
+
+    With `fork` true and `_fork_helps()`, the task runs in a forked worker
+    that pickles its outcome through a pipe and leaves by `os._exit`, so it
+    never returns into the caller's frames.  The parent reads the pipe to
+    its end before it reaps the worker, since a result larger than the pipe
+    buffer would otherwise block both; on any way out of the block without
+    the result, it closes the pipe, kills the worker and reaps it.
+    Otherwise the yielded function is `task` itself, run inline.
+    """
+    if not (fork and _fork_helps()):
+        yield task
+        return
+    import pickle
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, task())
+            except BaseException as exc:  # sent to the parent, which raises it
+                outcome = (False, exc)
+            try:
+                data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                data = pickle.dumps((False, EngineError(f"internal: worker result not sent: {exc}")))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        try:
+            data = pipe.read()
+        finally:
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            reaped = True
+        if not data:
+            raise EngineError(f"internal: the case worker ended without a result "
+                              f"(exit status {os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        if not reaped:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     """All rows for one boundary theorem: cases, total, interior, diffs.
 
     Every case is computed, since the totals are reported; under `cfg.case`
     only that case's row and printed-intermediate slots are built.  The
     symbols are built with the switched-off torsion families at 0, and
-    `_switch` maps every field as well, so the two agree.
+    `_switch` maps every field as well, so the two agree.  The case named
+    in `_WORKER_CASE` is evaluated by `_beside` while this process
+    evaluates the other cases and the symbol diffs.
     """
     from .pipeline import (TrailStep, compute_case_term, enumerate_cases, make_context,
                            total_boundary_term)
     from .references import slots_for
 
     ctx = make_context(theorem, cfg.sigma3_variant, cfg.torsion_off)
-    reports = [compute_case_term(ctx, case) for case in enumerate_cases(theorem)]
+    cases = enumerate_cases(theorem)
+
+    def case_task(case) -> Tuple[PhiReport, Optional[Dict]]:
+        """The case's report without its trail, and its row unless
+        `cfg.case` selects another case."""
+        rep = compute_case_term(ctx, case)
+        row = None
+        if cfg.case in (None, case.case_id):
+            # the case's printed-intermediate slots, compared when the row is emitted
+            slot_steps = [
+                TrailStep(slot.slot_id, "printed-intermediate",
+                          as_clifford(slot.build_engine(ctx)),
+                          ref_id=slot.slot_id, ref=as_clifford(slot.build_ref()))
+                for slot in slots_for(theorem) if slot.case_id == case.case_id
+            ]
+            row = _row_dict(rep._replace(trail=rep.trail + slot_steps), cfg)
+        return rep._replace(trail=[]), row
+
+    split = [case for case in cases if case.case_id == _WORKER_CASE.get(theorem)]
+    with _beside(lambda: [case_task(case) for case in split], fork=bool(split)) as split_done:
+        done = {case: case_task(case) for case in cases if case not in split}
+        symbol_diffs = _symbol_diff_rows(theorem, cfg)
+        done.update(zip(split, split_done()))
+    reports = [done[case][0] for case in cases]
     total = total_boundary_term(reports, theorem)
     # sum consistency: total must equal the exact sum of the cases
     check = total.value
@@ -439,27 +561,15 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     if not check.is_zero():
         raise EngineError("internal: case sum does not reproduce the total")
     theorem_row = total._replace(row_id=f"{theorem}/theorem", trail=[])
-    rows = []
-    for rep in reports:
-        case_id = rep.case.case_id
-        if cfg.case and case_id != cfg.case:
-            continue
-        # the case's printed-intermediate slots, compared when the row is emitted
-        slot_steps = [
-            TrailStep(slot.slot_id, "printed-intermediate", as_clifford(slot.build_engine(ctx)),
-                      ref_id=slot.slot_id, ref=as_clifford(slot.build_ref()))
-            for slot in slots_for(theorem) if slot.case_id == case_id
-        ]
-        rows.append(_row_dict(rep._replace(trail=rep.trail + slot_steps), cfg))
     out = {
         "theorem": theorem,
-        "rows": rows,
+        "rows": [done[case][1] for case in cases if done[case][1] is not None],
         "totals": {
             "boundary": _row_dict(total, cfg),
             "theorem_statement": _row_dict(theorem_row, cfg),
             "interior": _interior_row(f"{theorem}/interior", interior_density(), cfg),
         },
-        "symbol_diffs": _symbol_diff_rows(theorem, cfg),
+        "symbol_diffs": symbol_diffs,
     }
     if theorem == "T4.6":
         out["sigma3_variant_check"] = _sigma3_variant_rows(ctx, cfg)

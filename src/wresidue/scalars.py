@@ -852,18 +852,22 @@ def _base_product(exps: Tuple[int, ...]) -> Poly:
     return hit
 
 
-def _poly_sum(polys: Sequence[Poly]) -> Poly:
-    """The sum of one or more polynomials, in one dict."""
-    acc = dict(polys[0].terms)
-    for p in polys[1:]:
-        _terms_add(acc, p.terms)
+def _num_sum(signed: Sequence[Tuple["ScalarExpr", int]]) -> Poly:
+    """The sum of sign * t.num over one or more (t, sign) pairs, sign 1 or
+    -1, in one dict."""
+    acc: Dict[Monomial, GRat] = {}
+    for t, sign in signed:
+        if acc or sign < 0:
+            _terms_add(acc, t.num.terms, sign)
+        else:
+            acc = dict(t.num.terms)
     return Poly(acc, _trusted=True)
 
 
 def _sum_factored(groups) -> "ScalarExpr":
-    """The canonical sum of num / prod base_i^exps[i] over the groups
-    (num, exps, weight), each num coprime to its denominator and weight
-    the number of terms summed into it.
+    """The canonical sum of sign * num / prod base_i^exps[i] over the
+    groups (num, exps, weight, sign), each num coprime to its denominator,
+    weight the number of terms summed into it and sign 1 or -1.
 
     The sum is formed over the lcm, whose exponents are the maxima.  A base
     can divide the summed numerator only if at least two terms carry its
@@ -871,50 +875,65 @@ def _sum_factored(groups) -> "ScalarExpr":
     base while that term's numerator and cofactor do not.  Only those
     bases are stripped.
     """
-    top = tuple(map(max, zip(*(exps for _, exps, _ in groups))))
+    top = tuple(map(max, zip(*(exps for _, exps, _, _ in groups))))
     acc: Dict[Monomial, GRat] = {}
-    for num, exps, _ in groups:
+    for num, exps, _, sign in groups:
         if exps != top:
             num = num * _base_product(tuple(t - e for t, e in zip(top, exps)))
-        _terms_add(acc, num.terms)
+        _terms_add(acc, num.terms, sign)
     if not acc:
         return S_ZERO
     total = Poly(acc, _trusted=True)
     final = list(top)
     for idx, t in enumerate(top):
-        if t and sum(w for _, exps, w in groups if exps[idx] == t) > 1:
+        if t and sum(w for _, exps, w, _ in groups if exps[idx] == t) > 1:
             m, total = _strip(total, idx, t)
             final[idx] -= m
     return ScalarExpr(total, _base_product(tuple(final)), _canonical=True)
 
 
-def scalar_sum(terms: Iterable["ScalarExpr"]) -> "ScalarExpr":
-    """The canonical sum of canonical ScalarExprs, with one cancellation.
+def scalar_sum(terms: Iterable["ScalarExpr"],
+               minus: Iterable["ScalarExpr"] = ()) -> "ScalarExpr":
+    """The canonical sum of the canonical ScalarExprs `terms` less those of
+    `minus`, with one cancellation; the subtracted terms are not negated
+    one by one first.
 
     Terms are grouped by denominator.  When every denominator factors over
     the known bases, the groups are summed over their lcm by
-    `_sum_factored`; otherwise the terms are folded with `+`.  A sum of
-    polynomials is one dict accumulation.
+    `_sum_factored`; otherwise the terms are folded with `+` and `-`.  A
+    sum of polynomials is one dict accumulation.
     """
-    by_den: Dict[Poly, List[ScalarExpr]] = {}
+    by_den: Dict[Poly, List[Tuple[ScalarExpr, int]]] = {}
     for t in terms:
         if t.num.terms:
-            by_den.setdefault(t.den, []).append(t)
+            by_den.setdefault(t.den, []).append((t, 1))
+    for t in minus:
+        if t.num.terms:
+            by_den.setdefault(t.den, []).append((t, -1))
     if len(by_den) == 1:
-        (den, ts), = by_den.items()
-        if len(ts) == 1:
-            return ts[0]
+        (den, signed), = by_den.items()
+        if len(signed) == 1:
+            (t, sign), = signed
+            return t if sign > 0 else -t
         if den.is_const():
-            total = _poly_sum([t.num for t in ts])
+            total = _num_sum(signed)
             return ScalarExpr(total, den, _canonical=True) if total.terms else S_ZERO
     groups = []
-    for den, ts in by_den.items():
+    for den, signed in by_den.items():
         exps = _exponents(den)
         if exps is None:
-            return sum((t for ts in by_den.values() for t in ts), S_ZERO)
-        num = ts[0].num if len(ts) == 1 else _poly_sum([t.num for t in ts])
+            total = S_ZERO
+            for ts in by_den.values():
+                for t, sign in ts:
+                    total = total + t if sign > 0 else total - t
+            return total
+        if len(signed) == 1:
+            (t, sign), = signed
+            groups.append((t.num, exps, 1, sign))
+            continue
+        num = _num_sum(signed)
         if num.terms:
-            groups.append((num, exps, len(ts)))
+            groups.append((num, exps, len(signed), 1))
     return _sum_factored(groups) if groups else S_ZERO
 
 
@@ -1009,7 +1028,7 @@ class ScalarExpr:
         eb = _exponents(b)
         ed = eb if same else _exponents(d)
         if eb is not None and ed is not None:
-            return _sum_factored(((a, eb, 1), (c, ed, 1)))
+            return _sum_factored(((a, eb, 1, 1), (c, ed, 1, 1)))
         if same:
             g, d1 = b, P_ONE
             t = a + c
@@ -1033,7 +1052,23 @@ class ScalarExpr:
         return ScalarExpr(-self.num, self.den, _canonical=True)
 
     def __sub__(self, other):
-        return self + (-_as_scalar(other))
+        """a/b - c/d by the fused forms of `__add__` when b and d are one
+        constant or both factor over the known bases, so c is not negated
+        on its own; otherwise a/b + (-c/d)."""
+        other = _as_scalar(other)
+        if other.is_zero():
+            return self
+        a, b, c, d = self.num, self.den, other.num, other.den
+        same = b == d
+        if same and b.is_const():
+            t = a - c
+            return ScalarExpr(t, b, _canonical=True) if t.terms else S_ZERO
+        if a.terms:
+            eb = _exponents(b)
+            ed = eb if same else _exponents(d)
+            if eb is not None and ed is not None:
+                return _sum_factored(((a, eb, 1, 1), (c, ed, 1, -1)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return _as_scalar(other) - self

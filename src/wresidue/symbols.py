@@ -22,8 +22,9 @@ parametrix recursively from the leading component.
 
 from __future__ import annotations
 
+import functools
 import operator
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .gaussian import GRat, I
 from .scalars import (
@@ -45,6 +46,35 @@ from .clifford import CliffordExpr, CL_ZERO, clifford_inverse
 
 S_I = ScalarExpr.const(I)
 S_HALF_H1 = sym("h1") * ScalarExpr.const(GRat(1) / GRat(2))
+
+
+def once_per_off(build: Callable) -> Callable:
+    """`build`, a builder of a constant value whose last parameter is `off`
+    (the torsion families switched off, default ()), memoized per process on
+    its arguments with `off` keyed as a tuple, so `f()` and `f(())` share one
+    build.  Callers must not mutate the values it returns.  `builds` counts
+    the builds per key, and `__wrapped__` is the plain builder."""
+    cache: Dict[tuple, object] = {}
+    arity = build.__code__.co_argcount
+
+    @functools.wraps(build)
+    def memo(*args):
+        key = args + ((),) * (arity - len(args))
+        if key:
+            key = key[:-1] + (tuple(key[-1]),)
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = build(*key)
+            memo.builds[key] = memo.builds.get(key, 0) + 1
+        return hit
+
+    def cache_clear():
+        cache.clear()
+        memo.builds.clear()
+
+    memo.builds = {}
+    memo.cache_clear = cache_clear
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +121,7 @@ def q_bilinear() -> ScalarExpr:
     return xdot_xi("X") * xdot_xi("Y")
 
 
+@once_per_off
 def torsion_u(off: Tuple[str, ...] = ()) -> CliffordExpr:
     """(1/4) sum over pairwise distinct (i,s,t) of A_ist c(e_i)c(e_s)c(e_t);
     0 when the family "A" is in `off`, the torsion families switched off."""
@@ -110,6 +141,7 @@ def torsion_u(off: Tuple[str, ...] = ()) -> CliffordExpr:
     return total
 
 
+@once_per_off
 def torsion_v(off: Tuple[str, ...] = ()) -> CliffordExpr:
     """(1/4)[ -sum A_iit c(e_t) + sum A_isi c(e_s) - sum A_iss c(e_i) + 2 sum A_iii c(e_i) ];
     0 when the family "A" is in `off`."""
@@ -141,6 +173,7 @@ def spin_connection_term(prefix: str) -> CliffordExpr:
     return total
 
 
+@once_per_off
 def torsion_two_form(prefix: str, off: Tuple[str, ...] = ()) -> CliffordExpr:
     """T-bar(X) = (3/2) sum_{i<j} T(X,e_i,e_j)c(e_i)c(e_j) - (1/2)c(V)c(X) - (1/2)<V,X>,
     without the T part or the V parts when "T" or "V" is in `off`."""

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wresidue.gaussian import GRat
 from wresidue.scalars import EngineError, ScalarExpr, S_ONE, S_ZERO, sym
@@ -226,3 +226,60 @@ def test_clifford_suite_fails_on_a_gamma_table_entry_with_one_sign_flipped(monke
     assert oracle
     assert len(result["failures"]) == 1 + len(oracle)
     assert result["passed"] == 20 - len(oracle)
+
+
+_MONOS = [m for r in range(5) for m in itertools.combinations(range(1, 5), r)]
+_XIN = sym("xin")
+_XIN_MINUS_I = _XIN - ScalarExpr.const(GRat(0, 1))
+# coefficients c * xin^k / (xin - i)^m: a constant denominator (m = 0) sums
+# in one dict, a power of the linear base over the base's lcm
+_rational = st.builds(
+    lambda c, k, m: ScalarExpr.const(c) * _XIN ** k / _XIN_MINUS_I ** m,
+    _grat, st.integers(0, 2), st.integers(0, 2))
+_AT_XIN = {"xin": GRat(2, 1)}
+
+
+def _mat_neg(a):
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+@st.composite
+def _all_minus_pairs(draw):
+    """a and b with a sign -1 for every pair of their monomials, so each
+    coefficient of a * b is a sum of subtracted products only."""
+    from wresidue.clifford import _mono_product
+
+    left = draw(st.lists(st.sampled_from(_MONOS), min_size=1, max_size=3, unique=True))
+    right = [m2 for m2 in _MONOS if all(_mono_product(m1, m2)[0] < 0 for m1 in left)]
+    assume(right)
+    right = draw(st.lists(st.sampled_from(right), min_size=1, max_size=4, unique=True))
+    a = CliffordExpr({m: draw(_rational) for m in left})
+    b = CliffordExpr({m: draw(_rational) for m in right})
+    return a, b
+
+
+@given(_all_minus_pairs())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_product_of_sign_minus_one_pairs_matches_the_matrix_product(pair):
+    """Products collected by subtraction alone, with monomials that several
+    pairs reach, agree with the product of the representations."""
+    from wresidue.clifford import _mat_mul, matrix_representation
+
+    a, b = pair
+    assert matrix_representation(a * b, _AT_XIN) == _mat_mul(
+        matrix_representation(a, _AT_XIN), matrix_representation(b, _AT_XIN))
+
+
+_rational_clifford = st.dictionaries(st.sampled_from(_MONOS), _rational, max_size=6).map(
+    CliffordExpr)
+
+
+@given(_rational_clifford, _rational_clifford)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_difference_matches_the_matrix_difference(a, b):
+    from wresidue.clifford import matrix_representation
+
+    rep_a, rep_b = (matrix_representation(x, _AT_XIN) for x in (a, b))
+    assert matrix_representation(a - b, _AT_XIN) == _mat_add(rep_a, _mat_neg(rep_b))
+    assert a - b == a + (-b)
+    assert (a - a).is_zero() and (a - CliffordExpr()) == a

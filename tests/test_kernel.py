@@ -467,6 +467,16 @@ def test_scalar_sum_equals_the_add_fold(xs):
     assert scalars.scalar_sum(xs) == functools.reduce(operator.add, xs, scalars.S_ZERO)
 
 
+@given(sums_(), sums_())
+@settings(max_examples=60, deadline=None)
+def test_signed_scalar_sum_equals_the_fold(xs, ys):
+    """Terms subtracted in the sum, without their negations formed first."""
+    want = functools.reduce(operator.add, xs + [-y for y in ys], scalars.S_ZERO)
+    assert scalars.scalar_sum(xs, ys) == want
+    assert scalars.scalar_sum(iter(xs), iter(ys)) == want
+    assert scalars.scalar_sum(ys, ys).is_zero()
+
+
 @st.composite
 def pairs_sharing_powers(draw):
     """a/b and c/d whose denominators share some bases at the same power,
@@ -491,6 +501,15 @@ def test_two_term_add_equals_the_normalizing_constructor(pair):
     want = ScalarExpr(a.num * c.den + c.num * a.den, a.den * c.den)
     assert a + c == want and c + a == want
     assert scalars.scalar_sum([a, c]) == want
+
+
+@given(pairs_sharing_powers())
+@settings(max_examples=120, deadline=None)
+def test_two_term_sub_equals_the_normalizing_constructor(pair):
+    a, c = pair
+    want = ScalarExpr(a.num * c.den - c.num * a.den, a.den * c.den)
+    assert a - c == want and c - a == -want
+    assert (a - a).is_zero() and a - scalars.S_ZERO == a and scalars.S_ZERO - a == -a
 
 
 def _count_base_tests(monkeypatch):

@@ -238,3 +238,66 @@ def test_run_all_builds_each_symbol_once(monkeypatch, tmp_path):
             ("_build_symbol", "nablaXY(D_T*D_T)^-1", "xik", ()),
             ("_build_symbol", "D_T*D_TD_T*", "printed", ()),
             ("_build_symbol", "nablaXY D_T^-1", "printed", ())} <= set(builds)
+
+
+
+_OFFS = ((), ("A", "T", "V"))
+
+
+def _constant_builders():
+    """Each memoized builder of a constant Clifford ingredient, with the
+    arguments it takes before `off` (None for a printed reference, which
+    has no `off`)."""
+    from wresidue import references, symbols
+
+    return [(symbols.torsion_u, [()]), (symbols.torsion_v, [()]),
+            (symbols.torsion_two_form, [("X",), ("Y",)]),
+            (references._p0_full, [()]), (references._first_item_sandwich, [()]),
+            (references._ref_5_31, None), (references._ref_5_32, None)]
+
+
+def _argument_lists(heads):
+    return [()] if heads is None else [head + (off,) for head in heads for off in _OFFS]
+
+
+def _run_all(tmp_path, *flags):
+    from wresidue import cli
+
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--theorem", "all", "--format", "json", *flags,
+                     "--out", str(out)]) == 0
+
+
+def test_run_all_builds_each_constant_ingredient_once_per_off(monkeypatch, tmp_path):
+    """The torsion endomorphisms u and v, the torsion two-forms, p_0 and the
+    first-item sandwich of T5.4 case b, and the printed A_1 and A_2 are
+    built once per process and per switched-off set, whichever caller asks
+    and whether it passes `off` or leaves it at its default."""
+    from wresidue import report
+
+    monkeypatch.setattr(report, "_fork_helps", lambda: False)  # every build in this process
+    for builder, _ in _constant_builders():
+        builder.cache_clear()
+    _run_all(tmp_path)
+    _run_all(tmp_path, "--no-torsion")
+    for builder, heads in _constant_builders():
+        assert set(builder.builds.values()) == {1}, builder.__name__
+        assert set(builder.builds) <= set(_argument_lists(heads)), builder.__name__
+        defaults = [()] if heads is None else [head + ((),) for head in heads]
+        assert set(defaults) <= set(builder.builds), builder.__name__
+    assert torsion_u() is torsion_u(()) is torsion_u([])
+
+
+def test_runs_leave_the_memoized_ingredients_unchanged(monkeypatch, tmp_path):
+    """No caller mutates a shared value: what a builder returned before a run
+    equals a fresh build after it."""
+    from wresidue import report
+
+    monkeypatch.setattr(report, "_fork_helps", lambda: False)  # every use in this process
+    before = {(builder, args): builder(*args)
+              for builder, heads in _constant_builders() for args in _argument_lists(heads)}
+    _run_all(tmp_path)
+    _run_all(tmp_path, "--no-torsion")
+    for (builder, args), value in before.items():
+        assert value == builder.__wrapped__(*args), (builder.__name__, args)
+        assert builder(*args) is value

@@ -18,9 +18,13 @@ set `peak_rss_mb` (read from the per-operation `rss_mb` of perfbench's
 result file), and `operation_wall_s`: per operation, named with any
 `@seed` suffix cut, the median over the side's runs of its median `wall_s`
 over a run's rounds (calls that share a cut name in one round, such as the
-`scalars` suite at three seeds, add up), and `operation_rss_mb`: per
-operation, the median over the side's runs of its median `rss_mb` over a
-run's rounds, so a move of one process's peak names the process.  Per
+`scalars` suite at three seeds, add up), and `operation_cpu_s`, the same
+for the CPU time perfbench records per operation (for a CLI operation, the
+user and system time of its process and of the children it reaped, so one
+that runs work beside itself shows more CPU than wall time), and
+`operation_rss_mb`: per operation, the median over the side's runs of its
+median `rss_mb` over a run's rounds, so a move of one process's peak names
+the process.  Per
 workload it also holds `operations_moved`, each operation's two medians and their difference,
 largest move first, so the call that carries a gain or a loss is named,
 and, for each of the three metrics,
@@ -101,21 +105,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"metrics": metrics, "attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"], "hashes": hashes,
             "peak_op": peak_operation(detail["operations"], metrics["peak_rss_mb"]),
-            "op_wall": operation_wall(detail["operations"]),
+            "op_wall": operation_time(detail["operations"], "wall_s"),
+            "op_cpu": operation_time(detail["operations"], "cpu_s"),
             "op_rss": operation_rss(detail["operations"])}
 
 
-def operation_wall(operations) -> dict:
-    """Cut operation name -> median over the run's rounds of its wall time
-    in a round; operations that share a cut name in a round add up."""
+def operation_time(operations, field: str) -> dict:
+    """Cut operation name -> median over the run's rounds of its `field`
+    (`wall_s` or `cpu_s`) in a round; operations that share a cut name in
+    a round add up."""
     per_round = {}
     for op in operations:
         key = (op["name"].partition("@")[0], op["round"])
-        per_round[key] = per_round.get(key, 0.0) + op["wall_s"]
+        per_round[key] = per_round.get(key, 0.0) + op[field]
     rounds = {}
-    for (name, _), wall in per_round.items():
-        rounds.setdefault(name, []).append(wall)
-    return {name: statistics.median(walls) for name, walls in sorted(rounds.items())}
+    for (name, _), seconds in per_round.items():
+        rounds.setdefault(name, []).append(seconds)
+    return {name: statistics.median(times) for name, times in sorted(rounds.items())}
 
 
 def operation_rss(operations) -> dict:
@@ -156,6 +162,7 @@ def side(runs) -> dict:
         "correct": all(r["correct"] for r in runs),
         "peak_rss_set_by": dict(Counter(r["peak_op"] for r in runs).most_common()),
         "operation_wall_s": per_operation(runs, "op_wall"),
+        "operation_cpu_s": per_operation(runs, "op_cpu"),
         "operation_rss_mb": per_operation(runs, "op_rss"),
     }
 

@@ -7,9 +7,12 @@ that imports `wresidue` from `--src` (default: this tree's `src`), wraps
 the kernels below, and calls `wresidue.cli.main(["run", "--theorem", T,
 "--format", "json"])` in-process with its output discarded; the engine
 modules are imported before the clock starts, so `main` excludes import
-time.  A wrapper times only the outermost call of its kernel, so a nested
-or recursive call is not counted twice; kernels may nest in one another (a
-sum inside a sphere reduction counts in both).  The table gives, per
+time.  The run is inline: a tree that evaluates a case in a forked
+worker (`report._fork_helps`) is told it has one CPU, so the timers see
+every case and the figures compare with those of older trees.  A wrapper
+times only the outermost call of its kernel, so a nested or recursive call
+is not counted twice; kernels may nest in one another (a sum inside a
+sphere reduction counts in both).  The table gives, per
 kernel, its calls and the least of its times over the repeats, and last
 the whole `main` call.
 
@@ -96,6 +99,11 @@ def _child(theorem: str) -> dict:
             if name.startswith("wresidue") and other is not None \
                     and getattr(other, attr, None) is fn:
                 setattr(other, attr, wrapped)
+    # every case in this process, so that the timers see the kernels of the
+    # case a tree with the forked case worker runs beside it
+    report = sys.modules["wresidue.report"]
+    if hasattr(report, "_fork_helps"):
+        report._fork_helps = lambda: False
     start = perf()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["run", "--theorem", theorem, "--format", "json"])
