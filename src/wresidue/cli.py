@@ -142,14 +142,14 @@ def cmd_verify(args) -> int:
 def cmd_list(_args) -> int:
     from .printed import REFERENCES
     from .references import SLOTS
-    from .pipeline import THEOREM_IDS, enumerate_cases
+    from .pipeline import BOUNDARY_THEOREMS
 
     lines = ["computations:"]
     lines.append("  T2.3   interior trace identities and functional density")
     lines.append("  T4.1   interior density attached to the first boundary theorem")
     lines.append("  T5.1   interior density attached to the second boundary theorem")
-    for th in THEOREM_IDS:
-        cases = ", ".join(c.case_id for c in enumerate_cases(th))
+    for th, row in BOUNDARY_THEOREMS.items():
+        cases = ", ".join(row.case_ids())
         lines.append(f"  {th}   five boundary cases ({cases}) plus total")
     lines.append("")
     lines.append("references:")

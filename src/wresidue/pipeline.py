@@ -6,14 +6,14 @@ Each boundary case evaluates
                                         x d_x'^alpha d_xin^(j+1) d_xn^k sigma_l(F2) ]
 
 with prefactor (-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!), summed over the case
-list determined by r + l - k - j - |alpha| = -(n-1) within the factors' order
-bounds.  The x-side and tangential xi derivatives act on unrestricted
-symbols; each factor is then restricted to |xi'| = 1 and its xin derivatives
-act on the restricted value.  Restriction sets shx = 1 and reduces xi3^2, a
-ring homomorphism that fixes xin, so it commutes with d/dxin.  The
-half-plane projection follows, the xin integral closes upward through the
-residue at +i, and tangential moments are exact with the sphere volume kept
-symbolic.
+list determined by r + l - k - j - |alpha| = -(n-1) derived from the
+factors' top orders.  The x-side and tangential xi derivatives act on
+unrestricted symbols; each factor is then restricted to |xi'| = 1 and its
+xin derivatives act on the restricted value.  Restriction sets shx = 1 and
+reduces xi3^2, a ring homomorphism that fixes xin, so it commutes with
+d/dxin.  The half-plane projection follows, the xin integral closes upward
+through the residue at +i, and tangential moments are exact with the
+sphere volume kept symbolic.
 
 Each case is evaluated by one path, `case_stages`: per tangential axis it
 derives and restricts F2 and F1, projects and traces the pair, integrates
@@ -56,7 +56,30 @@ from .symbols import (
 
 N_DIM = 4
 
-THEOREM_IDS = ("T4.6", "T5.4")
+
+class BoundaryTheorem(NamedTuple):
+    """A boundary theorem as data: the operator ids of its factors F1 and F2,
+    the inverse operators whose stated symbols the report diffs against
+    their recomputation, and the names of the case that lowers F1 and of the
+    case that lowers F2 one order below its top.  Those names are the
+    paper's, and no rule gives them: b lowers F2 in theorem 4.6 but F1 in
+    theorem 5.4."""
+
+    factors: Tuple[str, str]
+    diffed: Tuple[str, ...]
+    lowered: Tuple[str, str]  # (F1 lowered, F2 lowered)
+
+    def case_ids(self) -> Tuple[str, ...]:
+        """The names of the cases, in the order of `enumerate_cases`."""
+        return tuple(sorted(("a1", "a2", "a3") + self.lowered))
+
+
+BOUNDARY_THEOREMS: Dict[str, BoundaryTheorem] = {
+    "T4.6": BoundaryTheorem(("nablaXY(D_T*D_T)^-1", "(D_T*D_T)^-1"), ("(D_T*D_T)^-1",),
+                            lowered=("c", "b")),
+    "T5.4": BoundaryTheorem(("nablaXY D_T^-1", "(D_T*D_TD_T*)^-1"),
+                            ("D_T^-1", "(D_T*D_TD_T*)^-1"), lowered=("b", "c")),
+}
 
 
 class CaseSpec(NamedTuple):
@@ -68,72 +91,28 @@ class CaseSpec(NamedTuple):
     j: int
     alpha: int
 
-    def constraint_ok(self) -> bool:
-        return self.r + self.ell - self.k - self.j - self.alpha == -(N_DIM - 1)
 
+def enumerate_cases(ctx: TheoremContext) -> List[CaseSpec]:
+    """The cases r + l - k - j - |alpha| = -(n-1) of the context's factors, by name.
 
-_CASE_TABLES: Dict[str, List[Tuple[str, int, int, int, int, int]]] = {
-    # (case_id, r, ell, k, j, |alpha|)
-    "T4.6": [
-        ("a1", 0, -2, 0, 0, 1),
-        ("a2", 0, -2, 0, 1, 0),
-        ("a3", 0, -2, 1, 0, 0),
-        ("b", 0, -3, 0, 0, 0),
-        ("c", -1, -2, 0, 0, 0),
-    ],
-    "T5.4": [
-        ("a1", 1, -3, 0, 0, 1),
-        ("a2", 1, -3, 0, 1, 0),
-        ("a3", 1, -3, 1, 0, 0),
-        ("b", 0, -3, 0, 0, 0),
-        ("c", 1, -4, 0, 0, 0),
-    ],
-}
-
-_FACTOR_IDS: Dict[str, Tuple[str, str]] = {
-    "T4.6": ("nablaXY(D_T*D_T)^-1", "(D_T*D_T)^-1"),
-    "T5.4": ("nablaXY D_T^-1", "(D_T*D_TD_T*)^-1"),
-}
-
-_ORDER_BOUNDS: Dict[str, Tuple[Tuple[int, int], Tuple[int, int]]] = {
-    # ((top_r, min_r), (top_l, min_l))
-    "T4.6": ((0, -1), (-2, -3)),
-    "T5.4": ((1, 0), (-3, -4)),
-}
-
-
-def brute_force_cases(theorem: str, depth: int = 6) -> List[Tuple[int, int, int, int, int]]:
-    """Scan (r, l, k, j, |alpha|) within order bounds for the case constraint."""
-    (top_r, _), (top_l, _) = _ORDER_BOUNDS[theorem]
-    found = []
-    for r in range(top_r, top_r - depth, -1):
-        for ell in range(top_l, top_l - depth, -1):
-            budget = r + ell + (N_DIM - 1)
-            if budget < 0:
-                continue
-            for k in range(budget + 1):
-                for j in range(budget - k + 1):
-                    a = budget - k - j
-                    found.append((r, ell, k, j, a))
-    return sorted(found)
-
-
-def enumerate_cases(theorem: str) -> List[CaseSpec]:
-    """The five boundary cases; completeness re-derived from the constraint."""
-    if theorem not in _CASE_TABLES:
-        raise EngineError(f"theorem {theorem!r} not wired")
-    cases = [CaseSpec(theorem, *row) for row in _CASE_TABLES[theorem]]
-    for c in cases:
-        if not c.constraint_ok():
-            raise EngineError(f"case {c.case_id} violates the order constraint")
-    derived = brute_force_cases(theorem)
-    tabulated = sorted((c.r, c.ell, c.k, c.j, c.alpha) for c in cases)
-    if derived != tabulated:
-        raise EngineError(
-            f"case enumeration mismatch for {theorem}: derived {derived}, "
-            f"tabulated {tabulated}"
-        )
-    return cases
+    At the factors' top orders the budget k + j + |alpha| = r + l + n - 1
+    must be 1, which gives a1 (|alpha| = 1), a2 (j = 1) and a3 (k = 1).
+    Lowering one factor by one order leaves budget 0, one case each, named
+    by the theorem's row; lowering both leaves none.
+    """
+    r, ell = ctx.factor1.top, ctx.factor2.top
+    if r + ell + N_DIM - 1 != 1:
+        raise EngineError(f"{ctx.theorem}: factor top orders {r} and {ell} do not give "
+                          f"the five boundary cases (their sum must be {2 - N_DIM})")
+    th = ctx.theorem
+    lower_f1, lower_f2 = BOUNDARY_THEOREMS[th].lowered
+    return sorted([
+        CaseSpec(th, "a1", r, ell, 0, 0, 1),
+        CaseSpec(th, "a2", r, ell, 0, 1, 0),
+        CaseSpec(th, "a3", r, ell, 1, 0, 0),
+        CaseSpec(th, lower_f1, r - 1, ell, 0, 0, 0),
+        CaseSpec(th, lower_f2, r, ell - 1, 0, 0, 0),
+    ], key=lambda case: case.case_id)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +270,9 @@ def make_context(theorem: str, sigma3_variant: str = "printed",
                  torsion_off: Tuple[str, ...] = ()) -> TheoremContext:
     """The two factors of a theorem, with the torsion families in
     `torsion_off` switched off at the source."""
-    f1_id, f2_id = _FACTOR_IDS[theorem]
+    if theorem not in BOUNDARY_THEOREMS:
+        raise EngineError(f"{theorem!r} is not a boundary theorem")
+    f1_id, f2_id = BOUNDARY_THEOREMS[theorem].factors
     return TheoremContext(
         theorem,
         builtin_symbol(f1_id, sigma3_variant, torsion_off),
@@ -391,8 +372,11 @@ def case_stages(ctx: TheoremContext, case: CaseSpec) -> List[AxisStages]:
     return hit
 
 
-def find_case(theorem: str, case_id: str) -> CaseSpec:
-    return next(c for c in enumerate_cases(theorem) if c.case_id == case_id)
+def find_case(ctx: TheoremContext, case_id: str) -> CaseSpec:
+    for case in enumerate_cases(ctx):
+        if case.case_id == case_id:
+            return case
+    raise EngineError(f"{ctx.theorem} has no boundary case {case_id!r}")
 
 
 def compute_case_term(ctx: TheoremContext, case: CaseSpec) -> PhiReport:
@@ -420,7 +404,7 @@ def case_trace_integrand(ctx: TheoremContext, case_id: str) -> CliffordExpr:
     text's per-case trace displays; it sums the case's stored stages.
     """
     total = S_ZERO
-    for stage in case_stages(ctx, find_case(ctx.theorem, case_id)):
+    for stage in case_stages(ctx, find_case(ctx, case_id)):
         if stage.traced is not None:
             total = total + stage.traced
     return CliffordExpr.scalar(total)

@@ -97,7 +97,7 @@ def _slot(slot_id: str, theorem: str, case_id: str, quote: str, build_ref):
 
 def _stage(ctx, case_id: str) -> AxisStages:
     """The stage chain of a case without tangential derivatives (a single pass)."""
-    (stage,) = case_stages(ctx, find_case(ctx.theorem, case_id))
+    (stage,) = case_stages(ctx, find_case(ctx, case_id))
     return stage
 
 

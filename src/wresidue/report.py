@@ -65,7 +65,9 @@ ENGINE_VERSION = "0.1.0"
 # ---------------------------------------------------------------------------
 
 THEOREM_CHOICES = ("T2.3", "T4.1", "T4.6", "T5.1", "T5.4", "all")
-INTERIOR_THEOREMS = ("T2.3", "T4.1", "T5.1")  # the others are `pipeline.THEOREM_IDS`
+# The boundary theorems (the choices less these and "all") and CASE_CHOICES
+# copy `pipeline.BOUNDARY_THEOREMS`, so that an interior run does not load it.
+INTERIOR_THEOREMS = ("T2.3", "T4.1", "T5.1")
 CASE_CHOICES = ("a1", "a2", "a3", "b", "c")
 FORMAT_CHOICES = ("text", "json", "latex")
 SIGMA3_CHOICES = ("printed", "xik")
@@ -405,18 +407,16 @@ def _interior_row(row_id: str, value: ScalarExpr, cfg: RunConfig) -> Dict:
 
 
 def _symbol_diff_rows(theorem: str, cfg: RunConfig) -> List[Dict]:
-    """Stated-vs-recomputed inverse symbol diffs (never silently reconciled)."""
+    """Stated-vs-recomputed inverse symbol diffs (never silently reconciled),
+    at every order of the stated symbol."""
+    from .pipeline import BOUNDARY_THEOREMS
     from .symbols import builtin_symbol, recomputed_symbol
 
     rows: List[Dict] = []
-    if theorem == "T4.6":
-        pairs = [("(D_T*D_T)^-1", (-2, -3))]
-    else:
-        pairs = [("D_T^-1", (-1, -2)), ("(D_T*D_TD_T*)^-1", (-3, -4))]
-    for op_id, orders in pairs:
+    for op_id in BOUNDARY_THEOREMS[theorem].diffed:
         stated = builtin_symbol(op_id, cfg.sigma3_variant, cfg.torsion_off)
         recomputed = recomputed_symbol(op_id, cfg.torsion_off)
-        for order in orders:
+        for order in stated.orders():
             sv, rv = (s.component(order).value.restrict_sphere() for s in (stated, recomputed))
             _, _, verdict, delta = _compare_under(sv, rv, cfg)
             rows.append(
@@ -524,12 +524,13 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     in `_WORKER_CASE` is evaluated by `_beside` while this process
     evaluates the other cases and the symbol diffs.
     """
-    from .pipeline import (TrailStep, compute_case_term, enumerate_cases, make_context,
-                           total_boundary_term)
+    from .pipeline import (BOUNDARY_THEOREMS, TrailStep, compute_case_term, enumerate_cases,
+                           make_context, total_boundary_term)
     from .references import slots_for
+    from .symbols import _READS_SIGMA3
 
     ctx = make_context(theorem, cfg.sigma3_variant, cfg.torsion_off)
-    cases = enumerate_cases(theorem)
+    cases = enumerate_cases(ctx)
 
     def case_task(case) -> Tuple[PhiReport, Optional[Dict]]:
         """The case's report without its trail, and its row unless
@@ -571,24 +572,26 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
         },
         "symbol_diffs": symbol_diffs,
     }
-    if theorem == "T4.6":
+    if _READS_SIGMA3.intersection(BOUNDARY_THEOREMS[theorem].factors):
         out["sigma3_variant_check"] = _sigma3_variant_rows(ctx, cfg)
     return out
 
 
 def _sigma3_variant_rows(ctx: TheoremContext, cfg: RunConfig) -> List[Dict]:
-    """Both index readings of the inverse-Laplacian order -3 data downstream.
+    """Both index readings of the inverse-Laplacian order -3 data downstream,
+    in the two cases that lower a factor below its top order.
 
     The run's context supplies its own reading; only the other is evaluated.
     """
-    from .pipeline import compute_case_term, enumerate_cases, make_context
+    from .pipeline import BOUNDARY_THEOREMS, compute_case_term, enumerate_cases, make_context
 
     other = make_context(ctx.theorem, "xik" if ctx.sigma3_variant == "printed" else "printed",
                          ctx.torsion_off)
     printed, xik = (ctx, other) if ctx.sigma3_variant == "printed" else (other, ctx)
+    lowered = BOUNDARY_THEOREMS[ctx.theorem].lowered
     rows = []
-    for case in enumerate_cases(ctx.theorem):
-        if case.case_id not in ("b", "c"):
+    for case in enumerate_cases(ctx):
+        if case.case_id not in lowered:
             continue
         _, _, verdict, delta = _compare_under(
             compute_case_term(printed, case).value, compute_case_term(xik, case).value, cfg
@@ -626,9 +629,8 @@ def run_computation(cfg: RunConfig) -> Dict:
     """Execute the configured pipelines and assemble the report document."""
     cfg.validate()
     sections = []
-    theorems = (
-        ["T2.3", "T4.1", "T4.6", "T5.1", "T5.4"] if cfg.theorem == "all" else [cfg.theorem]
-    )
+    theorems = ([th for th in THEOREM_CHOICES if th != "all"] if cfg.theorem == "all"
+                else [cfg.theorem])
     for th in theorems:
         if th in INTERIOR_THEOREMS:
             sections.append(run_interior(cfg, th))

@@ -213,7 +213,7 @@ def test_moment_equals_the_term_by_term_formula():
 def test_moment_equals_the_term_by_term_formula_on_every_t46_stage():
     ctx = make_context("T4.6")
     checked = 0
-    for case in enumerate_cases("T4.6"):
+    for case in enumerate_cases(ctx):
         for stage in case_stages(ctx, case):
             for step in stage.steps:
                 if step.op == "integrate_xi_n":
@@ -332,6 +332,6 @@ def test_moment_formula_dimension_generic():
 def test_case_integrands_residue_matches_derivative_oracle():
     """Every T4.6 traced integrand integrates the same by both exact residue routes."""
     ctx = make_context("T4.6")
-    for case in enumerate_cases("T4.6"):
+    for case in enumerate_cases(ctx):
         traced = case_trace_integrand(ctx, case.case_id)
         assert integrate_xi_n(traced) == integrate_via_residue_oracle(traced), case.case_id

@@ -733,7 +733,7 @@ def test_restriction_equals_the_gcd_route_on_every_stage_value(theorem, monkeypa
 
     monkeypatch.setattr(ScalarExpr, "restrict_sphere", record)
     ctx = make_context(theorem)
-    for case in enumerate_cases(theorem):
+    for case in enumerate_cases(ctx):
         case_stages(ctx, case)
     monkeypatch.undo()
     assert seen

@@ -18,14 +18,15 @@ from wresidue.clifford import CliffordExpr, cl_trace_product
 from wresidue.halfplane import pi_plus
 from wresidue.integration import integrate_xi_n, numeric_contour_oracle, sphere_moment
 from wresidue.pipeline import (
+    BOUNDARY_THEOREMS,
     CaseSpec,
     apply_torsion_switches,
-    brute_force_cases,
     case_trace_integrand,
     collect_form,
     collected_to_scalar,
     compute_case_term,
     enumerate_cases,
+    find_case,
     make_context,
     total_boundary_term,
 )
@@ -44,37 +45,75 @@ def frac(a, b=1):
 # enumeration
 # ---------------------------------------------------------------------------
 
+def _case_tuples(cases):
+    return [(c.case_id, c.r, c.ell, c.k, c.j, c.alpha) for c in cases]
+
+
 def test_case_tables():
-    t46 = enumerate_cases("T4.6")
-    assert [(c.r, c.ell, c.k, c.j, c.alpha) for c in t46] == [
-        (0, -2, 0, 0, 1),
-        (0, -2, 0, 1, 0),
-        (0, -2, 1, 0, 0),
-        (0, -3, 0, 0, 0),
-        (-1, -2, 0, 0, 0),
+    assert _case_tuples(enumerate_cases(make_context("T4.6"))) == [
+        ("a1", 0, -2, 0, 0, 1),
+        ("a2", 0, -2, 0, 1, 0),
+        ("a3", 0, -2, 1, 0, 0),
+        ("b", 0, -3, 0, 0, 0),
+        ("c", -1, -2, 0, 0, 0),
     ]
-    t54 = enumerate_cases("T5.4")
-    assert (1, -4, 0, 0, 0) in [(c.r, c.ell, c.k, c.j, c.alpha) for c in t54]
+    # the names of the lowered cases are the paper's: here b lowers F1
+    assert _case_tuples(enumerate_cases(make_context("T5.4"))) == [
+        ("a1", 1, -3, 0, 0, 1),
+        ("a2", 1, -3, 0, 1, 0),
+        ("a3", 1, -3, 1, 0, 0),
+        ("b", 0, -3, 0, 0, 0),
+        ("c", 1, -4, 0, 0, 0),
+    ]
 
 
 def test_constraint_satisfied_by_every_case():
-    for th in ("T4.6", "T5.4"):
-        for c in enumerate_cases(th):
+    for th in BOUNDARY_THEOREMS:
+        for c in enumerate_cases(make_context(th)):
             assert c.r + c.ell - c.k - c.j - c.alpha == -3
 
 
+def _scan_cases(top_r, top_l, depth=8):
+    """Every (r, l, k, j, |alpha|) with r <= top_r, l <= top_l (within `depth`
+    orders of each) and k, j, |alpha| >= 0 that meets the constraint."""
+    found = []
+    for r in range(top_r, top_r - depth, -1):
+        for ell in range(top_l, top_l - depth, -1):
+            budget = r + ell + 3
+            for k in range(budget + 1):
+                for j in range(budget - k + 1):
+                    found.append((r, ell, k, j, budget - k - j))
+    return sorted(found)
+
+
 def test_brute_force_completeness():
-    for th in ("T4.6", "T5.4"):
-        derived = brute_force_cases(th, depth=8)
-        tabulated = sorted(
-            (c.r, c.ell, c.k, c.j, c.alpha) for c in enumerate_cases(th)
-        )
-        assert derived == tabulated
+    """The derived cases are exactly those a scan below the factors' top
+    orders finds."""
+    for th in BOUNDARY_THEOREMS:
+        ctx = make_context(th)
+        derived = sorted((c.r, c.ell, c.k, c.j, c.alpha) for c in enumerate_cases(ctx))
+        assert derived == _scan_cases(ctx.factor1.top, ctx.factor2.top), th
+
+
+def test_factor_tops_outside_the_five_case_shape_rejected():
+    ctx = make_context("T4.6")
+    for top in (1, -1):
+        bad = ctx._replace(factor1=ctx.factor1._replace(top=top))
+        with pytest.raises(EngineError, match="T4.6"):
+            enumerate_cases(bad)
 
 
 def test_unknown_theorem_rejected():
-    with pytest.raises(EngineError):
-        enumerate_cases("T9.9")
+    with pytest.raises(EngineError, match="T9.9"):
+        make_context("T9.9")
+
+
+def test_unknown_case_rejected():
+    ctx = make_context("T4.6")
+    with pytest.raises(EngineError, match="'z'"):
+        find_case(ctx, "z")
+    with pytest.raises(EngineError, match="'z'"):
+        case_trace_integrand(ctx, "z")
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +123,14 @@ def test_unknown_theorem_rejected():
 @pytest.fixture(scope="module")
 def t46():
     ctx = make_context("T4.6")
-    cases = enumerate_cases("T4.6")
+    cases = enumerate_cases(ctx)
     return ctx, {c.case_id: compute_case_term(ctx, c) for c in cases}
 
 
 @pytest.fixture(scope="module")
 def t54():
     ctx = make_context("T5.4")
-    cases = enumerate_cases("T5.4")
+    cases = enumerate_cases(ctx)
     return ctx, {c.case_id: compute_case_term(ctx, c) for c in cases}
 
 
@@ -253,7 +292,7 @@ def test_variant_insensitivity_of_downstream_values():
     """Both index readings of the order -3 ground data give identical cases."""
     base = make_context("T4.6", "printed")
     alt = make_context("T4.6", "xik")
-    for case in enumerate_cases("T4.6"):
+    for case in enumerate_cases(base):
         if case.case_id in ("b", "c"):
             v1 = compute_case_term(base, case).value
             v2 = compute_case_term(alt, case).value
@@ -266,7 +305,7 @@ def test_runtime_budget_full_t46_run():
     _BUILTIN_CACHE.clear()
     start = time.monotonic()
     ctx = make_context("T4.6")
-    reports = [compute_case_term(ctx, c) for c in enumerate_cases("T4.6")]
+    reports = [compute_case_term(ctx, c) for c in enumerate_cases(ctx)]
     total_boundary_term(reports, "T4.6")
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"five-case run took {elapsed:.1f}s"
@@ -298,7 +337,7 @@ def test_run_theorem_evaluates_each_stage_chain_once(monkeypatch):
     run_theorem("T4.6", RunConfig(theorem="T4.6"))
     want = {
         ("printed", c.case_id, axis)
-        for c in enumerate_cases("T4.6")
+        for c in enumerate_cases(make_context("T4.6"))
         for axis in ((1, 2, 3) if c.alpha else (None,))
     } | {("xik", "b", None), ("xik", "c", None)}
     assert set(calls) == want
@@ -321,7 +360,7 @@ def test_restriction_commutes_with_xin_derivatives(theorem, t46, t54):
     from wresidue.symbols import d_x_tangential
 
     ctx = (t46 if theorem == "T4.6" else t54)[0]
-    for case in enumerate_cases(theorem):
+    for case in enumerate_cases(ctx):
         stages = case_stages(ctx, case)
         axes = (1, 2, 3) if case.alpha else (None,)
         assert len(stages) == len(axes)

@@ -270,7 +270,7 @@ def _check_switched_section(section, ctx, switch, atoms):
     """Every field of every boundary row describes the switched value."""
     values = {
         f"{ctx.theorem}/{c.case_id}": switch(compute_case_term(ctx, c).value)
-        for c in enumerate_cases(ctx.theorem)
+        for c in enumerate_cases(ctx)
     }
     total = S_ZERO
     for v in values.values():
@@ -328,7 +328,7 @@ def full_torsion_runs():
     out = {}
     for theorem in ("T4.6", "T5.4"):
         ctx = make_context(theorem)
-        for case in enumerate_cases(theorem):
+        for case in enumerate_cases(ctx):
             case_stages(ctx, case)
         out[theorem] = ctx, {slot.slot_id: slot.build_engine(ctx) for slot in slots_for(theorem)}
     return out
@@ -362,7 +362,7 @@ def test_switching_at_the_source_equals_switching_the_full_run(full_torsion_runs
         _assert_same_components(builtin_symbol(op_id, "printed", off), builtin_symbol(op_id),
                                 switch)
         _assert_same_components(recomputed_symbol(op_id, off), recomputed_symbol(op_id), switch)
-    for case in enumerate_cases(theorem):
+    for case in enumerate_cases(ctx):
         for mine, theirs in zip(case_stages(ctx, case), case_stages(full, case), strict=True):
             for name in ("f2_base", "f2", "f1_base", "f1", "traced", "moment"):
                 want = getattr(theirs, name)
@@ -480,11 +480,11 @@ def test_slots_read_the_restricted_bases_of_their_cases():
         for slot_id, case_id, order, normal in reads:
             comp = ctx.factor2.component(order)
             want = (d_xn(comp) if normal else comp).value.restrict_sphere()
-            (stage,) = case_stages(ctx, find_case(theorem, case_id))
+            (stage,) = case_stages(ctx, find_case(ctx, case_id))
             assert stage.f2_base == want, slot_id
             assert engine[slot_id](ctx) == want, slot_id
         top = ctx.factor1.component(ctx.factor1.top).value.restrict_sphere()
-        (stage,) = case_stages(ctx, find_case(theorem, "a3"))
+        (stage,) = case_stages(ctx, find_case(ctx, "a3"))
         assert stage.f1_base == top, theorem
         assert _projected_leading_f1(ctx) == pi_plus(top), theorem
 
@@ -677,6 +677,30 @@ def test_cli_list():
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
         "da667687808a3fb2c9d6724ffde462adfafdf323fdca903dd40bbc6ba0ff5052"
     )
+
+
+def test_cli_list_builds_no_symbol():
+    """`list` names each boundary theorem's cases from its row, so it builds
+    no context and no graded symbol."""
+    out = _run_python(
+        "-c",
+        "from wresidue import cli, symbols; rc = cli.main(['list']); "
+        "print(); print(rc, len(symbols._BUILTIN_CACHE))",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 0"
+
+
+def test_report_choices_equal_the_theorem_rows():
+    """`report` keeps its own copies of the theorem and case names, so that an
+    interior run never loads `pipeline`; they must equal the rows."""
+    from wresidue.pipeline import BOUNDARY_THEOREMS
+    from wresidue.report import CASE_CHOICES, INTERIOR_THEOREMS, THEOREM_CHOICES
+
+    for theorem, row in BOUNDARY_THEOREMS.items():
+        assert row.case_ids() == CASE_CHOICES, theorem
+    assert sorted(th for th in THEOREM_CHOICES if th != "all") == sorted(
+        INTERIOR_THEOREMS + tuple(BOUNDARY_THEOREMS))
 
 
 def test_cli_run_single_case(tmp_path):
