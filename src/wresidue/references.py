@@ -11,7 +11,7 @@ boundary theorem of a run.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .gaussian import GRat, I
 from .scalars import ScalarExpr, S_ZERO, S_ONE, atom_T, sym
@@ -75,22 +75,28 @@ def _den_1x2(k: int) -> ScalarExpr:
 
 class SlotEntry:
     """A printed intermediate: its printed builder `build_ref()` and the
-    engine builder `build_engine(ctx)`, which receives the TheoremContext."""
+    engine builder `build_engine(ctx)`, which receives the TheoremContext.
+    `case_id` is the case whose row carries the slot; `reads` is the case
+    whose stage chain `build_engine` reads, or None when it reads none."""
 
-    __slots__ = ("slot_id", "theorem", "case_id", "quote", "build_ref", "build_engine")
+    __slots__ = ("slot_id", "theorem", "case_id", "quote", "build_ref", "build_engine", "reads")
 
     def __init__(self, slot_id: str, theorem: str, case_id: str, quote: str,
-                 build_ref: Callable[[], object], build_engine: Callable[[object], object]):
+                 build_ref: Callable[[], object], build_engine: Callable[[object], object],
+                 reads: Optional[str]):
         self.slot_id, self.theorem, self.case_id, self.quote = slot_id, theorem, case_id, quote
-        self.build_ref, self.build_engine = build_ref, build_engine
+        self.build_ref, self.build_engine, self.reads = build_ref, build_engine, reads
 
 
 SLOTS: List[SlotEntry] = []
+_OWN_CASE = object()  # the default of `_slot`'s `reads`: the slot's own case
 
 
-def _slot(slot_id: str, theorem: str, case_id: str, quote: str, build_ref):
+def _slot(slot_id: str, theorem: str, case_id: str, quote: str, build_ref,
+          reads: Optional[str] = _OWN_CASE):
     def deco(fn):
-        SLOTS.append(SlotEntry(slot_id, theorem, case_id, quote, build_ref, fn))
+        SLOTS.append(SlotEntry(slot_id, theorem, case_id, quote, build_ref, fn,
+                               case_id if reads is _OWN_CASE else reads))
         return fn
     return deco
 
@@ -101,10 +107,14 @@ def _stage(ctx, case_id: str) -> AxisStages:
     return stage
 
 
+# the case whose stages `_projected_leading_f1` reads
+_LEADING_F1_CASE = "a3"
+
+
 def _projected_leading_f1(ctx) -> CliffordExpr:
     """pi+ of the restricted, undifferentiated leading symbol of the first
     factor: the a3 case takes no x-side derivative of it (j = |alpha| = 0)."""
-    return pi_plus(_stage(ctx, "a3").f1_base)
+    return pi_plus(_stage(ctx, _LEADING_F1_CASE).f1_base)
 
 
 # ---- first pipeline intermediates ----
@@ -399,6 +409,7 @@ def _ref_5_32() -> CliffordExpr:
         _ref_5_31().scale(-S_ONE / (ScalarExpr.const(4) * _lin_minus()))
         + _ref_5_32().scale(-S_ONE / (ScalarExpr.const(4) * _lin_minus(2)))
     ),
+    reads=None,
 )
 def _slot_5_30(ctx):
     return pi_plus(_first_item_sandwich(ctx.torsion_off))
@@ -408,6 +419,7 @@ def _slot_5_30(ctx):
     "eq_5_31", "T5.4", "b",
     "A_1 = ic(xi')p_0c(xi')+ic(dx_n)(-3/4 h'(0)c(dx_n))c(dx_n)+ic(xi')c(dx_n)d_x_n c(xi')",
     _ref_5_31,
+    reads=None,
 )
 def _slot_5_31(ctx):
     return principal_part(_first_item_sandwich(ctx.torsion_off), 1).scale(ScalarExpr.const(-4))
@@ -417,6 +429,7 @@ def _slot_5_31(ctx):
     "eq_5_32", "T5.4", "b",
     "A_2 = [c(xi')+ic(dx_n)]p_0[c(xi')+ic(dx_n)]+c(xi')c(dx_n)d_x_nc(xi')-i d_x_n[c(xi')]",
     _ref_5_32,
+    reads=None,
 )
 def _slot_5_32(ctx):
     return principal_part(_first_item_sandwich(ctx.torsion_off), 2).scale(ScalarExpr.const(-4))
@@ -445,6 +458,7 @@ def _ref_5_33() -> CliffordExpr:
     "A_3 = Sum X_jY_l xi_j xi_l ((-2-i xi_n)c(xi')(u+v)c(xi')-ic(dx_n)(u+v)c(xi')"
     "-ic(xi')(u+v)c(dx_n)-i xi_n c(dx_n)(u+v)c(dx_n)) + X_nY_n (...)",
     _ref_5_33,
+    reads=None,
 )
 def _slot_5_33(ctx):
     cxi = c_xi(at_point=True).restrict_sphere()
@@ -466,6 +480,7 @@ def _slot_5_33(ctx):
             (ScalarExpr.const(3) * xi_var(4) - _g(0, 7)) / (ScalarExpr.const(8) * _lin_minus(3))
         )
     ).scale(S_ONE / 2),
+    reads=None,
 )
 def _slot_5_34(ctx):
     cxi = c_xi(at_point=True).restrict_sphere()
@@ -570,6 +585,7 @@ def _slot_5_45(ctx):
             / (ScalarExpr.const(2) * _lin_minus(2))
         )
     ),
+    reads=_LEADING_F1_CASE,
 )
 def _slot_5_46(ctx):
     return _projected_leading_f1(ctx).differentiate("xin")
@@ -579,6 +595,7 @@ def _slot_5_46(ctx):
     "eq_5_47", "T5.4", "c",
     "tr[c(xi')c(xi')c(dx_n)d_x_n c(xi')]=0 ; tr[c(dx_n)c(xi')c(dx_n)d_x_n c(xi')]=-2h'(0)",
     lambda: CliffordExpr.scalar(_g(-2, 0) * _H1),
+    reads=None,
 )
 def _slot_5_47(ctx):
     cxip = c_xi_prime(at_point=True)
@@ -619,6 +636,7 @@ def _ref_5_48() -> CliffordExpr:
     "Sum X_jY_l xi_j xi_l h'(0)(7+6i-(20-15i)xi_n-(7-6i)xi_n^2+15i xi_n^3)/"
     "((xi_n-i)^5(xi_n+i)^4) + X_nY_n (...)/((xi_n-i)^2(xi_n+i)^4)",
     _ref_5_48,
+    reads=_LEADING_F1_CASE,
 )
 def _slot_5_48(ctx):
     projected = _projected_leading_f1(ctx).differentiate("xin")
@@ -637,6 +655,7 @@ def _ref_5_49() -> CliffordExpr:
     "tr(partial_xi_n pi+ sigma_1 x c(xi)(3u-v)|xi|^2 c(xi)/|xi|^8) = "
     "(Sum X_jY_l xi_j xi_l + X_nY_n)(-3i pi/8) Sum A_iin",
     _ref_5_49,
+    reads=_LEADING_F1_CASE,
 )
 def _slot_5_49(ctx):
     projected = _projected_leading_f1(ctx).differentiate("xin")

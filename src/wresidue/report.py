@@ -14,14 +14,14 @@ boundary stack (`pipeline`, the slots of `references`, `symbols`, and
 `halfplane` and `integration` under them) is imported inside `run_theorem`
 and its helpers, so a process loads it on its first boundary theorem.
 
-The cases of a boundary theorem are independent.  Once its symbols are
-built, `run_theorem` forks one worker for the case named in `_WORKER_CASE`
-(T5.4's case b): the worker evaluates that case, its printed-intermediate
-slots and its row, pickles them through a pipe and leaves by `os._exit`,
-while this process evaluates the other cases and the symbol diffs.  The
-same task runs inline where `os.fork` is missing, fewer than two CPUs are
-usable or a second thread runs, and the report bytes are the same either
-way.
+The work of a boundary theorem after its symbols are built is a list of
+independent tasks: its cases, the slots that read no case, the other sigma3
+reading, the symbol diffs and the interior row.  `run_theorem` builds the
+list from the theorem's row and `_run_tasks` shares it between this process
+and one forked worker, which claim task indices from one pipe; the worker
+pickles its results back and leaves by `os._exit`.  The list runs inline,
+in order, where `os.fork` is missing, fewer than two CPUs are usable or a
+second thread runs, and the report bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 import json
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, TextIO, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .gaussian import GRat
 from .scalars import (
@@ -55,7 +55,7 @@ from .interior import (
 from .printed import REFERENCE_OF_ROW, reference_value
 
 if TYPE_CHECKING:
-    from .pipeline import PhiReport, TheoremContext, TrailStep
+    from .pipeline import CaseSpec, PhiReport, TrailStep
 
 ENGINE_VERSION = "0.1.0"
 
@@ -429,13 +429,6 @@ def _symbol_diff_rows(theorem: str, cfg: RunConfig) -> List[Dict]:
     return rows
 
 
-# The case of each boundary theorem that `run_theorem` evaluates in a forked
-# worker, chosen by measurement: T5.4's case b is about 60 % of that
-# theorem's work after its symbols are built, while a worker for T4.6's
-# largest case gained nothing over its fork and pipe costs.
-_WORKER_CASE = {"T5.4": "b"}
-
-
 def _fork_helps() -> bool:
     """Whether a forked worker can run beside this process: `os.fork`
     exists, this process runs one thread (the worker would hold only the
@@ -448,70 +441,99 @@ def _fork_helps() -> bool:
     return (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
 
 
-@contextmanager
-def _beside(task: Callable[[], object], fork: bool) -> Iterator[Callable[[], object]]:
-    """Run `task()` beside the body of the `with`, which calls the yielded
-    function once for the task's result; an exception of the task is
-    raised there.
+def _claim(tasks: Sequence[Callable[[], object]], claims: int, index: Optional[int],
+           catch: type) -> Dict[int, Tuple[bool, object]]:
+    """Run `tasks[index]` unless `index` is None, then every index read
+    from the pipe `claims` one byte at a time until it is empty, as
+    (ok, result or exception) by index.  The first exception of the class
+    `catch` stops the claims and empties the pipe, so the other process
+    claims no more either."""
+    outcomes = {}
+    while True:
+        if index is None:
+            claimed = os.read(claims, 1)
+            if not claimed:
+                return outcomes
+            index = claimed[0]
+        try:
+            outcomes[index] = (True, tasks[index]())
+        except catch as exc:
+            outcomes[index] = (False, exc)
+            while os.read(claims, 256):
+                pass
+            return outcomes
+        index = None
 
-    With `fork` true and `_fork_helps()`, the task runs in a forked worker
-    that pickles its outcome through a pipe and leaves by `os._exit`, so it
-    never returns into the caller's frames.  The parent reads the pipe to
-    its end before it reaps the worker, since a result larger than the pipe
-    buffer would otherwise block both; on any way out of the block without
-    the result, it closes the pipe, kills the worker and reaps it.
-    Otherwise the yielded function is `task` itself, run inline.
+
+def _run_tasks(tasks: Sequence[Callable[[], object]]) -> List[object]:
+    """The results of `tasks`, in list order; the exception of the first
+    failing task in list order is raised, whichever process ran it.
+
+    With two tasks or more and `_fork_helps()`, one forked worker runs
+    task 0 while this process claims the next index from one pipe, filled
+    with the indices 1 to 255 at most before the fork, and so does the
+    worker after task 0, until the pipe is empty.  A read of one byte from
+    a pipe is atomic, so each task runs once, and the claimed indices
+    rise, so every task before a failing one has run.  The worker pickles its outcomes
+    through a second pipe and leaves by `os._exit`, so it never returns
+    into the caller's frames.  This process reads that pipe to its end
+    before it reaps the worker, since a result larger than the pipe buffer
+    would otherwise block both; on any other way out (an exception outside
+    the tasks, or one that is not an `Exception`, raised here) it kills the
+    worker and reaps it.  Otherwise the tasks run inline, in list order.
     """
-    if not (fork and _fork_helps()):
-        yield task
-        return
+    if len(tasks) < 2 or not _fork_helps():
+        return [task() for task in tasks]
     import pickle
     import signal
 
+    claims, fill = os.pipe()
+    os.write(fill, bytes(range(1, len(tasks))))
+    os.close(fill)
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:  # the worker
         try:
             os.close(read_fd)
+            outcomes = _claim(tasks, claims, 0, BaseException)
             try:
-                outcome = (True, task())
-            except BaseException as exc:  # sent to the parent, which raises it
-                outcome = (False, exc)
-            try:
-                data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                data = pickle.dumps((False, EngineError(f"internal: worker result not sent: {exc}")))
+                data = pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # sent as task 0's outcome, which is read first
+                data = pickle.dumps({0: (False, EngineError(f"internal: worker result not sent: {exc}"))})
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(data)
         finally:
             os._exit(0)
     os.close(write_fd)
-    pipe = os.fdopen(read_fd, "rb")
     reaped = False
-
-    def result():
-        nonlocal reaped
-        try:
-            data = pipe.read()
-        finally:
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            reaped = True
-        if not data:
-            raise EngineError(f"internal: the case worker ended without a result "
-                              f"(exit status {os.waitstatus_to_exitcode(status)})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
     try:
-        yield result
+        outcomes = _claim(tasks, claims, None, Exception)
+        with os.fdopen(read_fd, "rb") as pipe:
+            read_fd = None
+            try:  # read as it is decoded, so no copy of the whole pickle is held
+                sent = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                sent = None
+        _, status = os.waitpid(pid, 0)
+        reaped = True
     finally:
+        os.close(claims)
+        if read_fd is not None:
+            os.close(read_fd)
         if not reaped:
-            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    if sent is None:
+        raise EngineError(f"internal: the task worker ended without a result "
+                          f"(exit status {os.waitstatus_to_exitcode(status)})")
+    outcomes.update(sent)
+    results = []
+    for i in range(len(tasks)):
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
@@ -520,40 +542,74 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     Every case is computed, since the totals are reported; under `cfg.case`
     only that case's row and printed-intermediate slots are built.  The
     symbols are built with the switched-off torsion families at 0, and
-    `_switch` maps every field as well, so the two agree.  The case named
-    in `_WORKER_CASE` is evaluated by `_beside` while this process
-    evaluates the other cases and the symbol diffs.
+    `_switch` maps every field as well, so the two agree.
+
+    The work after `make_context` is a list of independent tasks, each
+    returning named parts of the report, that `_run_tasks` shares between
+    this process and a forked worker: one per case (its stage chain, its
+    row and every slot that reads its stages, by `SlotEntry.reads`), one
+    per slot that reads no stages, the other sigma3 reading of the lowered
+    cases for a factor that reads it, the symbol diffs and the interior
+    row.  The list runs longest first, as far as the theorem's row tells:
+    the case that lowers F1 (the heaviest, which the worker runs), the
+    stage-free slots, the other cases, then the rest.  Rows are assembled
+    here, in slot order, so the report bytes do not depend on who ran what.
     """
     from .pipeline import (BOUNDARY_THEOREMS, TrailStep, compute_case_term, enumerate_cases,
                            make_context, total_boundary_term)
     from .references import slots_for
     from .symbols import _READS_SIGMA3
 
+    row = BOUNDARY_THEOREMS[theorem]
     ctx = make_context(theorem, cfg.sigma3_variant, cfg.torsion_off)
     cases = enumerate_cases(ctx)
+    slots = [slot for slot in slots_for(theorem) if cfg.case in (None, slot.case_id)]
+    lowered = [case for case in cases if case.case_id in row.lowered]
+    other_reading = None  # the sigma3 reading the run does not use, if a factor reads it
+    if _READS_SIGMA3.intersection(row.factors):
+        other_reading = "xik" if cfg.sigma3_variant == "printed" else "printed"
 
-    def case_task(case) -> Tuple[PhiReport, Optional[Dict]]:
-        """The case's report without its trail, and its row unless
-        `cfg.case` selects another case."""
+    def slot_part(slot) -> Dict:
+        """The slot's trail step as emitted, compared with its printed value."""
+        step = TrailStep(slot.slot_id, "printed-intermediate", as_clifford(slot.build_engine(ctx)),
+                         ref_id=slot.slot_id, ref=as_clifford(slot.build_ref()))
+        return {slot.slot_id: _trail_dict(step, cfg)}
+
+    def case_part(case) -> Dict:
+        """The case's report without its trail, its row (unless `cfg.case`
+        selects another case) without its slots, and the slots that read
+        its stages."""
         rep = compute_case_term(ctx, case)
-        row = None
-        if cfg.case in (None, case.case_id):
-            # the case's printed-intermediate slots, compared when the row is emitted
-            slot_steps = [
-                TrailStep(slot.slot_id, "printed-intermediate",
-                          as_clifford(slot.build_engine(ctx)),
-                          ref_id=slot.slot_id, ref=as_clifford(slot.build_ref()))
-                for slot in slots_for(theorem) if slot.case_id == case.case_id
-            ]
-            row = _row_dict(rep._replace(trail=rep.trail + slot_steps), cfg)
-        return rep._replace(trail=[]), row
+        out = {case: (rep._replace(trail=[]),
+                      _row_dict(rep, cfg) if cfg.case in (None, case.case_id) else None)}
+        for slot in slots:
+            if slot.reads == case.case_id:
+                out.update(slot_part(slot))
+        del ctx.stages[case]  # no later task reads them
+        return out
 
-    split = [case for case in cases if case.case_id == _WORKER_CASE.get(theorem)]
-    with _beside(lambda: [case_task(case) for case in split], fork=bool(split)) as split_done:
-        done = {case: case_task(case) for case in cases if case not in split}
-        symbol_diffs = _symbol_diff_rows(theorem, cfg)
-        done.update(zip(split, split_done()))
-    reports = [done[case][0] for case in cases]
+    def other_reading_part() -> Dict:
+        other = make_context(theorem, other_reading, cfg.torsion_off)
+        return {"other_reading": [compute_case_term(other, case).value for case in lowered]}
+
+    def symbol_diffs_part() -> Dict:
+        return {"symbol_diffs": _symbol_diff_rows(theorem, cfg)}
+
+    def interior_part() -> Dict:
+        return {"interior": _interior_row(f"{theorem}/interior", interior_density(), cfg)}
+
+    first = next(case for case in cases if case.case_id == row.lowered[0])
+    tasks = [partial(case_part, first)]
+    tasks += [partial(slot_part, slot) for slot in slots if slot.reads is None]
+    tasks += [partial(case_part, case) for case in cases if case != first]
+    if other_reading is not None:
+        tasks.append(other_reading_part)
+    tasks += [symbol_diffs_part, interior_part]
+    parts: Dict = {}
+    for part in _run_tasks(tasks):
+        parts.update(part)
+
+    reports = [parts[case][0] for case in cases]
     total = total_boundary_term(reports, theorem)
     # sum consistency: total must equal the exact sum of the cases
     check = total.value
@@ -561,44 +617,43 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
         check = check - rep.value
     if not check.is_zero():
         raise EngineError("internal: case sum does not reproduce the total")
+    rows = []
+    for case in cases:
+        case_row = parts[case][1]
+        if case_row is not None:
+            case_row["trail"] += [parts[slot.slot_id] for slot in slots
+                                  if slot.case_id == case.case_id]
+            rows.append(case_row)
     theorem_row = total._replace(row_id=f"{theorem}/theorem", trail=[])
     out = {
         "theorem": theorem,
-        "rows": [done[case][1] for case in cases if done[case][1] is not None],
+        "rows": rows,
         "totals": {
             "boundary": _row_dict(total, cfg),
             "theorem_statement": _row_dict(theorem_row, cfg),
-            "interior": _interior_row(f"{theorem}/interior", interior_density(), cfg),
+            "interior": parts["interior"],
         },
-        "symbol_diffs": symbol_diffs,
+        "symbol_diffs": parts["symbol_diffs"],
     }
-    if _READS_SIGMA3.intersection(BOUNDARY_THEOREMS[theorem].factors):
-        out["sigma3_variant_check"] = _sigma3_variant_rows(ctx, cfg)
+    if other_reading is not None:
+        own = [parts[case][0].value for case in lowered]
+        out["sigma3_variant_check"] = _sigma3_variant_rows(
+            theorem, lowered, own, parts["other_reading"], cfg)
     return out
 
 
-def _sigma3_variant_rows(ctx: TheoremContext, cfg: RunConfig) -> List[Dict]:
+def _sigma3_variant_rows(theorem: str, lowered: List[CaseSpec], own: List[ScalarExpr],
+                         other: List[ScalarExpr], cfg: RunConfig) -> List[Dict]:
     """Both index readings of the inverse-Laplacian order -3 data downstream,
-    in the two cases that lower a factor below its top order.
-
-    The run's context supplies its own reading; only the other is evaluated.
-    """
-    from .pipeline import BOUNDARY_THEOREMS, compute_case_term, enumerate_cases, make_context
-
-    other = make_context(ctx.theorem, "xik" if ctx.sigma3_variant == "printed" else "printed",
-                         ctx.torsion_off)
-    printed, xik = (ctx, other) if ctx.sigma3_variant == "printed" else (other, ctx)
-    lowered = BOUNDARY_THEOREMS[ctx.theorem].lowered
+    in the two cases that lower a factor below its top order: `own` holds
+    their values under the run's reading, `other` under the other one."""
+    printed, xik = (own, other) if cfg.sigma3_variant == "printed" else (other, own)
     rows = []
-    for case in enumerate_cases(ctx):
-        if case.case_id not in lowered:
-            continue
-        _, _, verdict, delta = _compare_under(
-            compute_case_term(printed, case).value, compute_case_term(xik, case).value, cfg
-        )
+    for case, p_value, x_value in zip(lowered, printed, xik):
+        _, _, verdict, delta = _compare_under(p_value, x_value, cfg)
         rows.append(
             {
-                "id": f"{ctx.theorem}/{case.case_id}/sigma3-variant-delta",
+                "id": f"{theorem}/{case.case_id}/sigma3-variant-delta",
                 "printed_vs_xik": "0" if delta is None else emit(delta.scalar_part(), "text"),
                 "identical": verdict == "match",
             }

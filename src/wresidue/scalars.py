@@ -703,6 +703,24 @@ _LINEAR_ROOTS = {0: 1, 1: 3}
 # every bit but the degree and the xin field: two monomials agree on these
 # exactly when they have the same rest (the degree follows from the fields)
 _REST_FIELDS = ~(0xFF | 0xFF << _SHIFT[XIN])
+# the same for the variables of the quadratic bases, which both vanish at
+# xi' = (1, 2, 2), xin = 3i and shx = 1
+_QUADRIC_REST_FIELDS = ~(0xFF | mono_mask(XI + (SHX,)))
+
+
+class _QuadricWeights(dict):
+    """The value at that point of the quadrics of a monomial's degree,
+    cotangent and shx fields (`m & ~_QUADRIC_REST_FIELDS`), less the power
+    of i that xin = 3i contributes, computed on first use."""
+
+    def __missing__(self, fields: Monomial) -> int:
+        weight = self[fields] = (
+            2 ** (((fields >> _SHIFT[XI[1]]) & 0xFF) + ((fields >> _SHIFT[XI[2]]) & 0xFF))
+            * 3 ** ((fields >> _SHIFT[XIN]) & 0xFF))
+        return weight
+
+
+_QUADRIC_WEIGHTS = _QuadricWeights()
 
 
 def _vanishes_at_root(p: Poly, quarter: int) -> bool:
@@ -715,33 +733,55 @@ def _vanishes_at_root(p: Poly, quarter: int) -> bool:
     neither does p, and this exit is exact.  Only otherwise is every rest
     summed (`_root_sums_vanish`)."""
     terms = p.terms.items()
-    if terms:
-        keep = _REST_FIELDS
-        first = next(iter(p.terms)) & keep
-        if not _root_sums_vanish(((m, c) for m, c in terms if m & keep == first), quarter):
-            return False
-    return _root_sums_vanish(terms, quarter)
+    if terms and not _first_rest_vanishes(p, quarter, _REST_FIELDS, None):
+        return False
+    return _root_sums_vanish(terms, quarter, _REST_FIELDS, None)
 
 
-def _root_sums_vanish(terms, quarter: int) -> bool:
+def _vanishes_on_quadric(p: Poly) -> bool:
+    """True when the terms of p that share the first term's rest (the
+    variables other than xi1, xi2, xi3, xin and shx) sum to zero at
+    xi' = (1, 2, 2), xin = 3i, shx = 1.  Both quadratic bases vanish
+    there, so each rest group of a multiple of either does too, and a p
+    whose first group does not is ruled out without a division.  The
+    converse does not hold, so a p that passes is still divided; testing
+    the first group alone keeps the test cheap for the multiples, which
+    pass it."""
+    return _first_rest_vanishes(p, 1, _QUADRIC_REST_FIELDS, _QUADRIC_WEIGHTS)
+
+
+def _first_rest_vanishes(p: Poly, quarter: int, keep: int,
+                         weights: Optional[Dict[Monomial, int]]) -> bool:
+    """`_root_sums_vanish` over the terms of the nonzero p that share its
+    first term's rest, in one pass that builds nothing for the others."""
+    first = next(iter(p.terms)) & keep
+    return _root_sums_vanish(((m, c) for m, c in p.terms.items() if m & keep == first),
+                             quarter, keep, weights)
+
+
+def _root_sums_vanish(terms, quarter: int, keep: int,
+                      weights: Optional[Dict[Monomial, int]]) -> bool:
     """True when, at xin = i^quarter, the (monomial, coefficient) pairs sum
-    to zero per rest monomial.  Each coefficient triple (a, b, d) is only
-    turned by quarter turns, and the terms are summed per rest over a common
-    denominator, with no GRat built."""
-    sh, unit = _SHIFT[XIN], _UNIT[XIN]
+    to zero per rest monomial (`m & keep`), each term times
+    `weights[m & ~keep]` if given.  Each coefficient triple (a, b, d) is
+    only scaled and turned by quarter turns, and the terms are summed per
+    rest over a common denominator, with no GRat built."""
+    sh, fields = _SHIFT[XIN], ~keep
     acc: Dict[Monomial, List[int]] = {}
     get = acc.get
     for m, c in terms:
-        e = (m >> sh) & 0xFF
         a, b, d = c.a, c.b, c.d
-        turns = (quarter * e) & 3
+        if weights is not None:
+            w = weights[m & fields]
+            a, b = a * w, b * w
+        turns = (quarter * (m >> sh)) & 3  # the fields above xin's add multiples of 256
         if turns == 1:
             a, b = -b, a
         elif turns == 2:
             a, b = -a, -b
         elif turns == 3:
             a, b = b, -a
-        rest = m - e * unit
+        rest = m & keep
         cur = get(rest)
         if cur is None:
             acc[rest] = [a, b, d]
@@ -758,8 +798,11 @@ def _strip(work: Poly, base_idx: int, cap: Optional[int] = None) -> Tuple[int, P
     """(multiplicity, quotient): divide the indexed base out of work until
     the exact division fails or, given a cap, cap times.  A multiple of the
     base holds all of the base's variables, so work without one of them is
-    returned at once, and a linear base is divided only once work vanishes
-    at its root, so no division by it fails.  This is the one strip loop:
+    returned at once.  A linear base is divided only once work vanishes at
+    its root, so no division by it fails, and a quadratic base only once
+    work's first rest group vanishes at a point of it
+    (`_vanishes_on_quadric`), so most divisions that would fail are not
+    tried.  This is the one strip loop:
     factoring, the gcd's multiplicities and the cancellation of sums,
     products and derivatives call it, and it stores nothing."""
     base, base_vars = _BASES[base_idx]
@@ -768,7 +811,7 @@ def _strip(work: Poly, base_idx: int, cap: Optional[int] = None) -> Tuple[int, P
     root = _LINEAR_ROOTS.get(base_idx)
     mult = 0
     while mult != cap:
-        if root is not None and not _vanishes_at_root(work, root):
+        if not (_vanishes_on_quadric(work) if root is None else _vanishes_at_root(work, root)):
             break
         try:
             work = poly_divexact(work, base)

@@ -251,13 +251,14 @@ def _plain_strip(work, idx, cap=None):
     return mult, work
 
 
-@given(polys(), st.sampled_from([0, 1]), st.integers(0, 3), polys(), st.sampled_from([0, 1]),
+@given(polys(), st.sampled_from(range(4)), st.integers(0, 3), polys(), st.sampled_from(range(4)),
        st.one_of(st.none(), st.integers(0, 4)))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_strip_with_the_root_check_equals_the_plain_division_loop(p, made_of, k, q, idx, cap):
-    """p * (xin -/+ i)^k * q, stripped by either linear base, capped or not:
-    the check p(xin = +/-i) = 0 before each division gives the multiplicity
-    and quotient that dividing until a division fails gives."""
+    """p * base^k * q for any of the four bases, stripped by any of them,
+    capped or not: the check before each division (p(xin = +/-i) = 0 for a
+    linear base, p = 0 at a point of a quadratic one) gives the
+    multiplicity and quotient that dividing until a division fails gives."""
     work = p * scalars._BASES[made_of][0] ** k * q
     if work.is_zero():
         return
@@ -514,12 +515,13 @@ def test_two_term_sub_equals_the_normalizing_constructor(pair):
 
 def _count_base_tests(monkeypatch):
     """The size of every dividend that a base is tested against: by an
-    exact division, or for a linear base by the root check before it."""
+    exact division, or by the check before it (a root of a linear base, a
+    point of a quadratic one)."""
     calls = []
-    for name in ("poly_divexact", "_vanishes_at_root"):
-        def counted(a, b, real=getattr(scalars, name)):
+    for name in ("poly_divexact", "_vanishes_at_root", "_vanishes_on_quadric"):
+        def counted(a, *rest, real=getattr(scalars, name)):
             calls.append(len(a.terms))
-            return real(a, b)
+            return real(a, *rest)
 
         monkeypatch.setattr(scalars, name, counted)
     return calls

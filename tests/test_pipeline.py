@@ -319,29 +319,62 @@ def test_trail_records_primitive_steps(t46):
         assert needed in ops
 
 
-def test_run_theorem_evaluates_each_stage_chain_once(monkeypatch):
-    """Slots, rows and the sigma3 variant check share one evaluation per case."""
+def test_run_theorem_evaluates_each_stage_chain_once(monkeypatch, tmp_path):
+    """Slots, rows and the sigma3 variant check share one evaluation per
+    case, across the process and the worker that `run_theorem` shares its
+    tasks with: each process appends its calls to one file."""
+    import os
     from collections import Counter
 
-    from wresidue import pipeline
+    from wresidue import pipeline, report
     from wresidue.report import RunConfig, run_theorem
 
-    calls = Counter()
     second_factor = pipeline._second_factor
 
     def counting(ctx, case, axis, trail):
-        calls[ctx.sigma3_variant, case.case_id, axis] += 1
+        with open(tmp_path / ctx.theorem, "a") as out:
+            out.write(f"{ctx.sigma3_variant} {case.case_id} {axis} {os.getpid()}\n")
         return second_factor(ctx, case, axis, trail)
 
     monkeypatch.setattr(pipeline, "_second_factor", counting)
-    run_theorem("T4.6", RunConfig(theorem="T4.6"))
-    want = {
-        ("printed", c.case_id, axis)
-        for c in enumerate_cases(make_context("T4.6"))
-        for axis in ((1, 2, 3) if c.alpha else (None,))
-    } | {("xik", "b", None), ("xik", "c", None)}
-    assert set(calls) == want
-    assert set(calls.values()) == {1}, calls
+    forks = hasattr(os, "fork")
+    if forks:  # the forked path wherever there is one
+        monkeypatch.setattr(report, "_fork_helps", lambda: True)
+    for theorem in ("T4.6", "T5.4"):
+        run_theorem(theorem, RunConfig(theorem=theorem))
+        lines = [line.split() for line in (tmp_path / theorem).read_text().splitlines()]
+        calls = Counter(tuple(line[:3]) for line in lines)
+        want = {
+            ("printed", c.case_id, str(axis))
+            for c in enumerate_cases(make_context(theorem))
+            for axis in ((1, 2, 3) if c.alpha else (None,))
+        }
+        if theorem == "T4.6":  # its factors read the sigma3 variant
+            want |= {("xik", "b", "None"), ("xik", "c", "None")}
+        assert set(calls) == want, theorem
+        assert set(calls.values()) == {1}, calls
+        if forks:  # the worker runs the first task, a case, whatever else it claims
+            assert {line[3] for line in lines} - {str(os.getpid())}, theorem
+
+
+def test_each_slot_fills_exactly_the_stage_chain_it_declares():
+    """`SlotEntry.reads` names the case whose stages a slot's engine builder
+    reads, or None: built on a fresh context, the slot fills exactly that
+    case's stages and no other, so the task that evaluates a case can build
+    the slots that read it."""
+    from wresidue.references import slots_for
+
+    for theorem in ("T4.6", "T5.4"):
+        for slot in slots_for(theorem):
+            ctx = make_context(theorem)
+            slot.build_engine(ctx)
+            assert {case.case_id for case in ctx.stages} == (
+                set() if slot.reads is None else {slot.reads}), slot.slot_id
+    reads = {slot.slot_id: slot.reads for slot in slots_for("T5.4")}
+    assert [sid for sid, case in reads.items() if case is None] == [
+        "eq_5_30", "eq_5_31", "eq_5_32", "eq_5_33", "eq_5_34", "eq_5_47"]
+    assert [sid for sid, case in reads.items() if case == "a3"] == [
+        "eq_5_21", "eq_5_22", "eq_5_23", "eq_5_24", "eq_5_46", "eq_5_48", "eq_5_49"]
 
 
 def _xin_derivatives(value: CliffordExpr, times: int) -> CliffordExpr:

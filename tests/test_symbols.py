@@ -211,18 +211,22 @@ def test_sigma3_variants_available():
 def test_run_all_builds_each_symbol_once(monkeypatch, tmp_path):
     """Composites take their factors from the symbol cache, and an operator
     that does not read the sigma3 variant is cached once: in one
-    `run --theorem all`, no symbol and no factor of one is built twice."""
+    `run --theorem all`, no symbol and no factor of one is built twice,
+    counted in this process and in the worker it forks alike (each appends
+    its builds to one file)."""
+    import ast
     from collections import Counter
 
     from wresidue import cli, symbols
 
-    builds = Counter()
+    log = tmp_path / "builds"
 
     def counting(name):
         real = getattr(symbols, name)
 
         def build(*args):
-            builds[(name,) + args] += 1
+            with open(log, "a") as out:
+                out.write(repr((name,) + args) + "\n")
             return real(*args)
         return build
 
@@ -232,6 +236,7 @@ def test_run_all_builds_each_symbol_once(monkeypatch, tmp_path):
         monkeypatch.setattr(symbols, name, counting(name))
     out = tmp_path / "report.json"
     assert cli.main(["run", "--theorem", "all", "--format", "json", "--out", str(out)]) == 0
+    builds = Counter(ast.literal_eval(line) for line in log.read_text().splitlines())
     assert {key: n for key, n in builds.items() if n > 1} == {}
     # both readings of the inverse Laplacian, and the composites of both theorems
     assert {("_sym_laplacian_inv", "printed", ()), ("_sym_laplacian_inv", "xik", ()),

@@ -1,5 +1,6 @@
-"""The forked case worker of `report.run_theorem`: the same report bytes as
-the inline path, errors carried to the parent, and no process left behind."""
+"""The forked task worker of `report.run_theorem` (`report._run_tasks`):
+the same report bytes as the inline path, each task run once, errors
+carried to the parent, and no process left behind."""
 
 import os
 import signal
@@ -106,12 +107,21 @@ def test_a_failure_in_the_parent_reaps_the_worker(monkeypatch, deadline):
         report.run_theorem("T5.4", report.RunConfig(theorem="T5.4"))
     assert _no_child_left()
 
+    # an interrupt of this process does not wait for the worker, which
+    # would block for the whole deadline: it is killed and reaped
+    def interrupt():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        report._run_tasks([lambda: signal.pause(), interrupt])
+    assert _no_child_left()
+
 
 def test_a_result_larger_than_the_pipe_buffer_arrives_whole(monkeypatch, deadline):
     monkeypatch.setattr(report, "_fork_helps", lambda: True)
     big = "x" * (4 << 20)
-    with report._beside(lambda: big, fork=True) as result:
-        assert result() == big
+    parent = os.getpid()
+    assert report._run_tasks([lambda: (os.getpid() != parent, big), lambda: 1]) == [(True, big), 1]
     assert _no_child_left()
 
 
@@ -123,8 +133,80 @@ def test_an_exception_of_the_task_is_raised_in_the_parent(monkeypatch, deadline)
 
     monkeypatch.setattr(report, "_fork_helps", lambda: True)
     with pytest.raises(ValueError, match="raised in the worker"):
-        with report._beside(task, fork=True) as result:
-            result()
+        report._run_tasks([task, lambda: None])
+    assert _no_child_left()
+
+
+def _lane(parent):
+    return "worker" if os.getpid() != parent else "parent"
+
+
+@pytest.mark.parametrize("late", ["worker", "parent"])
+def test_the_first_failing_task_in_list_order_gives_the_diagnostic(monkeypatch, deadline, late):
+    """Two tasks fail, one in each process.  The one earlier in the list is
+    raised, though it fails later in time, in either process.  The tasks
+    order themselves through pipes, so which process runs which is fixed:
+    task 0 runs in the worker, and a task that waits keeps its process from
+    claiming another."""
+    monkeypatch.setattr(report, "_fork_helps", lambda: True)
+    parent = os.getpid()
+    started, failed = os.pipe(), os.pipe()  # (read end, write end) each
+
+    def fail(index):
+        raise EngineError(f"task {index} failed in the {_lane(parent)}")
+
+    def failing_late(index):
+        def task():
+            os.write(started[1], b"x")
+            os.read(failed[0], 1)  # until the other task has failed
+            fail(index)
+        return task
+
+    def failing_first(index):
+        def task():
+            try:
+                fail(index)
+            finally:
+                os.write(failed[1], b"x")
+        return task
+
+    if late == "worker":
+        # task 0 waits in the worker; task 1 is left to this process
+        tasks = [failing_late(0), failing_first(1)]
+    else:
+        # task 0 holds the worker until this process has claimed task 1,
+        # which waits; task 2 is left to the worker
+        tasks = [lambda: os.read(started[0], 1), failing_late(1), failing_first(2)]
+    try:
+        with pytest.raises(EngineError) as raised:
+            report._run_tasks(tasks)
+    finally:
+        for fd in started + failed:
+            os.close(fd)
+    assert str(raised.value) == {"worker": "task 0 failed in the worker",
+                                 "parent": "task 1 failed in the parent"}[late]
+    assert _no_child_left()
+
+
+def test_each_task_runs_exactly_once_across_the_two_processes(monkeypatch, tmp_path, deadline):
+    """Every task appends its index and process to one file; each index is
+    there once, both processes ran some, and the results are in list order."""
+    monkeypatch.setattr(report, "_fork_helps", lambda: True)
+    log = tmp_path / "ran"
+    parent = os.getpid()
+
+    def task(index):
+        with open(log, "a") as out:
+            out.write(f"{index} {_lane(parent)}\n")
+        sum(range(20_000 * (index % 3)))  # a little work, so that both claim
+        return index * index
+
+    tasks = [lambda i=i: task(i) for i in range(40)]
+    assert report._run_tasks(tasks) == [i * i for i in range(40)]
+    ran = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(index) for index, _ in ran) == list(range(40))
+    assert {lane for _, lane in ran} == {"worker", "parent"}
+    assert ["0", "worker"] in ran
     assert _no_child_left()
 
 
@@ -132,17 +214,19 @@ def test_a_single_cpu_a_second_thread_or_no_split_runs_the_task_inline(monkeypat
     def task():
         return os.getpid()
 
-    with report._beside(task, fork=False) as result:
-        assert result is task
+    monkeypatch.setattr(report, "_fork_helps", lambda: True)
+    assert report._run_tasks([task]) == [os.getpid()]  # one task: nothing to split
+    monkeypatch.undo()
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
         assert not report._fork_helps()
+        assert report._run_tasks([task, task]) == [os.getpid()] * 2
     finally:
         release.set()
         thread.join(10)
     assert not thread.is_alive()
     monkeypatch.setattr(report.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    with report._beside(task, fork=True) as result:
-        assert result is task and result() == os.getpid()
+    assert not report._fork_helps()
+    assert report._run_tasks([task, task, task]) == [os.getpid()] * 3

@@ -1,15 +1,15 @@
 """Wall time of the scalar kernels in one cold in-process `run`, best of N.
 
-    python3 tools/kernel_times.py [--theorem T5.4] [--repeats 5] [--src DIR]
+    python3 tools/kernel_times.py [--theorem T5.4] [--repeats 5] [--src DIR] [--lanes]
 
 Run from the root of the repository.  Each repeat is a fresh interpreter
 that imports `wresidue` from `--src` (default: this tree's `src`), wraps
 the kernels below, and calls `wresidue.cli.main(["run", "--theorem", T,
 "--format", "json"])` in-process with its output discarded; the engine
 modules are imported before the clock starts, so `main` excludes import
-time.  The run is inline: a tree that evaluates a case in a forked
-worker (`report._fork_helps`) is told it has one CPU, so the timers see
-every case and the figures compare with those of older trees.  A wrapper
+time.  The run is inline: a tree that runs work in a forked worker
+(`report._fork_helps`) is told it has one CPU, so the timers see every
+task and the figures compare with those of older trees.  A wrapper
 times only the outermost call of its kernel, so a nested or recursive call
 is not counted twice; kernels may nest in one another (a sum inside a
 sphere reduction counts in both).  The table gives, per
@@ -27,6 +27,18 @@ The kernels, by the name each tree binds them under:
 A kernel a tree does not have is left out of its table, so `--src` can
 point at an older checkout (`git archive <rev> | tar -x -C DIR`) to give
 before and after figures from one script.  Nothing is written to disk.
+
+`--lanes` runs the theorem as the CLI does, forked where the tree forks,
+and times the tasks of each boundary theorem instead of the kernels.  It
+wraps each task that `report._run_tasks` receives, so that the task
+returns its result with the process that ran it, its start and end on
+the shared monotonic clock and that process's peak RSS so far; the records
+come back with the results, through the engine's own pipe.  Per boundary
+theorem of the fastest repeat, the table gives each task in list order
+with its lane (parent or worker), start and wall time in ms and the peak
+RSS after it, then each lane's busy time (the sum of its tasks) and idle
+time (the rest of the span from the call of `_run_tasks` to its return).
+A tree without `_run_tasks` has no lanes to show.
 """
 
 from __future__ import annotations
@@ -99,8 +111,8 @@ def _child(theorem: str) -> dict:
             if name.startswith("wresidue") and other is not None \
                     and getattr(other, attr, None) is fn:
                 setattr(other, attr, wrapped)
-    # every case in this process, so that the timers see the kernels of the
-    # case a tree with the forked case worker runs beside it
+    # every task in this process, so that the timers see the kernels of the
+    # tasks a tree with a forked worker runs beside it
     report = sys.modules["wresidue.report"]
     if hasattr(report, "_fork_helps"):
         report._fork_helps = lambda: False
@@ -113,25 +125,103 @@ def _child(theorem: str) -> dict:
     return {"kernels": {k: v[:2] for k, v in stats.items()}, "main_s": main_s}
 
 
+def _task_label(task) -> str:
+    """The name of a task's function, and the slot or case it is given."""
+    import functools
+
+    if isinstance(task, functools.partial):
+        arg = task.args[0]
+        return f"{task.func.__name__} {getattr(arg, 'slot_id', None) or arg.case_id}"
+    return task.__name__
+
+
+def _lanes_child(theorem: str) -> dict:
+    """Run one theorem in-process with every task of `report._run_tasks`
+    timed, and return the task records of each call and the seconds of
+    `main`."""
+    import contextlib
+    import importlib
+    import io
+    import os
+    import resource
+    import time
+
+    perf = time.perf_counter
+    cli = importlib.import_module("wresidue.cli")
+    report = importlib.import_module("wresidue.report")
+    run_tasks = getattr(report, "_run_tasks", None)
+    if run_tasks is None:
+        raise SystemExit("this tree has no report._run_tasks")
+    calls = []
+
+    def timed(task):
+        def run():
+            start = perf()
+            out = task()
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            return out, (os.getpid(), start, perf(), rss)
+        return run
+
+    def lanes(tasks):
+        start = perf()
+        pairs = run_tasks([timed(task) for task in tasks])
+        calls.append({"parent": os.getpid(), "start": start, "end": perf(),
+                      "tasks": [[_task_label(task), *rec] for task, (_, rec) in zip(tasks, pairs)]})
+        return [out for out, _ in pairs]
+
+    report._run_tasks = lanes
+    start = perf()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", "--theorem", theorem, "--format", "json"])
+    main_s = perf() - start
+    if code != 0:
+        raise SystemExit(f"run --theorem {theorem} exited {code}")
+    return {"calls": calls, "main_s": main_s}
+
+
+def _print_lanes(run: dict) -> None:
+    for call in run["calls"]:
+        t0, span = call["start"], call["end"] - call["start"]
+        busy = {"parent": 0.0, "worker": 0.0}
+        print(f"{'task':<24}{'lane':>8}{'start ms':>10}{'wall ms':>9}{'rss MB':>8}")
+        for label, pid, start, end, rss in call["tasks"]:
+            lane = "parent" if pid == call["parent"] else "worker"
+            busy[lane] += end - start
+            print(f"{label:<24}{lane:>8}{(start - t0) * 1e3:>10.1f}"
+                  f"{(end - start) * 1e3:>9.1f}{rss:>8.2f}")
+        for lane, seconds in busy.items():
+            print(f"{lane:<8} busy {seconds * 1e3:7.1f} ms  idle {(span - seconds) * 1e3:7.1f} ms"
+                  f"  of {span * 1e3:.1f} ms")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--theorem", default="T5.4")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--lanes", action="store_true",
+                    help="time the tasks of each boundary theorem per process instead")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
         sys.path.insert(0, str(args.src.resolve()))
-        print(json.dumps(_child(args.theorem)))
+        print(json.dumps((_lanes_child if args.lanes else _child)(args.theorem)))
         return 0
     runs = []
     for _ in range(args.repeats):
         proc = subprocess.run(
             [sys.executable, __file__, "--child", "--theorem", args.theorem,
-             "--src", str(args.src)],
-            capture_output=True, text=True, check=True)
+             "--src", str(args.src)] + (["--lanes"] if args.lanes else []),
+            capture_output=True, text=True)
+        if proc.returncode:
+            raise SystemExit((proc.stderr.strip().splitlines() or ["child failed"])[-1])
         runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
     print(f"run --theorem {args.theorem}, src {args.src}, best of {args.repeats}")
+    if args.lanes:
+        best = min(runs, key=lambda r: r["main_s"])
+        _print_lanes(best)
+        print(f"{'main':<24}{best['main_s'] * 1e3:>27.1f}")
+        return 0
     print(f"{'kernel':<22}{'calls':>9}{'best s':>10}")
     for label, *_ in KERNELS:
         if label not in runs[0]["kernels"]:
