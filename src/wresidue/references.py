@@ -3,21 +3,25 @@
 The paper's printed results, the coefficient tables that the report rows
 are checked against, live in `printed`.  This module holds the slots: each pairs a printed display with
 the engine computation that reproduces it, so each case's step trail can
-carry match/mismatch verdicts for every printed intermediate.  Slots are
-still functions: a printed builder and an engine builder each.  They read
-the case stages of `pipeline`, so `report` loads this module on the first
-boundary theorem of a run.
+carry match/mismatch verdicts for every printed intermediate.  A slot is a
+table row: a printed builder and the stage the engine value reads, a field
+of one case's stage chain with pi+ and xin derivatives applied in order.
+Nine rows finish that value, or build it without a read, by a `then` that
+sees only the read value and the switched-off torsion families.  The rows
+read the case stages of `pipeline`, so `report` loads this module on the
+first boundary theorem of a run.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from .gaussian import GRat, I
-from .scalars import ScalarExpr, S_ZERO, S_ONE, atom_T, sym
+from .scalars import EngineError, ScalarExpr, S_ZERO, S_ONE, atom_T, sym
 from .clifford import CliffordExpr, cl_trace_product
 from .halfplane import pi_plus, principal_part
-from .pipeline import AxisStages, case_stages, case_trace_integrand, find_case
+from .pipeline import BOUNDARY_THEOREMS, AxisStages, case_stages, case_trace_integrand, find_case
 from .printed import XN_YN, _g, _H1, _sum_a_iin
 # read from this module by perfbench (tracer.py times reference_value here)
 from .printed import REFERENCES, reference_value  # noqa: F401
@@ -89,57 +93,71 @@ class SlotEntry:
 
 
 SLOTS: List[SlotEntry] = []
-_OWN_CASE = object()  # the default of `_slot`'s `reads`: the slot's own case
+
+# the operations a stage read may apply to the field it reads, in order
+_OPS = {"pi+": pi_plus, "d_xin": lambda value: value.differentiate("xin")}
+
+
+def _engine_value(read: Optional[Tuple[str, ...]], then, ctx) -> object:
+    """A row's engine value on `ctx`: its stage read, if any, then its
+    `then` on the read value (None without a read) and `ctx.torsion_off`."""
+    value = None
+    if read is not None:
+        case_id, field, *ops = read
+        if field == "traced":
+            value = case_trace_integrand(ctx, case_id)
+        else:  # the cases read here take no tangential derivative: one pass
+            (stage,) = case_stages(ctx, find_case(ctx, case_id))
+            value = getattr(stage, field)
+        for op in ops:
+            value = _OPS[op](value)
+    return value if then is None else then(value, ctx.torsion_off)
 
 
 def _slot(slot_id: str, theorem: str, case_id: str, quote: str, build_ref,
-          reads: Optional[str] = _OWN_CASE):
-    def deco(fn):
-        SLOTS.append(SlotEntry(slot_id, theorem, case_id, quote, build_ref, fn,
-                               case_id if reads is _OWN_CASE else reads))
-        return fn
-    return deco
-
-
-def _stage(ctx, case_id: str) -> AxisStages:
-    """The stage chain of a case without tangential derivatives (a single pass)."""
-    (stage,) = case_stages(ctx, find_case(ctx, case_id))
-    return stage
-
-
-# the case whose stages `_projected_leading_f1` reads
-_LEADING_F1_CASE = "a3"
-
-
-def _projected_leading_f1(ctx) -> CliffordExpr:
-    """pi+ of the restricted, undifferentiated leading symbol of the first
-    factor: the a3 case takes no x-side derivative of it (j = |alpha| = 0)."""
-    return pi_plus(_stage(ctx, _LEADING_F1_CASE).f1_base)
+          read: Optional[Tuple[str, ...]] = None,
+          then: Optional[Callable[[object, Tuple[str, ...]], object]] = None) -> None:
+    """Add a row to SLOTS.  `read` is (case, field, *ops): a case of the
+    theorem, a field of its `AxisStages` ("traced" is the case's summed
+    trace, `case_trace_integrand`), and "pi+" and "d_xin" applied in order.
+    `then(value, off)` finishes the engine value from the read value and the
+    switched-off torsion families alone.  A malformed row raises here, at
+    import."""
+    if read is None and then is None:
+        raise EngineError(f"slot {slot_id} reads no stage and has no then")
+    if read is not None:
+        case, field, *ops = read
+        if case not in BOUNDARY_THEOREMS[theorem].case_ids():
+            raise EngineError(f"slot {slot_id} reads {case!r}, which is no case of {theorem}")
+        if field not in AxisStages._fields:
+            raise EngineError(f"slot {slot_id} reads {field!r}, which is no stage field")
+        if not set(ops) <= _OPS.keys():
+            raise EngineError(f"slot {slot_id} applies {ops}, not only pi+ and d_xin")
+    SLOTS.append(SlotEntry(slot_id, theorem, case_id, quote, build_ref,
+                           partial(_engine_value, read, then), None if read is None else read[0]))
 
 
 # ---- first pipeline intermediates ----
+# ("a3", "f1_base", "pi+") is pi+ of the restricted leading symbol of F1:
+# the a3 case takes no x-side derivative of it (j = |alpha| = 0)
 
-@_slot(
+_slot(
     "eq_4_27", "T4.6", "a2",
     "partial_xi_n^2 sigma_-2((D_T^*D_T)^{-1}) = (6xi_n^2-2)/(1+xi_n^2)^3",
     lambda: CliffordExpr.scalar((ScalarExpr.const(6) * xi_var(4) ** 2 - ScalarExpr.const(2)) / _den_1x2(3)),
+    read=("a2", "f2"),
 )
-def _slot_4_27(ctx):
-    return _stage(ctx, "a2").f2
 
-
-@_slot(
+_slot(
     "eq_4_29", "T4.6", "a2",
     "partial_x_n sigma_0 = Sum X_jY_l xi_j xi_l h'(0)|xi'|^2/(1+xi_n^2)^2",
     lambda: CliffordExpr.scalar(
         (q_bilinear().restrict_sphere()) * _H1 / _den_1x2(2)
     ),
+    read=("a2", "f1"),
 )
-def _slot_4_29(ctx):
-    return _stage(ctx, "a2").f1
 
-
-@_slot(
+_slot(
     "eq_4_31", "T4.6", "a2",
     "pi+ d_x_n sigma_0 = -i xi_n/(4(xi_n-i)^2) Sum' X_jY_l xi_j xi_l h'(0) "
     "+ (2-i xi_n)/(4(xi_n-i)^2) X_nY_nh'(0) - i/(4(xi_n-i)^2)(mixed sums)",
@@ -150,21 +168,17 @@ def _slot_4_29(ctx):
         - ScalarExpr.const(I) / (ScalarExpr.const(4) * _lin_minus(2)) * _mixed_xj_yn()
         - ScalarExpr.const(I) / (ScalarExpr.const(4) * _lin_minus(2)) * _mixed_xn_yl()
     ),
+    read=("a2", "f1", "pi+"),
 )
-def _slot_4_31(ctx):
-    return pi_plus(_stage(ctx, "a2").f1)
 
-
-@_slot(
+_slot(
     "eq_4_34", "T4.6", "a3",
     "partial_x_n sigma_-2((D_T^*D_T)^{-1})|_{|xi'|=1} = -h'(0)/(1+xi_n^2)^2",
     lambda: CliffordExpr.scalar(-_H1 / _den_1x2(2)),
+    read=("a3", "f2_base"),
 )
-def _slot_4_34(ctx):
-    return _stage(ctx, "a3").f2_base
 
-
-@_slot(
+_slot(
     "eq_4_35", "T4.6", "a2",
     "2(1+xi_n i-3xi_n^3 i-i)/((xi_n-i)^5(xi_n+i)^3) (tangential and normal blocks) "
     "+ 2(1-3xi_n^2)i/(...)(mixed sums)",
@@ -175,12 +189,10 @@ def _slot_4_34(ctx):
         + ScalarExpr.const(2) * (S_ONE - ScalarExpr.const(3) * xi_var(4) ** 2) * ScalarExpr.const(I)
         / (_lin_minus(5) * _lin_plus(3)) * (_mixed_xj_yn() + _mixed_xn_yl())
     ),
+    read=("a2", "traced"),
 )
-def _slot_4_35(ctx):
-    return case_trace_integrand(ctx, "a2")
 
-
-@_slot(
+_slot(
     "eq_4_36", "T4.6", "a3",
     "pi+ sigma_0 = i/(2(xi_n-i)) Sum X_jY_l xi_j xi_l - 1/(2(xi_n-i)) X_nY_n "
     "- 1/(2(xi_n-i)) (mixed sums)",
@@ -189,23 +201,19 @@ def _slot_4_35(ctx):
         - S_ONE / (ScalarExpr.const(2) * _lin_minus()) * XN_YN
         - S_ONE / (ScalarExpr.const(2) * _lin_minus()) * (_mixed_xj_yn() + _mixed_xn_yl())
     ),
+    read=("a3", "f1_base", "pi+"),
 )
-def _slot_4_36(ctx):
-    return _projected_leading_f1(ctx)
 
-
-@_slot(
+_slot(
     "eq_4_37", "T4.6", "a3",
     "partial_xi_n^2 pi+ sigma_0 = i/(xi_n-i)^3 Sum' X_jY_l xi_j xi_l - 1/(xi_n-i)^3 X_nY_n",
     lambda: CliffordExpr.scalar(
         ScalarExpr.const(I) / _lin_minus(3) * _qt() - S_ONE / _lin_minus(3) * XN_YN
     ),
+    read=("a3", "f1_base", "pi+", "d_xin", "d_xin"),
 )
-def _slot_4_37(ctx):
-    return _projected_leading_f1(ctx).differentiate("xin").differentiate("xin")
 
-
-@_slot(
+_slot(
     "eq_4_38", "T4.6", "a3",
     "=-4 h'(0)i/((xi_n-i)^5(xi_n+i)^2) Sum X_jY_l xi_j xi_l "
     "+ 4h'(0)/((xi_n-i)^5(xi_n+i)^2) X_nY_n",
@@ -213,9 +221,8 @@ def _slot_4_37(ctx):
         ScalarExpr.const(GRat(0, -4)) * _H1 / (_lin_minus(5) * _lin_plus(2)) * _qt()
         + ScalarExpr.const(4) * _H1 / (_lin_minus(5) * _lin_plus(2)) * XN_YN
     ),
+    read=("a3", "traced"),
 )
-def _slot_4_38(ctx):
-    return case_trace_integrand(ctx, "a3")
 
 
 def _sigma_m3_ref_printed() -> CliffordExpr:
@@ -236,18 +243,16 @@ def _sigma_m3_ref_printed() -> CliffordExpr:
     return term1 + term2 + term3
 
 
-@_slot(
+_slot(
     "eq_4_41", "T4.6", "b",
     "sigma_-3((D_T^*D_T)^{-1})|_{|xi'|=1} = -i/(1+xi_n^2)^2(-1/2 h'(0) "
     "Sum_{k<n} xi_n c(e_k)c(e_n) + 5/2 h'(0)xi_n) - 2ih'(0)xi_n/(1+xi_n^2)^3 "
     "- ((u-v)i c(xi)+i c(xi)(u+v))|xi|^{-4}",
     _sigma_m3_ref_printed,
+    read=("b", "f2_base"),
 )
-def _slot_4_41(ctx):
-    return _stage(ctx, "b").f2_base
 
-
-@_slot(
+_slot(
     "eq_4_43", "T4.6", "b",
     "=-h'(0)(5xi_n^2-5+4xi_n)/((xi_n-i)^5(xi_n+i)^3) Sum X_jY_l xi_j xi_l "
     "+ h'(0)i(5xi_n^3-xi_n)/((xi_n-i)^5(xi_n+i)^3) X_nY_n",
@@ -259,14 +264,13 @@ def _slot_4_41(ctx):
         * (ScalarExpr.const(5) * xi_var(4) ** 3 - xi_var(4))
         / (_lin_minus(5) * _lin_plus(3)) * XN_YN
     ),
+    read=("b", "traced"),
 )
-def _slot_4_43(ctx):
-    return case_trace_integrand(ctx, "b")
 
 
 # ---- second pipeline intermediates ----
 
-@_slot(
+_slot(
     "eq_5_15", "T5.4", "a2",
     "partial_xi_n^2 sigma_-3 = i[(20xi_n^2-4)c(xi')+12(xi_n^3-xi_n)c(dx_n)]/(1+xi_n^2)^4",
     lambda: (
@@ -277,12 +281,10 @@ def _slot_4_43(ctx):
             ScalarExpr.const(GRat(0, 12)) * (xi_var(4) ** 3 - xi_var(4)) / _den_1x2(4)
         )
     ),
+    read=("a2", "f2"),
 )
-def _slot_5_15(ctx):
-    return _stage(ctx, "a2").f2
 
-
-@_slot(
+_slot(
     "eq_5_16", "T5.4", "a2",
     "partial_x_n sigma_1 = Sum X_jY_l xi_j xi_l [d_x_n c(xi')/(1+xi_n^2) "
     "+ c(xi)h'(0)|xi'|^2/(1+xi_n^2)^2]",
@@ -294,12 +296,10 @@ def _slot_5_15(ctx):
             q_bilinear().restrict_sphere() * _H1 / _den_1x2(2)
         )
     ),
+    read=("a2", "f1"),
 )
-def _slot_5_16(ctx):
-    return _stage(ctx, "a2").f1
 
-
-@_slot(
+_slot(
     "eq_5_21", "T5.4", "a3",
     "partial_x_n sigma_-3|_{|xi'|=1} = i d_x_n[c(xi')]/(1+xi_n^2)^4 "
     "- 2i h'(0)c(xi)|xi'|^2/(1+xi_n^2)^6",
@@ -307,12 +307,10 @@ def _slot_5_16(ctx):
         c_xi_prime(at_point=True).scale(ScalarExpr.const(I) * _H1 / 2 / _den_1x2(4))
         + c_xi(at_point=True).restrict_sphere().scale(_g(0, -2) * _H1 / _den_1x2(6))
     ),
+    read=("a3", "f2_base"),
 )
-def _slot_5_21(ctx):
-    return _stage(ctx, "a3").f2_base
 
-
-@_slot(
+_slot(
     "eq_5_22", "T5.4", "a3",
     "pi+ sigma_1 = -(c(xi')+ic(dx_n))/(2(xi_n-i)) Sum' X_jY_l xi_j xi_l "
     "-(c(xi')+ic(dx_n))/(2(xi_n-i)) X_nY_n - (ic(xi')-c(dx_n))/(2(xi_n-i)) (mixed)",
@@ -324,43 +322,36 @@ def _slot_5_21(ctx):
             -(_mixed_xj_yn() + _mixed_xn_yl()) / (ScalarExpr.const(2) * _lin_minus())
         )
     ),
+    read=("a3", "f1_base", "pi+"),
 )
-def _slot_5_22(ctx):
-    return _projected_leading_f1(ctx)
 
-
-@_slot(
+_slot(
     "eq_5_23", "T5.4", "a3",
     "partial_xi_n^2 pi+ sigma_1 = -(c(xi')+ic(dx_n))/(xi_n-i)^3 (Sum' X_jY_l xi_j xi_l + X_nY_n)",
     lambda: (c_xi_prime(at_point=True) + c_dxn().scale(ScalarExpr.const(I))).scale(
         -(_qt() + XN_YN) / _lin_minus(3)
     ),
+    read=("a3", "f1_base", "pi+", "d_xin", "d_xin"),
 )
-def _slot_5_23(ctx):
-    return _projected_leading_f1(ctx).differentiate("xin").differentiate("xin")
 
-
-@_slot(
+_slot(
     "eq_5_24", "T5.4", "a3",
     "=-2h'(0)/((xi_n-i)^5(xi_n+i)^2)(Sum X_jY_l xi_j xi_l + X_nY_n)",
     lambda: CliffordExpr.scalar(
         _g(-2, 0) * _H1 / (_lin_minus(5) * _lin_plus(2)) * (_qt() + XN_YN)
     ),
+    read=("a3", "traced"),
 )
-def _slot_5_24(ctx):
-    return case_trace_integrand(ctx, "a3")
 
-
-@_slot(
+_slot(
     "eq_5_27", "T5.4", "b",
     "partial_xi_n sigma_-3|_{|xi'|=1} = i c(dx_n)/(1+xi_n^2)^2 - 4i xi_n c(xi)/(1+xi_n^2)^3",
     lambda: (
         c_dxn().scale(ScalarExpr.const(I) / _den_1x2(2))
         + c_xi(at_point=True).restrict_sphere().scale(_g(0, -4) * xi_var(4) / _den_1x2(3))
     ),
+    read=("b", "f2"),
 )
-def _slot_5_27(ctx):
-    return _stage(ctx, "b").f2
 
 
 @once_per_off
@@ -401,7 +392,12 @@ def _ref_5_32() -> CliffordExpr:
     return mix * p0 * mix + cxip * c_dxn() * dc - dc.scale(ScalarExpr.const(I))
 
 
-@_slot(
+def _sandwich_principal_part(order: int, _, off: Tuple[str, ...]) -> CliffordExpr:
+    """-4 times the principal part of order `order` at xin = i of the sandwich."""
+    return principal_part(_first_item_sandwich(off), order).scale(ScalarExpr.const(-4))
+
+
+_slot(
     "eq_5_30", "T5.4", "b",
     "pi+[(c(xi)sigma_0(D_T)c(xi)+c(xi)c(dx_n)d_x_n c(xi'))/(1+xi_n^2)^2] "
     "= -A_1/(4(xi_n-i)) - A_2/(4(xi_n-i)^2) + A_3/(4(xi_n-i)^2)",
@@ -409,30 +405,22 @@ def _ref_5_32() -> CliffordExpr:
         _ref_5_31().scale(-S_ONE / (ScalarExpr.const(4) * _lin_minus()))
         + _ref_5_32().scale(-S_ONE / (ScalarExpr.const(4) * _lin_minus(2)))
     ),
-    reads=None,
+    then=lambda _, off: pi_plus(_first_item_sandwich(off)),
 )
-def _slot_5_30(ctx):
-    return pi_plus(_first_item_sandwich(ctx.torsion_off))
 
-
-@_slot(
+_slot(
     "eq_5_31", "T5.4", "b",
     "A_1 = ic(xi')p_0c(xi')+ic(dx_n)(-3/4 h'(0)c(dx_n))c(dx_n)+ic(xi')c(dx_n)d_x_n c(xi')",
     _ref_5_31,
-    reads=None,
+    then=partial(_sandwich_principal_part, 1),
 )
-def _slot_5_31(ctx):
-    return principal_part(_first_item_sandwich(ctx.torsion_off), 1).scale(ScalarExpr.const(-4))
 
-
-@_slot(
+_slot(
     "eq_5_32", "T5.4", "b",
     "A_2 = [c(xi')+ic(dx_n)]p_0[c(xi')+ic(dx_n)]+c(xi')c(dx_n)d_x_nc(xi')-i d_x_n[c(xi')]",
     _ref_5_32,
-    reads=None,
+    then=partial(_sandwich_principal_part, 2),
 )
-def _slot_5_32(ctx):
-    return principal_part(_first_item_sandwich(ctx.torsion_off), 2).scale(ScalarExpr.const(-4))
 
 
 def _ref_5_33() -> CliffordExpr:
@@ -453,21 +441,27 @@ def _ref_5_33() -> CliffordExpr:
     return tang.scale(_qt()) + norm.scale(XN_YN)
 
 
-@_slot(
-    "eq_5_33", "T5.4", "b",
-    "A_3 = Sum X_jY_l xi_j xi_l ((-2-i xi_n)c(xi')(u+v)c(xi')-ic(dx_n)(u+v)c(xi')"
-    "-ic(xi')(u+v)c(dx_n)-i xi_n c(dx_n)(u+v)c(dx_n)) + X_nY_n (...)",
-    _ref_5_33,
-    reads=None,
-)
-def _slot_5_33(ctx):
+def _torsion_sandwich_principal_part(_, off: Tuple[str, ...]) -> CliffordExpr:
     cxi = c_xi(at_point=True).restrict_sphere()
-    uv = torsion_u(ctx.torsion_off) + torsion_v(ctx.torsion_off)
+    uv = torsion_u(off) + torsion_v(off)
     sandwich = (cxi * uv * cxi).scale(q_bilinear().restrict_sphere() / _den_1x2(2))
     return principal_part(sandwich, 2).scale(ScalarExpr.const(4))
 
 
-@_slot(
+def _projected_dxn_sandwich(_, off: Tuple[str, ...]) -> CliffordExpr:
+    cxi = c_xi(at_point=True).restrict_sphere()
+    return pi_plus((cxi * c_dxn() * cxi).scale(S_ONE / _den_1x2(3)))
+
+
+_slot(
+    "eq_5_33", "T5.4", "b",
+    "A_3 = Sum X_jY_l xi_j xi_l ((-2-i xi_n)c(xi')(u+v)c(xi')-ic(dx_n)(u+v)c(xi')"
+    "-ic(xi')(u+v)c(dx_n)-i xi_n c(dx_n)(u+v)c(dx_n)) + X_nY_n (...)",
+    _ref_5_33,
+    then=_torsion_sandwich_principal_part,
+)
+
+_slot(
     "eq_5_34", "T5.4", "b",
     "pi+[c(xi)c(dx_n)c(xi)/(1+xi_n)^3] = 1/2[c(dx_n)/(4i(xi_n-i)) "
     "+ (c(dx_n)-ic(xi'))/(8(xi_n-i)^2) + (3xi_n-7i)/(8(xi_n-i)^3)(ic(xi')-c(dx_n))]",
@@ -480,11 +474,8 @@ def _slot_5_33(ctx):
             (ScalarExpr.const(3) * xi_var(4) - _g(0, 7)) / (ScalarExpr.const(8) * _lin_minus(3))
         )
     ).scale(S_ONE / 2),
-    reads=None,
+    then=_projected_dxn_sandwich,
 )
-def _slot_5_34(ctx):
-    cxi = c_xi(at_point=True).restrict_sphere()
-    return pi_plus((cxi * c_dxn() * cxi).scale(S_ONE / _den_1x2(3)))
 
 
 def _ref_5_35() -> CliffordExpr:
@@ -512,23 +503,24 @@ def _ref_5_35() -> CliffordExpr:
     )
 
 
-@_slot(
+def _torsion_trace_block(f2: CliffordExpr, off: Tuple[str, ...]) -> CliffordExpr:
+    """The trace of pi+ of the torsion two-form block of F1 against F2."""
+    i_s = ScalarExpr.const(I)
+    tbar_x = torsion_two_form("X", off).map_coeffs(lambda c: c.subst_shx_one())
+    tbar_y = torsion_two_form("Y", off).map_coeffs(lambda c: c.subst_shx_one())
+    sigma_m1 = builtin_symbol("D_T^-1", "printed", off).component(-1).value
+    first = (tbar_x.scale(i_s * _tangential_dot("Y")) + tbar_y.scale(i_s * _tangential_dot("X"))) * sigma_m1
+    return CliffordExpr.scalar(cl_trace_product(pi_plus(first.restrict_sphere()), f2))
+
+
+_slot(
     "eq_5_35", "T5.4", "b",
     "Sum Y_j xi_j 2i xi_n/((xi_n-i)(1+xi_n^2)^3) Sum T(X,e_i,e_n)xi_i - ... "
     "(torsion-contraction trace block)",
     _ref_5_35,
+    read=("b", "f2"),
+    then=_torsion_trace_block,
 )
-def _slot_5_35(ctx):
-    i_s = ScalarExpr.const(I)
-    tangential_x = _tangential_dot("X")
-    tangential_y = _tangential_dot("Y")
-    off = ctx.torsion_off
-    tbar_x = torsion_two_form("X", off).map_coeffs(lambda c: c.subst_shx_one())
-    tbar_y = torsion_two_form("Y", off).map_coeffs(lambda c: c.subst_shx_one())
-    sigma_m1 = builtin_symbol("D_T^-1", "printed", off).component(-1).value
-    first = (tbar_x.scale(i_s * tangential_y) + tbar_y.scale(i_s * tangential_x)) * sigma_m1
-    projected = pi_plus(first.restrict_sphere())
-    return CliffordExpr.scalar(cl_trace_product(projected, _stage(ctx, "b").f2))
 
 
 def _sigma_m4_nontorsion_ref() -> CliffordExpr:
@@ -555,7 +547,7 @@ def _sigma_m4_nontorsion_ref() -> CliffordExpr:
     return bracket.scale(S_ONE / _den_1x2(4))
 
 
-@_slot(
+_slot(
     "eq_5_45", "T5.4", "c",
     "sigma_-4|_{|xi'|=1} = 1/(xi_n^2+1)^4[(11/2 xi_n(1+xi_n^2)+8i xi_n)h'(0)c(xi') "
     "+ (-2i+6i xi_n^2-7/4(1+xi_n^2)+15/4 xi_n^2(1+xi_n^2))h'(0)c(dx_n) "
@@ -567,12 +559,10 @@ def _sigma_m4_nontorsion_ref() -> CliffordExpr:
         * (torsion_u().scale(ScalarExpr.const(3)) - torsion_v())
         * c_xi(at_point=True).restrict_sphere()
     ).scale(S_ONE / _den_1x2(3)),
+    read=("c", "f2_base"),
 )
-def _slot_5_45(ctx):
-    return _stage(ctx, "c").f2_base
 
-
-@_slot(
+_slot(
     "eq_5_46", "T5.4", "c",
     "partial_xi_n pi+ sigma_1 = (c(xi')+ic(dx_n))/(2(xi_n-i)^2) Sum' X_jY_l xi_j xi_l "
     "- (c(xi')+ic(dx_n))/(2(xi_n-i)^2) X_nY_n + (ic(xi')-c(dx_n))/(2(xi_n-i)^2)(mixed, full sums)",
@@ -585,19 +575,10 @@ def _slot_5_45(ctx):
             / (ScalarExpr.const(2) * _lin_minus(2))
         )
     ),
-    reads=_LEADING_F1_CASE,
+    read=("a3", "f1_base", "pi+", "d_xin"),
 )
-def _slot_5_46(ctx):
-    return _projected_leading_f1(ctx).differentiate("xin")
 
-
-@_slot(
-    "eq_5_47", "T5.4", "c",
-    "tr[c(xi')c(xi')c(dx_n)d_x_n c(xi')]=0 ; tr[c(dx_n)c(xi')c(dx_n)d_x_n c(xi')]=-2h'(0)",
-    lambda: CliffordExpr.scalar(_g(-2, 0) * _H1),
-    reads=None,
-)
-def _slot_5_47(ctx):
+def _frame_derivative_traces(_, off: Tuple[str, ...]) -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
     dc = cxip.scale(_H1 / 2)
     first = cl_trace_product(cxip * cxip * c_dxn(), dc).restrict_sphere()
@@ -605,6 +586,14 @@ def _slot_5_47(ctx):
         raise EngineError("first trace of the frame-derivative pair is nonzero")
     second = cl_trace_product(c_dxn() * cxip * c_dxn(), dc).restrict_sphere()
     return CliffordExpr.scalar(second)
+
+
+_slot(
+    "eq_5_47", "T5.4", "c",
+    "tr[c(xi')c(xi')c(dx_n)d_x_n c(xi')]=0 ; tr[c(dx_n)c(xi')c(dx_n)d_x_n c(xi')]=-2h'(0)",
+    lambda: CliffordExpr.scalar(_g(-2, 0) * _H1),
+    then=_frame_derivative_traces,
+)
 
 
 def _ref_5_48() -> CliffordExpr:
@@ -630,19 +619,15 @@ def _ref_5_48() -> CliffordExpr:
     )
 
 
-@_slot(
+_slot(
     "eq_5_48", "T5.4", "c",
     "tr[partial_xi_n pi+ sigma_1 x (non-torsion sigma_-4 block)] = "
     "Sum X_jY_l xi_j xi_l h'(0)(7+6i-(20-15i)xi_n-(7-6i)xi_n^2+15i xi_n^3)/"
     "((xi_n-i)^5(xi_n+i)^4) + X_nY_n (...)/((xi_n-i)^2(xi_n+i)^4)",
     _ref_5_48,
-    reads=_LEADING_F1_CASE,
+    read=("a3", "f1_base", "pi+", "d_xin"),
+    then=lambda value, _: CliffordExpr.scalar(cl_trace_product(value, _sigma_m4_nontorsion_ref())),
 )
-def _slot_5_48(ctx):
-    projected = _projected_leading_f1(ctx).differentiate("xin")
-    return CliffordExpr.scalar(
-        cl_trace_product(projected, _sigma_m4_nontorsion_ref())
-    )
 
 
 def _ref_5_49() -> CliffordExpr:
@@ -650,21 +635,22 @@ def _ref_5_49() -> CliffordExpr:
     return CliffordExpr.scalar((_qt() + XN_YN) * coeff * _sum_a_iin())
 
 
-@_slot(
+def _trace_against_torsion_block(value: CliffordExpr, off: Tuple[str, ...]) -> CliffordExpr:
+    cxi = c_xi(at_point=True).restrict_sphere()
+    torsion_block = (
+        cxi * (torsion_u(off).scale(ScalarExpr.const(3)) - torsion_v(off)) * cxi
+    ).scale(S_ONE / _den_1x2(3))
+    return CliffordExpr.scalar(cl_trace_product(value, torsion_block))
+
+
+_slot(
     "eq_5_49", "T5.4", "c",
     "tr(partial_xi_n pi+ sigma_1 x c(xi)(3u-v)|xi|^2 c(xi)/|xi|^8) = "
     "(Sum X_jY_l xi_j xi_l + X_nY_n)(-3i pi/8) Sum A_iin",
     _ref_5_49,
-    reads=_LEADING_F1_CASE,
+    read=("a3", "f1_base", "pi+", "d_xin"),
+    then=_trace_against_torsion_block,
 )
-def _slot_5_49(ctx):
-    projected = _projected_leading_f1(ctx).differentiate("xin")
-    cxi = c_xi(at_point=True).restrict_sphere()
-    torsion_block = (
-        cxi * (torsion_u(ctx.torsion_off).scale(ScalarExpr.const(3))
-               - torsion_v(ctx.torsion_off)) * cxi
-    ).scale(S_ONE / _den_1x2(3))
-    return CliffordExpr.scalar(cl_trace_product(projected, torsion_block))
 
 
 def slots_for(theorem: str) -> List[SlotEntry]:

@@ -686,6 +686,16 @@ def run_computation(cfg: RunConfig) -> Dict:
     sections = []
     theorems = ([th for th in THEOREM_CHOICES if th != "all"] if cfg.theorem == "all"
                 else [cfg.theorem])
+    boundary = [th for th in theorems if th not in INTERIOR_THEOREMS]
+    if len(boundary) > 1:
+        # the symbols the diffs invert, built before the first fork: a worker
+        # would lose them on exit, and a later theorem would build them again
+        from .pipeline import BOUNDARY_THEOREMS
+        from .symbols import RECOMPUTED_FROM, builtin_symbol
+
+        for th in boundary:
+            for op_id in BOUNDARY_THEOREMS[th].diffed:
+                builtin_symbol(RECOMPUTED_FROM[op_id][0], "printed", cfg.torsion_off)
     for th in theorems:
         if th in INTERIOR_THEOREMS:
             sections.append(run_interior(cfg, th))

@@ -612,18 +612,20 @@ def _build_symbol(operator_id: str, sigma3_variant: str, off: Tuple[str, ...]) -
     raise EngineError(f"unknown operator id {operator_id!r}")
 
 
+# an inverse operator's recomputation: the operator it inverts, down to an order
+RECOMPUTED_FROM: Dict[str, Tuple[str, int]] = {
+    "(D_T*D_T)^-1": ("D_T*D_T", -3),
+    "D_T^-1": ("D_T", -2),
+    "(D_T*)^-1": ("D_T*", -2),
+    "(D_T*D_TD_T*)^-1": ("D_T*D_TD_T*", -4),
+}
+
+
 def recomputed_symbol(operator_id: str, off: Tuple[str, ...] = ()) -> GradedSymbol:
     """Independent recomputation via invert() for the inverse-symbol library,
     from the builtin symbols with the torsion families in `off` built as 0."""
-    if operator_id == "(D_T*D_T)^-1":
-        return invert(builtin_symbol("D_T*D_T", "printed", off), -3,
-                      label="(D_T*D_T)^-1 [recomputed]")
-    if operator_id == "D_T^-1":
-        return invert(builtin_symbol("D_T", "printed", off), -2, label="D_T^-1 [recomputed]")
-    if operator_id == "(D_T*)^-1":
-        return invert(builtin_symbol("D_T*", "printed", off), -2,
-                      label="(D_T*)^-1 [recomputed]")
-    if operator_id == "(D_T*D_TD_T*)^-1":
-        return invert(builtin_symbol("D_T*D_TD_T*", "printed", off), -4,
-                      label="(D_T*D_TD_T*)^-1 [recomputed]")
-    raise EngineError(f"no recomputation route for {operator_id!r}")
+    if operator_id not in RECOMPUTED_FROM:
+        raise EngineError(f"no recomputation route for {operator_id!r}")
+    source, min_order = RECOMPUTED_FROM[operator_id]
+    return invert(builtin_symbol(source, "printed", off), min_order,
+                  label=f"{operator_id} [recomputed]")

@@ -377,6 +377,25 @@ def test_each_slot_fills_exactly_the_stage_chain_it_declares():
         "eq_5_21", "eq_5_22", "eq_5_23", "eq_5_24", "eq_5_46", "eq_5_48", "eq_5_49"]
 
 
+@pytest.mark.parametrize("read, message", [
+    (("d", "f2"), "'d', which is no case of T5.4"),
+    (("b", "f3"), "'f3', which is no stage field"),
+    (("b", "f2", "pi+", "pi-"), "applies \\['pi\\+', 'pi-'\\], not only pi\\+ and d_xin"),
+    (None, "reads no stage and has no then"),
+], ids=["case", "field", "op", "empty"])
+def test_a_malformed_slot_row_fails_when_it_is_declared(read, message):
+    """A row names its stage read as data, so a read of no case of its
+    theorem, of no stage field, with an op other than pi+ and d_xin, or a
+    row with neither a read nor a `then`, raises as the module imports it,
+    and adds no slot."""
+    from wresidue import references
+
+    before = list(references.SLOTS)
+    with pytest.raises(EngineError, match=message):
+        references._slot("eq_0_00", "T5.4", "b", "", lambda: None, read=read)
+    assert references.SLOTS == before
+
+
 def _xin_derivatives(value: CliffordExpr, times: int) -> CliffordExpr:
     for _ in range(times):
         value = d_xi(value, 4)

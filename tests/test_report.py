@@ -468,13 +468,13 @@ def test_slots_read_the_restricted_bases_of_their_cases():
     keeps before the xin derivatives, equal to deriving them afresh."""
     from wresidue.halfplane import pi_plus
     from wresidue.pipeline import case_stages, find_case
-    from wresidue.references import SLOTS, _projected_leading_f1
+    from wresidue.references import SLOTS
     from wresidue.symbols import d_xn
 
     engine = {s.slot_id: s.build_engine for s in SLOTS}
-    for theorem, reads in (
-        ("T4.6", (("eq_4_34", "a3", -2, True), ("eq_4_41", "b", -3, False))),
-        ("T5.4", (("eq_5_21", "a3", -3, True), ("eq_5_45", "c", -4, False))),
+    for theorem, projected_f1, reads in (
+        ("T4.6", "eq_4_36", (("eq_4_34", "a3", -2, True), ("eq_4_41", "b", -3, False))),
+        ("T5.4", "eq_5_22", (("eq_5_21", "a3", -3, True), ("eq_5_45", "c", -4, False))),
     ):
         ctx = make_context(theorem)
         for slot_id, case_id, order, normal in reads:
@@ -486,7 +486,7 @@ def test_slots_read_the_restricted_bases_of_their_cases():
         top = ctx.factor1.component(ctx.factor1.top).value.restrict_sphere()
         (stage,) = case_stages(ctx, find_case(ctx, "a3"))
         assert stage.f1_base == top, theorem
-        assert _projected_leading_f1(ctx) == pi_plus(top), theorem
+        assert engine[projected_f1](ctx) == pi_plus(top), theorem
 
 
 def test_determinism_byte_identical():
@@ -795,6 +795,18 @@ def test_cli_engine_error_exits_2(monkeypatch, capsys):
     assert cli.main(["run", "--theorem", "T4.6"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["error: inexact polynomial division"]
+
+
+def test_a_failing_slot_check_exits_2(monkeypatch, capsys):
+    """The eq 5.47 slot checks that the first of its two traces vanishes.
+    If it does not, the run is an engine error: exit 2 and one diagnostic
+    line, whichever process ran the slot."""
+    from wresidue import references
+
+    monkeypatch.setattr(references, "cl_trace_product", lambda *_: ScalarExpr.const(1))
+    assert cli.main(["run", "--theorem", "T5.4", "--case", "c"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: first trace of the frame-derivative pair is nonzero"]
 
 
 def test_cli_rejects_case_on_interior_theorem():
