@@ -28,6 +28,7 @@ Pure values throughout; nothing mutates after construction.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -337,20 +338,18 @@ GAMMA: Tuple[Matrix, ...] = tuple(
 MAT_ZERO = tuple(tuple(ZERO for _ in range(4)) for _ in range(4))
 
 
-_MONO_MATRICES: Dict[CliffMono, Matrix] = {}
-
-
+@functools.cache
 def _gamma_table() -> Dict[CliffMono, Matrix]:
     """The matrix of each of the 16 canonical monomials, the product of its
-    `GAMMA` factors in index order; filled on first use, once per process."""
-    if not _MONO_MATRICES:
-        for r in range(N_GEN + 1):
-            for mono in combinations(range(1, N_GEN + 1), r):
-                m = MAT_ID
-                for i in mono:
-                    m = _mat_mul(m, GAMMA[i - 1])
-                _MONO_MATRICES[mono] = m
-    return _MONO_MATRICES
+    `GAMMA` factors in index order; built on first use, once per process."""
+    table: Dict[CliffMono, Matrix] = {}
+    for r in range(N_GEN + 1):
+        for mono in combinations(range(1, N_GEN + 1), r):
+            m = MAT_ID
+            for i in mono:
+                m = _mat_mul(m, GAMMA[i - 1])
+            table[mono] = m
+    return table
 
 
 def matrix_representation(a: CliffordExpr, bindings: Mapping) -> Matrix:

@@ -25,6 +25,7 @@ coefficients go through `scalars.scalar_sum`.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, NamedTuple, Tuple
@@ -127,9 +128,6 @@ class _BasisEntry(NamedTuple):
     pi_plus: ScalarExpr   # the assembled principal part at +i
 
 
-_BASIS: Dict[Tuple[Poly, int], _BasisEntry] = {}
-
-
 def _check_reassembly(num: Poly, den: Poly, plus: Dict[int, ScalarExpr],
                       minus: Dict[int, ScalarExpr], poly: Dict[int, ScalarExpr]) -> None:
     """Raise unless num / den equals the partial fractions, checked as the
@@ -173,21 +171,17 @@ def _check_reassembly(num: Poly, den: Poly, plus: Dict[int, ScalarExpr],
         raise EngineError("internal: partial-fraction reassembly mismatch")
 
 
+@functools.cache
 def basis_fractions(den: Poly, d: int) -> _BasisEntry:
-    """Partial fractions of xin^d / den, cached; the polynomial identity of
-    `_check_reassembly` validates each entry once."""
-    key = (den, d)
-    hit = _BASIS.get(key)
-    if hit is not None:
-        return hit
+    """Partial fractions of xin^d / den, built once per process and key; the
+    polynomial identity of `_check_reassembly` validates each entry once."""
     # den is a canonical coefficient denominator, so xin^d / den is in
     # lowest terms; a den that xin divides is rejected by
     # _factor_pole_denominator in _basis_tables.
     plus, minus, poly = _basis_tables(den, d)
     _check_reassembly(Poly.var(XIN, d) if d else P_ONE, den, plus, minus, poly)
     projected = scalar_sum([c * _LIN_PLUS ** (-m) for m, c in plus.items()])
-    hit = _BASIS[key] = _BasisEntry(plus, minus, poly, projected)
-    return hit
+    return _BasisEntry(plus, minus, poly, projected)
 
 
 def _over_basis(f: ScalarExpr, part: Callable[[_BasisEntry], ScalarExpr]) -> ScalarExpr:

@@ -10,6 +10,7 @@ density in dimension n = 2m.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple
@@ -49,26 +50,11 @@ class EndomorphismE(NamedTuple):
     clifford_part: CliffordExpr
 
 
-# Values that depend on no run input, built once per process: E, the trace
-# identities and the density per m.  Callers get the immutable values, and
-# a copy of the identities' dict.
-_BUILT: Dict[object, object] = {}
-
-
-def _once(key, build):
-    hit = _BUILT.get(key)
-    if hit is None:
-        hit = _BUILT[key] = build()
-    return hit
-
-
+# E, the trace identities and the interior density depend on no run input,
+# so each is built once per process (`functools.cache`).
+@functools.cache
 def endomorphism_e() -> EndomorphismE:
-    """E = (-1/4 Rг - 3/2 div V + 3/2 |T|^2 + 9/2 |V|^2) Id - 3/2 dT - 9 T.V - 9 V_|T,
-    built once per process."""
-    return _once("E", _endomorphism_e)
-
-
-def _endomorphism_e() -> EndomorphismE:
+    """E = (-1/4 Rг - 3/2 div V + 3/2 |T|^2 + 9/2 |V|^2) Id - 3/2 dT - 9 T.V - 9 V_|T."""
     scalar = (
         _frac(-1, 4) * sym("Rg")
         + _frac(-3, 2) * sym("divV")
@@ -172,12 +158,13 @@ def curvature_trace_identities() -> Dict[str, ScalarExpr]:
 
     Returns exact traces for: the frame derivative of the connection term,
     the commutator of two connection terms, and the connection term of a
-    generic bracket vector field.  Each must normalize to zero.  They are
-    built once per process; each call returns a new dict.
+    generic bracket vector field.  Each must normalize to zero.  Each call
+    returns a new dict.
     """
-    return dict(_once("identities", _curvature_trace_identities))
+    return dict(_curvature_trace_identities())
 
 
+@functools.cache
 def _curvature_trace_identities() -> Dict[str, ScalarExpr]:
     out: Dict[str, ScalarExpr] = {}
     deriv_total = S_ZERO
@@ -219,7 +206,7 @@ def einstein_functional_rhs(m: int = 2) -> ScalarExpr:
     )
 
 
-def interior_density(m: int = 2) -> ScalarExpr:
-    """The interior integrand shared by both boundary theorems (n = 4); it
-    depends on no run input, so it is built once per process and m."""
-    return _once(("density", m), lambda: einstein_functional_rhs(m))
+@functools.cache
+def interior_density() -> ScalarExpr:
+    """The interior integrand shared by both boundary theorems (n = 4)."""
+    return einstein_functional_rhs(2)

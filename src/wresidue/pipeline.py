@@ -264,6 +264,9 @@ class TheoremContext(NamedTuple):
     torsion_off: Tuple[str, ...]
     # per-case stage chains, evaluated on first use (see `case_stages`)
     stages: Dict[CaseSpec, List[AxisStages]]
+    # per-case stage reads of the slots and their prefixes, on first use
+    # (`references._read_value`)
+    reads: Dict[str, Dict[Tuple[str, ...], object]]
 
 
 def make_context(theorem: str, sigma3_variant: str = "printed",
@@ -279,6 +282,7 @@ def make_context(theorem: str, sigma3_variant: str = "printed",
         builtin_symbol(f2_id, sigma3_variant, torsion_off),
         sigma3_variant,
         tuple(torsion_off),
+        {},
         {},
     )
 

@@ -14,7 +14,7 @@ first boundary theorem of a run.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from typing import Callable, List, Optional, Tuple
 
 from .gaussian import GRat, I
@@ -31,7 +31,6 @@ from .symbols import (
     c_gen,
     c_xi,
     c_xi_prime,
-    once_per_off,
     q_bilinear,
     sigma0_dirac_lc,
     torsion_two_form,
@@ -101,17 +100,26 @@ _OPS = {"pi+": pi_plus, "d_xin": lambda value: value.differentiate("xin")}
 def _engine_value(read: Optional[Tuple[str, ...]], then, ctx) -> object:
     """A row's engine value on `ctx`: its stage read, if any, then its
     `then` on the read value (None without a read) and `ctx.torsion_off`."""
-    value = None
-    if read is not None:
+    value = None if read is None else _read_value(ctx, read)
+    return value if then is None else then(value, ctx.torsion_off)
+
+
+def _read_value(ctx, read: Tuple[str, ...]) -> object:
+    """The value of a stage read (case, field, *ops) on `ctx`, kept under
+    its case in `ctx.reads` with each of its prefixes, so rows that share a
+    prefix apply its ops once per context."""
+    kept = ctx.reads.setdefault(read[0], {})
+    if read not in kept:
         case_id, field, *ops = read
-        if field == "traced":
+        if ops:
+            value = _OPS[ops[-1]](_read_value(ctx, read[:-1]))
+        elif field == "traced":
             value = case_trace_integrand(ctx, case_id)
         else:  # the cases read here take no tangential derivative: one pass
             (stage,) = case_stages(ctx, find_case(ctx, case_id))
             value = getattr(stage, field)
-        for op in ops:
-            value = _OPS[op](value)
-    return value if then is None else then(value, ctx.torsion_off)
+        kept[read] = value
+    return kept[read]
 
 
 def _slot(slot_id: str, theorem: str, case_id: str, quote: str, build_ref,
@@ -231,8 +239,8 @@ def _sigma_m3_ref_printed() -> CliffordExpr:
     m_cliff = CliffordExpr()
     for k in (1, 2, 3):
         m_cliff = m_cliff + (c_gen(k) * c_gen(4)).scale(xin)
-    u = torsion_u()
-    v = torsion_v()
+    u = torsion_u(())
+    v = torsion_v(())
     cxi = c_xi(at_point=True).restrict_sphere()
     bracket = CliffordExpr.scalar(_g(5, 0) / 2 * h1 * xin) - m_cliff.scale(h1 / 2)
     term1 = bracket.scale(ScalarExpr.const(-I) / _den_1x2(2))
@@ -354,15 +362,15 @@ _slot(
 )
 
 
-@once_per_off
-def _p0_full(off: Tuple[str, ...] = ()) -> CliffordExpr:
+@cache
+def _p0_full(off: Tuple[str, ...]) -> CliffordExpr:
     return (sigma0_dirac_lc() + torsion_u(off) + torsion_v(off)).map_coeffs(
         lambda c: c.subst_shx_one()
     )
 
 
-@once_per_off
-def _first_item_sandwich(off: Tuple[str, ...] = ()) -> CliffordExpr:
+@cache
+def _first_item_sandwich(off: Tuple[str, ...]) -> CliffordExpr:
     """(c(xi)sigma_0(D_T)c(xi) + c(xi)c(dx_n) d_x_n c(xi'))/(1+xi_n^2)^2 at |xi'| = 1."""
     cxi = c_xi(at_point=True).restrict_sphere()
     dc = c_xi_prime(at_point=True).scale(_H1 / 2)
@@ -370,11 +378,11 @@ def _first_item_sandwich(off: Tuple[str, ...] = ()) -> CliffordExpr:
     return inner.scale(S_ONE / _den_1x2(2))
 
 
-@once_per_off
+@cache
 def _ref_5_31() -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
     dc = cxip.scale(_H1 / 2)
-    p0 = _p0_full()
+    p0 = _p0_full(())
     i_s = ScalarExpr.const(I)
     return (
         (cxip * p0 * cxip).scale(i_s)
@@ -383,11 +391,11 @@ def _ref_5_31() -> CliffordExpr:
     )
 
 
-@once_per_off
+@cache
 def _ref_5_32() -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
     dc = cxip.scale(_H1 / 2)
-    p0 = _p0_full()
+    p0 = _p0_full(())
     mix = cxip + c_dxn().scale(ScalarExpr.const(I))
     return mix * p0 * mix + cxip * c_dxn() * dc - dc.scale(ScalarExpr.const(I))
 
@@ -425,7 +433,7 @@ _slot(
 
 def _ref_5_33() -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
-    uv = torsion_u() + torsion_v()
+    uv = torsion_u(()) + torsion_v(())
     i_s = ScalarExpr.const(I)
     xin = xi_var(4)
     tang = (
@@ -556,7 +564,7 @@ _slot(
     lambda: _sigma_m4_nontorsion_ref()
     + (
         c_xi(at_point=True).restrict_sphere()
-        * (torsion_u().scale(ScalarExpr.const(3)) - torsion_v())
+        * (torsion_u(()).scale(ScalarExpr.const(3)) - torsion_v(()))
         * c_xi(at_point=True).restrict_sphere()
     ).scale(S_ONE / _den_1x2(3)),
     read=("c", "f2_base"),

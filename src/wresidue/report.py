@@ -585,7 +585,8 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
         for slot in slots:
             if slot.reads == case.case_id:
                 out.update(slot_part(slot))
-        del ctx.stages[case]  # no later task reads them
+        del ctx.stages[case]  # no later task reads them, nor the stage reads on them
+        ctx.reads.pop(case.case_id, None)
         return out
 
     def other_reading_part() -> Dict:

@@ -49,6 +49,7 @@ workers; the registry is frozen at configuration time.
 
 from __future__ import annotations
 
+import functools
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -66,16 +67,9 @@ class EngineError(ValueError):
 # Registry
 # ---------------------------------------------------------------------------
 
-KIND_TANGENTIAL = "cotangent-tangential"
-KIND_NORMAL = "cotangent-normal"
-KIND_GEOMETRIC = "geometric"
-KIND_TRANSCENDENTAL = "transcendental"
-
-
 class Indeterminate(NamedTuple):
     sym_id: int
     name: str
-    kind: str
     family: Optional[str] = None  # e.g. "A", "T", "V", "R" for switchable atoms
 
 
@@ -87,12 +81,12 @@ class Registry:
         self._by_id: List[Indeterminate] = []
         self._frozen = False
 
-    def register(self, name: str, kind: str, family: Optional[str] = None) -> int:
+    def register(self, name: str, family: Optional[str] = None) -> int:
         if self._frozen:
             raise EngineError(f"registry frozen; cannot register {name!r}")
         if name in self._by_name:
             raise EngineError(f"duplicate indeterminate name {name!r}")
-        sym = Indeterminate(len(self._by_id), name, kind, family)
+        sym = Indeterminate(len(self._by_id), name, family)
         self._by_name[name] = sym
         self._by_id.append(sym)
         return sym.sym_id
@@ -128,60 +122,60 @@ def default_registry(n: int = 4) -> Registry:
     reg = Registry()
     # cotangent variables: xi1..xi3 tangential, xin normal
     for j in range(1, n):
-        reg.register(f"xi{j}", KIND_TANGENTIAL)
-    reg.register("xin", KIND_NORMAL)
+        reg.register(f"xi{j}")
+    reg.register("xin")
     # metric profile sqrt(h(x_n)) along the collar (1 at the base point) and h'(0)
-    reg.register("shx", KIND_GEOMETRIC)
-    reg.register("h1", KIND_GEOMETRIC)
+    reg.register("shx")
+    reg.register("h1")
     # vector-field components and the one kept derivative dYn = dY_n/dx_n
     for j in range(1, n + 1):
-        reg.register(f"X{j}", KIND_GEOMETRIC)
+        reg.register(f"X{j}")
     for j in range(1, n + 1):
-        reg.register(f"Y{j}", KIND_GEOMETRIC)
-    reg.register("dYn", KIND_GEOMETRIC)
+        reg.register(f"Y{j}")
+    reg.register("dYn")
     # torsion coefficients A[i,s,t], antisymmetric in (s,t): store s < t
     for i in range(1, n + 1):
         for s in range(1, n + 1):
             for t in range(s + 1, n + 1):
-                reg.register(f"A[{i},{s},{t}]", KIND_GEOMETRIC, family="A")
+                reg.register(f"A[{i},{s},{t}]", family="A")
     # three-form components T[a,i,j], antisymmetric in (i,j)
     for a in range(1, n + 1):
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                reg.register(f"T[{a},{i},{j}]", KIND_GEOMETRIC, family="T")
+                reg.register(f"T[{a},{i},{j}]", family="T")
     # vector field V
     for k in range(1, n + 1):
-        reg.register(f"V[{k}]", KIND_GEOMETRIC, family="V")
+        reg.register(f"V[{k}]", family="V")
     # curvature atoms R[a,b,s,t], antisymmetric in (a,b) and in (s,t)
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             for s in range(1, n + 1):
                 for t in range(s + 1, n + 1):
-                    reg.register(f"R[{a},{b},{s},{t}]", KIND_GEOMETRIC, family="R")
+                    reg.register(f"R[{a},{b},{s},{t}]", family="R")
     # interior-functional atom families
-    reg.register("dT4[1,2,3,4]", KIND_GEOMETRIC, family="T")  # four-form coefficient
+    reg.register("dT4[1,2,3,4]", family="T")  # four-form coefficient
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    reg.register(f"dT2[{a},{b},{i},{j}]", KIND_GEOMETRIC, family="T")
+                    reg.register(f"dT2[{a},{b},{i},{j}]", family="T")
     for a in range(1, n + 1):
         for k in range(1, n + 1):
-            reg.register(f"dV[{a},{k}]", KIND_GEOMETRIC, family="V")
+            reg.register(f"dV[{a},{k}]", family="V")
     for k in range(1, n + 1):
-        reg.register(f"w[{k}]", KIND_GEOMETRIC)
+        reg.register(f"w[{k}]")
     # scalar curvature atoms and contractions
-    reg.register("Rg", KIND_GEOMETRIC)
-    reg.register("s_scal", KIND_GEOMETRIC)
-    reg.register("RicVW", KIND_GEOMETRIC)
-    reg.register("divV", KIND_GEOMETRIC)
-    reg.register("normT2", KIND_GEOMETRIC)
-    reg.register("normV2", KIND_GEOMETRIC)
-    reg.register("gVW", KIND_GEOMETRIC)
-    reg.register("gXTYT", KIND_GEOMETRIC)  # reporting atom for g(X^T, Y^T)
+    reg.register("Rg")
+    reg.register("s_scal")
+    reg.register("RicVW")
+    reg.register("divV")
+    reg.register("normT2")
+    reg.register("normV2")
+    reg.register("gVW")
+    reg.register("gXTYT")  # reporting atom for g(X^T, Y^T)
     # transcendentals, never evaluated
-    reg.register("pi", KIND_TRANSCENDENTAL)
-    reg.register("Omega3", KIND_TRANSCENDENTAL)
+    reg.register("pi")
+    reg.register("Omega3")
     reg.freeze()
     return reg
 
@@ -452,12 +446,12 @@ P_ZERO = Poly()
 P_ONE = Poly.const(1)
 
 
-# Bound of the memo caches: `_FACTOR_CACHE` and `_BASE_PRODUCTS`, which store
-# only denominators that factor over the known bases and their exponent
-# tuples (about 40 of each in `run --theorem all`; the random suites'
-# generic-gcd operands do not factor and are not stored), and the three text
-# tables of `poly_text`.  A full cache is emptied and refilled: flat memory,
-# no result changed.
+# Bound of the memo caches: `_FACTOR_CACHE`, which stores only denominators
+# that factor over the known bases, the `lru_cache` of `_base_product` on
+# their exponent tuples (about 40 of each in `run --theorem all`), and the
+# three text tables of `poly_text`.  A full table is emptied and refilled,
+# the `lru_cache` drops its least recently used entry: flat memory, no
+# result changed.
 _MEMO_LIMIT = 1 << 12
 
 
@@ -477,6 +471,7 @@ def _memo_store(cache: dict, key, value) -> None:
 _COT_END = max(XI) + 1
 _REST_SHIFT = _SHIFT[_COT_END]
 _COT_BITS = (1 << _REST_SHIFT) - 0x100  # the exponent fields of ids below _COT_END
+# hand-rolled, not functools: inline lookups in the per-term loop
 _COT_TEXT: Dict[int, str] = {}
 _REST_TEXT: Dict[int, str] = {}
 _COEF_TEXT: Dict[Tuple[int, int, int], str] = {}
@@ -697,6 +692,8 @@ def _known_bases() -> List[Tuple[Poly, frozenset]]:
 _BASES = _known_bases()
 _BASE_VARS = frozenset().union(*(base_vars for _, base_vars in _BASES))
 _NO_BASES = (0,) * len(_BASES)
+# hand-rolled, not functools: it stores only factorizations, and its lookup
+# runs before the variable filter on the hottest path
 _FACTOR_CACHE: Dict[Poly, Tuple[GRat, Tuple[int, ...]]] = {}
 # the root of each linear base as a power of i: xin - i at i, xin + i at i^3
 _LINEAR_ROOTS = {0: 1, 1: 3}
@@ -720,6 +717,7 @@ class _QuadricWeights(dict):
         return weight
 
 
+# a dict subclass, not functools: an inline lookup in the per-term loop
 _QUADRIC_WEIGHTS = _QuadricWeights()
 
 
@@ -871,9 +869,6 @@ def _structured_gcd(a: Poly, b: Poly) -> Optional[Poly]:
 # (Henrici); every other base is ruled out by the argument of the caller,
 # and `_strip` divides the tested ones out, capped by their exponent.
 
-_BASE_PRODUCTS: Dict[Tuple[int, ...], Poly] = {}
-
-
 def _exponents(den: Poly) -> Optional[Tuple[int, ...]]:
     """The exponent of each known base in a monic den that is their power
     product, or None."""
@@ -883,16 +878,14 @@ def _exponents(den: Poly) -> Optional[Tuple[int, ...]]:
     return f[1]
 
 
+@functools.lru_cache(maxsize=_MEMO_LIMIT)
 def _base_product(exps: Tuple[int, ...]) -> Poly:
     """prod base_i^exps[i], cached by the exponent tuple."""
-    hit = _BASE_PRODUCTS.get(exps)
-    if hit is None:
-        hit = P_ONE
-        for (base, _), e in zip(_BASES, exps):
-            if e:
-                hit = hit * base ** e
-        _memo_store(_BASE_PRODUCTS, exps, hit)
-    return hit
+    out = P_ONE
+    for (base, _), e in zip(_BASES, exps):
+        if e:
+            out = out * base ** e
+    return out
 
 
 def _num_sum(signed: Sequence[Tuple["ScalarExpr", int]]) -> Poly:

@@ -258,7 +258,7 @@ def test_basis_reassembly_rejects_a_principal_part_off_by_one(monkeypatch):
         plus, minus, poly = real(den, d)
         return _off_by_one(plus), minus, poly
 
-    monkeypatch.setattr(halfplane, "_BASIS", {})
+    halfplane.basis_fractions.cache_clear()
     monkeypatch.setattr(halfplane, "_basis_tables", wrong)
     den = (1 / ((XIN - IC) ** 3 * (XIN + IC) ** 2)).den
     with pytest.raises(EngineError, match="internal: partial-fraction reassembly mismatch"):
@@ -326,13 +326,22 @@ def test_halfplane_suite_catches_a_pi_plus_that_keeps_lower_half_poles(monkeypat
     assert any(f.startswith("pi+ lower-half multiplication #") for f in failures), failures
 
 
-def test_basis_elements_built_without_a_gcd_equal_the_normalizing_constructor():
-    from wresidue import halfplane
+def test_basis_elements_built_without_a_gcd_equal_the_normalizing_constructor(monkeypatch):
+    from wresidue import halfplane, report
     from wresidue.report import RunConfig, run_computation
     from wresidue.scalars import XIN as XIN_ID, Poly
 
+    keys = []
+    real = halfplane._basis_tables
+
+    def recording(den, d):
+        keys.append((den, d))
+        return real(den, d)
+
+    halfplane.basis_fractions.cache_clear()
+    monkeypatch.setattr(halfplane, "_basis_tables", recording)
+    monkeypatch.setattr(report, "_fork_helps", lambda: False)  # every build in this process
     run_computation(RunConfig(theorem="T5.4"))
-    keys = list(halfplane._BASIS)
     assert keys
     for den, d in keys:
         num = Poly.var(XIN_ID, d) if d else Poly.const(1)

@@ -134,24 +134,16 @@ def test_run_all_builds_e_and_the_trace_identities_once(monkeypatch):
     """E and the trace identities depend on no run input: one
     `run --theorem all` builds each once, through three interior theorems
     and the interior density of both boundary theorems."""
-    from wresidue import interior
+    from wresidue import interior, report
     from wresidue.report import RunConfig, run_computation
 
-    builds = {"_endomorphism_e": 0, "_curvature_trace_identities": 0}
-
-    def counting(name):
-        real = getattr(interior, name)
-
-        def build():
-            builds[name] += 1
-            return real()
-        return build
-
-    monkeypatch.setattr(interior, "_BUILT", {})
-    for name in builds:
-        monkeypatch.setattr(interior, name, counting(name))
+    builders = (interior.endomorphism_e, interior._curvature_trace_identities,
+                interior.interior_density)
+    for builder in builders:
+        builder.cache_clear()
+    monkeypatch.setattr(report, "_fork_helps", lambda: False)  # every build in this process
     run_computation(RunConfig(theorem="all"))
-    assert builds == {"_endomorphism_e": 1, "_curvature_trace_identities": 1}
+    assert [builder.cache_info().misses for builder in builders] == [1, 1, 1]
 
 
 def test_trace_identities_come_in_a_new_dict():

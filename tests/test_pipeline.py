@@ -377,6 +377,30 @@ def test_each_slot_fills_exactly_the_stage_chain_it_declares():
         "eq_5_21", "eq_5_22", "eq_5_23", "eq_5_24", "eq_5_46", "eq_5_48", "eq_5_49"]
 
 
+def test_rows_that_share_a_stage_read_apply_pi_plus_once(monkeypatch, tmp_path):
+    """A stage read and each of its prefixes are kept on the context: in a
+    cold inline `run --theorem all`, pi+ is applied to a3's `f1_base` once
+    per boundary theorem, though five T5.4 rows and two T4.6 rows read it."""
+    from wresidue import cli, references, report
+    from wresidue.pipeline import case_stages
+
+    projected = []
+    real = references._OPS["pi+"]
+
+    def counting(value):
+        projected.append(value)
+        return real(value)
+
+    monkeypatch.setitem(references._OPS, "pi+", counting)
+    monkeypatch.setattr(report, "_fork_helps", lambda: False)  # every read in this process
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--theorem", "all", "--format", "json", "--out", str(out)]) == 0
+    for theorem in ("T4.6", "T5.4"):
+        ctx = make_context(theorem)
+        (stage,) = case_stages(ctx, find_case(ctx, "a3"))
+        assert sum(value == stage.f1_base for value in projected) == 1, theorem
+
+
 @pytest.mark.parametrize("read, message", [
     (("d", "f2"), "'d', which is no case of T5.4"),
     (("b", "f3"), "'f3', which is no stage field"),

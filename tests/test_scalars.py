@@ -262,11 +262,16 @@ def test_canonical_text_deterministic():
 
 def test_memo_caches_stay_bounded_and_answers_do_not_change(monkeypatch):
     """A full memo cache is emptied and refilled: sizes stay at or under the
-    bound and every result equals the one computed with unbounded room."""
+    bound and every result equals the one computed with unbounded room.  The
+    `lru_cache` of the base products has the same bound, and a smaller one
+    changes no result either."""
+    import functools
     import random
 
     from wresidue import scalars
     from wresidue.verify import _rand_halfline
+
+    assert scalars._base_product.cache_info().maxsize == scalars._MEMO_LIMIT
 
     def work():
         rng = random.Random(4)
@@ -274,25 +279,25 @@ def test_memo_caches_stay_bounded_and_answers_do_not_change(monkeypatch):
         return [f * g + g for f, g in zip(fs, fs[1:])]
 
     want = work()
-    caches = ("_FACTOR_CACHE", "_BASE_PRODUCTS")
-    for name in caches:
-        monkeypatch.setattr(scalars, name, {})
+    monkeypatch.setattr(scalars, "_FACTOR_CACHE", {})
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 8)
-    sizes = {name: 0 for name in caches}
-    stores = {name: 0 for name in caches}
+    small = functools.lru_cache(maxsize=8)(scalars._base_product.__wrapped__)
+    monkeypatch.setattr(scalars, "_base_product", small)
+    size = stores = 0
     real_store = scalars._memo_store
 
     def store(cache, key, value):
+        nonlocal size, stores
         real_store(cache, key, value)
-        for name in caches:
-            if cache is getattr(scalars, name):
-                sizes[name] = max(sizes[name], len(cache))
-                stores[name] += 1
+        if cache is scalars._FACTOR_CACHE:
+            size = max(size, len(cache))
+            stores += 1
 
     monkeypatch.setattr(scalars, "_memo_store", store)
     assert work() == want
-    assert stores["_FACTOR_CACHE"] > 8
-    assert max(sizes.values()) <= 8
+    assert stores > 8
+    assert size <= 8
+    assert 0 < small.cache_info().currsize <= 8
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_sigma1_dirac():
 def test_sigma0_difference_is_twice_odd_part():
     """Direct term-by-term subtraction is the oracle for the stated symbols."""
     diff = builtin_symbol("D_T").component(0).value - builtin_symbol("D_T*").component(0).value
-    assert diff == torsion_v().scale(ScalarExpr.const(2))
+    assert diff == torsion_v(()).scale(ScalarExpr.const(2))
 
 
 def test_sigma2_covariant_bilinear():
@@ -250,7 +250,7 @@ _OFFS = ((), ("A", "T", "V"))
 
 
 def _constant_builders():
-    """Each memoized builder of a constant Clifford ingredient, with the
+    """Each cached builder of a constant Clifford ingredient, with the
     arguments it takes before `off` (None for a printed reference, which
     has no `off`)."""
     from wresidue import references, symbols
@@ -276,8 +276,10 @@ def _run_all(tmp_path, *flags):
 def test_run_all_builds_each_constant_ingredient_once_per_off(monkeypatch, tmp_path):
     """The torsion endomorphisms u and v, the torsion two-forms, p_0 and the
     first-item sandwich of T5.4 case b, and the printed A_1 and A_2 are
-    built once per process and per switched-off set, whichever caller asks
-    and whether it passes `off` or leaves it at its default."""
+    built once per process and per switched-off set, whichever caller asks:
+    after `all` and `all --no-torsion`, each cache holds one entry per
+    argument list and was missed once per entry, and those entries are the
+    argument lists the switched-off sets give."""
     from wresidue import report
 
     monkeypatch.setattr(report, "_fork_helps", lambda: False)  # every build in this process
@@ -286,11 +288,11 @@ def test_run_all_builds_each_constant_ingredient_once_per_off(monkeypatch, tmp_p
     _run_all(tmp_path)
     _run_all(tmp_path, "--no-torsion")
     for builder, heads in _constant_builders():
-        assert set(builder.builds.values()) == {1}, builder.__name__
-        assert set(builder.builds) <= set(_argument_lists(heads)), builder.__name__
-        defaults = [()] if heads is None else [head + ((),) for head in heads]
-        assert set(defaults) <= set(builder.builds), builder.__name__
-    assert torsion_u() is torsion_u(()) is torsion_u([])
+        info = builder.cache_info()
+        assert info.misses == info.currsize == len(_argument_lists(heads)), builder.__name__
+        for args in _argument_lists(heads):
+            builder(*args)
+        assert builder.cache_info().misses == info.misses, builder.__name__
 
 
 def test_runs_leave_the_memoized_ingredients_unchanged(monkeypatch, tmp_path):

@@ -14,7 +14,11 @@ times only the outermost call of its kernel, so a nested or recursive call
 is not counted twice; kernels may nest in one another (a sum inside a
 sphere reduction counts in both).  The table gives, per
 kernel, its calls and the least of its times over the repeats, and last
-the whole `main` call.
+the whole `main` call.  A second table follows with the per-process caches
+of the first repeat's run: every function of a `wresidue` module that has
+`cache_info` (the `functools` caches), with its hits, misses, size and
+bound ("-" when unbounded), as the run left them.  They are read from the
+outside after the run; the engine has no switch for it.
 
 The kernels, by the name each tree binds them under:
 
@@ -122,7 +126,21 @@ def _child(theorem: str) -> dict:
     main_s = perf() - start
     if code != 0:
         raise SystemExit(f"run --theorem {theorem} exited {code}")
-    return {"kernels": {k: v[:2] for k, v in stats.items()}, "main_s": main_s}
+    return {"kernels": {k: v[:2] for k, v in stats.items()}, "main_s": main_s,
+            "caches": _cache_infos()}
+
+
+def _cache_infos() -> dict:
+    """The `cache_info()` (hits, misses, maxsize, currsize) of each
+    `functools` cache that a `wresidue` module defines, by module and name."""
+    out = {}
+    for mod_name, mod in sorted(sys.modules.items()):
+        if not mod_name.startswith("wresidue.") or mod is None:
+            continue
+        for name, fn in vars(mod).items():
+            if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == mod_name:
+                out[f"{mod_name[len('wresidue.'):]}.{name}"] = list(fn.cache_info())
+    return out
 
 
 def _task_label(task) -> str:
@@ -230,6 +248,10 @@ def main(argv=None) -> int:
         best = min(r["kernels"][label][1] for r in runs)
         print(f"{label:<22}{calls:>9}{best:>10.4f}")
     print(f"{'main':<22}{'':>9}{min(r['main_s'] for r in runs):>10.4f}")
+    print()
+    print(f"{'cache':<44}{'hits':>8}{'misses':>8}{'size':>6}{'bound':>7}")
+    for name, (hits, misses, bound, size) in runs[0]["caches"].items():
+        print(f"{name:<44}{hits:>8}{misses:>8}{size:>6}{'-' if bound is None else bound:>7}")
     return 0
 
 
