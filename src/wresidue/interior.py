@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, NamedTuple
 
 from .gaussian import GRat
@@ -65,19 +66,16 @@ def endomorphism_e() -> EndomorphismE:
     dt = (_c(1) * _c(2) * _c(3) * _c(4)).scale(atom_dT4([1, 2, 3, 4]))
     # T.V: the three-form times Clifford multiplication by V
     three_form = CL_ZERO
-    for a in range(1, 5):
-        for j in range(a + 1, 5):
-            for k in range(j + 1, 5):
-                three_form = three_form + (_c(a) * _c(j) * _c(k)).scale(atom_T(a, j, k))
+    for a, j, k in combinations(range(1, 5), 3):
+        three_form = three_form + (_c(a) * _c(j) * _c(k)).scale(atom_T(a, j, k))
     tv = three_form * _c_vector([atom_V(l) for l in range(1, 5)])
     # V contracted into T: sum_{i<j} T(V, e_i, e_j) c(e_i)c(e_j)
     vt = CL_ZERO
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            coeff = S_ZERO
-            for l in range(1, 5):
-                coeff = coeff + atom_V(l) * atom_T(l, i, j)
-            vt = vt + (_c(i) * _c(j)).scale(coeff)
+    for i, j in combinations(range(1, 5), 2):
+        coeff = S_ZERO
+        for l in range(1, 5):
+            coeff = coeff + atom_V(l) * atom_T(l, i, j)
+        vt = vt + (_c(i) * _c(j)).scale(coeff)
     clifford = dt.scale(_frac(-3, 2)) + tv.scale(ScalarExpr.const(-9)) + vt.scale(
         ScalarExpr.const(-9)
     )
@@ -123,9 +121,8 @@ def connection_derivative(a: int, b: int) -> CliffordExpr:
             coeff = atom_R(a, b, s, t) * _frac(-1, 8)
             if not coeff.is_zero():
                 total = total + (_c(s) * _c(t)).scale(coeff)
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            total = total + (_c(i) * _c(j)).scale(atom_dT2(a, b, i, j) * _frac(3, 2))
+    for i, j in combinations(range(1, 5), 2):
+        total = total + (_c(i) * _c(j)).scale(atom_dT2(a, b, i, j) * _frac(3, 2))
     for k in range(1, 5):
         total = total + (_c(k) * _c(b)).scale(atom_dV(a, k) * _frac(-3, 2))
     total = total + CliffordExpr.scalar(atom_dV(a, b) * _frac(-3, 2))
@@ -138,12 +135,11 @@ def connection_term(vec_coeffs: List[ScalarExpr]) -> CliffordExpr:
     The Levi-Civita part vanishes at the point in interior normal coordinates.
     """
     total = CL_ZERO
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            coeff = S_ZERO
-            for a in range(1, 5):
-                coeff = coeff + vec_coeffs[a - 1] * atom_T(a, i, j)
-            total = total + (_c(i) * _c(j)).scale(coeff * _frac(3, 2))
+    for i, j in combinations(range(1, 5), 2):
+        coeff = S_ZERO
+        for a in range(1, 5):
+            coeff = coeff + vec_coeffs[a - 1] * atom_T(a, i, j)
+        total = total + (_c(i) * _c(j)).scale(coeff * _frac(3, 2))
     cv = _c_vector([atom_V(k) for k in range(1, 5)])
     cw = _c_vector(vec_coeffs)
     total = total - (cv * cw).scale(_frac(3, 2))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .gaussian import GRat
-from .scalars import EngineError, ScalarExpr, S_ZERO, atom_A, sym
+from .scalars import EngineError, ScalarExpr, S_ZERO, sym
 
 
 def _g(re, im=0) -> ScalarExpr:
@@ -30,11 +30,6 @@ def _g(re, im=0) -> ScalarExpr:
 
 
 _H1 = sym("h1")
-
-
-def _sum_a_iin() -> ScalarExpr:
-    """Sum_i A_iin over the tangential i; A_nnn is 0 (antisymmetric in s, t)."""
-    return atom_A(1, 1, 4) + atom_A(2, 2, 4) + atom_A(3, 3, 4)
 
 
 # The reporting monomials of a boundary density: g(X^T,Y^T) = Sum_{j<n} X_jY_j,
@@ -50,7 +45,9 @@ XN_DYN = sym("X4") * sym("dYn")
 
 _PI2 = sym("pi") ** 2
 _PI_OMEGA3 = sym("pi") * sym("Omega3")
-_SUM_A = _sum_a_iin()
+# Sum_{i<n} A_iin is the vector trace A[n] of the torsion, as A_nnn = 0
+# (see `scalars.atom_A`)
+_SUM_A = sym("A[4]")
 _G_VW = sym("gVW")
 
 # The named basis of the printed results; in the names gT is g(X^T,Y^T), SumA

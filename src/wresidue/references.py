@@ -22,7 +22,7 @@ from .scalars import EngineError, ScalarExpr, S_ZERO, S_ONE, atom_T, sym
 from .clifford import CliffordExpr, cl_trace_product
 from .halfplane import pi_plus, principal_part
 from .pipeline import BOUNDARY_THEOREMS, AxisStages, case_stages, case_trace_integrand, find_case
-from .printed import XN_YN, _g, _H1, _sum_a_iin
+from .printed import XN_YN, _g, _H1, _SUM_A
 # read from this module by perfbench (tracer.py times reference_value here)
 from .printed import REFERENCES, reference_value  # noqa: F401
 from .symbols import (
@@ -640,7 +640,7 @@ _slot(
 
 def _ref_5_49() -> CliffordExpr:
     coeff = _g(0, -3) / 8 * sym("pi")
-    return CliffordExpr.scalar((_qt() + XN_YN) * coeff * _sum_a_iin())
+    return CliffordExpr.scalar((_qt() + XN_YN) * coeff * _SUM_A)
 
 
 def _trace_against_torsion_block(value: CliffordExpr, off: Tuple[str, ...]) -> CliffordExpr:

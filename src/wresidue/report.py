@@ -339,12 +339,17 @@ def _switch(expr, cfg: RunConfig):
     return out
 
 
-def _compare_under(value, ref, cfg: RunConfig):
+def _compare_under(value, ref, cfg: RunConfig, on_sphere: bool = False):
     """The switched value, the switched reference, and the verdict and delta
     between the two: 'match' iff the exact difference is zero, in which case
-    the delta is None.  Every verdict of the report comes from here."""
+    the delta is None.  With `on_sphere` both sides are restricted to the
+    unit co-sphere |xi'| = 1 first, where every printed intermediate is
+    stated.  Every verdict of the report comes from here."""
     value, ref = _switch(value, cfg), _switch(ref, cfg)
-    delta = as_clifford(value) - as_clifford(ref)
+    mine, theirs = as_clifford(value), as_clifford(ref)
+    if on_sphere:
+        mine, theirs = mine.restrict_sphere(), theirs.restrict_sphere()
+    delta = mine - theirs
     if delta.is_zero():
         return value, ref, "match", None
     return value, ref, "mismatch", delta
@@ -361,9 +366,10 @@ def compare_with_reference(expr, reference_id: str) -> Tuple[str, Optional[objec
 # ---------------------------------------------------------------------------
 
 def _trail_dict(step: TrailStep, cfg: RunConfig) -> Dict:
-    """A trail step as emitted: its expression switched, a slot step compared."""
+    """A trail step as emitted: its expression switched, a slot step compared
+    on the co-sphere."""
     if step.ref_id is not None:
-        value, _, verdict, delta = _compare_under(step.expr, step.ref, cfg)
+        value, _, verdict, delta = _compare_under(step.expr, step.ref, cfg, on_sphere=True)
         out = {"step": step.step_id, "op": step.op, "expr": value.text(),
                "ref": step.ref_id, "verdict": verdict}
         if delta is not None:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import functools
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import combinations, compress
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import GRat, ONE, ZERO, _terms_add, _terms_product
@@ -133,32 +133,27 @@ def default_registry(n: int = 4) -> Registry:
     for j in range(1, n + 1):
         reg.register(f"Y{j}")
     reg.register("dYn")
-    # torsion coefficients A[i,s,t], antisymmetric in (s,t): store s < t
-    for i in range(1, n + 1):
-        for s in range(1, n + 1):
-            for t in range(s + 1, n + 1):
-                reg.register(f"A[{i},{s},{t}]", family="A")
-    # three-form components T[a,i,j], antisymmetric in (i,j)
-    for a in range(1, n + 1):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                reg.register(f"T[{a},{i},{j}]", family="T")
+    # torsion A: the operator sees only its vector trace A[t] = sum_i A[i,i,t]
+    # and its axial part A[p,q,r], p < q < r (see `atom_A`)
+    for t in range(1, n + 1):
+        reg.register(f"A[{t}]", family="A")
+    for p, q, r in combinations(range(1, n + 1), 3):
+        reg.register(f"A[{p},{q},{r}]", family="A")
+    # the three-form T[a,i,j], a < i < j
+    for a, i, j in combinations(range(1, n + 1), 3):
+        reg.register(f"T[{a},{i},{j}]", family="T")
     # vector field V
     for k in range(1, n + 1):
         reg.register(f"V[{k}]", family="V")
     # curvature atoms R[a,b,s,t], antisymmetric in (a,b) and in (s,t)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for s in range(1, n + 1):
-                for t in range(s + 1, n + 1):
-                    reg.register(f"R[{a},{b},{s},{t}]", family="R")
+    for a, b in combinations(range(1, n + 1), 2):
+        for s, t in combinations(range(1, n + 1), 2):
+            reg.register(f"R[{a},{b},{s},{t}]", family="R")
     # interior-functional atom families
     reg.register("dT4[1,2,3,4]", family="T")  # four-form coefficient
     for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    reg.register(f"dT2[{a},{b},{i},{j}]", family="T")
+        for b, i, j in combinations(range(1, n + 1), 3):
+            reg.register(f"dT2[{a},{b},{i},{j}]", family="T")
     for a in range(1, n + 1):
         for k in range(1, n + 1):
             reg.register(f"dV[{a},{k}]", family="V")
@@ -1374,27 +1369,53 @@ def sym(name: str) -> ScalarExpr:
     return ScalarExpr.var(name)
 
 
-def _signed_atom(name_sorted: str, sign: int) -> ScalarExpr:
-    v = ScalarExpr.var(name_sorted)
+def _sorted_with_sign(idx: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
+    """The sign of the permutation that sorts `idx`, and `idx` sorted; the
+    sign is 0 when an index repeats, where an antisymmetric form vanishes."""
+    sign = 1
+    for k, a in enumerate(idx):
+        for b in idx[k + 1:]:
+            if a == b:
+                return 0, ()
+            if a > b:
+                sign = -sign
+    return sign, tuple(sorted(idx))
+
+
+def _signed_atom(head: str, sign: int, idx: Tuple[int, ...]) -> ScalarExpr:
+    """sign * head[idx], the registered atom of the sorted indices idx."""
+    if not sign:
+        return S_ZERO
+    v = ScalarExpr.var(f"{head}[{','.join(map(str, idx))}]")
     return v if sign > 0 else -v
 
 
+_THIRD = ScalarExpr.const(GRat(1) / GRat(3))
+
+
 def atom_A(i: int, s: int, t: int) -> ScalarExpr:
-    """Torsion coefficient A[i,s,t]; antisymmetric in (s,t)."""
-    if s == t:
-        return S_ZERO
-    if s < t:
-        return ScalarExpr.var(f"A[{i},{s},{t}]")
-    return -ScalarExpr.var(f"A[{i},{t},{s}]")
+    """A(e_i, e_s, e_t) of the torsion endomorphism, antisymmetric in (s,t),
+    written in the only two parts of A that the Dirac operator sees: the
+    vector trace A[t] = sum_i A(e_i, e_i, e_t) and the axial part, the
+    totally antisymmetric A[p,q,r].  Through u and v (`symbols.torsion_u`,
+    `torsion_v`) the other 16 components reach no value, so they are not
+    registered:
+
+        A(i,s,t) = (1/3)(delta_is A[t] - delta_it A[s]) + A(i,s,t)_axial.
+    """
+    out = _signed_atom("A", *_sorted_with_sign((i, s, t)))
+    if i == s != t:
+        out = out + _THIRD * ScalarExpr.var(f"A[{t}]")
+    if i == t != s:
+        out = out - _THIRD * ScalarExpr.var(f"A[{s}]")
+    return out
 
 
 def atom_T(a: int, i: int, j: int) -> ScalarExpr:
-    """Three-form component T[a,i,j]; antisymmetric in (i,j)."""
-    if i == j:
-        return S_ZERO
-    if i < j:
-        return ScalarExpr.var(f"T[{a},{i},{j}]")
-    return -ScalarExpr.var(f"T[{a},{j},{i}]")
+    """Three-form component T(e_a, e_i, e_j): totally antisymmetric, so 0 on
+    a repeated index and otherwise the atom T[p,q,r], p < q < r, with the
+    sign of the permutation that sorts (a, i, j)."""
+    return _signed_atom("T", *_sorted_with_sign((a, i, j)))
 
 
 def atom_V(k: int) -> ScalarExpr:
@@ -1403,25 +1424,17 @@ def atom_V(k: int) -> ScalarExpr:
 
 def atom_R(a: int, b: int, s: int, t: int) -> ScalarExpr:
     """Curvature atom R[a,b,s,t]; antisymmetric in (a,b) and in (s,t)."""
-    sign = 1
-    if a == b or s == t:
-        return S_ZERO
-    if a > b:
-        a, b = b, a
-        sign = -sign
-    if s > t:
-        s, t = t, s
-        sign = -sign
-    return _signed_atom(f"R[{a},{b},{s},{t}]", sign)
+    sign_ab, ab = _sorted_with_sign((a, b))
+    sign_st, st = _sorted_with_sign((s, t))
+    return _signed_atom("R", sign_ab * sign_st, ab + st)
 
 
 def atom_dT2(a: int, b: int, i: int, j: int) -> ScalarExpr:
-    """Frame derivative e_a(T(e_b, e_i, e_j)); antisymmetric in (i,j)."""
-    if i == j:
-        return S_ZERO
-    if i < j:
-        return ScalarExpr.var(f"dT2[{a},{b},{i},{j}]")
-    return -ScalarExpr.var(f"dT2[{a},{b},{j},{i}]")
+    """Frame derivative e_a(T(e_b, e_i, e_j)) of the three-form: totally
+    antisymmetric in (b, i, j) like T, so the atom is dT2[a,p,q,r] with
+    p < q < r."""
+    sign, bij = _sorted_with_sign((b, i, j))
+    return _signed_atom("dT2", sign, (a,) + bij)
 
 
 def atom_dV(a: int, k: int) -> ScalarExpr:
@@ -1430,17 +1443,10 @@ def atom_dV(a: int, k: int) -> ScalarExpr:
 
 def atom_dT4(perm: Sequence[int]) -> ScalarExpr:
     """Four-form coefficient dT(e_i,e_j,e_k,e_l); totally antisymmetric."""
-    idx = list(perm)
-    if sorted(idx) != [1, 2, 3, 4]:
-        if len(set(idx)) != 4:
-            return S_ZERO
-        raise EngineError(f"four-form indices out of range: {idx}")
-    sign = 1
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if idx[i] > idx[j]:
-                sign = -sign
-    return _signed_atom("dT4[1,2,3,4]", sign)
+    sign, idx = _sorted_with_sign(tuple(perm))
+    if sign and idx != (1, 2, 3, 4):
+        raise EngineError(f"four-form indices out of range: {list(perm)}")
+    return _signed_atom("dT4", sign, idx)
 
 
 def norm_xi_sq() -> ScalarExpr:

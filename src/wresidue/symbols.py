@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from itertools import combinations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .gaussian import GRat, I
@@ -96,40 +97,32 @@ def q_bilinear() -> ScalarExpr:
 # per process and key; callers share the values and must not mutate them.
 @functools.cache
 def torsion_u(off: Tuple[str, ...]) -> CliffordExpr:
-    """(1/4) sum over pairwise distinct (i,s,t) of A_ist c(e_i)c(e_s)c(e_t);
-    0 when the family "A" is in `off`, the torsion families switched off."""
+    """u = (1/4) sum over pairwise distinct (i,s,t) of A(i,s,t) c(e_i)c(e_s)c(e_t).
+
+    The Clifford product is totally antisymmetric there, so u sees only the
+    axial part of A, and the six orderings of each p < q < r add up to
+    u = (3/2) sum_{p<q<r} A[p,q,r] c(e_p)c(e_q)c(e_r).  0 when the family
+    "A" is in `off`, the torsion families switched off."""
     if "A" in off:
         return CL_ZERO
-    quarter = ScalarExpr.const(GRat(1) / GRat(4))
+    three_half = ScalarExpr.const(GRat(3) / GRat(2))
     total = CL_ZERO
-    for i in range(1, 5):
-        for s in range(1, 5):
-            for t in range(1, 5):
-                if len({i, s, t}) != 3:
-                    continue
-                coeff = atom_A(i, s, t)
-                if coeff.is_zero():
-                    continue
-                total = total + (c_gen(i) * c_gen(s) * c_gen(t)).scale(coeff * quarter)
+    for p, q, r in combinations(range(1, 5), 3):
+        total = total + (c_gen(p) * c_gen(q) * c_gen(r)).scale(atom_A(p, q, r) * three_half)
     return total
 
 
 @functools.cache
 def torsion_v(off: Tuple[str, ...]) -> CliffordExpr:
-    """(1/4)[ -sum A_iit c(e_t) + sum A_isi c(e_s) - sum A_iss c(e_i) + 2 sum A_iii c(e_i) ];
-    0 when the family "A" is in `off`."""
+    """v = (1/4)[-sum A_iit c(e_t) + sum A_isi c(e_s) - sum A_iss c(e_i) + 2 sum A_iii c(e_i)].
+
+    A is antisymmetric in its last two slots, so the last two sums vanish,
+    the first two agree, and v = -(1/2) sum_t A[t] c(e_t) sees only the
+    vector trace A[t] = sum_i A_iit.  0 when the family "A" is in `off`."""
     if "A" in off:
         return CL_ZERO
-    quarter = ScalarExpr.const(GRat(1) / GRat(4))
-    total = CL_ZERO
-    for i in range(1, 5):
-        for t in range(1, 5):
-            total = total + c_gen(t).scale(-atom_A(i, i, t) * quarter)
-        for s_ in range(1, 5):
-            total = total + c_gen(s_).scale(atom_A(i, s_, i) * quarter)
-            total = total + c_gen(i).scale(-atom_A(i, s_, s_) * quarter)
-        total = total + c_gen(i).scale(2 * atom_A(i, i, i) * quarter)
-    return total
+    return c_vector([ScalarExpr.var(f"A[{t}]") for t in range(1, 5)]).scale(
+        ScalarExpr.const(GRat(-1) / GRat(2)))
 
 
 def sigma0_dirac_lc() -> CliffordExpr:
@@ -154,12 +147,11 @@ def torsion_two_form(prefix: str, off: Tuple[str, ...]) -> CliffordExpr:
     half = ScalarExpr.const(GRat(1) / GRat(2))
     total = CL_ZERO
     if "T" not in off:
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                coeff = S_ZERO
-                for a in range(1, 5):
-                    coeff = coeff + sym(f"{prefix}{a}") * atom_T(a, i, j)
-                total = total + (c_gen(i) * c_gen(j)).scale(coeff * three_half)
+        for i, j in combinations(range(1, 5), 2):
+            coeff = S_ZERO
+            for a in range(1, 5):
+                coeff = coeff + sym(f"{prefix}{a}") * atom_T(a, i, j)
+            total = total + (c_gen(i) * c_gen(j)).scale(coeff * three_half)
     if "V" in off:
         return total
     cv = c_vector([atom_V(k) for k in range(1, 5)])

@@ -191,7 +191,7 @@ def test_moment_equals_the_term_by_term_formula():
     denominators free of the tangential variables."""
     rng = random.Random(24)
     names = ("xi1", "xi2", "xi3")
-    rests = [S_ONE, sym("h1"), sym("X1") * sym("pi"), sym("A[1,1,2]") ** 2]
+    rests = [S_ONE, sym("h1"), sym("X1") * sym("pi"), sym("A[1,2,3]") ** 2]
     dens = [S_ONE, ScalarExpr.const(3), sym("h1") + 2, PI * (sym("X2") - 1)]
     for _ in range(60):
         num = S_ZERO

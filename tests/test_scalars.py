@@ -1,6 +1,7 @@
 """Canonical-form arithmetic over the Gaussian rationals."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from wresidue.scalars import (
     atom_A,
     atom_R,
     atom_T,
+    atom_dT2,
     atom_dT4,
     mono_items,
     mono_pack,
@@ -168,6 +170,36 @@ def test_antisymmetric_atom_normalization():
     assert atom_R(1, 1, 3, 4) == S_ZERO
     assert atom_dT4([2, 1, 3, 4]) == -atom_dT4([1, 2, 3, 4])
     assert atom_dT4([1, 1, 3, 4]) == S_ZERO
+
+
+@pytest.mark.parametrize("atom, arity", [(atom_T, 3), (atom_dT2, 4)])
+def test_three_form_atoms_are_totally_antisymmetric(atom, arity):
+    """T(e_a, e_i, e_j) and e_a(T(e_b, e_i, e_j)) change sign under every
+    transposition of the three-form's slots and vanish on a repeated index."""
+    first = arity - 3
+    for idx in product(range(1, 5), repeat=arity):
+        value = atom(*idx)
+        form = idx[first:]
+        if len(set(form)) < 3:
+            assert value == S_ZERO, idx
+            continue
+        assert value != S_ZERO, idx
+        for k, l in combinations(range(first, arity), 2):
+            swapped = list(idx)
+            swapped[k], swapped[l] = swapped[l], swapped[k]
+            assert atom(*swapped) == -value, (idx, k, l)
+
+
+def test_registry_holds_the_irreducible_torsion_parts():
+    """A as its vector trace and axial part (4 + 4 atoms), T as a three-form
+    (4) and dT2 as four derivatives of it (16): 114 indeterminates in all."""
+    assert len(REG) == 114
+    names = {fam: [REG.name_of(s) for s in REG.ids_of_family(fam)] for fam in "AT"}
+    assert names["A"] == ["A[1]", "A[2]", "A[3]", "A[4]",
+                          "A[1,2,3]", "A[1,2,4]", "A[1,3,4]", "A[2,3,4]"]
+    assert [n for n in names["T"] if n.startswith("T[")] == [
+        "T[1,2,3]", "T[1,2,4]", "T[1,3,4]", "T[2,3,4]"]
+    assert sum(n.startswith("dT2[") for n in names["T"]) == 16
 
 
 def test_registry_rejects_unknown_and_duplicates():

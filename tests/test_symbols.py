@@ -1,14 +1,18 @@
 """Symbol library, composition, inversion, and the boundary rule table."""
 
+from itertools import combinations
+
 import pytest
+import sympy
 
 from wresidue.gaussian import GRat, I
-from wresidue.scalars import EngineError, ScalarExpr, S_ONE, sym
+from wresidue.scalars import REG, EngineError, ScalarExpr, S_ONE, atom_A, mono_items, sym
 from wresidue.clifford import CL_ONE, CliffordExpr, cl_trace
 from wresidue.symbols import (
     GradedSymbol,
     SymbolComponent,
     builtin_symbol,
+    c_gen,
     c_dxn,
     c_xi,
     c_xi_prime,
@@ -308,3 +312,79 @@ def test_runs_leave_the_memoized_ingredients_unchanged(monkeypatch, tmp_path):
     for (builder, args), value in before.items():
         assert value == builder.__wrapped__(*args), (builder.__name__, args)
         assert builder(*args) is value
+
+
+# ---------------------------------------------------------------------------
+# u and v see only the vector trace and the axial part of the torsion A
+# ---------------------------------------------------------------------------
+
+def _sympy_of(e: ScalarExpr):
+    def poly(p):
+        return sympy.Add(*(
+            (sympy.Rational(c.re.numerator, c.re.denominator)
+             + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+            * sympy.Mul(*(sympy.Symbol(REG.name_of(s)) ** k for s, k in mono_items(m)))
+            for m, c in p.terms.items()))
+
+    return poly(e.num) / poly(e.den)
+
+
+def _sympy_coeffs(x: CliffordExpr):
+    return {m: _sympy_of(c) for m, c in x.terms.items()}
+
+
+def _raw_a(i, s, t):
+    """A_ist of a tensor antisymmetric in (s, t) with 24 free components."""
+    if s == t:
+        return 0
+    sign = 1 if s < t else -1
+    return sign * sympy.Symbol(f"raw{i}{min(s, t)}{max(s, t)}")
+
+
+def _raw_u_v():
+    """u and v by the general formulas over the raw components `_raw_a`, as
+    {Clifford monomial: sympy coefficient}."""
+
+    u, v = {}, {}
+
+    def add(out, clifford, coeff):
+        for m, c in clifford.terms.items():
+            out[m] = out.get(m, 0) + _sympy_of(c) * coeff
+
+    quarter = sympy.Rational(1, 4)
+    for i in range(1, 5):
+        for s in range(1, 5):
+            for t in range(1, 5):
+                if len({i, s, t}) == 3:
+                    add(u, c_gen(i) * c_gen(s) * c_gen(t), quarter * _raw_a(i, s, t))
+            add(v, c_gen(s), -quarter * _raw_a(i, i, s) + quarter * _raw_a(i, s, i))
+            add(v, c_gen(i), -quarter * _raw_a(i, s, s))
+        add(v, c_gen(i), 2 * quarter * _raw_a(i, i, i))
+    return u, v
+
+
+def _same(mine, theirs):
+    return all(sympy.expand(mine.get(m, 0) - theirs.get(m, 0)) == 0
+               for m in set(mine) | set(theirs))
+
+
+def test_u_and_v_of_the_projected_torsion_equal_the_raw_formulas():
+    """u and v built from the raw tensor, with each raw A_ist replaced by
+    `atom_A(i, s, t)` (its vector and axial parts), are `torsion_u` and
+    `torsion_v`.  Read the other way, u and v of a free raw tensor are the
+    registered ones at A[t] = sum_i A_iit and A[p,q,r] = Alt(A)_pqr: the 16
+    components of the tensor part reach neither."""
+
+    u, v = _raw_u_v()
+    projected = {_raw_a(i, s, t): _sympy_of(atom_A(i, s, t))
+                 for i in range(1, 5) for s, t in combinations(range(1, 5), 2)}
+    want_u, want_v = _sympy_coeffs(torsion_u(())), _sympy_coeffs(torsion_v(()))
+    assert _same({m: c.xreplace(projected) for m, c in u.items()}, want_u)
+    assert _same({m: c.xreplace(projected) for m, c in v.items()}, want_v)
+
+    a = _raw_a
+    parts = {sympy.Symbol(f"A[{t}]"): sum(a(i, i, t) for i in range(1, 5)) for t in range(1, 5)}
+    for p, q, r in combinations(range(1, 5), 3):
+        parts[sympy.Symbol(f"A[{p},{q},{r}]")] = (a(p, q, r) + a(q, r, p) + a(r, p, q)) / 3
+    assert _same(u, {m: c.xreplace(parts) for m, c in want_u.items()})
+    assert _same(v, {m: c.xreplace(parts) for m, c in want_v.items()})

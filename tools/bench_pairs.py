@@ -40,7 +40,12 @@ quartiles, pair counts and the IQR test, and one with the five
 operations that moved most.  The `machine` block records `dont_write_bytecode`, set
 by PYTHONDONTWRITEBYTECODE, which the runs inherit: without cached bytecode
 each cold process compiles the engine's sources again, so an import-time
-gain is comparable only between files with the same flag.  Last come the
+gain is comparable only between files with the same flag.  It also
+records `parallel_speedup`, probed before the first run and after the last:
+two busy loops of about 0.15 s each, run in series and then in two forked
+processes at once, and the series time over the forked time.  About 2 means
+a second CPU was free, about 1 that a forked worker gains nothing, so a
+fork-based gain can only be read next to it.  Last come the
 sha256 of every JSON report either side wrote, with
 `same` true when both sides wrote exactly one digest for the operation and
 it is the same one; the operations whose digests differ are printed at the
@@ -86,6 +91,39 @@ def src_digest(tree: Path) -> str:
     for path in sorted((tree / "src").rglob("*.py")):
         h.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def _busy(n: int) -> None:
+    x = 0
+    for i in range(n):
+        x += i
+
+
+def parallel_speedup(loop_s: float = 0.15) -> dict:
+    """Two busy loops of about `loop_s` each, timed in series and in two
+    forked processes at once; `speedup` is the series time over the forked
+    time."""
+    n = 200_000
+    t0 = time.perf_counter()
+    _busy(n)
+    n = max(n, int(n * loop_s / (time.perf_counter() - t0)))
+    t0 = time.perf_counter()
+    _busy(n)
+    _busy(n)
+    series = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    pids = []
+    for _ in range(2):
+        pid = os.fork()
+        if pid == 0:
+            _busy(n)
+            os._exit(0)
+        pids.append(pid)
+    for pid in pids:
+        os.waitpid(pid, 0)
+    forked = time.perf_counter() - t0
+    return {"series_s": round(series, 4), "forked_s": round(forked, 4),
+            "speedup": round(series / forked, 3)}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -249,7 +287,9 @@ def main(argv=None) -> int:
     out = {
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count(), "processor": platform.machine(),
-                    "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
+                    "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+                    "cpu_affinity": len(os.sched_getaffinity(0)),
+                    "parallel_speedup": {"before": parallel_speedup()}},
         "parent": {"sha": git(root, "rev-parse", args.base)},
         "change": {"sha": git(root, "rev-parse", "HEAD"),
                    "uncommitted": bool(git(root, "status", "--porcelain", "--", "src"))},
@@ -294,6 +334,10 @@ def main(argv=None) -> int:
             print(f"{name}: operations moved most (median wall_s, parent -> change): " + "; ".join(
                 f"{row['operation']} {row['parent']:.3f} -> {row['change']:.3f} "
                 f"({row['delta']:+.3f})" for row in entry["operations_moved"][:5]), flush=True)
+    probes = out["machine"]["parallel_speedup"]
+    probes["after"] = parallel_speedup()
+    print("parallel speedup of two forked loops: " + ", ".join(
+        f"{when} {probe['speedup']:.2f}" for when, probe in probes.items()), flush=True)
     out["report_hashes"] = {op: compare_digests(sides)
                             for op, sides in sorted(out["report_hashes"].items())}
     differ = [op for op, h in sorted(out["report_hashes"].items()) if not h["same"]]
