@@ -268,14 +268,14 @@ def clifford_inverse(a: CliffordExpr) -> CliffordExpr:
     return reflect.scale(quad.inverse())
 
 
-def apply_torsion_switches(value, a: bool, t: bool, v: bool):
-    """Set the switched-off torsion atom families to zero in a ScalarExpr or
-    a CliffordExpr by dropping every monomial that holds one; a value free of
-    them, such as one built from a context with those families off, is
-    returned as it is."""
-    if a and t and v:
+def apply_torsion_switches(value, off: Sequence[str]):
+    """Set the torsion families in `off` (of "A", "T", "V") to zero in a
+    ScalarExpr or a CliffordExpr by dropping every monomial that holds one;
+    a value free of them, such as one built from a context with those
+    families off, is returned as it is."""
+    if not off:
         return value
-    ids = set(zero_torsion_bindings(a=not a, t=not t, v=not v))
+    ids = set(zero_torsion_bindings(off))
     if ids.isdisjoint(value.variables()):
         return value
 

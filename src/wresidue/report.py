@@ -96,7 +96,7 @@ class RunConfig:
         "torsion_a": True,
         "torsion_t": True,
         "torsion_v": True,
-        "output_format": "text",  # text | json | latex
+        "output_format": "text",  # one of FORMAT_CHOICES
         "subst_omega3": False,
         "seed": 0,
         "oracle_samples": 0,
@@ -148,7 +148,7 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Expression serialization: canonical text, LaTeX, JSON tree
+# Expression serialization: canonical text, JSON tree
 # ---------------------------------------------------------------------------
 
 def _grat_tree(c: GRat) -> Dict:
@@ -223,95 +223,12 @@ def expr_from_tree(t: Dict):
     raise EngineError("unknown expression tree kind")
 
 
-_LATEX_NAMES = {
-    "xi1": r"\xi_{1}",
-    "xi2": r"\xi_{2}",
-    "xi3": r"\xi_{3}",
-    "xin": r"\xi_{n}",
-    "shx": r"\sqrt{h(x_{n})}",
-    "h1": r"h'(0)",
-    "dYn": r"\partial_{x_{n}}Y_{n}",
-    "pi": r"\pi",
-    "Omega3": r"\Omega_{3}",
-    "Rg": r"R^{g}",
-    "s_scal": r"s",
-    "RicVW": r"\mathrm{Ric}(X,Y)",
-    "divV": r"\mathrm{div}^{g}(X)",
-    "normT2": r"\|T\|^{2}",
-    "normV2": r"\|X\|^{2}",
-    "gVW": r"g(X,Y)",
-    "gXTYT": r"g(X^{T},Y^{T})",
-}
-
-
-def _latex_name(name: str) -> str:
-    if name in _LATEX_NAMES:
-        return _LATEX_NAMES[name]
-    if name.startswith("X") and name[1:].isdigit():
-        return f"X_{{{'n' if name[1:] == '4' else name[1:]}}}"
-    if name.startswith("Y") and name[1:].isdigit():
-        return f"Y_{{{'n' if name[1:] == '4' else name[1:]}}}"
-    if "[" in name:
-        head, idx = name.split("[", 1)
-        return f"{head}_{{{idx.rstrip(']').replace(',', '')}}}"
-    return name
-
-
-def _latex_grat(c: GRat) -> str:
-    def frac(f: Fraction) -> str:
-        if f.denominator == 1:
-            return str(f.numerator)
-        return rf"\frac{{{f.numerator}}}{{{f.denominator}}}"
-
-    if c.im == 0:
-        return frac(c.re)
-    if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return frac(c.im) + "i"
-    sign = "+" if c.im > 0 else "-"
-    mag = abs(c.im)
-    istr = "i" if mag == 1 else frac(mag) + "i"
-    return rf"\left({frac(c.re)}{sign}{istr}\right)"
-
-
-def latex_poly(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for m in sorted(p.terms, key=mono_rank, reverse=True):
-        c = p.terms[m]
-        body = " ".join(
-            _latex_name(REG.name_of(s)) + (f"^{{{e}}}" if e > 1 else "")
-            for s, e in mono_items(m)
-        )
-        cs = _latex_grat(c)
-        if body and cs == "1":
-            parts.append(body)
-        elif body and cs == "-1":
-            parts.append("-" + body)
-        else:
-            parts.append(f"{cs} {body}".strip())
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
-
-
-def latex_scalar(e: ScalarExpr) -> str:
-    if e.is_poly():
-        return latex_poly(e.num)
-    return rf"\frac{{{latex_poly(e.num)}}}{{{latex_poly(e.den)}}}"
-
-
 def emit(expr, output_format: str) -> str:
-    """Render an expression as canonical text, LaTeX (a scalar only), or a JSON tree."""
+    """Render an expression as canonical text or as a JSON tree.  These are
+    the expression formats, not the report formats: every report field holds
+    text, whatever `--format` the report is written in."""
     if output_format == "text":
         return expr.text()
-    if output_format == "latex":
-        if not isinstance(expr, ScalarExpr):
-            raise EngineError("LaTeX rendering takes a scalar expression")
-        return latex_scalar(expr)
     if output_format == "json":
         return json.dumps(expr_to_tree(expr), sort_keys=True, separators=(",", ":"))
     raise EngineError(f"unknown output format {output_format!r}")
@@ -333,7 +250,7 @@ def _switch(expr, cfg: RunConfig):
     """A scalar or Clifford value under the config switches: the switched-off
     torsion families set to zero, then Omega3 = 4 pi if asked for.  Every
     switched field of the report is mapped by this one function."""
-    out = apply_torsion_switches(expr, cfg.torsion_a, cfg.torsion_t, cfg.torsion_v)
+    out = apply_torsion_switches(expr, cfg.torsion_off)
     if cfg.subst_omega3 and OMEGA3 in out.variables():
         out = out.substitute({OMEGA3: _FOUR_PI})
     return out
@@ -386,7 +303,7 @@ def _row_dict(report: PhiReport, cfg: RunConfig) -> Dict:
     value, ref, verdict, delta = _compare_under(report.value, reference_value(ref_id), cfg)
     row = {
         "id": report.row_id,
-        "engine_value": emit(value, "latex" if cfg.output_format == "latex" else "text"),
+        "engine_value": emit(value, "text"),
         "engine_collected": collect_form(value).text(),
         "reference": ref_id,
         "reference_value": emit(ref, "text"),
@@ -402,11 +319,12 @@ def _row_dict(report: PhiReport, cfg: RunConfig) -> Dict:
 
 def _interior_row(row_id: str, value: ScalarExpr, cfg: RunConfig) -> Dict:
     ref_id = REFERENCE_OF_ROW[row_id]
-    value, _, verdict, delta = _compare_under(value, reference_value(ref_id), cfg)
+    value, ref, verdict, delta = _compare_under(value, reference_value(ref_id), cfg)
     return {
         "id": row_id,
         "engine_value": emit(value, "text"),
         "reference": ref_id,
+        "reference_value": emit(ref, "text"),
         "verdict": verdict,
         "delta": emit(delta, "text") if delta is not None else None,
     }
@@ -733,7 +651,9 @@ def run_computation(cfg: RunConfig) -> Dict:
 
 def render_report(doc: Dict, output_format: str, out: TextIO) -> None:
     """Write the report to the open text stream `out` as it is encoded, so
-    no copy of the whole rendering is held in memory."""
+    no copy of the whole rendering is held in memory.  The document is the
+    same for every format: "json" dumps it, and "text" and "latex" both
+    write the text layout below."""
     if output_format == "json":
         json.dump(doc, out, sort_keys=True, indent=1)
         return

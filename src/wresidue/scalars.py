@@ -1464,17 +1464,17 @@ def tangential_norm_sq() -> ScalarExpr:
     return ScalarExpr.from_poly(s)
 
 
-def zero_torsion_bindings(a: bool = True, t: bool = True, v: bool = True) -> Dict[int, ScalarExpr]:
-    """Bindings switching off the selected torsion atom families."""
+def zero_torsion_bindings(off: Sequence[str]) -> Dict[int, ScalarExpr]:
+    """Bindings setting the torsion families in `off` (of "A", "T", "V") to zero."""
     out: Dict[int, ScalarExpr] = {}
-    if a:
+    if "A" in off:
         for sid in REG.ids_of_family("A"):
             out[sid] = S_ZERO
-    if t:
+    if "T" in off:
         for sid in REG.ids_of_family("T"):
             out[sid] = S_ZERO
         out[REG.id_of("normT2")] = S_ZERO
-    if v:
+    if "V" in off:
         for sid in REG.ids_of_family("V"):
             out[sid] = S_ZERO
         out[REG.id_of("normV2")] = S_ZERO

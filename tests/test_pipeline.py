@@ -179,7 +179,7 @@ def test_total_is_exact_sum(t46):
 def test_zero_torsion_degeneration(t46, t54):
     for fixture in (t46, t54):
         for cid, rep in fixture[1].items():
-            switched = apply_torsion_switches(rep.value, False, False, False)
+            switched = apply_torsion_switches(rep.value, ("A", "T", "V"))
             for fam in ("A", "T", "V"):
                 for sid in REG.ids_of_family(fam):
                     assert sid not in switched.variables(), (cid, fam)
@@ -188,7 +188,7 @@ def test_zero_torsion_degeneration(t46, t54):
 def test_torsion_terms_present_before_switch(t54):
     val = t54[1]["b"].value
     assert any(sid in val.variables() for sid in REG.ids_of_family("A"))
-    switched = apply_torsion_switches(val, False, True, True)
+    switched = apply_torsion_switches(val, ("A",))
     assert not any(sid in switched.variables() for sid in REG.ids_of_family("A"))
 
 
@@ -201,12 +201,12 @@ def test_torsion_switches_agree_with_generic_substitution(t54):
     val = t54[1]["b"].value
     in_den = val / (sym("xin") + ScalarExpr.var(a)) + ScalarExpr.var(a) ** 2 / (1 + sym("xin") ** 2)
     cliff = CliffordExpr({(): in_den, (1, 4): val * sym("xin")})
-    for switches in ((False, False, False), (False, True, True), (True, True, False)):
-        bindings = zero_torsion_bindings(*(not on for on in switches))
+    for off in (("A", "T", "V"), ("A",), ("V",)):
+        bindings = zero_torsion_bindings(off)
         for expr in (val, in_den, cliff):
-            assert apply_torsion_switches(expr, *switches) == expr.substitute(bindings)
+            assert apply_torsion_switches(expr, off) == expr.substitute(bindings)
     free = t54[1]["a1"].value + PI * OM
-    assert apply_torsion_switches(free, False, False, False) is free
+    assert apply_torsion_switches(free, ("A", "T", "V")) is free
 
 
 # ---------------------------------------------------------------------------

@@ -55,25 +55,8 @@ def _rendered(doc, output_format):
 # emission
 # ---------------------------------------------------------------------------
 
-def test_emit_latex_boundary_density():
-    e = frac(13, 24) * sym("pi") ** 2 * sym("gXTYT") * sym("h1")
-    out = emit(e, "latex")
-    assert r"\frac{13}{24}" in out
-    assert r"\pi^{2}" in out
-    assert r"g(X^{T},Y^{T})" in out
-    assert r"h'(0)" in out
-
-
 def test_emit_zero():
     assert emit(S_ZERO, "text") == "0"
-    assert emit(S_ZERO, "latex") == "0"
-
-
-def test_emit_latex_rejects_a_clifford_expression():
-    xin = sym("xin")
-    e = CliffordExpr({(1,): 1 / (xin - ScalarExpr.const(I))})
-    with pytest.raises(EngineError, match="LaTeX rendering takes a scalar"):
-        emit(e, "latex")
 
 
 def test_json_round_trip_scalar():
@@ -364,7 +347,7 @@ def test_no_torsion_config_strips_atoms(monkeypatch):
         assert "V[" not in row["engine_value"]
     _check_switched_section(
         doc["sections"][0], ctx,
-        lambda v: apply_torsion_switches(v, False, False, False), _TORSION_ATOMS,
+        lambda v: apply_torsion_switches(v, ("A", "T", "V")), _TORSION_ATOMS,
     )
 
 
@@ -401,10 +384,11 @@ def test_switching_at_the_source_equals_switching_the_full_run(full_torsion_runs
     symbol component, stage field, trail step and slot, the full torsion
     value after `apply_torsion_switches`: an atom that the source switch
     missed would stay in one side."""
-    def switch(value):
-        return apply_torsion_switches(value, *flags)
-
     off = RunConfig(torsion_a=flags[0], torsion_t=flags[1], torsion_v=flags[2]).torsion_off
+
+    def switch(value):
+        return apply_torsion_switches(value, off)
+
     full, slot_values = full_torsion_runs[theorem]
     ctx = make_context(theorem, "printed", off)
     assert ctx.torsion_off == off
@@ -440,7 +424,7 @@ def test_a_switched_run_leaves_the_default_run_unchanged(monkeypatch):
     run_computation(RunConfig(theorem="T4.6", output_format="json", torsion_t=False))
     text = _rendered(run_computation(RunConfig(theorem="T4.6", output_format="json")), "json")
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "e351a6883096fe9ef27f2f644941580fb7e918b18019090d0cf285f9a33e44da")
+        "47a63ea9e81fa203820134820074dd10d57d8932969b7fb6ed41cf716e70ab88")
 
 
 def test_subst_omega3(monkeypatch):
@@ -461,31 +445,31 @@ def test_json_report_bytes_pinned():
     interior theorem as text, and `all` as text and as LaTeX."""
     pinned = [
         ({"theorem": "T4.6"}, "json",
-         "e351a6883096fe9ef27f2f644941580fb7e918b18019090d0cf285f9a33e44da"),
+         "47a63ea9e81fa203820134820074dd10d57d8932969b7fb6ed41cf716e70ab88"),
         ({"theorem": "T5.4"}, "json",
-         "4a1f605aa181103ecee1babf6c31a15e52055ba9e4cba2b3ccab240a362f0673"),
+         "105de8573b4de78ddfeaadaafda62dd6fbfe2e201c2aff48cbb9af31423d0ad9"),
         ({"theorem": "T5.4", "case": "b"}, "json",
-         "0355885bbf29785076843e0f5be5edc7823156873fd12054b75fd0b8c9b760a5"),
+         "15128df77d0b4522621e08d8e1fa580edc99fc5828d990b2fba5a80aee0ec361"),
         ({"theorem": "T5.4", "torsion_a": False, "torsion_t": False, "torsion_v": False}, "json",
-         "62ed1801c65bf0f3a55109bf1a48063949db0e3d1242307e9a27597b58a6a307"),
+         "0012d2d1a4266fe9e31a5fd86624b38db63101d696786e60a0166780d194f519"),
         ({"theorem": "T4.6", "subst_omega3": True}, "json",
-         "3bd5207c04211f6e74607c8d1ec17dc10fe57275378df115597e4b56b0d488f6"),
+         "ad0d2c60aeb94efc80255cf9ef7080296936ffc090913af6604450abbadfabca"),
         ({"theorem": "all"}, "json",
-         "82416c9838a10e93b5a4c9c6ae09649dc8d89113986f47ccf0a41afb10f75bd8"),
+         "6cea93a87a98a6796b6a189d7d448b3bb038acddcf6235356203cf1eab85ed33"),
         ({"theorem": "T2.3"}, "json",
-         "fe252d94edb347f2b46f34e313855ea5d5781788e8b3cce117178c3a3c78b938"),
+         "3431a8a2a4400fa632f3d103d8a32bc3c8ea59b5f4184056182350fd026df53d"),
         ({"theorem": "T4.1"}, "json",
-         "e3752eee18b0bca4b9009464f6516bfa876b94d639c3ec1b60990f6b950995c3"),
+         "75a7dac3dc648dae3c3a233403cc66a23441a0d8905a2e158d2f506e5d8a09d6"),
         ({"theorem": "T5.1"}, "json",
-         "4718d5d65fec208756aad07b2aee884d6f7b0ff300f58822e6a3120a5ed20e47"),
+         "20db6de4629874177b941efbc2b996624320dddb9b23bd59ac1692910bdd8b46"),
         ({"theorem": "T4.6", "sigma3_variant": "xik"}, "latex",
          "e5a8cc7e2eb77fd6b09a37cd6ea124dd471f4cce518c0f6c2977b57cabc5f250"),
         ({"theorem": "T2.3"}, "text",
-         "f98e45930f137ddddef53b8839566901187aa3c6e8c9bb0afdb267fc5fad225a"),
+         "783ae8d4f84374a96fa5e4f808b0642475ff1e2606cdd34c6076e83557ff895a"),
         ({"theorem": "all"}, "text",
-         "7d669400f7952ccffdf44854fcab7d6de31b874a89e5ec56145619e956335a9b"),
+         "1f352a5120f482c12bdadcf1d4d3a9312c31a6a4c9ef0cb7abc85ee123868ebd"),
         ({"theorem": "all"}, "latex",
-         "91971dc822cacc799b8be697c6a16f7c020d3165aaf5e5d36cec0ed64f96dd6f"),
+         "c354ea227b39858aae392fcd5634d5e7ed848da80e70210ab30be1b887783216"),
     ]
     for fields_, fmt, digest in pinned:
         cfg = RunConfig(output_format=fmt, **fields_)
@@ -497,7 +481,7 @@ def test_cli_streams_the_pinned_report_bytes(tmp_path, capsys):
     """`run` streams the report into stdout or `--out` with the bytes that
     `render_report` gives: the T4.6 JSON digest is the pinned one both ways,
     and text and LaTeX equal a render into a string buffer."""
-    t46 = "e351a6883096fe9ef27f2f644941580fb7e918b18019090d0cf285f9a33e44da"
+    t46 = "47a63ea9e81fa203820134820074dd10d57d8932969b7fb6ed41cf716e70ab88"
     argv = ["run", "--theorem", "T4.6", "--format", "json"]
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == t46
@@ -563,13 +547,34 @@ def test_interior_report_rows():
 
 
 def test_interior_text_render_lists_every_row():
+    """Every row is listed, and each row compared with a print shows that
+    print on its `reference[...] =` line."""
     doc = run_computation(RunConfig(theorem="T2.3"))
     text = _rendered(doc, "text")
     for row in doc["sections"][0]["rows"]:
         assert f"  {row['id']}: " in text
+    compared = [row for row in doc["sections"][0]["rows"] if row.get("reference")]
+    assert [row["reference"] for row in compared] == ["eq_2_21", "thm_2_3"]
+    for row in compared:
+        printed = reference_value(row["reference"]).text()
+        assert row["reference_value"] == printed
+        assert f"    reference[{row['reference']}] = {printed}" in text.splitlines()
     out = _run_cli("run", "--theorem", "T2.3")
     assert out.returncode == 0, out.stderr
     assert "T2.3/four-form-top-coefficient: reported separately" in out.stdout
+
+
+@pytest.mark.parametrize("fields", [{"theorem": "T4.6", "sigma3_variant": "xik"},
+                                    {"theorem": "T2.3"}], ids=["T4.6-xik", "T2.3"])
+def test_the_report_document_does_not_depend_on_the_format(fields):
+    """`run_computation` builds one document per config: the format only
+    picks the renderer, and shows only in the echoed config."""
+    docs = []
+    for fmt in ("text", "json", "latex"):
+        doc = run_computation(RunConfig(output_format=fmt, **fields))
+        assert doc["meta"]["config"].pop("output_format") == fmt
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
 
 
 def test_config_validation():
