@@ -40,9 +40,8 @@ from .scalars import (
     S_ONE,
     S_ZERO,
     _as_scalar,
-    mono_mask,
     scalar_sum,
-    zero_torsion_bindings,
+    torsion_mask,
 )
 
 CliffMono = Tuple[int, ...]  # strictly increasing generator indices, () = identity
@@ -268,18 +267,14 @@ def clifford_inverse(a: CliffordExpr) -> CliffordExpr:
     return reflect.scale(quad.inverse())
 
 
-def apply_torsion_switches(value, off: Sequence[str]):
+def apply_torsion_switches(value, off: Tuple[str, ...]):
     """Set the torsion families in `off` (of "A", "T", "V") to zero in a
     ScalarExpr or a CliffordExpr by dropping every monomial that holds one;
-    a value free of them, such as one built from a context with those
-    families off, is returned as it is."""
-    if not off:
+    a value free of them is returned as it is."""
+    mask = torsion_mask(off)
+    coeffs = value.terms.values() if isinstance(value, CliffordExpr) else (value,)
+    if not mask or not any(m & mask for c in coeffs for p in (c.num, c.den) for m in p.terms):
         return value
-    ids = set(zero_torsion_bindings(off))
-    if ids.isdisjoint(value.variables()):
-        return value
-
-    mask = mono_mask(ids)
 
     def keep(p: Poly) -> Poly:
         return Poly({m: k for m, k in p.terms.items() if not m & mask}, _trusted=True)

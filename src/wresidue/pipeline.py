@@ -260,8 +260,6 @@ class TheoremContext(NamedTuple):
     factor1: GradedSymbol
     factor2: GradedSymbol
     sigma3_variant: str
-    # the torsion families built as 0 in the factors (see `builtin_symbol`)
-    torsion_off: Tuple[str, ...]
     # per-case stage chains, evaluated on first use (see `case_stages`)
     stages: Dict[CaseSpec, List[AxisStages]]
     # per-case stage reads of the slots and their prefixes, on first use
@@ -269,19 +267,16 @@ class TheoremContext(NamedTuple):
     reads: Dict[str, Dict[Tuple[str, ...], object]]
 
 
-def make_context(theorem: str, sigma3_variant: str = "printed",
-                 torsion_off: Tuple[str, ...] = ()) -> TheoremContext:
-    """The two factors of a theorem, with the torsion families in
-    `torsion_off` switched off at the source."""
+def make_context(theorem: str, sigma3_variant: str = "printed") -> TheoremContext:
+    """The two factors of a theorem, with every torsion family present."""
     if theorem not in BOUNDARY_THEOREMS:
         raise EngineError(f"{theorem!r} is not a boundary theorem")
     f1_id, f2_id = BOUNDARY_THEOREMS[theorem].factors
     return TheoremContext(
         theorem,
-        builtin_symbol(f1_id, sigma3_variant, torsion_off),
-        builtin_symbol(f2_id, sigma3_variant, torsion_off),
+        builtin_symbol(f1_id, sigma3_variant),
+        builtin_symbol(f2_id, sigma3_variant),
         sigma3_variant,
-        tuple(torsion_off),
         {},
         {},
     )

@@ -7,7 +7,8 @@ carry match/mismatch verdicts for every printed intermediate.  A slot is a
 table row: a printed builder and the stage the engine value reads, a field
 of one case's stage chain with pi+ and xin derivatives applied in order.
 Nine rows finish that value, or build it without a read, by a `then` that
-sees only the read value and the switched-off torsion families.  The rows
+sees only the read value.  Every torsion family is present here; a torsion
+switch acts on the report's fields.  The rows
 read the case stages of `pipeline`, so `report` loads this module on the
 first boundary theorem of a run.
 """
@@ -99,9 +100,9 @@ _OPS = {"pi+": pi_plus, "d_xin": lambda value: value.differentiate("xin")}
 
 def _engine_value(read: Optional[Tuple[str, ...]], then, ctx) -> object:
     """A row's engine value on `ctx`: its stage read, if any, then its
-    `then` on the read value (None without a read) and `ctx.torsion_off`."""
+    `then` on the read value (None without a read)."""
     value = None if read is None else _read_value(ctx, read)
-    return value if then is None else then(value, ctx.torsion_off)
+    return value if then is None else then(value)
 
 
 def _read_value(ctx, read: Tuple[str, ...]) -> object:
@@ -124,13 +125,12 @@ def _read_value(ctx, read: Tuple[str, ...]) -> object:
 
 def _slot(slot_id: str, theorem: str, case_id: str, quote: str, build_ref,
           read: Optional[Tuple[str, ...]] = None,
-          then: Optional[Callable[[object, Tuple[str, ...]], object]] = None) -> None:
+          then: Optional[Callable[[object], object]] = None) -> None:
     """Add a row to SLOTS.  `read` is (case, field, *ops): a case of the
     theorem, a field of its `AxisStages` ("traced" is the case's summed
     trace, `case_trace_integrand`), and "pi+" and "d_xin" applied in order.
-    `then(value, off)` finishes the engine value from the read value and the
-    switched-off torsion families alone.  A malformed row raises here, at
-    import."""
+    `then(value)` finishes the engine value from the read value alone.  A
+    malformed row raises here, at import."""
     if read is None and then is None:
         raise EngineError(f"slot {slot_id} reads no stage and has no then")
     if read is not None:
@@ -239,8 +239,8 @@ def _sigma_m3_ref_printed() -> CliffordExpr:
     m_cliff = CliffordExpr()
     for k in (1, 2, 3):
         m_cliff = m_cliff + (c_gen(k) * c_gen(4)).scale(xin)
-    u = torsion_u(())
-    v = torsion_v(())
+    u = torsion_u()
+    v = torsion_v()
     cxi = c_xi(at_point=True).restrict_sphere()
     bracket = CliffordExpr.scalar(_g(5, 0) / 2 * h1 * xin) - m_cliff.scale(h1 / 2)
     term1 = bracket.scale(ScalarExpr.const(-I) / _den_1x2(2))
@@ -363,18 +363,18 @@ _slot(
 
 
 @cache
-def _p0_full(off: Tuple[str, ...]) -> CliffordExpr:
-    return (sigma0_dirac_lc() + torsion_u(off) + torsion_v(off)).map_coeffs(
+def _p0_full() -> CliffordExpr:
+    return (sigma0_dirac_lc() + torsion_u() + torsion_v()).map_coeffs(
         lambda c: c.subst_shx_one()
     )
 
 
 @cache
-def _first_item_sandwich(off: Tuple[str, ...]) -> CliffordExpr:
+def _first_item_sandwich() -> CliffordExpr:
     """(c(xi)sigma_0(D_T)c(xi) + c(xi)c(dx_n) d_x_n c(xi'))/(1+xi_n^2)^2 at |xi'| = 1."""
     cxi = c_xi(at_point=True).restrict_sphere()
     dc = c_xi_prime(at_point=True).scale(_H1 / 2)
-    inner = cxi * _p0_full(off) * cxi + cxi * c_dxn() * dc
+    inner = cxi * _p0_full() * cxi + cxi * c_dxn() * dc
     return inner.scale(S_ONE / _den_1x2(2))
 
 
@@ -382,7 +382,7 @@ def _first_item_sandwich(off: Tuple[str, ...]) -> CliffordExpr:
 def _ref_5_31() -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
     dc = cxip.scale(_H1 / 2)
-    p0 = _p0_full(())
+    p0 = _p0_full()
     i_s = ScalarExpr.const(I)
     return (
         (cxip * p0 * cxip).scale(i_s)
@@ -395,14 +395,14 @@ def _ref_5_31() -> CliffordExpr:
 def _ref_5_32() -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
     dc = cxip.scale(_H1 / 2)
-    p0 = _p0_full(())
+    p0 = _p0_full()
     mix = cxip + c_dxn().scale(ScalarExpr.const(I))
     return mix * p0 * mix + cxip * c_dxn() * dc - dc.scale(ScalarExpr.const(I))
 
 
-def _sandwich_principal_part(order: int, _, off: Tuple[str, ...]) -> CliffordExpr:
+def _sandwich_principal_part(order: int, _) -> CliffordExpr:
     """-4 times the principal part of order `order` at xin = i of the sandwich."""
-    return principal_part(_first_item_sandwich(off), order).scale(ScalarExpr.const(-4))
+    return principal_part(_first_item_sandwich(), order).scale(ScalarExpr.const(-4))
 
 
 _slot(
@@ -413,7 +413,7 @@ _slot(
         _ref_5_31().scale(-S_ONE / (ScalarExpr.const(4) * _lin_minus()))
         + _ref_5_32().scale(-S_ONE / (ScalarExpr.const(4) * _lin_minus(2)))
     ),
-    then=lambda _, off: pi_plus(_first_item_sandwich(off)),
+    then=lambda _: pi_plus(_first_item_sandwich()),
 )
 
 _slot(
@@ -433,7 +433,7 @@ _slot(
 
 def _ref_5_33() -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
-    uv = torsion_u(()) + torsion_v(())
+    uv = torsion_u() + torsion_v()
     i_s = ScalarExpr.const(I)
     xin = xi_var(4)
     tang = (
@@ -449,14 +449,14 @@ def _ref_5_33() -> CliffordExpr:
     return tang.scale(_qt()) + norm.scale(XN_YN)
 
 
-def _torsion_sandwich_principal_part(_, off: Tuple[str, ...]) -> CliffordExpr:
+def _torsion_sandwich_principal_part(_) -> CliffordExpr:
     cxi = c_xi(at_point=True).restrict_sphere()
-    uv = torsion_u(off) + torsion_v(off)
+    uv = torsion_u() + torsion_v()
     sandwich = (cxi * uv * cxi).scale(q_bilinear().restrict_sphere() / _den_1x2(2))
     return principal_part(sandwich, 2).scale(ScalarExpr.const(4))
 
 
-def _projected_dxn_sandwich(_, off: Tuple[str, ...]) -> CliffordExpr:
+def _projected_dxn_sandwich(_) -> CliffordExpr:
     cxi = c_xi(at_point=True).restrict_sphere()
     return pi_plus((cxi * c_dxn() * cxi).scale(S_ONE / _den_1x2(3)))
 
@@ -511,12 +511,12 @@ def _ref_5_35() -> CliffordExpr:
     )
 
 
-def _torsion_trace_block(f2: CliffordExpr, off: Tuple[str, ...]) -> CliffordExpr:
+def _torsion_trace_block(f2: CliffordExpr) -> CliffordExpr:
     """The trace of pi+ of the torsion two-form block of F1 against F2."""
     i_s = ScalarExpr.const(I)
-    tbar_x = torsion_two_form("X", off).map_coeffs(lambda c: c.subst_shx_one())
-    tbar_y = torsion_two_form("Y", off).map_coeffs(lambda c: c.subst_shx_one())
-    sigma_m1 = builtin_symbol("D_T^-1", "printed", off).component(-1).value
+    tbar_x = torsion_two_form("X").map_coeffs(lambda c: c.subst_shx_one())
+    tbar_y = torsion_two_form("Y").map_coeffs(lambda c: c.subst_shx_one())
+    sigma_m1 = builtin_symbol("D_T^-1", "printed").component(-1).value
     first = (tbar_x.scale(i_s * _tangential_dot("Y")) + tbar_y.scale(i_s * _tangential_dot("X"))) * sigma_m1
     return CliffordExpr.scalar(cl_trace_product(pi_plus(first.restrict_sphere()), f2))
 
@@ -564,7 +564,7 @@ _slot(
     lambda: _sigma_m4_nontorsion_ref()
     + (
         c_xi(at_point=True).restrict_sphere()
-        * (torsion_u(()).scale(ScalarExpr.const(3)) - torsion_v(()))
+        * (torsion_u().scale(ScalarExpr.const(3)) - torsion_v())
         * c_xi(at_point=True).restrict_sphere()
     ).scale(S_ONE / _den_1x2(3)),
     read=("c", "f2_base"),
@@ -586,7 +586,7 @@ _slot(
     read=("a3", "f1_base", "pi+", "d_xin"),
 )
 
-def _frame_derivative_traces(_, off: Tuple[str, ...]) -> CliffordExpr:
+def _frame_derivative_traces(_) -> CliffordExpr:
     cxip = c_xi_prime(at_point=True)
     dc = cxip.scale(_H1 / 2)
     first = cl_trace_product(cxip * cxip * c_dxn(), dc).restrict_sphere()
@@ -634,7 +634,7 @@ _slot(
     "((xi_n-i)^5(xi_n+i)^4) + X_nY_n (...)/((xi_n-i)^2(xi_n+i)^4)",
     _ref_5_48,
     read=("a3", "f1_base", "pi+", "d_xin"),
-    then=lambda value, _: CliffordExpr.scalar(cl_trace_product(value, _sigma_m4_nontorsion_ref())),
+    then=lambda value: CliffordExpr.scalar(cl_trace_product(value, _sigma_m4_nontorsion_ref())),
 )
 
 
@@ -643,10 +643,10 @@ def _ref_5_49() -> CliffordExpr:
     return CliffordExpr.scalar((_qt() + XN_YN) * coeff * _SUM_A)
 
 
-def _trace_against_torsion_block(value: CliffordExpr, off: Tuple[str, ...]) -> CliffordExpr:
+def _trace_against_torsion_block(value: CliffordExpr) -> CliffordExpr:
     cxi = c_xi(at_point=True).restrict_sphere()
     torsion_block = (
-        cxi * (torsion_u(off).scale(ScalarExpr.const(3)) - torsion_v(off)) * cxi
+        cxi * (torsion_u().scale(ScalarExpr.const(3)) - torsion_v()) * cxi
     ).scale(S_ONE / _den_1x2(3))
     return CliffordExpr.scalar(cl_trace_product(value, torsion_block))
 

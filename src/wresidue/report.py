@@ -249,7 +249,8 @@ _FOUR_PI = ScalarExpr.const(4) * sym("pi")
 def _switch(expr, cfg: RunConfig):
     """A scalar or Clifford value under the config switches: the switched-off
     torsion families set to zero, then Omega3 = 4 pi if asked for.  Every
-    switched field of the report is mapped by this one function."""
+    switched field of the report is mapped by this one function, the only
+    place a torsion switch acts: symbols and slots carry every family."""
     out = apply_torsion_switches(expr, cfg.torsion_off)
     if cfg.subst_omega3 and OMEGA3 in out.variables():
         out = out.substitute({OMEGA3: _FOUR_PI})
@@ -338,8 +339,8 @@ def _symbol_diff_rows(theorem: str, cfg: RunConfig) -> List[Dict]:
 
     rows: List[Dict] = []
     for op_id in BOUNDARY_THEOREMS[theorem].diffed:
-        stated = builtin_symbol(op_id, cfg.sigma3_variant, cfg.torsion_off)
-        recomputed = recomputed_symbol(op_id, cfg.torsion_off)
+        stated = builtin_symbol(op_id, cfg.sigma3_variant)
+        recomputed = recomputed_symbol(op_id)
         for order in stated.orders():
             sv, rv = (s.component(order).value.restrict_sphere() for s in (stated, recomputed))
             _, _, verdict, delta = _compare_under(sv, rv, cfg)
@@ -465,8 +466,8 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
 
     Every case is computed, since the totals are reported; under `cfg.case`
     only that case's row and printed-intermediate slots are built.  The
-    symbols are built with the switched-off torsion families at 0, and
-    `_switch` maps every field as well, so the two agree.
+    symbols carry every torsion family; a torsion switch acts only in
+    `_switch`, which maps every field of the report.
 
     The work after `make_context` is a list of independent tasks, each
     returning named parts of the report, that `_run_tasks` shares between
@@ -485,7 +486,7 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     from .symbols import _READS_SIGMA3
 
     row = BOUNDARY_THEOREMS[theorem]
-    ctx = make_context(theorem, cfg.sigma3_variant, cfg.torsion_off)
+    ctx = make_context(theorem, cfg.sigma3_variant)
     cases = enumerate_cases(ctx)
     slots = [slot for slot in slots_for(theorem) if cfg.case in (None, slot.case_id)]
     lowered = [case for case in cases if case.case_id in row.lowered]
@@ -514,7 +515,7 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
         return out
 
     def other_reading_part() -> Dict:
-        other = make_context(theorem, other_reading, cfg.torsion_off)
+        other = make_context(theorem, other_reading)
         return {"other_reading": [compute_case_term(other, case).value for case in lowered]}
 
     def symbol_diffs_part() -> Dict:
@@ -620,7 +621,7 @@ def run_computation(cfg: RunConfig) -> Dict:
 
         for th in boundary:
             for op_id in BOUNDARY_THEOREMS[th].diffed:
-                builtin_symbol(RECOMPUTED_FROM[op_id][0], "printed", cfg.torsion_off)
+                builtin_symbol(RECOMPUTED_FROM[op_id][0], "printed")
     for th in theorems:
         if th in INTERIOR_THEOREMS:
             sections.append(run_interior(cfg, th))
@@ -666,7 +667,10 @@ def render_report(doc: Dict, output_format: str, out: TextIO) -> None:
     for section in doc["sections"]:
         push("")
         push(f"== {section['theorem']} ==")
-        for row in section["rows"]:
+        rows, totals = section["rows"], section.get("totals")
+        if totals:
+            rows = rows + [totals[key] for key in ("boundary", "theorem_statement", "interior")]
+        for row in rows:
             if "verdict" in row:
                 push(f"  {row['id']}: verdict={row['verdict']}")
             else:
@@ -679,17 +683,6 @@ def render_report(doc: Dict, output_format: str, out: TextIO) -> None:
                 push(f"    reference[{row['reference']}] = {row.get('reference_value', '')}")
             if row.get("delta"):
                 push(f"    delta = {row['delta']}")
-        totals = section.get("totals")
-        if totals:
-            for key in ("boundary", "theorem_statement"):
-                row = totals[key]
-                push(f"  {row['id']}: verdict={row['verdict']}")
-                push(f"    engine = {row['engine_collected']}")
-                if row.get("delta"):
-                    push(f"    delta = {row['delta']}")
-            push(
-                f"  {totals['interior']['id']}: verdict={totals['interior']['verdict']}"
-            )
         for diff in section.get("symbol_diffs", []):
             push(f"  {diff['id']}: {diff['verdict']}")
         for row in section.get("sigma3_variant_check", []):

@@ -163,9 +163,10 @@ def default_registry(n: int = 4) -> Registry:
     reg.register("Rg")
     reg.register("s_scal")
     reg.register("RicVW")
-    reg.register("divV")
-    reg.register("normT2")
-    reg.register("normV2")
+    # the torsion contractions belong to their family, so a switch zeroes them
+    reg.register("divV", family="V")
+    reg.register("normT2", family="T")
+    reg.register("normV2", family="V")
     reg.register("gVW")
     reg.register("gXTYT")  # reporting atom for g(X^T, Y^T)
     # transcendentals, never evaluated
@@ -1464,19 +1465,9 @@ def tangential_norm_sq() -> ScalarExpr:
     return ScalarExpr.from_poly(s)
 
 
-def zero_torsion_bindings(off: Sequence[str]) -> Dict[int, ScalarExpr]:
-    """Bindings setting the torsion families in `off` (of "A", "T", "V") to zero."""
-    out: Dict[int, ScalarExpr] = {}
-    if "A" in off:
-        for sid in REG.ids_of_family("A"):
-            out[sid] = S_ZERO
-    if "T" in off:
-        for sid in REG.ids_of_family("T"):
-            out[sid] = S_ZERO
-        out[REG.id_of("normT2")] = S_ZERO
-    if "V" in off:
-        for sid in REG.ids_of_family("V"):
-            out[sid] = S_ZERO
-        out[REG.id_of("normV2")] = S_ZERO
-        out[REG.id_of("divV")] = S_ZERO
-    return out
+@functools.cache
+def torsion_mask(off: Tuple[str, ...]) -> int:
+    """The packed mask of the torsion families in `off` (of "A", "T", "V"):
+    m & torsion_mask(off) is 0 exactly when the monomial m holds none of
+    their indeterminates."""
+    return mono_mask(sid for family in off for sid in REG.ids_of_family(family))

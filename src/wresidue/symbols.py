@@ -93,18 +93,15 @@ def q_bilinear() -> ScalarExpr:
     return xdot_xi("X") * xdot_xi("Y")
 
 
-# The torsion ingredients below depend on `off` alone, so each is built once
-# per process and key; callers share the values and must not mutate them.
+# The torsion ingredients below are built once per process (and prefix);
+# callers share the values and must not mutate them.
 @functools.cache
-def torsion_u(off: Tuple[str, ...]) -> CliffordExpr:
+def torsion_u() -> CliffordExpr:
     """u = (1/4) sum over pairwise distinct (i,s,t) of A(i,s,t) c(e_i)c(e_s)c(e_t).
 
     The Clifford product is totally antisymmetric there, so u sees only the
     axial part of A, and the six orderings of each p < q < r add up to
-    u = (3/2) sum_{p<q<r} A[p,q,r] c(e_p)c(e_q)c(e_r).  0 when the family
-    "A" is in `off`, the torsion families switched off."""
-    if "A" in off:
-        return CL_ZERO
+    u = (3/2) sum_{p<q<r} A[p,q,r] c(e_p)c(e_q)c(e_r)."""
     three_half = ScalarExpr.const(GRat(3) / GRat(2))
     total = CL_ZERO
     for p, q, r in combinations(range(1, 5), 3):
@@ -113,14 +110,12 @@ def torsion_u(off: Tuple[str, ...]) -> CliffordExpr:
 
 
 @functools.cache
-def torsion_v(off: Tuple[str, ...]) -> CliffordExpr:
+def torsion_v() -> CliffordExpr:
     """v = (1/4)[-sum A_iit c(e_t) + sum A_isi c(e_s) - sum A_iss c(e_i) + 2 sum A_iii c(e_i)].
 
     A is antisymmetric in its last two slots, so the last two sums vanish,
     the first two agree, and v = -(1/2) sum_t A[t] c(e_t) sees only the
-    vector trace A[t] = sum_i A_iit.  0 when the family "A" is in `off`."""
-    if "A" in off:
-        return CL_ZERO
+    vector trace A[t] = sum_i A_iit."""
     return c_vector([ScalarExpr.var(f"A[{t}]") for t in range(1, 5)]).scale(
         ScalarExpr.const(GRat(-1) / GRat(2)))
 
@@ -140,20 +135,16 @@ def spin_connection_term(prefix: str) -> CliffordExpr:
 
 
 @functools.cache
-def torsion_two_form(prefix: str, off: Tuple[str, ...]) -> CliffordExpr:
-    """T-bar(X) = (3/2) sum_{i<j} T(X,e_i,e_j)c(e_i)c(e_j) - (1/2)c(V)c(X) - (1/2)<V,X>,
-    without the T part or the V parts when "T" or "V" is in `off`."""
+def torsion_two_form(prefix: str) -> CliffordExpr:
+    """T-bar(X) = (3/2) sum_{i<j} T(X,e_i,e_j)c(e_i)c(e_j) - (1/2)c(V)c(X) - (1/2)<V,X>."""
     three_half = ScalarExpr.const(GRat(3) / GRat(2))
     half = ScalarExpr.const(GRat(1) / GRat(2))
     total = CL_ZERO
-    if "T" not in off:
-        for i, j in combinations(range(1, 5), 2):
-            coeff = S_ZERO
-            for a in range(1, 5):
-                coeff = coeff + sym(f"{prefix}{a}") * atom_T(a, i, j)
-            total = total + (c_gen(i) * c_gen(j)).scale(coeff * three_half)
-    if "V" in off:
-        return total
+    for i, j in combinations(range(1, 5), 2):
+        coeff = S_ZERO
+        for a in range(1, 5):
+            coeff = coeff + sym(f"{prefix}{a}") * atom_T(a, i, j)
+        total = total + (c_gen(i) * c_gen(j)).scale(coeff * three_half)
     cv = c_vector([atom_V(k) for k in range(1, 5)])
     cx = c_vector([sym(f"{prefix}{k}") for k in range(1, 5)])
     total = total - (cv * cx).scale(half)
@@ -365,9 +356,9 @@ def check_homogeneity(component: SymbolComponent, order: int) -> bool:
 SIGMA3_VARIANTS = ("printed", "xik")
 
 
-def _sym_dirac(star: bool, off: Tuple[str, ...]) -> GradedSymbol:
-    u = torsion_u(off)
-    v = torsion_v(off)
+def _sym_dirac(star: bool) -> GradedSymbol:
+    u = torsion_u()
+    v = torsion_v()
     p0 = sigma0_dirac_lc() + u + (v if not star else -v)
     return GradedSymbol(
         "D_T*" if star else "D_T",
@@ -380,12 +371,12 @@ def _sym_dirac(star: bool, off: Tuple[str, ...]) -> GradedSymbol:
     )
 
 
-def _sym_nabla2(off: Tuple[str, ...]) -> GradedSymbol:
+def _sym_nabla2() -> GradedSymbol:
     q = q_bilinear()
     sigma2 = CliffordExpr.scalar(-q)
     dyn_term = CliffordExpr.scalar(S_I * sym("X4") * sym("dYn") * xi_var(4))
-    ax = spin_connection_term("X") + torsion_two_form("X", off)
-    ay = spin_connection_term("Y") + torsion_two_form("Y", off)
+    ax = spin_connection_term("X") + torsion_two_form("X")
+    ay = spin_connection_term("Y") + torsion_two_form("Y")
     sigma1 = dyn_term + ay.scale(S_I * xdot_xi("X")) + ax.scale(S_I * xdot_xi("Y"))
     return GradedSymbol(
         "nablaXY",
@@ -398,7 +389,7 @@ def _sym_nabla2(off: Tuple[str, ...]) -> GradedSymbol:
     )
 
 
-def _sigma_m3_laplacian_ground(variant: str, off: Tuple[str, ...]) -> CliffordExpr:
+def _sigma_m3_laplacian_ground(variant: str) -> CliffordExpr:
     """Evaluated order -3 data of the inverse torsion Laplacian at x0."""
     if variant not in SIGMA3_VARIANTS:
         raise EngineError(f"unknown sigma_-3 variant {variant!r}")
@@ -413,8 +404,8 @@ def _sigma_m3_laplacian_ground(variant: str, off: Tuple[str, ...]) -> CliffordEx
             m_cliff = m_cliff + (c_gen(k) * c_gen(4)).scale(xin)
     else:
         m_cliff = c_xi_prime(at_point=True) * c_gen(4)
-    u = torsion_u(off)
-    v = torsion_v(off)
+    u = torsion_u()
+    v = torsion_v()
     cxi = c_xi(at_point=True)
     bracket = CliffordExpr.scalar(h1 * xin * ScalarExpr.const(GRat(5) / GRat(2))) \
         - m_cliff.scale(h1 * ScalarExpr.const(GRat(1) / GRat(2)))
@@ -426,23 +417,23 @@ def _sigma_m3_laplacian_ground(variant: str, off: Tuple[str, ...]) -> CliffordEx
     return term1 + term2 + term3
 
 
-def _sym_laplacian_inv(variant: str, off: Tuple[str, ...]) -> GradedSymbol:
+def _sym_laplacian_inv(variant: str) -> GradedSymbol:
     norm2 = norm_xi_sq()
     return GradedSymbol(
         "(D_T*D_T)^-1",
         {
             -2: SymbolComponent(CliffordExpr.scalar(norm2 ** -1), at_point=False),
-            -3: SymbolComponent(_sigma_m3_laplacian_ground(variant, off), at_point=True),
+            -3: SymbolComponent(_sigma_m3_laplacian_ground(variant), at_point=True),
         },
         top=-2,
         known_down_to=-3,
     )
 
 
-def _sym_dirac_inv(star: bool, off: Tuple[str, ...]) -> GradedSymbol:
+def _sym_dirac_inv(star: bool) -> GradedSymbol:
     """Stated inverse symbols of the torsion Dirac operator at x0."""
-    u = torsion_u(off)
-    v = torsion_v(off)
+    u = torsion_u()
+    v = torsion_v()
     p0 = _at_point_value(sigma0_dirac_lc()) + u + (v if not star else -v)
     norm2 = norm_xi_sq().subst_shx_one()
     cxi = c_xi(at_point=True)
@@ -466,7 +457,7 @@ def _sym_dirac_inv(star: bool, off: Tuple[str, ...]) -> GradedSymbol:
     )
 
 
-def sigma2_cube_evaluated(off: Tuple[str, ...] = ()) -> CliffordExpr:
+def sigma2_cube_evaluated() -> CliffordExpr:
     """Order-2 symbol of the Dirac-cube combination, evaluated at x0.
 
     Connection data at x0: sigma^k = (1/4)h'(0)c(e_k)c(e_4) for k < 4 (zero
@@ -481,20 +472,20 @@ def sigma2_cube_evaluated(off: Tuple[str, ...] = ()) -> CliffordExpr:
     inner = (cxip * c_gen(4)).scale(h1) - CliffordExpr.scalar(
         ScalarExpr.const(3) * h1 * xin
     )
-    u = torsion_u(off)
-    v = torsion_v(off)
+    u = torsion_u()
+    v = torsion_v()
     lc_part = c_dxn().scale(h1 * ScalarExpr.const(GRat(-3) / GRat(4)) * norm2)
     return cxi * inner + lc_part + (u.scale(ScalarExpr.const(3)) - v).scale(norm2)
 
 
-def _sigma_m4_cube_ground(off: Tuple[str, ...]) -> CliffordExpr:
+def _sigma_m4_cube_ground() -> CliffordExpr:
     """Evaluated order -4 data of the inverse Dirac-cube combination at x0."""
     h1 = sym("h1")
     xin = xi_var(4)
     norm2 = norm_xi_sq().subst_shx_one()
     cxi = c_xi(at_point=True)
     dc = c_xi_prime(at_point=True).scale(S_HALF_H1.subst_shx_one())
-    sandwich = (cxi * sigma2_cube_evaluated(off) * cxi).scale(norm2 ** -4)
+    sandwich = (cxi * sigma2_cube_evaluated() * cxi).scale(norm2 ** -4)
     paren = (
         (c_gen(4) * dc).scale(norm2 ** 2)
         - (c_gen(4) * cxi).scale(ScalarExpr.const(2) * h1)
@@ -504,13 +495,13 @@ def _sigma_m4_cube_ground(off: Tuple[str, ...]) -> CliffordExpr:
     return sandwich + (cxi.scale(S_I) * paren).scale(norm2 ** -4)
 
 
-def _sym_cube_inv(off: Tuple[str, ...]) -> GradedSymbol:
+def _sym_cube_inv() -> GradedSymbol:
     norm2 = norm_xi_sq()
     return GradedSymbol(
         "(D_T*D_TD_T*)^-1",
         {
             -3: SymbolComponent(c_xi().scale(S_I * norm2 ** -2), at_point=False),
-            -4: SymbolComponent(_sigma_m4_cube_ground(off), at_point=True,
+            -4: SymbolComponent(_sigma_m4_cube_ground(), at_point=True,
                                 homogeneous=False),
         },
         top=-3,
@@ -519,57 +510,53 @@ def _sym_cube_inv(off: Tuple[str, ...]) -> GradedSymbol:
 
 
 # hand-rolled, not functools: perfbench/tracer.py reads it, tests replace it
-_BUILTIN_CACHE: Dict[Tuple[str, ...], GradedSymbol] = {}
+_BUILTIN_CACHE: Dict[Tuple[str, str], GradedSymbol] = {}
 
 # the operators whose symbol reads the sigma3 variant; the others are cached
 # once, under the variant "printed", whichever variant is asked for
 _READS_SIGMA3 = frozenset({"(D_T*D_T)^-1", "nablaXY(D_T*D_T)^-1"})
 
 
-def builtin_symbol(operator_id: str, sigma3_variant: str = "printed",
-                   off: Tuple[str, ...] = ()) -> GradedSymbol:
+def builtin_symbol(operator_id: str, sigma3_variant: str = "printed") -> GradedSymbol:
     """Stated graded symbols, with composites built by the composition formula.
 
-    `off` names the torsion families ("A", "T", "V", in that order) whose
-    atoms are built as 0; setting atoms to 0 is a ring homomorphism, so
-    every stage downstream equals the switched full result.  Results are
-    cached by (operator_id, sigma3_variant) plus `off`, and a composite
-    takes its factors from this cache, so a process builds each symbol
-    once; graded symbols are pure values and safe to share.
+    Every torsion family is present; a torsion switch acts on the report's
+    fields, not here.  Results are cached by (operator_id, sigma3_variant),
+    and a composite takes its factors from this cache, so a process builds
+    each symbol once; graded symbols are pure values and safe to share.
     """
     if operator_id not in _READS_SIGMA3:
         sigma3_variant = "printed"
-    off = tuple(off)
-    key = (operator_id, sigma3_variant) + off
+    key = (operator_id, sigma3_variant)
     hit = _BUILTIN_CACHE.get(key)
     if hit is None:
-        hit = _build_symbol(operator_id, sigma3_variant, off)
+        hit = _build_symbol(operator_id, sigma3_variant)
         _BUILTIN_CACHE[key] = hit
     return hit
 
 
-def _build_symbol(operator_id: str, sigma3_variant: str, off: Tuple[str, ...]) -> GradedSymbol:
+def _build_symbol(operator_id: str, sigma3_variant: str) -> GradedSymbol:
     def factor(factor_id: str) -> GradedSymbol:
-        return builtin_symbol(factor_id, sigma3_variant, off)
+        return builtin_symbol(factor_id, sigma3_variant)
 
     if operator_id == "D_T":
-        return _sym_dirac(False, off)
+        return _sym_dirac(False)
     if operator_id == "D_T*":
-        return _sym_dirac(True, off)
+        return _sym_dirac(True)
     if operator_id == "nablaXY":
-        return _sym_nabla2(off)
+        return _sym_nabla2()
     if operator_id == "D_T*D_T":
         return compose(factor("D_T*"), factor("D_T"), 1, label="D_T*D_T")
     if operator_id == "(D_T*D_T)^-1":
-        return _sym_laplacian_inv(sigma3_variant, off)
+        return _sym_laplacian_inv(sigma3_variant)
     if operator_id == "D_T^-1":
-        return _sym_dirac_inv(False, off)
+        return _sym_dirac_inv(False)
     if operator_id == "(D_T*)^-1":
-        return _sym_dirac_inv(True, off)
+        return _sym_dirac_inv(True)
     if operator_id == "D_T*D_TD_T*":
         return compose(factor("D_T*D_T"), factor("D_T*"), 2, label="D_T*D_TD_T*")
     if operator_id == "(D_T*D_TD_T*)^-1":
-        return _sym_cube_inv(off)
+        return _sym_cube_inv()
     if operator_id == "nablaXY(D_T*D_T)^-1":
         return compose(factor("nablaXY"), factor("(D_T*D_T)^-1"), -1,
                        label="nablaXY(D_T*D_T)^-1")
@@ -587,11 +574,10 @@ RECOMPUTED_FROM: Dict[str, Tuple[str, int]] = {
 }
 
 
-def recomputed_symbol(operator_id: str, off: Tuple[str, ...] = ()) -> GradedSymbol:
-    """Independent recomputation via invert() for the inverse-symbol library,
-    from the builtin symbols with the torsion families in `off` built as 0."""
+def recomputed_symbol(operator_id: str) -> GradedSymbol:
+    """Independent recomputation via invert() for the inverse-symbol library."""
     if operator_id not in RECOMPUTED_FROM:
         raise EngineError(f"no recomputation route for {operator_id!r}")
     source, min_order = RECOMPUTED_FROM[operator_id]
-    return invert(builtin_symbol(source, "printed", off), min_order,
+    return invert(builtin_symbol(source, "printed"), min_order,
                   label=f"{operator_id} [recomputed]")

@@ -85,7 +85,7 @@ def test_matrix_oracle_unbound_rejected():
 def test_odd_monomial_against_cotangent_vector():
     from wresidue.symbols import c_xi_prime, torsion_u
 
-    u = torsion_u(())
+    u = torsion_u()
     assert cl_trace(u * c_xi_prime(at_point=True)).is_zero()
 
 

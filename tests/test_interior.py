@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from wresidue.gaussian import GRat
-from wresidue.scalars import ScalarExpr, S_ZERO, atom_T, atom_V, sym, zero_torsion_bindings
-from wresidue.clifford import CliffordExpr, cl_trace
+from wresidue.scalars import ScalarExpr, S_ZERO, atom_T, atom_V, sym
+from wresidue.clifford import CliffordExpr, apply_torsion_switches, cl_trace
 from wresidue.interior import (
     clifford_part_top_coefficient,
     connection_derivative,
@@ -67,7 +67,7 @@ def test_trace_e_value():
 
 
 def test_trace_e_zero_torsion_degeneration():
-    te = trace_e().substitute(zero_torsion_bindings(("A", "T", "V")))
+    te = apply_torsion_switches(trace_e(), ("A", "T", "V"))
     assert te == -sym("Rg")
 
 
@@ -118,7 +118,7 @@ def test_einstein_functional_prefactor_exact_in_pi():
 
 
 def test_torsion_free_specialization():
-    rhs = einstein_functional_rhs(2).substitute(zero_torsion_bindings(("A", "T", "V")))
+    rhs = apply_torsion_switches(einstein_functional_rhs(2), ("A", "T", "V"))
     pi2 = sym("pi") ** 2
     want = frac(4, 3) * pi2 * (
         sym("RicVW") - frac(1, 2) * sym("s_scal") * sym("gVW")

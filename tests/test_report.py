@@ -18,7 +18,6 @@ from wresidue.scalars import EngineError, REG, ScalarExpr, S_ZERO, sym
 from wresidue.clifford import CliffordExpr
 from wresidue.pipeline import (
     apply_torsion_switches,
-    case_stages,
     collect_form,
     collected_to_scalar,
     compute_case_term,
@@ -37,7 +36,6 @@ from wresidue.report import (
 )
 from wresidue.printed import REFERENCE_OF_ROW, REFERENCES, RefEntry, reference_value
 from wresidue.references import slots_for
-from wresidue.symbols import builtin_symbol, recomputed_symbol
 
 
 def frac(a, b=1):
@@ -266,7 +264,6 @@ def test_slot_verdicts_attached(t46_doc):
     assert verdicts["eq_4_29"] == "match"
 
 
-_TORSION_ATOMS = re.compile(r"\b(?:A|T|V|dT2|dT4|dV)\[|\b(?:normT2|normV2|divV)\b")
 _OMEGA3_ATOM = re.compile(r"\bOmega3\b")
 
 
@@ -338,86 +335,33 @@ def _check_switched_section(section, ctx, switch, atoms):
         assert step["verdict"] == want, slot.slot_id
 
 
-def test_no_torsion_config_strips_atoms(monkeypatch):
-    cfg = RunConfig(theorem="T5.4", torsion_a=False, torsion_t=False, torsion_v=False)
-    doc, ctx = _run_keeping_context(monkeypatch, cfg)
-    for row in doc["sections"][0]["rows"]:
-        assert "A[" not in row["engine_value"]
-        assert "T[" not in row["engine_value"]
-        assert "V[" not in row["engine_value"]
-    _check_switched_section(
-        doc["sections"][0], ctx,
-        lambda v: apply_torsion_switches(v, ("A", "T", "V")), _TORSION_ATOMS,
-    )
-
-
 # (torsion_a, torsion_t, torsion_v): each family off alone, then all three
 _SWITCHES = [(False, True, True), (True, False, True), (True, True, False), (False, False, False)]
-_DIFFED_SYMBOLS = {"T4.6": ("(D_T*D_T)^-1",), "T5.4": ("D_T^-1", "(D_T*D_TD_T*)^-1")}
-
-
-@pytest.fixture(scope="module")
-def full_torsion_runs():
-    """The full torsion context of T4.6 and T5.4, every case evaluated, and
-    the engine value of each of its printed-intermediate slots."""
-    out = {}
-    for theorem in ("T4.6", "T5.4"):
-        ctx = make_context(theorem)
-        for case in enumerate_cases(ctx):
-            case_stages(ctx, case)
-        out[theorem] = ctx, {slot.slot_id: slot.build_engine(ctx) for slot in slots_for(theorem)}
-    return out
-
-
-def _assert_same_components(mine, theirs, switch):
-    assert mine.orders() == theirs.orders(), theirs.label
-    for order in theirs.orders():
-        want = switch(theirs.component(order).value)
-        assert mine.component(order).value == want, (theirs.label, order)
+# the text of each family's indeterminates, as the registry names them
+_FAMILY_ATOMS = {"A": r"\bA\[", "T": r"\b(?:T|dT2|dT4)\[|\bnormT2\b",
+                 "V": r"\b(?:V|dV)\[|\b(?:normV2|divV)\b"}
 
 
 @pytest.mark.parametrize("flags", _SWITCHES, ids=["no-A", "no-T", "no-V", "no-torsion"])
 @pytest.mark.parametrize("theorem", ["T4.6", "T5.4"])
-def test_switching_at_the_source_equals_switching_the_full_run(full_torsion_runs, theorem,
-                                                               flags):
-    """Building the symbols with torsion families at 0 gives, in every
-    symbol component, stage field, trail step and slot, the full torsion
-    value after `apply_torsion_switches`: an atom that the source switch
-    missed would stay in one side."""
-    off = RunConfig(torsion_a=flags[0], torsion_t=flags[1], torsion_v=flags[2]).torsion_off
-
-    def switch(value):
-        return apply_torsion_switches(value, off)
-
-    full, slot_values = full_torsion_runs[theorem]
-    ctx = make_context(theorem, "printed", off)
-    assert ctx.torsion_off == off
-    _assert_same_components(ctx.factor1, full.factor1, switch)
-    _assert_same_components(ctx.factor2, full.factor2, switch)
-    for op_id in _DIFFED_SYMBOLS[theorem]:
-        _assert_same_components(builtin_symbol(op_id, "printed", off), builtin_symbol(op_id),
-                                switch)
-        _assert_same_components(recomputed_symbol(op_id, off), recomputed_symbol(op_id), switch)
-    for case in enumerate_cases(ctx):
-        for mine, theirs in zip(case_stages(ctx, case), case_stages(full, case), strict=True):
-            for name in ("f2_base", "f2", "f1_base", "f1", "traced", "moment"):
-                want = getattr(theirs, name)
-                want = None if want is None else switch(want)
-                assert getattr(mine, name) == want, (case.case_id, name)
-            assert len(mine.steps) == len(theirs.steps), case.case_id
-            for step, full_step in zip(mine.steps, theirs.steps):
-                assert (step.step_id, step.op, step.note) == (
-                    full_step.step_id, full_step.op, full_step.note)
-                want = None if full_step.expr is None else switch(full_step.expr)
-                assert step.expr == want, (case.case_id, step.step_id)
-    for slot in slots_for(theorem):
-        assert slot.build_engine(ctx) == switch(slot_values[slot.slot_id]), slot.slot_id
+def test_no_torsion_config_strips_atoms(monkeypatch, theorem, flags):
+    """A torsion switch strips its families' atoms from every field of the
+    report, and every row, total and slot describes the full torsion value
+    with those families set to 0."""
+    cfg = RunConfig(theorem=theorem, torsion_a=flags[0], torsion_t=flags[1],
+                    torsion_v=flags[2])
+    off = cfg.torsion_off
+    doc, ctx = _run_keeping_context(monkeypatch, cfg)
+    atoms = re.compile("|".join(_FAMILY_ATOMS[family] for family in off))
+    _check_switched_section(
+        doc["sections"][0], ctx, lambda v: apply_torsion_switches(v, off), atoms,
+    )
 
 
 def test_a_switched_run_leaves_the_default_run_unchanged(monkeypatch):
-    """Switched symbols are cached under their own key: after a run with
-    one family off builds every symbol first, the default run in the same
-    process still gives its pinned bytes."""
+    """A switch maps the report's fields, not the shared symbols: after a
+    run with one family off builds every symbol first, the default run in
+    the same process still gives its pinned bytes."""
     from wresidue import symbols
 
     monkeypatch.setattr(symbols, "_BUILTIN_CACHE", {})
@@ -440,8 +384,9 @@ def test_subst_omega3(monkeypatch):
 
 def test_json_report_bytes_pinned():
     """The JSON reports of every theorem are pinned byte for byte, and so are
-    the case filter and the two switches, which read monomials through the
-    filter of `apply_torsion_switches`, the xik variant as LaTeX, an
+    the case filter, the torsion switches (all three families, and T, A or V
+    alone), which read monomials through the filter of
+    `apply_torsion_switches`, Omega3 = 4 pi, the xik variant as LaTeX, an
     interior theorem as text, and `all` as text and as LaTeX."""
     pinned = [
         ({"theorem": "T4.6"}, "json",
@@ -452,6 +397,12 @@ def test_json_report_bytes_pinned():
          "15128df77d0b4522621e08d8e1fa580edc99fc5828d990b2fba5a80aee0ec361"),
         ({"theorem": "T5.4", "torsion_a": False, "torsion_t": False, "torsion_v": False}, "json",
          "0012d2d1a4266fe9e31a5fd86624b38db63101d696786e60a0166780d194f519"),
+        ({"theorem": "T4.6", "torsion_t": False}, "json",
+         "f0b543aa8441c1cdb92953f1b3222903563a3e65589598aad78915b44ea724c5"),
+        ({"theorem": "T5.4", "torsion_a": False}, "json",
+         "34c863d90a20131ae1bc853d53a5ef47f3908fbd18c0284d10c9c6b1724af0d6"),
+        ({"theorem": "T5.4", "torsion_v": False}, "json",
+         "9abc63f95320ca29b700fdb2f28efcf4e2d02bd6a1ad79403eb74f2558b9fd8d"),
         ({"theorem": "T4.6", "subst_omega3": True}, "json",
          "ad0d2c60aeb94efc80255cf9ef7080296936ffc090913af6604450abbadfabca"),
         ({"theorem": "all"}, "json",
@@ -463,13 +414,13 @@ def test_json_report_bytes_pinned():
         ({"theorem": "T5.1"}, "json",
          "20db6de4629874177b941efbc2b996624320dddb9b23bd59ac1692910bdd8b46"),
         ({"theorem": "T4.6", "sigma3_variant": "xik"}, "latex",
-         "e5a8cc7e2eb77fd6b09a37cd6ea124dd471f4cce518c0f6c2977b57cabc5f250"),
+         "80575b0f7aa555616c33fd7a17eb46bcc62ad93359ba0ee70b0cf8f89d23787c"),
         ({"theorem": "T2.3"}, "text",
          "783ae8d4f84374a96fa5e4f808b0642475ff1e2606cdd34c6076e83557ff895a"),
         ({"theorem": "all"}, "text",
-         "1f352a5120f482c12bdadcf1d4d3a9312c31a6a4c9ef0cb7abc85ee123868ebd"),
+         "ad27ebb1a2384591310944bb6ea4b5669157361c7b1082ae9753e11d1cdd5a6c"),
         ({"theorem": "all"}, "latex",
-         "c354ea227b39858aae392fcd5634d5e7ed848da80e70210ab30be1b887783216"),
+         "b055b774ab88d6b1120cc9bb44acec64be87b79683a55a2929246d9cfa7d3baf"),
     ]
     for fields_, fmt, digest in pinned:
         cfg = RunConfig(output_format=fmt, **fields_)
@@ -562,6 +513,21 @@ def test_interior_text_render_lists_every_row():
     out = _run_cli("run", "--theorem", "T2.3")
     assert out.returncode == 0, out.stderr
     assert "T2.3/four-form-top-coefficient: reported separately" in out.stdout
+
+
+def test_boundary_text_render_shows_each_total_like_a_row():
+    """The theorem totals are rendered as the case rows are: verdict, engine
+    line, and the printed value on the `reference[...] =` line."""
+    doc = run_computation(RunConfig(theorem="T4.6"))
+    lines = _rendered(doc, "text").splitlines()
+    totals = doc["sections"][0]["totals"]
+    for key, ref in (("boundary", "eq_4_56"), ("theorem_statement", "thm_4_6"),
+                     ("interior", "thm_4_1")):
+        row = totals[key]
+        at = lines.index(f"  {row['id']}: verdict={row['verdict']}")
+        engine = row.get("engine_collected", row["engine_value"])
+        assert lines[at + 1:at + 3] == [f"    engine = {engine}",
+                                        f"    reference[{ref}] = {row['reference_value']}"]
 
 
 @pytest.mark.parametrize("fields", [{"theorem": "T4.6", "sigma3_variant": "xik"},

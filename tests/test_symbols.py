@@ -43,7 +43,7 @@ def test_sigma1_dirac():
 def test_sigma0_difference_is_twice_odd_part():
     """Direct term-by-term subtraction is the oracle for the stated symbols."""
     diff = builtin_symbol("D_T").component(0).value - builtin_symbol("D_T*").component(0).value
-    assert diff == torsion_v(()).scale(ScalarExpr.const(2))
+    assert diff == torsion_v().scale(ScalarExpr.const(2))
 
 
 def test_sigma2_covariant_bilinear():
@@ -243,30 +243,21 @@ def test_run_all_builds_each_symbol_once(monkeypatch, tmp_path):
     builds = Counter(ast.literal_eval(line) for line in log.read_text().splitlines())
     assert {key: n for key, n in builds.items() if n > 1} == {}
     # both readings of the inverse Laplacian, and the composites of both theorems
-    assert {("_sym_laplacian_inv", "printed", ()), ("_sym_laplacian_inv", "xik", ()),
-            ("_build_symbol", "nablaXY(D_T*D_T)^-1", "xik", ()),
-            ("_build_symbol", "D_T*D_TD_T*", "printed", ()),
-            ("_build_symbol", "nablaXY D_T^-1", "printed", ())} <= set(builds)
-
-
-
-_OFFS = ((), ("A", "T", "V"))
+    assert {("_sym_laplacian_inv", "printed"), ("_sym_laplacian_inv", "xik"),
+            ("_build_symbol", "nablaXY(D_T*D_T)^-1", "xik"),
+            ("_build_symbol", "D_T*D_TD_T*", "printed"),
+            ("_build_symbol", "nablaXY D_T^-1", "printed")} <= set(builds)
 
 
 def _constant_builders():
     """Each cached builder of a constant Clifford ingredient, with the
-    arguments it takes before `off` (None for a printed reference, which
-    has no `off`)."""
+    argument lists it is called with."""
     from wresidue import references, symbols
 
     return [(symbols.torsion_u, [()]), (symbols.torsion_v, [()]),
             (symbols.torsion_two_form, [("X",), ("Y",)]),
             (references._p0_full, [()]), (references._first_item_sandwich, [()]),
-            (references._ref_5_31, None), (references._ref_5_32, None)]
-
-
-def _argument_lists(heads):
-    return [()] if heads is None else [head + (off,) for head in heads for off in _OFFS]
+            (references._ref_5_31, [()]), (references._ref_5_32, [()])]
 
 
 def _run_all(tmp_path, *flags):
@@ -280,21 +271,24 @@ def _run_all(tmp_path, *flags):
 def test_run_all_builds_each_constant_ingredient_once_per_off(monkeypatch, tmp_path):
     """The torsion endomorphisms u and v, the torsion two-forms, p_0 and the
     first-item sandwich of T5.4 case b, and the printed A_1 and A_2 are
-    built once per process and per switched-off set, whichever caller asks:
-    after `all` and `all --no-torsion`, each cache holds one entry per
-    argument list and was missed once per entry, and those entries are the
-    argument lists the switched-off sets give."""
-    from wresidue import report
+    built once per process, whichever caller asks and whichever torsion
+    families are switched off: after `all` and `all --no-torsion`, each
+    cache holds one entry per argument list and was missed once per entry,
+    and the switched run adds no key to the symbol cache."""
+    from wresidue import report, symbols
 
     monkeypatch.setattr(report, "_fork_helps", lambda: False)  # every build in this process
+    monkeypatch.setattr(symbols, "_BUILTIN_CACHE", {})
     for builder, _ in _constant_builders():
         builder.cache_clear()
     _run_all(tmp_path)
+    keys = set(symbols._BUILTIN_CACHE)
     _run_all(tmp_path, "--no-torsion")
-    for builder, heads in _constant_builders():
+    assert set(symbols._BUILTIN_CACHE) == keys
+    for builder, arg_lists in _constant_builders():
         info = builder.cache_info()
-        assert info.misses == info.currsize == len(_argument_lists(heads)), builder.__name__
-        for args in _argument_lists(heads):
+        assert info.misses == info.currsize == len(arg_lists), builder.__name__
+        for args in arg_lists:
             builder(*args)
         assert builder.cache_info().misses == info.misses, builder.__name__
 
@@ -306,7 +300,7 @@ def test_runs_leave_the_memoized_ingredients_unchanged(monkeypatch, tmp_path):
 
     monkeypatch.setattr(report, "_fork_helps", lambda: False)  # every use in this process
     before = {(builder, args): builder(*args)
-              for builder, heads in _constant_builders() for args in _argument_lists(heads)}
+              for builder, arg_lists in _constant_builders() for args in arg_lists}
     _run_all(tmp_path)
     _run_all(tmp_path, "--no-torsion")
     for (builder, args), value in before.items():
@@ -378,7 +372,7 @@ def test_u_and_v_of_the_projected_torsion_equal_the_raw_formulas():
     u, v = _raw_u_v()
     projected = {_raw_a(i, s, t): _sympy_of(atom_A(i, s, t))
                  for i in range(1, 5) for s, t in combinations(range(1, 5), 2)}
-    want_u, want_v = _sympy_coeffs(torsion_u(())), _sympy_coeffs(torsion_v(()))
+    want_u, want_v = _sympy_coeffs(torsion_u()), _sympy_coeffs(torsion_v())
     assert _same({m: c.xreplace(projected) for m, c in u.items()}, want_u)
     assert _same({m: c.xreplace(projected) for m, c in v.items()}, want_v)
 

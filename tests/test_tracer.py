@@ -69,3 +69,21 @@ def test_tracer_installs_traces_and_restores(tracer_cls, capsys):
     assert after.keys() == before.keys()
     changed = [key for key, fn in before.items() if after[key] is not fn]
     assert changed == []
+
+
+def test_traced_build_count_is_the_symbol_cache_size(tracer_cls, monkeypatch, capsys):
+    """The benchmark counts a `builtin_symbol` build as a call whose key is
+    not cached yet: from an empty cache, a switched T5.4 run counts exactly
+    the symbols it leaves in the cache."""
+    from wresidue import references, report, symbols  # noqa: F401  (bound before install)
+
+    monkeypatch.setattr(report, "_fork_helps", lambda: False)  # every build in this process
+    monkeypatch.setattr(symbols, "_BUILTIN_CACHE", {})
+    tracer = tracer_cls(0)
+    try:
+        tracer.install()
+        assert cli.main(["run", "--theorem", "T5.4", "--no-torsion", "--format", "json"]) == 0
+    finally:
+        trace = tracer.finish()
+    capsys.readouterr()
+    assert trace["counts"]["symbols.builtin_symbol.builds"] == len(symbols._BUILTIN_CACHE) > 0
