@@ -177,7 +177,6 @@ def default_registry(n: int = 4) -> Registry:
 
 
 REG = default_registry()
-N_DIM = 4
 
 XI = tuple(REG.id_of(f"xi{j}") for j in range(1, 4)) + (REG.id_of("xin"),)
 XIN = REG.id_of("xin")
@@ -696,25 +695,6 @@ _LINEAR_ROOTS = {0: 1, 1: 3}
 # every bit but the degree and the xin field: two monomials agree on these
 # exactly when they have the same rest (the degree follows from the fields)
 _REST_FIELDS = ~(0xFF | 0xFF << _SHIFT[XIN])
-# the same for the variables of the quadratic bases, which both vanish at
-# xi' = (1, 2, 2), xin = 3i and shx = 1
-_QUADRIC_REST_FIELDS = ~(0xFF | mono_mask(XI + (SHX,)))
-
-
-class _QuadricWeights(dict):
-    """The value at that point of the quadrics of a monomial's degree,
-    cotangent and shx fields (`m & ~_QUADRIC_REST_FIELDS`), less the power
-    of i that xin = 3i contributes, computed on first use."""
-
-    def __missing__(self, fields: Monomial) -> int:
-        weight = self[fields] = (
-            2 ** (((fields >> _SHIFT[XI[1]]) & 0xFF) + ((fields >> _SHIFT[XI[2]]) & 0xFF))
-            * 3 ** ((fields >> _SHIFT[XIN]) & 0xFF))
-        return weight
-
-
-# a dict subclass, not functools: an inline lookup in the per-term loop
-_QUADRIC_WEIGHTS = _QuadricWeights()
 
 
 def _vanishes_at_root(p: Poly, quarter: int) -> bool:
@@ -727,47 +707,24 @@ def _vanishes_at_root(p: Poly, quarter: int) -> bool:
     neither does p, and this exit is exact.  Only otherwise is every rest
     summed (`_root_sums_vanish`)."""
     terms = p.terms.items()
-    if terms and not _first_rest_vanishes(p, quarter, _REST_FIELDS, None):
-        return False
-    return _root_sums_vanish(terms, quarter, _REST_FIELDS, None)
+    if terms:
+        first = next(iter(p.terms)) & _REST_FIELDS
+        if not _root_sums_vanish(((m, c) for m, c in terms if m & _REST_FIELDS == first),
+                                 quarter):
+            return False
+    return _root_sums_vanish(terms, quarter)
 
 
-def _vanishes_on_quadric(p: Poly) -> bool:
-    """True when the terms of p that share the first term's rest (the
-    variables other than xi1, xi2, xi3, xin and shx) sum to zero at
-    xi' = (1, 2, 2), xin = 3i, shx = 1.  Both quadratic bases vanish
-    there, so each rest group of a multiple of either does too, and a p
-    whose first group does not is ruled out without a division.  The
-    converse does not hold, so a p that passes is still divided; testing
-    the first group alone keeps the test cheap for the multiples, which
-    pass it."""
-    return _first_rest_vanishes(p, 1, _QUADRIC_REST_FIELDS, _QUADRIC_WEIGHTS)
-
-
-def _first_rest_vanishes(p: Poly, quarter: int, keep: int,
-                         weights: Optional[Dict[Monomial, int]]) -> bool:
-    """`_root_sums_vanish` over the terms of the nonzero p that share its
-    first term's rest, in one pass that builds nothing for the others."""
-    first = next(iter(p.terms)) & keep
-    return _root_sums_vanish(((m, c) for m, c in p.terms.items() if m & keep == first),
-                             quarter, keep, weights)
-
-
-def _root_sums_vanish(terms, quarter: int, keep: int,
-                      weights: Optional[Dict[Monomial, int]]) -> bool:
+def _root_sums_vanish(terms, quarter: int) -> bool:
     """True when, at xin = i^quarter, the (monomial, coefficient) pairs sum
-    to zero per rest monomial (`m & keep`), each term times
-    `weights[m & ~keep]` if given.  Each coefficient triple (a, b, d) is
-    only scaled and turned by quarter turns, and the terms are summed per
+    to zero per rest monomial (`m & _REST_FIELDS`).  Each coefficient triple
+    (a, b, d) is only turned by quarter turns, and the terms are summed per
     rest over a common denominator, with no GRat built."""
-    sh, fields = _SHIFT[XIN], ~keep
+    sh = _SHIFT[XIN]
     acc: Dict[Monomial, List[int]] = {}
     get = acc.get
     for m, c in terms:
         a, b, d = c.a, c.b, c.d
-        if weights is not None:
-            w = weights[m & fields]
-            a, b = a * w, b * w
         turns = (quarter * (m >> sh)) & 3  # the fields above xin's add multiples of 256
         if turns == 1:
             a, b = -b, a
@@ -775,7 +732,7 @@ def _root_sums_vanish(terms, quarter: int, keep: int,
             a, b = -a, -b
         elif turns == 3:
             a, b = b, -a
-        rest = m & keep
+        rest = m & _REST_FIELDS
         cur = get(rest)
         if cur is None:
             acc[rest] = [a, b, d]
@@ -793,19 +750,18 @@ def _strip(work: Poly, base_idx: int, cap: Optional[int] = None) -> Tuple[int, P
     the exact division fails or, given a cap, cap times.  A multiple of the
     base holds all of the base's variables, so work without one of them is
     returned at once.  A linear base is divided only once work vanishes at
-    its root, so no division by it fails, and a quadratic base only once
-    work's first rest group vanishes at a point of it
-    (`_vanishes_on_quadric`), so most divisions that would fail are not
-    tried.  This is the one strip loop:
-    factoring, the gcd's multiplicities and the cancellation of sums,
-    products and derivatives call it, and it stores nothing."""
+    its root, so no division by it fails; a division by a quadratic base
+    is tried as it comes, and one that fails stops early in
+    `poly_divexact`.  This is the one strip loop: factoring, the gcd's
+    multiplicities and the cancellation of sums, products and derivatives
+    call it, and it stores nothing."""
     base, base_vars = _BASES[base_idx]
     if not base_vars <= work.variables():
         return 0, work
     root = _LINEAR_ROOTS.get(base_idx)
     mult = 0
     while mult != cap:
-        if not (_vanishes_on_quadric(work) if root is None else _vanishes_at_root(work, root)):
+        if root is not None and not _vanishes_at_root(work, root):
             break
         try:
             work = poly_divexact(work, base)
@@ -924,16 +880,42 @@ def _sum_factored(groups) -> "ScalarExpr":
     return ScalarExpr(total, _base_product(tuple(final)), _canonical=True)
 
 
+def _henrici_sum(x: "ScalarExpr", c: Poly, d: Poly) -> "ScalarExpr":
+    """a/b + c/d for the canonical x = a/b and c/d, by Henrici's
+    cross-cancellation: with g = gcd(b, d), b = g*b1, d = g*d1 and
+    t = a*d1 + c*b1, no factor of b1 or d1 divides t, so gcd(t, b*d1) =
+    gcd(t, g), and the sum is (t/h) / ((b/h)*d1) with h = gcd(t, g),
+    already canonical.  Coprime denominators need no second gcd at all."""
+    a, b = x.num, x.den
+    if b == d:
+        g, d1 = b, P_ONE
+        t = a + c
+    else:
+        g = poly_gcd(b, d)
+        if g.is_const():
+            t = a * d + c * b
+            return ScalarExpr(t, b * d, _canonical=True) if t.terms else S_ZERO
+        b1, d1 = poly_divexact(b, g), poly_divexact(d, g)
+        t = a * d1 + c * b1
+    if t.is_zero():
+        return S_ZERO
+    h = poly_gcd(t, g)
+    if not h.is_const():
+        t, b = poly_divexact(t, h), poly_divexact(b, h)
+    return ScalarExpr(t, b * d1, _canonical=True)
+
+
 def scalar_sum(terms: Iterable["ScalarExpr"],
                minus: Iterable["ScalarExpr"] = ()) -> "ScalarExpr":
     """The canonical sum of the canonical ScalarExprs `terms` less those of
     `minus`, with one cancellation; the subtracted terms are not negated
     one by one first.
 
-    Terms are grouped by denominator.  When every denominator factors over
-    the known bases, the groups are summed over their lcm by
-    `_sum_factored`; otherwise the terms are folded with `+` and `-`.  A
-    sum of polynomials is one dict accumulation.
+    This is the one place where a canonical sum is formed: `+` and `-` of
+    two ScalarExprs call it.  Terms are grouped by denominator.  When every
+    denominator factors over the known bases, the groups are summed over
+    their lcm by `_sum_factored`; otherwise the terms are folded one by one
+    by `_henrici_sum`.  A sum of polynomials is one dict accumulation.
     """
     by_den: Dict[Poly, List[Tuple[ScalarExpr, int]]] = {}
     for t in terms:
@@ -957,7 +939,7 @@ def scalar_sum(terms: Iterable["ScalarExpr"],
             total = S_ZERO
             for ts in by_den.values():
                 for t, sign in ts:
-                    total = total + t if sign > 0 else total - t
+                    total = _henrici_sum(total, t.num if sign > 0 else -t.num, t.den)
             return total
         if len(signed) == 1:
             (t, sign), = signed
@@ -1036,47 +1018,7 @@ class ScalarExpr:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        """a/b + c/d by Henrici's cross-cancellation.
-
-        When b and d factor over the known bases, the sum is formed over
-        their lcm and only the bases whose power is the same in b and d
-        are tested against the numerator (`_sum_factored`, shared with
-        `scalar_sum`); a base of higher power in one denominator cannot
-        divide it.  Otherwise, with g = gcd(b, d), b = g*b1, d = g*d1 and
-        t = a*d1 + c*b1, no factor of b1 or d1 divides t, so gcd(t, b*d1) =
-        gcd(t, g): the sum is (t/h) / ((b/h)*d1) with h = gcd(t, g), already
-        canonical.  Coprime denominators need no second gcd at all.
-        """
-        other = _as_scalar(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        a, b, c, d = self.num, self.den, other.num, other.den
-        same = b == d
-        if same and b.is_const():
-            t = a + c
-            return ScalarExpr(t, b, _canonical=True) if t.terms else S_ZERO
-        eb = _exponents(b)
-        ed = eb if same else _exponents(d)
-        if eb is not None and ed is not None:
-            return _sum_factored(((a, eb, 1, 1), (c, ed, 1, 1)))
-        if same:
-            g, d1 = b, P_ONE
-            t = a + c
-        else:
-            g = poly_gcd(b, d)
-            if g.is_const():
-                t = a * d + c * b
-                return ScalarExpr(t, b * d, _canonical=True) if t.terms else S_ZERO
-            b1, d1 = poly_divexact(b, g), poly_divexact(d, g)
-            t = a * d1 + c * b1
-        if t.is_zero():
-            return S_ZERO
-        h = poly_gcd(t, g)
-        if not h.is_const():
-            t, b = poly_divexact(t, h), poly_divexact(b, h)
-        return ScalarExpr(t, b * d1, _canonical=True)
+        return scalar_sum((self, _as_scalar(other)))
 
     __radd__ = __add__
 
@@ -1084,26 +1026,10 @@ class ScalarExpr:
         return ScalarExpr(-self.num, self.den, _canonical=True)
 
     def __sub__(self, other):
-        """a/b - c/d by the fused forms of `__add__` when b and d are one
-        constant or both factor over the known bases, so c is not negated
-        on its own; otherwise a/b + (-c/d)."""
-        other = _as_scalar(other)
-        if other.is_zero():
-            return self
-        a, b, c, d = self.num, self.den, other.num, other.den
-        same = b == d
-        if same and b.is_const():
-            t = a - c
-            return ScalarExpr(t, b, _canonical=True) if t.terms else S_ZERO
-        if a.terms:
-            eb = _exponents(b)
-            ed = eb if same else _exponents(d)
-            if eb is not None and ed is not None:
-                return _sum_factored(((a, eb, 1, 1), (c, ed, 1, -1)))
-        return self + (-other)
+        return scalar_sum((self,), (_as_scalar(other),))
 
     def __rsub__(self, other):
-        return _as_scalar(other) - self
+        return scalar_sum((_as_scalar(other),), (self,))
 
     def __mul__(self, other):
         """a/b * c/d as (a/g1)*(c/g2) / ((b/g2)*(d/g1)) with g1 = gcd(a, d)

@@ -27,11 +27,12 @@ import operator
 from itertools import combinations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .gaussian import GRat, I
+from .gaussian import GRat
 from .scalars import (
     EngineError,
     SHX,
     ScalarExpr,
+    S_I,
     S_ONE,
     S_ZERO,
     XI,
@@ -45,7 +46,6 @@ from .scalars import (
 )
 from .clifford import CliffordExpr, CL_ZERO, clifford_inverse
 
-S_I = ScalarExpr.const(I)
 S_HALF_H1 = sym("h1") * ScalarExpr.const(GRat(1) / GRat(2))
 
 

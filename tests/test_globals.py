@@ -48,8 +48,7 @@ def test_an_unimported_name_is_caught():
 
 # The module-level empty dicts the package may bind: the caches that are not
 # `functools` caches. Each one's reason is a comment beside it in the source.
-_HAND_ROLLED = {"_BUILTIN_CACHE", "_FACTOR_CACHE", "_COT_TEXT", "_REST_TEXT", "_COEF_TEXT",
-                "_QUADRIC_WEIGHTS"}
+_HAND_ROLLED = {"_BUILTIN_CACHE", "_FACTOR_CACHE", "_COT_TEXT", "_REST_TEXT", "_COEF_TEXT"}
 
 
 def empty_dict_globals(source: str):
@@ -78,11 +77,14 @@ def empty_dict_globals(source: str):
 
 def test_every_module_level_empty_dict_is_a_named_hand_rolled_cache():
     """A memo is a `functools` cache on its builder; a new module-level
-    table must be added to `_HAND_ROLLED`, with its reason beside it."""
-    stray = {path.name: names for path in _SOURCES
-             if (names := sorted(set(empty_dict_globals(path.read_text(encoding="utf-8")))
-                                 - _HAND_ROLLED))}
+    table must be added to `_HAND_ROLLED`, with its reason beside it, and a
+    deleted one must leave it."""
+    found = {path.name: set(empty_dict_globals(path.read_text(encoding="utf-8")))
+             for path in _SOURCES}
+    stray = {name: sorted(names - _HAND_ROLLED) for name, names in found.items()
+             if names - _HAND_ROLLED}
     assert stray == {}
+    assert _HAND_ROLLED - set().union(*found.values()) == set()
 
 
 def test_each_form_of_an_empty_module_level_dict_is_caught():

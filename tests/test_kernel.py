@@ -255,9 +255,9 @@ def _plain_strip(work, idx, cap=None):
 @settings(max_examples=250, deadline=None)
 def test_strip_with_the_root_check_equals_the_plain_division_loop(p, made_of, k, q, idx, cap):
     """p * base^k * q for any of the four bases, stripped by any of them,
-    capped or not: the check before each division (p(xin = +/-i) = 0 for a
-    linear base, p = 0 at a point of a quadratic one) gives the
-    multiplicity and quotient that dividing until a division fails gives."""
+    capped or not: the check before each division by a linear base
+    (p(xin = +/-i) = 0) gives the multiplicity and quotient that dividing
+    until a division fails gives."""
     work = p * scalars._BASES[made_of][0] ** k * q
     if work.is_zero():
         return
@@ -477,15 +477,32 @@ def test_signed_scalar_sum_equals_the_fold(xs, ys):
     assert scalars.scalar_sum(ys, ys).is_zero()
 
 
+# a fixed factor off the bases: two denominators that hold it take the
+# general route of a sum, gcd(b, d) then gcd(t, gcd(b, d)); it stays small,
+# because the generic gcd can stall on random input
+_OFF_BASES = Poly.var(REG.id_of("xi1")) + Poly.var(REG.id_of("h1"))
+
+
 @st.composite
 def pairs_sharing_powers(draw):
     """a/b and c/d whose denominators share some bases at the same power,
-    some of them with a sum q/k that cancels bases of both."""
-    a = draw(fractions_())
-    extra = Poly.const(1)
-    for f in draw(st.lists(st.sampled_from(_factors), max_size=2)):
-        extra = extra * f
-    kind = draw(st.sampled_from(("shared", "cancel", "any")))
+    some of them with a sum q/k that cancels bases of both.  In the generic
+    kind b and d share `_OFF_BASES` and at most one linear base each, and
+    half of those pairs have a sum that cancels it."""
+    kind = draw(st.sampled_from(("shared", "cancel", "any", "generic")))
+    if kind == "generic":
+        # small inputs: at most one linear base beside the shared factor
+        lin = st.sampled_from(_factors[:2] + [Poly.const(1)])
+        a = ScalarExpr(draw(polys(max_terms=2)), _OFF_BASES * draw(lin))
+        extra = draw(lin)
+        if draw(st.booleans()):
+            return a, ScalarExpr(draw(polys(max_terms=2)), _OFF_BASES * extra)
+        kind = "cancel"
+    else:
+        a = draw(fractions_())
+        extra = Poly.const(1)
+        for f in draw(st.lists(st.sampled_from(_factors), max_size=2)):
+            extra = extra * f
     if kind == "shared":
         return a, ScalarExpr(draw(polys()), a.den * extra)
     if kind == "cancel":
@@ -514,10 +531,9 @@ def test_two_term_sub_equals_the_normalizing_constructor(pair):
 
 def _count_base_tests(monkeypatch):
     """The size of every dividend that a base is tested against: by an
-    exact division, or by the check before it (a root of a linear base, a
-    point of a quadratic one)."""
+    exact division, or by the check before it (a root of a linear base)."""
     calls = []
-    for name in ("poly_divexact", "_vanishes_at_root", "_vanishes_on_quadric"):
+    for name in ("poly_divexact", "_vanishes_at_root"):
         def counted(a, *rest, real=getattr(scalars, name)):
             calls.append(len(a.terms))
             return real(a, *rest)

@@ -715,15 +715,18 @@ def test_cli_list_builds_no_symbol():
 
 
 def test_report_choices_equal_the_theorem_rows():
-    """`report` keeps its own copies of the theorem and case names, so that an
-    interior run never loads `pipeline`; they must equal the rows."""
+    """`report` keeps its own copies of the theorem and case names and of the
+    sigma3 readings, so that an interior run never loads `pipeline` or
+    `symbols`; they must equal the rows and the readings."""
     from wresidue.pipeline import BOUNDARY_THEOREMS
-    from wresidue.report import CASE_CHOICES, INTERIOR_THEOREMS, THEOREM_CHOICES
+    from wresidue.report import CASE_CHOICES, INTERIOR_THEOREMS, SIGMA3_CHOICES, THEOREM_CHOICES
+    from wresidue.symbols import SIGMA3_VARIANTS
 
     for theorem, row in BOUNDARY_THEOREMS.items():
         assert row.case_ids() == CASE_CHOICES, theorem
     assert sorted(th for th in THEOREM_CHOICES if th != "all") == sorted(
         INTERIOR_THEOREMS + tuple(BOUNDARY_THEOREMS))
+    assert SIGMA3_CHOICES == SIGMA3_VARIANTS
 
 
 def test_cli_run_single_case(tmp_path):

@@ -212,6 +212,25 @@ def test_sigma3_variants_available():
         builtin_symbol("(D_T*D_T)^-1", "bogus")
 
 
+# every operator id of `symbols._build_symbol`
+_OPERATOR_IDS = ("D_T", "D_T*", "nablaXY", "D_T*D_T", "(D_T*D_T)^-1", "D_T^-1", "(D_T*)^-1",
+                 "D_T*D_TD_T*", "(D_T*D_TD_T*)^-1", "nablaXY(D_T*D_T)^-1", "nablaXY D_T^-1")
+
+
+def test_the_operators_that_read_sigma3_are_the_listed_ones(monkeypatch):
+    """`builtin_symbol` serves the "printed" symbol to any operator outside
+    `_READS_SIGMA3`, whichever reading is asked for, so the set must name
+    exactly the operators whose components differ between the readings."""
+    from wresidue import symbols
+
+    monkeypatch.setattr(symbols, "_BUILTIN_CACHE", {})
+    printed, xik = symbols.SIGMA3_VARIANTS
+    differ = {op for op in _OPERATOR_IDS
+              if symbols._build_symbol(op, printed).components
+              != symbols._build_symbol(op, xik).components}
+    assert differ == symbols._READS_SIGMA3
+
+
 def test_run_all_builds_each_symbol_once(monkeypatch, tmp_path):
     """Composites take their factors from the symbol cache, and an operator
     that does not read the sigma3 variant is cached once: in one

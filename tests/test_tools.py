@@ -36,3 +36,9 @@ def test_kernel_times_runs_one_theorem(lanes):
         assert any(line.startswith("parent   busy") for line in lines), out.stdout
     else:
         assert any(line.startswith("Poly.__mul__") for line in lines), out.stdout
+        # one row of divisions tried and failed per known denominator base
+        head = lines.index(next(line for line in lines if line.startswith("division by base")))
+        rows = [re.match(r"^(.+?)\s+(\d+)\s+(\d+)$", line) for line in lines[head + 1:head + 5]]
+        assert all(rows), out.stdout
+        assert all(int(r.group(3)) <= int(r.group(2)) for r in rows)
+        assert sum(int(r.group(2)) for r in rows) > 0

@@ -18,7 +18,12 @@ the whole `main` call.  A second table follows with the per-process caches
 of the first repeat's run: every function of a `wresidue` module that has
 `cache_info` (the `functools` caches), with its hits, misses, size and
 bound ("-" when unbounded), as the run left them.  They are read from the
-outside after the run; the engine has no switch for it.
+outside after the run; the engine has no switch for it.  A third table
+gives, for each known denominator base of `scalars._BASES`, the exact
+divisions by it that the first repeat's run tried and the ones that
+failed: `scalars.poly_divexact` is wrapped, and a division counts for a
+base when its divisor is that base object.  A tree without `_BASES` has no
+such table.
 
 The kernels, by the name each tree binds them under:
 
@@ -115,6 +120,7 @@ def _child(theorem: str) -> dict:
             if name.startswith("wresidue") and other is not None \
                     and getattr(other, attr, None) is fn:
                 setattr(other, attr, wrapped)
+    divisions = _count_divisions(sys.modules["wresidue.scalars"])
     # every task in this process, so that the timers see the kernels of the
     # tasks a tree with a forked worker runs beside it
     report = sys.modules["wresidue.report"]
@@ -127,7 +133,34 @@ def _child(theorem: str) -> dict:
     if code != 0:
         raise SystemExit(f"run --theorem {theorem} exited {code}")
     return {"kernels": {k: v[:2] for k, v in stats.items()}, "main_s": main_s,
-            "caches": _cache_infos()}
+            "caches": _cache_infos(), "divisions": divisions}
+
+
+def _count_divisions(scalars) -> list:
+    """Rebind `scalars.poly_divexact` to count, per base of `_BASES`, the
+    divisions by it tried and failed; the returned rows [text, tried,
+    failed] fill in as the run goes.  None for a tree without `_BASES`."""
+    bases = getattr(scalars, "_BASES", None)
+    if bases is None:
+        return None
+    bases = [base for base, _ in bases]
+    rows = [[scalars.poly_text(base), 0, 0] for base in bases]
+    by_base = {id(base): row for base, row in zip(bases, rows)}
+    real = scalars.poly_divexact
+
+    def divexact(a, b):
+        row = by_base.get(id(b))
+        if row is None:
+            return real(a, b)
+        row[1] += 1
+        try:
+            return real(a, b)
+        except Exception:
+            row[2] += 1
+            raise
+
+    scalars.poly_divexact = divexact
+    return rows
 
 
 def _cache_infos() -> dict:
@@ -252,6 +285,12 @@ def main(argv=None) -> int:
     print(f"{'cache':<44}{'hits':>8}{'misses':>8}{'size':>6}{'bound':>7}")
     for name, (hits, misses, bound, size) in runs[0]["caches"].items():
         print(f"{name:<44}{hits:>8}{misses:>8}{size:>6}{'-' if bound is None else bound:>7}")
+    if runs[0].get("divisions") is not None:
+        width = max(len(text) for text, *_ in runs[0]["divisions"]) + 2
+        print()
+        print(f"{'division by base':<{width}}{'tried':>7}{'failed':>7}")
+        for text, tried, failed in runs[0]["divisions"]:
+            print(f"{text:<{width}}{tried:>7}{failed:>7}")
     return 0
 
 
