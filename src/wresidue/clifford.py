@@ -157,8 +157,7 @@ class CliffordExpr:
         return CliffordExpr({m: cf * c for m, cf in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, GRat, ScalarExpr)):
-            return self.scale(other)
+        """The Clifford product; `scale` is the scalar product."""
         if not isinstance(other, CliffordExpr):
             return NotImplemented
         signed = []
@@ -167,11 +166,6 @@ class CliffordExpr:
                 sign, mono = _mono_product(m1, m2)
                 signed.append((mono, sign, c1 * c2))
         return _collect(signed)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, GRat, ScalarExpr)):
-            return self.scale(other)
-        return NotImplemented
 
     def __eq__(self, other):
         return isinstance(other, CliffordExpr) and self.terms == other.terms

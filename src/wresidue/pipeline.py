@@ -7,22 +7,23 @@ Each boundary case evaluates
 
 with prefactor (-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!), summed over the case
 list determined by r + l - k - j - |alpha| = -(n-1) derived from the
-factors' top orders.  The x-side and tangential xi derivatives act on
-unrestricted symbols; each factor is then restricted to |xi'| = 1 and its
-xin derivatives act on the restricted value.  Restriction sets shx = 1 and
-reduces xi3^2, a ring homomorphism that fixes xin, so it commutes with
-d/dxin.  The half-plane projection follows, the xin integral closes upward
-through the residue at +i, and tangential moments are exact with the
-sphere volume kept symbolic.
+factors' top orders.  The x-side derivatives act on unrestricted symbols;
+the tangential ones vanish at x0, so an |alpha| = 1 case stops at F2.  Each
+factor is then restricted to |xi'| = 1 and its xin derivatives act on the
+restricted value.  Restriction sets shx = 1 and reduces xi3^2, a ring
+homomorphism that fixes xin, so it commutes with d/dxin.  The half-plane
+projection follows, the xin integral closes upward through the residue at
++i, and tangential moments are exact with the sphere volume kept symbolic.
 
 Each case is evaluated by one path, `case_stages`: per tangential axis it
 derives and restricts F2 and F1, projects and traces the pair, integrates
 over xin and takes the sphere moment, and keeps every stage on the
-`TheoremContext`, the restricted factors before their xin derivatives
-included.  `compute_case_term`, `case_trace_integrand`, the
-printed-intermediate slots and the sigma3 variant check all read those
-records, so a context evaluates each case once.  Cases are independent pure
-computations; reports merge in case order.
+`TheoremContext` as one `AxisStages` record, the restricted factors before
+their xin derivatives included.  `compute_case_term` (whose trail is a view
+of the records), `case_trace_integrand`, the printed-intermediate slots and
+the sigma3 variant check all read those records, so a context evaluates
+each case once.  Cases are independent pure computations; reports merge in
+case order.
 """
 
 from __future__ import annotations
@@ -121,15 +122,12 @@ def enumerate_cases(ctx: TheoremContext) -> List[CaseSpec]:
 
 class TrailStep(NamedTuple):
     """One trail step.  The report shows `note` then the text of `expr` under
-    the config switches; a printed-intermediate step compares `expr` with
-    its printed reference `ref`."""
+    the config switches."""
 
     step_id: str
     op: str
     expr: object = None  # ScalarExpr | CliffordExpr | None
     note: str = ""
-    ref_id: Optional[str] = None
-    ref: object = None
 
 
 # The reporting monomials of a boundary density, each with its label in
@@ -239,19 +237,22 @@ class AxisStages(NamedTuple):
     """The stage chain of one tangential axis of a case (one pass if |alpha| = 0).
 
     `f2_base` and `f1_base` are the second and first factors after their
-    x-side and tangential xi derivatives, restricted to |xi'| = 1; `f2` and
-    `f1` are those restricted values after their xin derivatives.  `traced`
-    is Tr[pi+ F1 x F2] and `moment` its xin integral's sphere moment; `steps`
-    are the trail steps of the chain in order.  When F2 vanishes the chain
-    stops there: the F1 fields and `traced` are None and `moment` is zero.
+    x-side derivatives, restricted to |xi'| = 1; `f2` and `f1` are those
+    restricted values after their xin derivatives.  `projected` is pi+ of
+    the coefficients of `f1` that pair with `f2`, `traced` is
+    Tr[pi+ F1 x F2], `line` its xin integral and `moment` the sphere moment
+    of that.  When F2 vanishes the chain stops there: the F1 fields,
+    `projected`, `traced` and `line` are None and `moment` is zero.  The
+    trail of the chain is the view `_axis_trail` reads off these fields.
     """
 
-    steps: List[TrailStep]
     f2_base: CliffordExpr
     f2: CliffordExpr
     f1_base: Optional[CliffordExpr] = None
     f1: Optional[CliffordExpr] = None
+    projected: Optional[CliffordExpr] = None
     traced: Optional[ScalarExpr] = None
+    line: Optional[ScalarExpr] = None
     moment: ScalarExpr = S_ZERO
 
 
@@ -282,93 +283,79 @@ def make_context(theorem: str, sigma3_variant: str = "printed") -> TheoremContex
     )
 
 
-def _restrict_then_d_xin(value: CliffordExpr, times: int, label: str,
-                         trail: List[TrailStep]) -> Tuple[CliffordExpr, CliffordExpr]:
-    """(base, derived): value restricted to |xi'| = 1, and that base after
-    `times` xin derivatives, which is recorded on the trail."""
-    base = derived = value.restrict_sphere()
-    for _ in range(times):
-        derived = d_xi(derived, 4)
-        label = f"d_xin {label}"
-    trail.append(TrailStep(label, "derivatives+restrict", derived))
-    return base, derived
+def _axis_stages(ctx: TheoremContext, case: CaseSpec, axis: Optional[int]) -> AxisStages:
+    """The stage chain of one axis of a case (eqs 4.26-4.55 and 5.13-5.50).
 
+    sigma_l(F2) takes d_x'^alpha and d_xn^k, is restricted to |xi'| = 1 and
+    takes d_xin^(j+1); sigma_r(F1) takes d_xn^j, is restricted and takes
+    d_xin^k.  Only equal canonical monomials pair into the identity under
+    the trace, and pi+ acts coefficient-wise and commutes with it, so only
+    the coefficients of F1 that pair with F2 are projected.  The traced
+    product is integrated over xin and over the sphere.
 
-def _first_factor_restricted(ctx: TheoremContext, case: CaseSpec,
-                             tangential_axis: Optional[int],
-                             trail: List[TrailStep]) -> Tuple[CliffordExpr, CliffordExpr]:
-    """sigma_r(F1) after d_xn^j and d_xi'^alpha, then `_restrict_then_d_xin` with k."""
-    comp = ctx.factor1.component(case.r)
-    label = f"sigma_{case.r}(F1)"
-    for _ in range(case.j):
-        comp = d_xn(comp)
-        label = f"d_xn {label}"
-    value = comp.value
-    if case.alpha:
-        value = d_xi(value, tangential_axis)
-        label = f"d_xi{tangential_axis} {label}"
-    return _restrict_then_d_xin(value, case.k, label, trail)
-
-
-def _second_factor(ctx: TheoremContext, case: CaseSpec, tangential_axis: Optional[int],
-                   trail: List[TrailStep]) -> Tuple[CliffordExpr, CliffordExpr]:
-    """sigma_l(F2) after d_x'^alpha and d_xn^k, then `_restrict_then_d_xin` with j+1."""
+    `symbols.d_x_tangential` is identically 0 at x0 (geodesic boundary
+    coordinates), so a chain with |alpha| = 1 stops at F2 and F1 takes no
+    xi' derivative: no tier-1 test and no benchmark command reaches an
+    |alpha| = 1 chain past F2, and a d_x' that did not vanish would raise
+    here rather than drop that derivative.
+    """
     comp = ctx.factor2.component(case.ell)
-    label = f"sigma_{case.ell}(F2)"
     if case.alpha:
-        comp = d_x_tangential(comp)
-        label = f"d_x'{tangential_axis} {label}"
-        trail.append(TrailStep(label, "d_x_tangential", comp.value))
-        if comp.value.is_zero():
-            return comp.value, comp.value
+        zero = d_x_tangential(comp).value
+        if not zero.is_zero():
+            raise EngineError(f"d_x'{axis} sigma_{case.ell}(F2) does not vanish at x0")
+        return AxisStages(zero, zero)
     for _ in range(case.k):
         comp = d_xn(comp)
-        label = f"d_xn {label}"
-    return _restrict_then_d_xin(comp.value, case.j + 1, label, trail)
-
-
-def _traced_projected_product(f1_restricted: CliffordExpr, f2: CliffordExpr,
-                              trail: List[TrailStep], tag: str) -> ScalarExpr:
-    """Tr[pi+ f1 * f2] via trace pairing.
-
-    Only equal canonical monomials pair into the identity, and pi+ acts
-    coefficient-wise and commutes with the trace, so only the coefficients
-    of f1 that pair with f2 are projected.
-    """
-    projected = CliffordExpr({m: pi_plus_scalar(c) for m, c in f1_restricted.terms.items()
+    f2_base = f2 = comp.value.restrict_sphere()
+    for _ in range(case.j + 1):
+        f2 = d_xi(f2, 4)
+    if f2.is_zero():
+        return AxisStages(f2_base, f2)
+    comp = ctx.factor1.component(case.r)
+    for _ in range(case.j):
+        comp = d_xn(comp)
+    f1_base = f1 = comp.value.restrict_sphere()
+    for _ in range(case.k):
+        f1 = d_xi(f1, 4)
+    projected = CliffordExpr({m: pi_plus_scalar(c) for m, c in f1.terms.items()
                               if m in f2.terms})
     traced = cl_trace_product(projected, f2)
-    trail.append(TrailStep(f"pi+ paired coefficients {tag}", "pi_plus", projected))
-    trail.append(TrailStep(f"trace {tag}", "cl_trace", traced))
-    return traced
+    line = integrate_xi_n(traced).scalar_part()
+    return AxisStages(f2_base, f2, f1_base, f1, projected, traced, line, sphere_moment(line))
 
 
-def _axis_stages(ctx: TheoremContext, case: CaseSpec, axis: Optional[int]) -> AxisStages:
-    steps: List[TrailStep] = []
-    f2_base, f2 = _second_factor(ctx, case, axis, steps)
-    if f2.is_zero():
-        steps.append(
-            TrailStep(f"case {case.case_id} axis {axis}", "product",
-                      note="0 (second factor vanishes)")
-        )
-        return AxisStages(steps, f2_base, f2)
-    tag = f"(axis {axis})" if axis else ""
-    f1_base, f1 = _first_factor_restricted(ctx, case, axis, steps)
-    traced = _traced_projected_product(f1, f2, steps, tag)
-    line_scalar = integrate_xi_n(traced).scalar_part()
-    steps.append(TrailStep(f"xin integral {tag}", "integrate_xi_n", line_scalar))
-    moment = sphere_moment(line_scalar)
-    steps.append(TrailStep(f"sphere moments {tag}", "sphere_moment", moment))
-    return AxisStages(steps, f2_base, f2, f1_base, f1, traced, moment)
+def _axes(case: CaseSpec) -> Tuple[Optional[int], ...]:
+    return _TANGENTIAL_AXES if case.alpha else (None,)
 
 
 def case_stages(ctx: TheoremContext, case: CaseSpec) -> List[AxisStages]:
     """The stage chains of one case, evaluated once per context and kept on it."""
     hit = ctx.stages.get(case)
     if hit is None:
-        axes = _TANGENTIAL_AXES if case.alpha else (None,)
-        hit = ctx.stages[case] = [_axis_stages(ctx, case, axis) for axis in axes]
+        hit = ctx.stages[case] = [_axis_stages(ctx, case, axis) for axis in _axes(case)]
     return hit
+
+
+def _axis_trail(case: CaseSpec, axis: Optional[int], stage: AxisStages) -> List[TrailStep]:
+    """The trail of one axis chain: its stage fields, each step named from the case."""
+    if case.alpha:
+        steps = [TrailStep(f"d_x'{axis} sigma_{case.ell}(F2)", "d_x_tangential", stage.f2)]
+    else:
+        label = "d_xin " * (case.j + 1) + "d_xn " * case.k + f"sigma_{case.ell}(F2)"
+        steps = [TrailStep(label, "derivatives+restrict", stage.f2)]
+    if stage.f1 is None:
+        return steps + [TrailStep(f"case {case.case_id} axis {axis}", "product",
+                                  note="0 (second factor vanishes)")]
+    tag = f"(axis {axis})" if axis else ""
+    return steps + [
+        TrailStep("d_xin " * case.k + "d_xn " * case.j + f"sigma_{case.r}(F1)",
+                  "derivatives+restrict", stage.f1),
+        TrailStep(f"pi+ paired coefficients {tag}", "pi_plus", stage.projected),
+        TrailStep(f"trace {tag}", "cl_trace", stage.traced),
+        TrailStep(f"xin integral {tag}", "integrate_xi_n", stage.line),
+        TrailStep(f"sphere moments {tag}", "sphere_moment", stage.moment),
+    ]
 
 
 def find_case(ctx: TheoremContext, case_id: str) -> CaseSpec:
@@ -382,8 +369,8 @@ def compute_case_term(ctx: TheoremContext, case: CaseSpec) -> PhiReport:
     """One boundary case end to end with a full step trail, read off its stages."""
     trail: List[TrailStep] = []
     total = S_ZERO
-    for stage in case_stages(ctx, case):
-        trail.extend(stage.steps)
+    for axis, stage in zip(_axes(case), case_stages(ctx, case)):
+        trail += _axis_trail(case, axis, stage)
         total = total + stage.moment
     pref = _prefactor(case)
     value = total * ScalarExpr.const(pref)

@@ -284,15 +284,7 @@ def compare_with_reference(expr, reference_id: str) -> Tuple[str, Optional[objec
 # ---------------------------------------------------------------------------
 
 def _trail_dict(step: TrailStep, cfg: RunConfig) -> Dict:
-    """A trail step as emitted: its expression switched, a slot step compared
-    on the co-sphere."""
-    if step.ref_id is not None:
-        value, _, verdict, delta = _compare_under(step.expr, step.ref, cfg, on_sphere=True)
-        out = {"step": step.step_id, "op": step.op, "expr": value.text(),
-               "ref": step.ref_id, "verdict": verdict}
-        if delta is not None:
-            out["delta"] = delta.text()
-        return out
+    """A trail step as emitted: its expression switched."""
     text = step.note if step.expr is None else step.note + _switch(step.expr, cfg).text()
     return {"step": step.step_id, "op": step.op, "expr": text}
 
@@ -480,8 +472,8 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     stage-free slots, the other cases, then the rest.  Rows are assembled
     here, in slot order, so the report bytes do not depend on who ran what.
     """
-    from .pipeline import (BOUNDARY_THEOREMS, TrailStep, compute_case_term, enumerate_cases,
-                           make_context, total_boundary_term)
+    from .pipeline import (BOUNDARY_THEOREMS, compute_case_term, enumerate_cases, make_context,
+                           total_boundary_term)
     from .references import slots_for
     from .symbols import _READS_SIGMA3
 
@@ -495,10 +487,15 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
         other_reading = "xik" if cfg.sigma3_variant == "printed" else "printed"
 
     def slot_part(slot) -> Dict:
-        """The slot's trail step as emitted, compared with its printed value."""
-        step = TrailStep(slot.slot_id, "printed-intermediate", as_clifford(slot.build_engine(ctx)),
-                         ref_id=slot.slot_id, ref=as_clifford(slot.build_ref()))
-        return {slot.slot_id: _trail_dict(step, cfg)}
+        """The slot's trail step as emitted, compared with its printed value
+        on the co-sphere."""
+        value, _, verdict, delta = _compare_under(as_clifford(slot.build_engine(ctx)),
+                                                  slot.build_ref(), cfg, on_sphere=True)
+        step = {"step": slot.slot_id, "op": "printed-intermediate", "expr": value.text(),
+                "ref": slot.slot_id, "verdict": verdict}
+        if delta is not None:
+            step["delta"] = delta.text()
+        return {slot.slot_id: step}
 
     def case_part(case) -> Dict:
         """The case's report without its trail, its row (unless `cfg.case`

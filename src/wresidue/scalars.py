@@ -640,7 +640,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def _poly_gcd_uncached(a: Poly, b: Poly) -> Poly:
     """Monic gcd of non-constant a and b.  If a variable y is in one operand
     only, the gcd divides the other and every coefficient in y.  Otherwise
-    run the subresultant PRS in the highest variable (Cohen, Algorithm 3.3.1)."""
+    run the subresultant PRS (Cohen, Algorithm 3.3.1) in the variable of
+    least degree in the two operands, the highest of those on a tie: its
+    remainder sequence is short and its coefficients stay small, where the
+    highest variable can raise a power past the degree cap."""
     avars, bvars = a.variables(), b.variables()
     if avars != bvars:
         y = max(avars ^ bvars)
@@ -652,7 +655,7 @@ def _poly_gcd_uncached(a: Poly, b: Poly) -> Poly:
             if g.is_const():
                 return P_ONE
         return g
-    x = max(avars)
+    x = min(avars, key=lambda v: (max(a.degree_in(v), b.degree_in(v)), -v))
     if a.degree_in(x) < b.degree_in(x):
         a, b = b, a
     (ca, f), (cb, g) = _content_and_primitive(a, x), _content_and_primitive(b, x)

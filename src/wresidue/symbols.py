@@ -430,11 +430,9 @@ def _sym_laplacian_inv(variant: str) -> GradedSymbol:
     )
 
 
-def _sym_dirac_inv(star: bool) -> GradedSymbol:
+def _sym_dirac_inv() -> GradedSymbol:
     """Stated inverse symbols of the torsion Dirac operator at x0."""
-    u = torsion_u()
-    v = torsion_v()
-    p0 = _at_point_value(sigma0_dirac_lc()) + u + (v if not star else -v)
+    p0 = _at_point_value(sigma0_dirac_lc()) + torsion_u() + torsion_v()
     norm2 = norm_xi_sq().subst_shx_one()
     cxi = c_xi(at_point=True)
     dc = c_xi_prime(at_point=True).scale(S_HALF_H1.subst_shx_one())
@@ -443,11 +441,10 @@ def _sym_dirac_inv(star: bool) -> GradedSymbol:
     sigma_m2 = (cxi * p0 * cxi).scale(norm2 ** -2) + (
         cxi * c_gen(4) * (dc.scale(norm2) - cxi.scale(h1 * s_t))
     ).scale(norm2 ** -3)
-    label = "(D_T*)^-1" if star else "D_T^-1"
     # order -1 is generic (shx-carrying) so normal derivatives can act on it
     sigma_m1_generic = c_xi().scale(S_I * norm_xi_sq() ** -1)
     return GradedSymbol(
-        label,
+        "D_T^-1",
         {
             -1: SymbolComponent(sigma_m1_generic, at_point=False),
             -2: SymbolComponent(sigma_m2, at_point=True),
@@ -550,9 +547,7 @@ def _build_symbol(operator_id: str, sigma3_variant: str) -> GradedSymbol:
     if operator_id == "(D_T*D_T)^-1":
         return _sym_laplacian_inv(sigma3_variant)
     if operator_id == "D_T^-1":
-        return _sym_dirac_inv(False)
-    if operator_id == "(D_T*)^-1":
-        return _sym_dirac_inv(True)
+        return _sym_dirac_inv()
     if operator_id == "D_T*D_TD_T*":
         return compose(factor("D_T*D_T"), factor("D_T*"), 2, label="D_T*D_TD_T*")
     if operator_id == "(D_T*D_TD_T*)^-1":
@@ -569,7 +564,6 @@ def _build_symbol(operator_id: str, sigma3_variant: str) -> GradedSymbol:
 RECOMPUTED_FROM: Dict[str, Tuple[str, int]] = {
     "(D_T*D_T)^-1": ("D_T*D_T", -3),
     "D_T^-1": ("D_T", -2),
-    "(D_T*)^-1": ("D_T*", -2),
     "(D_T*D_TD_T*)^-1": ("D_T*D_TD_T*", -4),
 }
 

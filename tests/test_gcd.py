@@ -238,3 +238,25 @@ def test_prem_is_the_standard_pseudo_remainder(a, b, name):
 def test_scalar_suite_seed_0_ends_without_failures():
     # stalled inside sample 24 under the primitive PRS
     assert verify.scalar_suite(seed=0, count=200)["failures"] == []
+
+
+def test_generic_gcd_of_two_bases_off_the_known_ones_stays_under_the_degree_cap():
+    """The sum of A / (q^2 (xi1 + h1)) and B / (xi1 + h1)^2 over one
+    denominator, q = shx^2 |xi'|^2 + xin^2.  Its gcd, run in the highest
+    variable, raised a power past the degree cap; run in the variable of
+    least degree it returns at once, and the fraction is the engine's own
+    sum of the two terms."""
+    import time
+
+    from wresidue.scalars import ScalarExpr, sym
+
+    xi1, xi2, xi3, xin, h1, shx = (sym(n) for n in ("xi1", "xi2", "xi3", "xin", "h1", "shx"))
+    q = shx ** 2 * (xi1 ** 2 + xi2 ** 2 + xi3 ** 2) + xin ** 2
+    a = xi3 ** 3 * xin ** 2 * (xin ** 2 + xin + 1)
+    b = xi3 ** 2 * h1 ** 2 + shx ** 3 * h1 + 1
+    n = a * (xi1 + h1) + b * q ** 2
+    d = (xi1 + h1) ** 2 * q ** 2
+    start = time.perf_counter()
+    value = ScalarExpr(n.num, d.num)
+    assert time.perf_counter() - start < 1.0
+    assert value == a / (q ** 2 * (xi1 + h1)) + b / (xi1 + h1) ** 2

@@ -327,14 +327,14 @@ def test_run_theorem_evaluates_each_stage_chain_once(monkeypatch, tmp_path):
     from wresidue import pipeline, report
     from wresidue.report import RunConfig, run_theorem
 
-    second_factor = pipeline._second_factor
+    axis_stages = pipeline._axis_stages
 
-    def counting(ctx, case, axis, trail):
+    def counting(ctx, case, axis):
         with open(tmp_path / ctx.theorem, "a") as out:
             out.write(f"{ctx.sigma3_variant} {case.case_id} {axis} {os.getpid()}\n")
-        return second_factor(ctx, case, axis, trail)
+        return axis_stages(ctx, case, axis)
 
-    monkeypatch.setattr(pipeline, "_second_factor", counting)
+    monkeypatch.setattr(pipeline, "_axis_stages", counting)
     forks = hasattr(os, "fork")
     if forks:  # the forked path wherever there is one
         monkeypatch.setattr(report, "_fork_helps", lambda: True)
@@ -456,3 +456,24 @@ def test_restriction_commutes_with_xin_derivatives(theorem, t46, t54):
                 if getattr(stage, name) is not None:
                     assert getattr(stage, f"{name}_base") == base, (case.case_id, axis, name)
                     assert getattr(stage, name) == derived, (case.case_id, axis, name)
+
+
+def test_collect_form_keeps_what_it_cannot_collect_as_leftover():
+    """A non-constant denominator, a monomial outside the basis and an
+    anisotropic tangential part all land in `leftover`, and
+    `collected_to_scalar` reassembles the value in every case."""
+    x1, y1, x2, y2, x3, y3, x4, y4 = (sym(n) for n in ("X1", "Y1", "X2", "Y2", "X3", "Y3",
+                                                       "X4", "Y4"))
+    g = x1 * y1 + x2 * y2 + x3 * y3
+    non_constant = (H1 * g) / (H1 + ScalarExpr.const(3))
+    outside = PI * g + x1 * y2 + H1 * x4 * y4
+    anisotropic = frac(2) * x1 * y1 + x2 * y2 + x3 * y3 + OM * x4 * y4
+    for value, leftover in ((non_constant, non_constant), (outside, x1 * y2),
+                            (anisotropic, anisotropic - OM * x4 * y4)):
+        form = collect_form(value)
+        assert form.leftover == leftover, value
+        assert collected_to_scalar(form) == value, value
+    assert collect_form(outside).tangential == PI
+    assert collect_form(outside).normal == H1
+    assert collect_form(anisotropic).tangential.is_zero()
+    assert collect_form(anisotropic).normal == OM

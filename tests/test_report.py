@@ -782,6 +782,36 @@ def test_cli_verify_suite():
     assert "sphere" in out.stdout and "[ok]" in out.stdout
 
 
+def test_cli_oracle_samples_adds_every_suite_to_the_report(tmp_path):
+    """`run --oracle-samples N` with N > 0 runs every oracle suite at N
+    samples: all six are in the JSON `oracle_suites`, none failing, and the
+    text render prints their section."""
+    from wresidue import verify
+
+    out = tmp_path / "report.json"
+    run = ["run", "--theorem", "T2.3", "--oracle-samples", "2"]
+    assert cli.main([*run, "--format", "json", "--out", str(out)]) == 0
+    suites = json.loads(out.read_text())["oracle_suites"]
+    assert len(suites) == 6 and sorted(suites) == sorted(verify.SUITES)
+    for name, result in suites.items():
+        assert result["failures"] == [], name
+        assert result["passed"] + result.get("skipped", 0) == 2, name
+    assert cli.main([*run, "--format", "text", "--out", str(out)]) == 0
+    assert "== oracle suites ==" in out.read_text().splitlines()
+
+
+def test_cli_a_failing_oracle_suite_ends_the_run_with_an_engine_error(monkeypatch, capsys,
+                                                                      tmp_path):
+    from wresidue import verify
+
+    monkeypatch.setitem(verify.SUITES, "sphere",
+                        lambda seed, count: {"passed": 0, "failures": ["planted"]})
+    run = ["run", "--theorem", "T2.3", "--oracle-samples", "2", "--out", str(tmp_path / "r")]
+    assert cli.main(run) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: oracle suite sphere failed"), lines
+
+
 def _assert_usage_error(out):
     assert out.returncode == 1, out.stderr
     assert "Traceback" not in out.stderr

@@ -26,6 +26,7 @@ from wresidue.scalars import (
     poly_divexact,
     poly_gcd,
     poly_text,
+    scalar_sum,
     sym,
 )
 
@@ -439,3 +440,27 @@ def test_text_tables_stay_bounded_and_texts_do_not_change(monkeypatch):
     assert [poly_text(p) for p in polys] == [_factor_poly_text(p) for p in polys]
     assert min(stores.values()) > 8
     assert max(sizes.values()) <= 8
+
+
+def test_restrict_sphere_off_the_known_bases_matches_exact_evaluation():
+    """A denominator off the bases takes the general route: both sides are
+    restricted as polynomials.  At a rational point of the unit sphere with
+    shx = 1 the restriction takes the value of the unrestricted fraction."""
+    xi1, xi2, xi3, h1, shx = (sym(n) for n in ("xi1", "xi2", "xi3", "h1", "shx"))
+    value = (xi3 ** 4 * XIN + shx ** 2 * h1 * xi2) / (xi1 + h1 * xi3 ** 2 * shx)
+    restricted = value.restrict_sphere()
+    xi3_id = REG.id_of("xi3")
+    assert REG.id_of("shx") not in restricted.variables()
+    assert max(restricted.num.degree_in(xi3_id), restricted.den.degree_in(xi3_id)) <= 1
+    point = {"xi1": Fraction(3, 13), "xi2": Fraction(4, 13), "xi3": Fraction(12, 13),
+             "shx": 1, "h1": Fraction(2, 7), "xin": Fraction(5, 3)}
+    assert restricted.evaluate(point) == value.evaluate(point)
+    assert (S_ONE / (xi1 + h1)).restrict_sphere() == S_ONE / (xi1 + h1)
+
+
+def test_scalar_sum_over_factored_denominators_cancels_exactly():
+    """1/(xin - i) + 1/(xin + i) - 2 xin/(xin^2 + 1) is zero: the terms
+    factor over the linear bases and sum to the zero fraction."""
+    terms = (S_ONE / (XIN - ScalarExpr.const(I)), S_ONE / (XIN + ScalarExpr.const(I)))
+    total = scalar_sum(terms, (frac(2) * XIN / (XIN ** 2 + S_ONE),))
+    assert total.is_zero() and total == S_ZERO

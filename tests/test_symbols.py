@@ -93,15 +93,14 @@ def test_invert_laplacian_leading_order():
 
 def test_invert_dirac_matches_stated_inverse():
     """The stated inverse symbols are reproduced by the parametrix recursion."""
-    for op, inv_op in (("D_T^-1", "D_T^-1"), ("(D_T*)^-1", "(D_T*)^-1")):
-        stated = builtin_symbol(op)
-        recomputed = recomputed_symbol(op)
-        for order in (-1, -2):
-            delta = (
-                stated.component(order).value.restrict_sphere()
-                - recomputed.component(order).value.restrict_sphere()
-            )
-            assert delta.is_zero(), (op, order)
+    stated = builtin_symbol("D_T^-1")
+    recomputed = recomputed_symbol("D_T^-1")
+    for order in (-1, -2):
+        delta = (
+            stated.component(order).value.restrict_sphere()
+            - recomputed.component(order).value.restrict_sphere()
+        )
+        assert delta.is_zero(), order
 
 
 def test_invert_cube_leading_orders():
@@ -213,8 +212,8 @@ def test_sigma3_variants_available():
 
 
 # every operator id of `symbols._build_symbol`
-_OPERATOR_IDS = ("D_T", "D_T*", "nablaXY", "D_T*D_T", "(D_T*D_T)^-1", "D_T^-1", "(D_T*)^-1",
-                 "D_T*D_TD_T*", "(D_T*D_TD_T*)^-1", "nablaXY(D_T*D_T)^-1", "nablaXY D_T^-1")
+_OPERATOR_IDS = ("D_T", "D_T*", "nablaXY", "D_T*D_T", "(D_T*D_T)^-1", "D_T^-1", "D_T*D_TD_T*",
+                 "(D_T*D_TD_T*)^-1", "nablaXY(D_T*D_T)^-1", "nablaXY D_T^-1")
 
 
 def test_the_operators_that_read_sigma3_are_the_listed_ones(monkeypatch):
