@@ -12,6 +12,11 @@ c_S c_S = (-1)^(k(k+1)/2) for |S| = k.  The trace
 functional returns 2^(n/2) times the identity coefficient; every nonempty
 canonical monomial is traceless, including the top monomial c1 c2 c3 c4.
 
+One kernel forms every signed sum of Clifford values, `_collect`: it
+groups signed coefficients by monomial and sums each group with one
+`scalar_sum`.  `+`, `-`, the product and `clifford_sum`, the Clifford mirror
+of `scalar_sum` for a sum of many terms, all call it.
+
 An independent 4x4 matrix representation validates the trace: with the Pauli
 matrices s1, s2, s3 set
 
@@ -124,15 +129,7 @@ class CliffordExpr:
             return other
         if other.is_zero():
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return CliffordExpr(out)
+        return clifford_sum((self, other))
 
     def __neg__(self) -> "CliffordExpr":
         return CliffordExpr({m: -c for m, c in self.terms.items()})
@@ -140,15 +137,7 @@ class CliffordExpr:
     def __sub__(self, other: "CliffordExpr") -> "CliffordExpr":
         if other.is_zero():
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            s = -c if acc is None else acc - c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return CliffordExpr(out)
+        return clifford_sum((self,), (other,))
 
     def scale(self, c) -> "CliffordExpr":
         c = _as_scalar(c)
@@ -203,7 +192,9 @@ class CliffordExpr:
 def _collect(signed: Iterable[Tuple[CliffMono, int, ScalarExpr]]) -> CliffordExpr:
     """The Clifford element sum sign * c * mono over (mono, sign, c), sign 1
     or -1: the coefficients of each monomial are added and subtracted by
-    one `scalar_sum`, so no product is negated on its own."""
+    one `scalar_sum`, so no term is negated on its own.  This is the one
+    signed sum of Clifford values: `+`, `-`, products and `clifford_sum`
+    call it."""
     by_mono: Dict[CliffMono, Tuple[list, list]] = {}
     for mono, sign, c in signed:
         plus_minus = by_mono.get(mono)
@@ -212,6 +203,16 @@ def _collect(signed: Iterable[Tuple[CliffMono, int, ScalarExpr]]) -> CliffordExp
         plus_minus[sign < 0].append(c)
     return CliffordExpr({mono: scalar_sum(plus, minus)
                          for mono, (plus, minus) in by_mono.items()})
+
+
+def clifford_sum(terms: Iterable[CliffordExpr],
+                 minus: Iterable[CliffordExpr] = ()) -> CliffordExpr:
+    """The sum of the Clifford elements `terms` less those of `minus`, with
+    one cancellation per monomial (`_collect`); the Clifford mirror of
+    `scalar_sum`."""
+    signed = [(m, 1, c) for t in terms for m, c in t.terms.items()]
+    signed += [(m, -1, c) for t in minus for m, c in t.terms.items()]
+    return _collect(signed)
 
 
 CL_ZERO = CliffordExpr()
@@ -252,9 +253,7 @@ def clifford_inverse(a: CliffordExpr) -> CliffordExpr:
         raise EngineError("non-invertible leading symbol: not scalar + vector")
     alpha = a.scalar_part()
     w = [a.coefficient((j,)) for j in range(1, N_GEN + 1)]
-    quad = alpha * alpha
-    for c in w:
-        quad = quad + c * c
+    quad = scalar_sum([alpha * alpha] + [c * c for c in w])
     if quad.is_zero():
         raise EngineError("non-invertible leading symbol: vanishing norm form")
     reflect = CliffordExpr.scalar(alpha) - CliffordExpr.from_cotangent(w)

@@ -41,13 +41,13 @@ from .scalars import (
     XIN,
     _factor_known,
     _strip,
+    lin_minus,
+    lin_plus,
     scalar_sum,
 )
 from .clifford import CliffordExpr, as_clifford
 
 _XIN_VAR = ScalarExpr.var(XIN)
-_LIN_PLUS = _XIN_VAR - ScalarExpr.const(I)   # xin - i
-_LIN_MINUS = _XIN_VAR + ScalarExpr.const(I)  # xin + i
 
 
 def _factor_pole_denominator(den: Poly) -> Tuple[GRat, int, int]:
@@ -154,20 +154,15 @@ def _check_reassembly(num: Poly, den: Poly, plus: Dict[int, ScalarExpr],
     pl, mi, po = tables
     if not (set(pl) <= set(range(1, p + 1)) and set(mi) <= set(range(1, q + 1))):
         raise EngineError("internal: partial-fraction reassembly mismatch")
-    lin_plus, lin_minus = _LIN_PLUS.num, _LIN_MINUS.num  # xin - i, xin + i
     at_plus = Poly()   # sum_k plus_k (xin - i)^(p-k)
     for k in range(1, p + 1):
-        at_plus = at_plus * lin_plus + pl.get(k, P_ZERO)
+        at_plus = at_plus * lin_minus().num + pl.get(k, P_ZERO)
     at_minus = Poly()  # sum_k minus_k (xin + i)^(q-k) + (xin + i)^q sum_d poly_d xin^d
     for d, cp in po.items():
         at_minus = at_minus + cp * Poly.var(XIN, d)
     for k in range(1, q + 1):
-        at_minus = at_minus * lin_minus + mi.get(k, P_ZERO)
-    for _ in range(q):
-        at_plus = at_plus * lin_minus
-    for _ in range(p):
-        at_minus = at_minus * lin_plus
-    if (at_plus + at_minus).scale(c) != num:
+        at_minus = at_minus * lin_plus().num + mi.get(k, P_ZERO)
+    if (at_plus * lin_plus(q).num + at_minus * lin_minus(p).num).scale(c) != num:
         raise EngineError("internal: partial-fraction reassembly mismatch")
 
 
@@ -180,7 +175,7 @@ def basis_fractions(den: Poly, d: int) -> _BasisEntry:
     # _factor_pole_denominator in _basis_tables.
     plus, minus, poly = _basis_tables(den, d)
     _check_reassembly(Poly.var(XIN, d) if d else P_ONE, den, plus, minus, poly)
-    projected = scalar_sum([c * _LIN_PLUS ** (-m) for m, c in plus.items()])
+    projected = scalar_sum([c * lin_minus(-m) for m, c in plus.items()])
     return _BasisEntry(plus, minus, poly, projected)
 
 
@@ -203,7 +198,7 @@ def pi_plus(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:
 
 
 def _pi_minus_part(entry: _BasisEntry) -> ScalarExpr:
-    return scalar_sum([c * _LIN_MINUS ** (-m) for m, c in entry.minus.items()]
+    return scalar_sum([c * lin_plus(-m) for m, c in entry.minus.items()]
                       + [c * _XIN_VAR ** d for d, c in entry.poly.items()])
 
 

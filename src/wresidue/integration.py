@@ -40,6 +40,7 @@ from .scalars import (
     XI,
     XIN,
     _SHIFT,
+    lin_minus,
     mono_items,
     mono_mask,
     mono_pack,
@@ -51,7 +52,6 @@ _TANGENTIAL = set(XI[:3])
 _TANGENTIAL_FIELDS = mono_mask(XI[:3])
 _OMEGA3_POLY = Poly.var(OMEGA3)
 _PI_VAR = ScalarExpr.var(PI)
-_POLE_PLUS = ScalarExpr.const(I)
 
 
 def _check_decay(coeff: ScalarExpr, required: int = 2):
@@ -95,13 +95,12 @@ def residue_derivative_oracle(coeff: ScalarExpr) -> ScalarExpr:
     _, p, q = _factor_pole_denominator(coeff.den)
     if p == 0:
         return S_ZERO
-    lin = ScalarExpr.var(XIN) - _POLE_PLUS
-    g = coeff * lin ** p
+    g = coeff * lin_minus(p)
     fact = 1
     for k in range(1, p):
         fact *= k
         g = g.differentiate(XIN)
-    return g.substitute({XIN: _POLE_PLUS}) / ScalarExpr.const(fact)
+    return g.substitute({XIN: ScalarExpr.const(I)}) / ScalarExpr.const(fact)
 
 
 def integrate_via_residue_oracle(expr: "CliffordExpr | ScalarExpr") -> CliffordExpr:

@@ -20,16 +20,16 @@ from .gaussian import GRat
 from .scalars import (
     EngineError,
     ScalarExpr,
-    S_ZERO,
     atom_dT2,
     atom_dT4,
     atom_dV,
     atom_R,
     atom_T,
     atom_V,
+    scalar_sum,
     sym,
 )
-from .clifford import CliffordExpr, CL_ZERO, cl_trace
+from .clifford import TOP_MONO, CliffordExpr, cl_trace, clifford_sum
 
 
 def _c(i: int) -> CliffordExpr:
@@ -56,29 +56,24 @@ class EndomorphismE(NamedTuple):
 @functools.cache
 def endomorphism_e() -> EndomorphismE:
     """E = (-1/4 Rг - 3/2 div V + 3/2 |T|^2 + 9/2 |V|^2) Id - 3/2 dT - 9 T.V - 9 V_|T."""
-    scalar = (
-        _frac(-1, 4) * sym("Rg")
-        + _frac(-3, 2) * sym("divV")
-        + _frac(3, 2) * sym("normT2")
-        + _frac(9, 2) * sym("normV2")
-    )
+    scalar = scalar_sum((
+        _frac(-1, 4) * sym("Rg"),
+        _frac(-3, 2) * sym("divV"),
+        _frac(3, 2) * sym("normT2"),
+        _frac(9, 2) * sym("normV2"),
+    ))
     # dT as a four-form element
     dt = (_c(1) * _c(2) * _c(3) * _c(4)).scale(atom_dT4([1, 2, 3, 4]))
     # T.V: the three-form times Clifford multiplication by V
-    three_form = CL_ZERO
-    for a, j, k in combinations(range(1, 5), 3):
-        three_form = three_form + (_c(a) * _c(j) * _c(k)).scale(atom_T(a, j, k))
+    three_form = clifford_sum((_c(a) * _c(j) * _c(k)).scale(atom_T(a, j, k))
+                              for a, j, k in combinations(range(1, 5), 3))
     tv = three_form * _c_vector([atom_V(l) for l in range(1, 5)])
     # V contracted into T: sum_{i<j} T(V, e_i, e_j) c(e_i)c(e_j)
-    vt = CL_ZERO
-    for i, j in combinations(range(1, 5), 2):
-        coeff = S_ZERO
-        for l in range(1, 5):
-            coeff = coeff + atom_V(l) * atom_T(l, i, j)
-        vt = vt + (_c(i) * _c(j)).scale(coeff)
-    clifford = dt.scale(_frac(-3, 2)) + tv.scale(ScalarExpr.const(-9)) + vt.scale(
-        ScalarExpr.const(-9)
-    )
+    vt = clifford_sum(
+        (_c(i) * _c(j)).scale(scalar_sum(atom_V(l) * atom_T(l, i, j) for l in range(1, 5)))
+        for i, j in combinations(range(1, 5), 2))
+    clifford = clifford_sum((dt.scale(_frac(-3, 2)), tv.scale(ScalarExpr.const(-9)),
+                             vt.scale(ScalarExpr.const(-9))))
     return EndomorphismE(scalar, clifford)
 
 
@@ -102,7 +97,7 @@ def clifford_part_top_coefficient() -> ScalarExpr:
     oracle); this hook reports what a nonzero-chirality convention would add.
     """
     e = endomorphism_e()
-    return e.clifford_part.coefficient((1, 2, 3, 4))
+    return e.clifford_part.coefficient(TOP_MONO)
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +110,13 @@ def connection_derivative(a: int, b: int) -> CliffordExpr:
     e_a(A-bar(e_b)) with the curvature substitution e_a(w_st(e_b)) = R[a,b,s,t]/2,
     torsion derivative atoms dT2 and vector-field derivative atoms dV.
     """
-    total = CL_ZERO
-    for s in range(1, 5):
-        for t in range(1, 5):
-            coeff = atom_R(a, b, s, t) * _frac(-1, 8)
-            if not coeff.is_zero():
-                total = total + (_c(s) * _c(t)).scale(coeff)
-    for i, j in combinations(range(1, 5), 2):
-        total = total + (_c(i) * _c(j)).scale(atom_dT2(a, b, i, j) * _frac(3, 2))
-    for k in range(1, 5):
-        total = total + (_c(k) * _c(b)).scale(atom_dV(a, k) * _frac(-3, 2))
-    total = total + CliffordExpr.scalar(atom_dV(a, b) * _frac(-3, 2))
-    return total
+    terms = [(_c(s) * _c(t)).scale(atom_R(a, b, s, t) * _frac(-1, 8))
+             for s in range(1, 5) for t in range(1, 5)]
+    terms += [(_c(i) * _c(j)).scale(atom_dT2(a, b, i, j) * _frac(3, 2))
+              for i, j in combinations(range(1, 5), 2)]
+    terms += [(_c(k) * _c(b)).scale(atom_dV(a, k) * _frac(-3, 2)) for k in range(1, 5)]
+    terms.append(CliffordExpr.scalar(atom_dV(a, b) * _frac(-3, 2)))
+    return clifford_sum(terms)
 
 
 def connection_term(vec_coeffs: List[ScalarExpr]) -> CliffordExpr:
@@ -134,19 +124,15 @@ def connection_term(vec_coeffs: List[ScalarExpr]) -> CliffordExpr:
 
     The Levi-Civita part vanishes at the point in interior normal coordinates.
     """
-    total = CL_ZERO
-    for i, j in combinations(range(1, 5), 2):
-        coeff = S_ZERO
-        for a in range(1, 5):
-            coeff = coeff + vec_coeffs[a - 1] * atom_T(a, i, j)
-        total = total + (_c(i) * _c(j)).scale(coeff * _frac(3, 2))
+    two_form = [
+        (_c(i) * _c(j)).scale(
+            scalar_sum(vec_coeffs[a - 1] * atom_T(a, i, j) for a in range(1, 5)) * _frac(3, 2))
+        for i, j in combinations(range(1, 5), 2)]
     cv = _c_vector([atom_V(k) for k in range(1, 5)])
     cw = _c_vector(vec_coeffs)
-    total = total - (cv * cw).scale(_frac(3, 2))
-    inner = S_ZERO
-    for k in range(1, 5):
-        inner = inner + atom_V(k) * vec_coeffs[k - 1]
-    return total - CliffordExpr.scalar(inner * _frac(3, 2))
+    inner = scalar_sum(atom_V(k) * vec_coeffs[k - 1] for k in range(1, 5))
+    return clifford_sum(two_form, ((cv * cw).scale(_frac(3, 2)),
+                                   CliffordExpr.scalar(inner * _frac(3, 2))))
 
 
 def curvature_trace_identities() -> Dict[str, ScalarExpr]:
@@ -163,16 +149,12 @@ def curvature_trace_identities() -> Dict[str, ScalarExpr]:
 @functools.cache
 def _curvature_trace_identities() -> Dict[str, ScalarExpr]:
     out: Dict[str, ScalarExpr] = {}
-    deriv_total = S_ZERO
-    for a, b in ((1, 2), (1, 3), (2, 4), (3, 4)):
-        deriv_total = deriv_total + cl_trace(connection_derivative(a, b)) ** 2
-    out["connection-derivative-trace"] = deriv_total
-    comm_total = S_ZERO
-    for a, b in ((1, 2), (2, 3)):
-        ca = connection_term([ScalarExpr.const(1 if k == a else 0) for k in range(1, 5)])
-        cb = connection_term([ScalarExpr.const(1 if k == b else 0) for k in range(1, 5)])
-        comm_total = comm_total + cl_trace(ca * cb - cb * ca) ** 2
-    out["connection-commutator-trace"] = comm_total
+    out["connection-derivative-trace"] = scalar_sum(
+        cl_trace(connection_derivative(a, b)) ** 2 for a, b in ((1, 2), (1, 3), (2, 4), (3, 4)))
+    unit = {j: connection_term([ScalarExpr.const(1 if k == j else 0) for k in range(1, 5)])
+            for j in (1, 2, 3)}
+    out["connection-commutator-trace"] = scalar_sum(
+        cl_trace(unit[a] * unit[b] - unit[b] * unit[a]) ** 2 for a, b in ((1, 2), (2, 3)))
     generic = connection_term([sym(f"w[{k}]") for k in range(1, 5)])
     out["connection-bracket-trace"] = cl_trace(generic)
     return out

@@ -40,6 +40,7 @@ from .scalars import (
     S_ZERO,
     mono_items,
     mono_pack,
+    scalar_sum,
     sym,
 )
 # apply_torsion_switches is read from this module by perfbench/tracer.py
@@ -177,10 +178,10 @@ def collect_form(value: ScalarExpr) -> CollectedForm:
     x_ids = {REG.id_of(f"X{j}"): j for j in range(1, 5)}
     y_ids = {REG.id_of(f"Y{j}"): j for j in range(1, 5)}
     dyn_id = REG.id_of("dYn")
-    diag: Dict[int, ScalarExpr] = {1: S_ZERO, 2: S_ZERO, 3: S_ZERO}
-    normal = S_ZERO
-    normal_dyn = S_ZERO
-    leftover = S_ZERO
+    diag: Dict[int, List[ScalarExpr]] = {1: [], 2: [], 3: []}
+    normal: List[ScalarExpr] = []
+    normal_dyn: List[ScalarExpr] = []
+    leftover: List[ScalarExpr] = []
     for mono, coeff in value.num.terms.items():
         items = mono_items(mono)
         xs = [(s, e) for s, e in items if s in x_ids]
@@ -193,24 +194,25 @@ def collect_form(value: ScalarExpr) -> CollectedForm:
             xj = x_ids[xs[0][0]]
             yl = y_ids[ys[0][0]]
             if xj == yl and xj < 4:
-                diag[xj] = diag[xj] + term
+                diag[xj].append(term)
                 continue
             if xj == yl == 4:
-                normal = normal + term
+                normal.append(term)
                 continue
-            leftover = leftover + full
+            leftover.append(full)
             continue
         if len(xs) == 1 and xs[0][1] == 1 and not ys and len(dyn) == 1 and dyn[0][1] == 1:
             if x_ids[xs[0][0]] == 4:
-                normal_dyn = normal_dyn + term
+                normal_dyn.append(term)
                 continue
-        leftover = leftover + full
-    if not (diag[1] == diag[2] == diag[3]):
+        leftover.append(full)
+    tangential = [scalar_sum(diag[j]) for j in (1, 2, 3)]
+    isotropic = tangential[0] == tangential[1] == tangential[2]
+    if not isotropic:
         # tangential anisotropy: report everything as leftover
-        for j in (1, 2, 3):
-            leftover = leftover + diag[j] * sym(f"X{j}") * sym(f"Y{j}")
-        return CollectedForm(S_ZERO, normal, normal_dyn, leftover)
-    return CollectedForm(diag[1], normal, normal_dyn, leftover)
+        leftover += [t * sym(f"X{j}") * sym(f"Y{j}") for j, t in enumerate(tangential, 1)]
+    return CollectedForm(tangential[0] if isotropic else S_ZERO, scalar_sum(normal),
+                         scalar_sum(normal_dyn), scalar_sum(leftover))
 
 
 def collected_to_scalar(c: CollectedForm) -> ScalarExpr:
@@ -367,13 +369,11 @@ def find_case(ctx: TheoremContext, case_id: str) -> CaseSpec:
 
 def compute_case_term(ctx: TheoremContext, case: CaseSpec) -> PhiReport:
     """One boundary case end to end with a full step trail, read off its stages."""
-    trail: List[TrailStep] = []
-    total = S_ZERO
-    for axis, stage in zip(_axes(case), case_stages(ctx, case)):
-        trail += _axis_trail(case, axis, stage)
-        total = total + stage.moment
+    stages = case_stages(ctx, case)
+    trail = [step for axis, stage in zip(_axes(case), stages)
+             for step in _axis_trail(case, axis, stage)]
     pref = _prefactor(case)
-    value = total * ScalarExpr.const(pref)
+    value = scalar_sum(stage.moment for stage in stages) * ScalarExpr.const(pref)
     trail.append(TrailStep("prefactor", "scale", value, note=f"{pref} -> "))
     return PhiReport(
         case=case,
@@ -389,18 +389,14 @@ def case_trace_integrand(ctx: TheoremContext, case_id: str) -> CliffordExpr:
     This is the expression whose printed counterpart appears in the source
     text's per-case trace displays; it sums the case's stored stages.
     """
-    total = S_ZERO
-    for stage in case_stages(ctx, find_case(ctx, case_id)):
-        if stage.traced is not None:
-            total = total + stage.traced
-    return CliffordExpr.scalar(total)
+    return CliffordExpr.scalar(scalar_sum(
+        stage.traced for stage in case_stages(ctx, find_case(ctx, case_id))
+        if stage.traced is not None))
 
 
 def total_boundary_term(reports: List[PhiReport], theorem: str) -> PhiReport:
     """Exact sum of the case values with the tangential contraction collected."""
-    total = S_ZERO
-    for rep in reports:
-        total = total + rep.value
+    total = scalar_sum(rep.value for rep in reports)
     return PhiReport(
         case=None,
         row_id=f"{theorem}/total",

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .gaussian import GRat
-from .scalars import EngineError, ScalarExpr, S_ZERO, sym
+from .scalars import EngineError, ScalarExpr, scalar_sum, sym
 
 
 def _g(re, im=0) -> ScalarExpr:
@@ -90,10 +90,7 @@ class RefEntry:
         self.ref_id, self.quote, self.rows, self.coeffs = ref_id, quote, rows, coeffs
 
     def value(self) -> ScalarExpr:
-        out = S_ZERO
-        for name, (re, im) in self.coeffs.items():
-            out = out + _g(re, im) * BASIS[name]
-        return out
+        return scalar_sum(_g(re, im) * BASIS[name] for name, (re, im) in self.coeffs.items())
 
 
 # m = 2 in theorem 2.3: 2^{m+1}pi^m/(6 Gamma(m)) = 4pi^2/3 and 2^{m-1} = 2

@@ -19,14 +19,25 @@ from functools import cache, partial
 from typing import Callable, List, Optional, Tuple
 
 from .gaussian import GRat, I
-from .scalars import EngineError, ScalarExpr, S_ZERO, S_ONE, atom_T, sym
-from .clifford import CliffordExpr, cl_trace_product
+from .scalars import (
+    EngineError,
+    ScalarExpr,
+    S_ONE,
+    atom_T,
+    den_1x2,
+    lin_minus,
+    lin_plus,
+    scalar_sum,
+    sym,
+)
+from .clifford import CliffordExpr, cl_trace_product, clifford_sum
 from .halfplane import pi_plus, principal_part
 from .pipeline import BOUNDARY_THEOREMS, AxisStages, case_stages, case_trace_integrand, find_case
 from .printed import XN_YN, _g, _H1, _SUM_A
 # read from this module by perfbench (tracer.py times reference_value here)
 from .printed import REFERENCES, reference_value  # noqa: F401
 from .symbols import (
+    _at_point_value,
     builtin_symbol,
     c_dxn,
     c_gen,
@@ -43,10 +54,7 @@ from .symbols import (
 
 def _tangential_dot(prefix: str) -> ScalarExpr:
     """Sum_{j<n} V_j xi_j for the vector V named by `prefix` (X or Y)."""
-    out = S_ZERO
-    for j in (1, 2, 3):
-        out = out + sym(f"{prefix}{j}") * xi_var(j)
-    return out
+    return scalar_sum(sym(f"{prefix}{j}") * xi_var(j) for j in (1, 2, 3))
 
 
 def _mixed_xj_yn() -> ScalarExpr:
@@ -61,16 +69,10 @@ def _qt() -> ScalarExpr:
     return _tangential_dot("X") * _tangential_dot("Y")
 
 
-def _lin_minus(k: int = 1) -> ScalarExpr:
-    return (xi_var(4) - ScalarExpr.const(I)) ** k
-
-
-def _lin_plus(k: int = 1) -> ScalarExpr:
-    return (xi_var(4) + ScalarExpr.const(I)) ** k
-
-
-def _den_1x2(k: int) -> ScalarExpr:
-    return (S_ONE + xi_var(4) ** 2) ** k
+@cache
+def _cxi_sphere() -> CliffordExpr:
+    """c(xi) at x0, restricted to the co-sphere |xi'| = 1."""
+    return c_xi(at_point=True).restrict_sphere()
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,7 @@ def _slot(slot_id: str, theorem: str, case_id: str, quote: str, build_ref,
 _slot(
     "eq_4_27", "T4.6", "a2",
     "partial_xi_n^2 sigma_-2((D_T^*D_T)^{-1}) = (6xi_n^2-2)/(1+xi_n^2)^3",
-    lambda: CliffordExpr.scalar((ScalarExpr.const(6) * xi_var(4) ** 2 - ScalarExpr.const(2)) / _den_1x2(3)),
+    lambda: CliffordExpr.scalar((ScalarExpr.const(6) * xi_var(4) ** 2 - ScalarExpr.const(2)) / den_1x2(3)),
     read=("a2", "f2"),
 )
 
@@ -160,7 +162,7 @@ _slot(
     "eq_4_29", "T4.6", "a2",
     "partial_x_n sigma_0 = Sum X_jY_l xi_j xi_l h'(0)|xi'|^2/(1+xi_n^2)^2",
     lambda: CliffordExpr.scalar(
-        (q_bilinear().restrict_sphere()) * _H1 / _den_1x2(2)
+        (q_bilinear().restrict_sphere()) * _H1 / den_1x2(2)
     ),
     read=("a2", "f1"),
 )
@@ -170,11 +172,11 @@ _slot(
     "pi+ d_x_n sigma_0 = -i xi_n/(4(xi_n-i)^2) Sum' X_jY_l xi_j xi_l h'(0) "
     "+ (2-i xi_n)/(4(xi_n-i)^2) X_nY_nh'(0) - i/(4(xi_n-i)^2)(mixed sums)",
     lambda: CliffordExpr.scalar(
-        ScalarExpr.const(GRat(0, -1)) * xi_var(4) / (ScalarExpr.const(4) * _lin_minus(2)) * _qt() * _H1
+        ScalarExpr.const(GRat(0, -1)) * xi_var(4) / (ScalarExpr.const(4) * lin_minus(2)) * _qt() * _H1
         + (ScalarExpr.const(2) - ScalarExpr.const(I) * xi_var(4))
-        / (ScalarExpr.const(4) * _lin_minus(2)) * XN_YN * _H1
-        - ScalarExpr.const(I) / (ScalarExpr.const(4) * _lin_minus(2)) * _mixed_xj_yn()
-        - ScalarExpr.const(I) / (ScalarExpr.const(4) * _lin_minus(2)) * _mixed_xn_yl()
+        / (ScalarExpr.const(4) * lin_minus(2)) * XN_YN * _H1
+        - ScalarExpr.const(I) / (ScalarExpr.const(4) * lin_minus(2)) * _mixed_xj_yn()
+        - ScalarExpr.const(I) / (ScalarExpr.const(4) * lin_minus(2)) * _mixed_xn_yl()
     ),
     read=("a2", "f1", "pi+"),
 )
@@ -182,7 +184,7 @@ _slot(
 _slot(
     "eq_4_34", "T4.6", "a3",
     "partial_x_n sigma_-2((D_T^*D_T)^{-1})|_{|xi'|=1} = -h'(0)/(1+xi_n^2)^2",
-    lambda: CliffordExpr.scalar(-_H1 / _den_1x2(2)),
+    lambda: CliffordExpr.scalar(-_H1 / den_1x2(2)),
     read=("a3", "f2_base"),
 )
 
@@ -193,9 +195,9 @@ _slot(
     lambda: CliffordExpr.scalar(
         ScalarExpr.const(2)
         * (S_ONE + ScalarExpr.const(I) * xi_var(4) - ScalarExpr.const(GRat(0, 3)) * xi_var(4) ** 3 - ScalarExpr.const(I))
-        / (_lin_minus(5) * _lin_plus(3)) * (_qt() * _H1 + XN_YN * _H1)
+        / (lin_minus(5) * lin_plus(3)) * (_qt() * _H1 + XN_YN * _H1)
         + ScalarExpr.const(2) * (S_ONE - ScalarExpr.const(3) * xi_var(4) ** 2) * ScalarExpr.const(I)
-        / (_lin_minus(5) * _lin_plus(3)) * (_mixed_xj_yn() + _mixed_xn_yl())
+        / (lin_minus(5) * lin_plus(3)) * (_mixed_xj_yn() + _mixed_xn_yl())
     ),
     read=("a2", "traced"),
 )
@@ -205,9 +207,9 @@ _slot(
     "pi+ sigma_0 = i/(2(xi_n-i)) Sum X_jY_l xi_j xi_l - 1/(2(xi_n-i)) X_nY_n "
     "- 1/(2(xi_n-i)) (mixed sums)",
     lambda: CliffordExpr.scalar(
-        ScalarExpr.const(I) / (ScalarExpr.const(2) * _lin_minus()) * _qt()
-        - S_ONE / (ScalarExpr.const(2) * _lin_minus()) * XN_YN
-        - S_ONE / (ScalarExpr.const(2) * _lin_minus()) * (_mixed_xj_yn() + _mixed_xn_yl())
+        ScalarExpr.const(I) / (ScalarExpr.const(2) * lin_minus()) * _qt()
+        - S_ONE / (ScalarExpr.const(2) * lin_minus()) * XN_YN
+        - S_ONE / (ScalarExpr.const(2) * lin_minus()) * (_mixed_xj_yn() + _mixed_xn_yl())
     ),
     read=("a3", "f1_base", "pi+"),
 )
@@ -216,7 +218,7 @@ _slot(
     "eq_4_37", "T4.6", "a3",
     "partial_xi_n^2 pi+ sigma_0 = i/(xi_n-i)^3 Sum' X_jY_l xi_j xi_l - 1/(xi_n-i)^3 X_nY_n",
     lambda: CliffordExpr.scalar(
-        ScalarExpr.const(I) / _lin_minus(3) * _qt() - S_ONE / _lin_minus(3) * XN_YN
+        ScalarExpr.const(I) / lin_minus(3) * _qt() - S_ONE / lin_minus(3) * XN_YN
     ),
     read=("a3", "f1_base", "pi+", "d_xin", "d_xin"),
 )
@@ -226,8 +228,8 @@ _slot(
     "=-4 h'(0)i/((xi_n-i)^5(xi_n+i)^2) Sum X_jY_l xi_j xi_l "
     "+ 4h'(0)/((xi_n-i)^5(xi_n+i)^2) X_nY_n",
     lambda: CliffordExpr.scalar(
-        ScalarExpr.const(GRat(0, -4)) * _H1 / (_lin_minus(5) * _lin_plus(2)) * _qt()
-        + ScalarExpr.const(4) * _H1 / (_lin_minus(5) * _lin_plus(2)) * XN_YN
+        ScalarExpr.const(GRat(0, -4)) * _H1 / (lin_minus(5) * lin_plus(2)) * _qt()
+        + ScalarExpr.const(4) * _H1 / (lin_minus(5) * lin_plus(2)) * XN_YN
     ),
     read=("a3", "traced"),
 )
@@ -236,19 +238,17 @@ _slot(
 def _sigma_m3_ref_printed() -> CliffordExpr:
     h1 = _H1
     xin = xi_var(4)
-    m_cliff = CliffordExpr()
-    for k in (1, 2, 3):
-        m_cliff = m_cliff + (c_gen(k) * c_gen(4)).scale(xin)
+    m_cliff = clifford_sum((c_gen(k) * c_gen(4)).scale(xin) for k in (1, 2, 3))
     u = torsion_u()
     v = torsion_v()
-    cxi = c_xi(at_point=True).restrict_sphere()
+    cxi = _cxi_sphere()
     bracket = CliffordExpr.scalar(_g(5, 0) / 2 * h1 * xin) - m_cliff.scale(h1 / 2)
-    term1 = bracket.scale(ScalarExpr.const(-I) / _den_1x2(2))
-    term2 = CliffordExpr.scalar(_g(0, -2) * h1 * xin / _den_1x2(3))
+    term1 = bracket.scale(ScalarExpr.const(-I) / den_1x2(2))
+    term2 = CliffordExpr.scalar(_g(0, -2) * h1 * xin / den_1x2(3))
     term3 = ((u - v).scale(ScalarExpr.const(I)) * cxi + cxi.scale(ScalarExpr.const(I)) * (u + v)).scale(
-        -S_ONE / _den_1x2(2)
+        -S_ONE / den_1x2(2)
     )
-    return term1 + term2 + term3
+    return clifford_sum((term1, term2, term3))
 
 
 _slot(
@@ -267,10 +267,10 @@ _slot(
     lambda: CliffordExpr.scalar(
         -_H1
         * (ScalarExpr.const(5) * xi_var(4) ** 2 - ScalarExpr.const(5) + ScalarExpr.const(4) * xi_var(4))
-        / (_lin_minus(5) * _lin_plus(3)) * _qt()
+        / (lin_minus(5) * lin_plus(3)) * _qt()
         + _H1 * ScalarExpr.const(I)
         * (ScalarExpr.const(5) * xi_var(4) ** 3 - xi_var(4))
-        / (_lin_minus(5) * _lin_plus(3)) * XN_YN
+        / (lin_minus(5) * lin_plus(3)) * XN_YN
     ),
     read=("b", "traced"),
 )
@@ -283,10 +283,10 @@ _slot(
     "partial_xi_n^2 sigma_-3 = i[(20xi_n^2-4)c(xi')+12(xi_n^3-xi_n)c(dx_n)]/(1+xi_n^2)^4",
     lambda: (
         c_xi_prime(at_point=True).scale(
-            ScalarExpr.const(I) * (ScalarExpr.const(20) * xi_var(4) ** 2 - ScalarExpr.const(4)) / _den_1x2(4)
+            ScalarExpr.const(I) * (ScalarExpr.const(20) * xi_var(4) ** 2 - ScalarExpr.const(4)) / den_1x2(4)
         )
         + c_dxn().scale(
-            ScalarExpr.const(GRat(0, 12)) * (xi_var(4) ** 3 - xi_var(4)) / _den_1x2(4)
+            ScalarExpr.const(GRat(0, 12)) * (xi_var(4) ** 3 - xi_var(4)) / den_1x2(4)
         )
     ),
     read=("a2", "f2"),
@@ -298,10 +298,10 @@ _slot(
     "+ c(xi)h'(0)|xi'|^2/(1+xi_n^2)^2]",
     lambda: (
         c_xi_prime(at_point=True).scale(
-            q_bilinear().restrict_sphere() * _H1 / 2 / _den_1x2(1)
+            q_bilinear().restrict_sphere() * _H1 / 2 / den_1x2(1)
         )
-        + c_xi(at_point=True).restrict_sphere().scale(
-            q_bilinear().restrict_sphere() * _H1 / _den_1x2(2)
+        + _cxi_sphere().scale(
+            q_bilinear().restrict_sphere() * _H1 / den_1x2(2)
         )
     ),
     read=("a2", "f1"),
@@ -312,8 +312,8 @@ _slot(
     "partial_x_n sigma_-3|_{|xi'|=1} = i d_x_n[c(xi')]/(1+xi_n^2)^4 "
     "- 2i h'(0)c(xi)|xi'|^2/(1+xi_n^2)^6",
     lambda: (
-        c_xi_prime(at_point=True).scale(ScalarExpr.const(I) * _H1 / 2 / _den_1x2(4))
-        + c_xi(at_point=True).restrict_sphere().scale(_g(0, -2) * _H1 / _den_1x2(6))
+        c_xi_prime(at_point=True).scale(ScalarExpr.const(I) * _H1 / 2 / den_1x2(4))
+        + _cxi_sphere().scale(_g(0, -2) * _H1 / den_1x2(6))
     ),
     read=("a3", "f2_base"),
 )
@@ -324,10 +324,10 @@ _slot(
     "-(c(xi')+ic(dx_n))/(2(xi_n-i)) X_nY_n - (ic(xi')-c(dx_n))/(2(xi_n-i)) (mixed)",
     lambda: (
         (c_xi_prime(at_point=True) + c_dxn().scale(ScalarExpr.const(I))).scale(
-            -(_qt() + XN_YN) / (ScalarExpr.const(2) * _lin_minus())
+            -(_qt() + XN_YN) / (ScalarExpr.const(2) * lin_minus())
         )
         + (c_xi_prime(at_point=True).scale(ScalarExpr.const(I)) - c_dxn()).scale(
-            -(_mixed_xj_yn() + _mixed_xn_yl()) / (ScalarExpr.const(2) * _lin_minus())
+            -(_mixed_xj_yn() + _mixed_xn_yl()) / (ScalarExpr.const(2) * lin_minus())
         )
     ),
     read=("a3", "f1_base", "pi+"),
@@ -337,7 +337,7 @@ _slot(
     "eq_5_23", "T5.4", "a3",
     "partial_xi_n^2 pi+ sigma_1 = -(c(xi')+ic(dx_n))/(xi_n-i)^3 (Sum' X_jY_l xi_j xi_l + X_nY_n)",
     lambda: (c_xi_prime(at_point=True) + c_dxn().scale(ScalarExpr.const(I))).scale(
-        -(_qt() + XN_YN) / _lin_minus(3)
+        -(_qt() + XN_YN) / lin_minus(3)
     ),
     read=("a3", "f1_base", "pi+", "d_xin", "d_xin"),
 )
@@ -346,7 +346,7 @@ _slot(
     "eq_5_24", "T5.4", "a3",
     "=-2h'(0)/((xi_n-i)^5(xi_n+i)^2)(Sum X_jY_l xi_j xi_l + X_nY_n)",
     lambda: CliffordExpr.scalar(
-        _g(-2, 0) * _H1 / (_lin_minus(5) * _lin_plus(2)) * (_qt() + XN_YN)
+        _g(-2, 0) * _H1 / (lin_minus(5) * lin_plus(2)) * (_qt() + XN_YN)
     ),
     read=("a3", "traced"),
 )
@@ -355,8 +355,8 @@ _slot(
     "eq_5_27", "T5.4", "b",
     "partial_xi_n sigma_-3|_{|xi'|=1} = i c(dx_n)/(1+xi_n^2)^2 - 4i xi_n c(xi)/(1+xi_n^2)^3",
     lambda: (
-        c_dxn().scale(ScalarExpr.const(I) / _den_1x2(2))
-        + c_xi(at_point=True).restrict_sphere().scale(_g(0, -4) * xi_var(4) / _den_1x2(3))
+        c_dxn().scale(ScalarExpr.const(I) / den_1x2(2))
+        + _cxi_sphere().scale(_g(0, -4) * xi_var(4) / den_1x2(3))
     ),
     read=("b", "f2"),
 )
@@ -364,18 +364,16 @@ _slot(
 
 @cache
 def _p0_full() -> CliffordExpr:
-    return (sigma0_dirac_lc() + torsion_u() + torsion_v()).map_coeffs(
-        lambda c: c.subst_shx_one()
-    )
+    return _at_point_value(sigma0_dirac_lc() + torsion_u() + torsion_v())
 
 
 @cache
 def _first_item_sandwich() -> CliffordExpr:
     """(c(xi)sigma_0(D_T)c(xi) + c(xi)c(dx_n) d_x_n c(xi'))/(1+xi_n^2)^2 at |xi'| = 1."""
-    cxi = c_xi(at_point=True).restrict_sphere()
+    cxi = _cxi_sphere()
     dc = c_xi_prime(at_point=True).scale(_H1 / 2)
     inner = cxi * _p0_full() * cxi + cxi * c_dxn() * dc
-    return inner.scale(S_ONE / _den_1x2(2))
+    return inner.scale(S_ONE / den_1x2(2))
 
 
 @cache
@@ -410,8 +408,8 @@ _slot(
     "pi+[(c(xi)sigma_0(D_T)c(xi)+c(xi)c(dx_n)d_x_n c(xi'))/(1+xi_n^2)^2] "
     "= -A_1/(4(xi_n-i)) - A_2/(4(xi_n-i)^2) + A_3/(4(xi_n-i)^2)",
     lambda: (
-        _ref_5_31().scale(-S_ONE / (ScalarExpr.const(4) * _lin_minus()))
-        + _ref_5_32().scale(-S_ONE / (ScalarExpr.const(4) * _lin_minus(2)))
+        _ref_5_31().scale(-S_ONE / (ScalarExpr.const(4) * lin_minus()))
+        + _ref_5_32().scale(-S_ONE / (ScalarExpr.const(4) * lin_minus(2)))
     ),
     then=lambda _: pi_plus(_first_item_sandwich()),
 )
@@ -450,15 +448,15 @@ def _ref_5_33() -> CliffordExpr:
 
 
 def _torsion_sandwich_principal_part(_) -> CliffordExpr:
-    cxi = c_xi(at_point=True).restrict_sphere()
+    cxi = _cxi_sphere()
     uv = torsion_u() + torsion_v()
-    sandwich = (cxi * uv * cxi).scale(q_bilinear().restrict_sphere() / _den_1x2(2))
+    sandwich = (cxi * uv * cxi).scale(q_bilinear().restrict_sphere() / den_1x2(2))
     return principal_part(sandwich, 2).scale(ScalarExpr.const(4))
 
 
 def _projected_dxn_sandwich(_) -> CliffordExpr:
-    cxi = c_xi(at_point=True).restrict_sphere()
-    return pi_plus((cxi * c_dxn() * cxi).scale(S_ONE / _den_1x2(3)))
+    cxi = _cxi_sphere()
+    return pi_plus((cxi * c_dxn() * cxi).scale(S_ONE / den_1x2(3)))
 
 
 _slot(
@@ -474,12 +472,12 @@ _slot(
     "pi+[c(xi)c(dx_n)c(xi)/(1+xi_n)^3] = 1/2[c(dx_n)/(4i(xi_n-i)) "
     "+ (c(dx_n)-ic(xi'))/(8(xi_n-i)^2) + (3xi_n-7i)/(8(xi_n-i)^3)(ic(xi')-c(dx_n))]",
     lambda: (
-        c_dxn().scale(S_ONE / (_g(0, 4) * _lin_minus()))
+        c_dxn().scale(S_ONE / (_g(0, 4) * lin_minus()))
         + (c_dxn() - c_xi_prime(at_point=True).scale(ScalarExpr.const(I))).scale(
-            S_ONE / (ScalarExpr.const(8) * _lin_minus(2))
+            S_ONE / (ScalarExpr.const(8) * lin_minus(2))
         )
         + (c_xi_prime(at_point=True).scale(ScalarExpr.const(I)) - c_dxn()).scale(
-            (ScalarExpr.const(3) * xi_var(4) - _g(0, 7)) / (ScalarExpr.const(8) * _lin_minus(3))
+            (ScalarExpr.const(3) * xi_var(4) - _g(0, 7)) / (ScalarExpr.const(8) * lin_minus(3))
         )
     ).scale(S_ONE / 2),
     then=_projected_dxn_sandwich,
@@ -490,32 +488,24 @@ def _ref_5_35() -> CliffordExpr:
     xin = xi_var(4)
 
     def t_contract(prefix: str) -> ScalarExpr:
-        out = S_ZERO
-        for i_ in (1, 2, 3):
-            coeff = S_ZERO
-            for a in range(1, 5):
-                coeff = coeff + sym(f"{prefix}{a}") * atom_T(a, i_, 4)
-            out = out + coeff * xi_var(i_)
-        return out
+        return scalar_sum(sym(f"{prefix}{a}") * atom_T(a, i_, 4) * xi_var(i_)
+                          for i_ in (1, 2, 3) for a in range(1, 5))
 
     y_dot = _tangential_dot("Y")
     x_dot = _tangential_dot("X")
-    k1 = _g(0, 2) * xin / (_lin_minus() * _den_1x2(3))
-    k2 = (ScalarExpr.const(3) * xin ** 2 - S_ONE) / (ScalarExpr.const(2) * _lin_minus() * _den_1x2(3))
-    k3 = (ScalarExpr.const(3) * xin ** 2 - S_ONE) / (_lin_minus() * _den_1x2(3))
-    return CliffordExpr.scalar(
-        y_dot * k1 * t_contract("X")
-        - y_dot * k2 * t_contract("X")
-        + x_dot * k1 * t_contract("Y")
-        - y_dot * k3 * t_contract("Y")
-    )
+    k1 = _g(0, 2) * xin / (lin_minus() * den_1x2(3))
+    k2 = (ScalarExpr.const(3) * xin ** 2 - S_ONE) / (ScalarExpr.const(2) * lin_minus() * den_1x2(3))
+    k3 = (ScalarExpr.const(3) * xin ** 2 - S_ONE) / (lin_minus() * den_1x2(3))
+    tx, ty = t_contract("X"), t_contract("Y")
+    return CliffordExpr.scalar(scalar_sum((y_dot * k1 * tx, x_dot * k1 * ty),
+                                          (y_dot * k2 * tx, y_dot * k3 * ty)))
 
 
 def _torsion_trace_block(f2: CliffordExpr) -> CliffordExpr:
     """The trace of pi+ of the torsion two-form block of F1 against F2."""
     i_s = ScalarExpr.const(I)
-    tbar_x = torsion_two_form("X").map_coeffs(lambda c: c.subst_shx_one())
-    tbar_y = torsion_two_form("Y").map_coeffs(lambda c: c.subst_shx_one())
+    tbar_x = _at_point_value(torsion_two_form("X"))
+    tbar_y = _at_point_value(torsion_two_form("Y"))
     sigma_m1 = builtin_symbol("D_T^-1", "printed").component(-1).value
     first = (tbar_x.scale(i_s * _tangential_dot("Y")) + tbar_y.scale(i_s * _tangential_dot("X"))) * sigma_m1
     return CliffordExpr.scalar(cl_trace_product(pi_plus(first.restrict_sphere()), f2))
@@ -552,7 +542,7 @@ def _sigma_m4_nontorsion_ref() -> CliffordExpr:
         + dc.scale(_g(0, -3) * xin * (one + xin ** 2))
         + (c_xi_prime(at_point=True) * c_dxn() * dc).scale(i_s * (one + xin ** 2))
     )
-    return bracket.scale(S_ONE / _den_1x2(4))
+    return bracket.scale(S_ONE / den_1x2(4))
 
 
 _slot(
@@ -563,10 +553,10 @@ _slot(
     "+ c(xi)(3u-v)|xi|^2 c(xi)/|xi|^8",
     lambda: _sigma_m4_nontorsion_ref()
     + (
-        c_xi(at_point=True).restrict_sphere()
+        _cxi_sphere()
         * (torsion_u().scale(ScalarExpr.const(3)) - torsion_v())
-        * c_xi(at_point=True).restrict_sphere()
-    ).scale(S_ONE / _den_1x2(3)),
+        * _cxi_sphere()
+    ).scale(S_ONE / den_1x2(3)),
     read=("c", "f2_base"),
 )
 
@@ -576,11 +566,11 @@ _slot(
     "- (c(xi')+ic(dx_n))/(2(xi_n-i)^2) X_nY_n + (ic(xi')-c(dx_n))/(2(xi_n-i)^2)(mixed, full sums)",
     lambda: (
         (c_xi_prime(at_point=True) + c_dxn().scale(ScalarExpr.const(I))).scale(
-            (_qt() - XN_YN) / (ScalarExpr.const(2) * _lin_minus(2))
+            (_qt() - XN_YN) / (ScalarExpr.const(2) * lin_minus(2))
         )
         + (c_xi_prime(at_point=True).scale(ScalarExpr.const(I)) - c_dxn()).scale(
             (_mixed_xj_yn() + _mixed_xn_yl() + ScalarExpr.const(2) * XN_YN * xi_var(4))
-            / (ScalarExpr.const(2) * _lin_minus(2))
+            / (ScalarExpr.const(2) * lin_minus(2))
         )
     ),
     read=("a3", "f1_base", "pi+", "d_xin"),
@@ -622,8 +612,8 @@ def _ref_5_48() -> CliffordExpr:
         - _g(15, 0) / 2 * xin ** 2 * (S_ONE + xin ** 2)
     )
     return CliffordExpr.scalar(
-        _qt() * h1 * tang_num / (_lin_minus(5) * _lin_plus(4))
-        + XN_YN * norm_num / (_lin_minus(2) * _lin_plus(4))
+        _qt() * h1 * tang_num / (lin_minus(5) * lin_plus(4))
+        + XN_YN * norm_num / (lin_minus(2) * lin_plus(4))
     )
 
 
@@ -644,10 +634,10 @@ def _ref_5_49() -> CliffordExpr:
 
 
 def _trace_against_torsion_block(value: CliffordExpr) -> CliffordExpr:
-    cxi = c_xi(at_point=True).restrict_sphere()
+    cxi = _cxi_sphere()
     torsion_block = (
         cxi * (torsion_u().scale(ScalarExpr.const(3)) - torsion_v()) * cxi
-    ).scale(S_ONE / _den_1x2(3))
+    ).scale(S_ONE / den_1x2(3))
     return CliffordExpr.scalar(cl_trace_product(value, torsion_block))
 
 

@@ -43,6 +43,7 @@ from .scalars import (
     S_ZERO,
     mono_items,
     mono_rank,
+    scalar_sum,
     sym,
 )
 from .clifford import CliffordExpr, apply_torsion_switches, as_clifford
@@ -535,10 +536,7 @@ def run_theorem(theorem: str, cfg: RunConfig) -> Dict:
     reports = [parts[case][0] for case in cases]
     total = total_boundary_term(reports, theorem)
     # sum consistency: total must equal the exact sum of the cases
-    check = total.value
-    for rep in reports:
-        check = check - rep.value
-    if not check.is_zero():
+    if not scalar_sum((total.value,), [rep.value for rep in reports]).is_zero():
         raise EngineError("internal: case sum does not reproduce the total")
     rows = []
     for case in cases:

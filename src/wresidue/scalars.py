@@ -674,17 +674,20 @@ def _poly_gcd_uncached(a: Poly, b: Poly) -> Poly:
 # Structured gcd over the engine's known irreducible denominators
 # ---------------------------------------------------------------------------
 
+# the pole factors of the xin line, xin - i and xin + i (`lin_minus`, `lin_plus`)
+_LIN_MINUS = Poly.var(XIN) + Poly.const(GRat(0, -1))
+_LIN_PLUS = Poly.var(XIN) + Poly.const(GRat(0, 1))
+
+
 def _known_bases() -> List[Tuple[Poly, frozenset]]:
     """Irreducible monic polynomials whose powers form every denominator,
     each with its variables: xin - i, xin + i, |xi|^2 and
     shx^2 |xi'|^2 + xin^2."""
-    lin_minus = Poly.var(XIN) + Poly.const(GRat(0, -1))
-    lin_plus = Poly.var(XIN) + Poly.const(GRat(0, 1))
     s_tang = Poly.var(XI[0], 2) + Poly.var(XI[1], 2) + Poly.var(XI[2], 2)
     sphere = s_tang + Poly.var(XIN, 2)
     sphere_shx = Poly.var(SHX, 2) * s_tang + Poly.var(XIN, 2)
     return [(base, frozenset(base.variables()))
-            for base in (lin_minus, lin_plus, sphere, sphere_shx)]
+            for base in (_LIN_MINUS, _LIN_PLUS, sphere, sphere_shx)]
 
 
 _BASES = _known_bases()
@@ -1385,6 +1388,24 @@ def norm_xi_sq() -> ScalarExpr:
     for j in range(3):
         s = s + Poly.var(XI[j], 2)
     return ScalarExpr.from_poly(Poly.var(SHX, 2) * s + Poly.var(XIN, 2))
+
+
+@functools.cache
+def lin_minus(k: int = 1) -> ScalarExpr:
+    """(xin - i)^k, the factor of the pole at +i; k may be negative."""
+    return ScalarExpr.from_poly(_LIN_MINUS) ** k
+
+
+@functools.cache
+def lin_plus(k: int = 1) -> ScalarExpr:
+    """(xin + i)^k, the factor of the pole at -i; k may be negative."""
+    return ScalarExpr.from_poly(_LIN_PLUS) ** k
+
+
+@functools.cache
+def den_1x2(k: int) -> ScalarExpr:
+    """(1 + xin^2)^k, the k-th power of |xi|^2 on the co-sphere |xi'| = 1."""
+    return ScalarExpr.from_poly(Poly.var(XIN, 2) + P_ONE) ** k
 
 
 def tangential_norm_sq() -> ScalarExpr:

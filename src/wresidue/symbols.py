@@ -23,7 +23,6 @@ parametrix recursively from the leading component.
 from __future__ import annotations
 
 import functools
-import operator
 from itertools import combinations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -41,10 +40,11 @@ from .scalars import (
     atom_V,
     mono_items,
     norm_xi_sq,
+    scalar_sum,
     sym,
     tangential_norm_sq,
 )
-from .clifford import CliffordExpr, CL_ZERO, clifford_inverse
+from .clifford import CliffordExpr, CL_ZERO, clifford_inverse, clifford_sum
 
 S_HALF_H1 = sym("h1") * ScalarExpr.const(GRat(1) / GRat(2))
 
@@ -82,10 +82,7 @@ def c_vector(components: List[ScalarExpr]) -> CliffordExpr:
 
 def xdot_xi(prefix: str) -> ScalarExpr:
     """sum_j prefix_j xi_j over all four directions."""
-    total = S_ZERO
-    for j in range(1, 5):
-        total = total + sym(f"{prefix}{j}") * xi_var(j)
-    return total
+    return scalar_sum(sym(f"{prefix}{j}") * xi_var(j) for j in range(1, 5))
 
 
 def q_bilinear() -> ScalarExpr:
@@ -103,10 +100,8 @@ def torsion_u() -> CliffordExpr:
     axial part of A, and the six orderings of each p < q < r add up to
     u = (3/2) sum_{p<q<r} A[p,q,r] c(e_p)c(e_q)c(e_r)."""
     three_half = ScalarExpr.const(GRat(3) / GRat(2))
-    total = CL_ZERO
-    for p, q, r in combinations(range(1, 5), 3):
-        total = total + (c_gen(p) * c_gen(q) * c_gen(r)).scale(atom_A(p, q, r) * three_half)
-    return total
+    return clifford_sum((c_gen(p) * c_gen(q) * c_gen(r)).scale(atom_A(p, q, r) * three_half)
+                        for p, q, r in combinations(range(1, 5), 3))
 
 
 @functools.cache
@@ -128,10 +123,8 @@ def sigma0_dirac_lc() -> CliffordExpr:
 def spin_connection_term(prefix: str) -> CliffordExpr:
     """A(X) at x0 = (1/4)h'(0) sum_{k<4} X_k c(e_k)c(e_4) for X = sum X_k d/dx_k."""
     quarter_h1 = sym("h1") * ScalarExpr.const(GRat(1) / GRat(4))
-    total = CL_ZERO
-    for k in range(1, 4):
-        total = total + (c_gen(k) * c_gen(4)).scale(sym(f"{prefix}{k}") * quarter_h1)
-    return total
+    return clifford_sum((c_gen(k) * c_gen(4)).scale(sym(f"{prefix}{k}") * quarter_h1)
+                        for k in range(1, 4))
 
 
 @functools.cache
@@ -139,20 +132,14 @@ def torsion_two_form(prefix: str) -> CliffordExpr:
     """T-bar(X) = (3/2) sum_{i<j} T(X,e_i,e_j)c(e_i)c(e_j) - (1/2)c(V)c(X) - (1/2)<V,X>."""
     three_half = ScalarExpr.const(GRat(3) / GRat(2))
     half = ScalarExpr.const(GRat(1) / GRat(2))
-    total = CL_ZERO
-    for i, j in combinations(range(1, 5), 2):
-        coeff = S_ZERO
-        for a in range(1, 5):
-            coeff = coeff + sym(f"{prefix}{a}") * atom_T(a, i, j)
-        total = total + (c_gen(i) * c_gen(j)).scale(coeff * three_half)
+    two_form = [
+        (c_gen(i) * c_gen(j)).scale(
+            scalar_sum(sym(f"{prefix}{a}") * atom_T(a, i, j) for a in range(1, 5)) * three_half)
+        for i, j in combinations(range(1, 5), 2)]
     cv = c_vector([atom_V(k) for k in range(1, 5)])
     cx = c_vector([sym(f"{prefix}{k}") for k in range(1, 5)])
-    total = total - (cv * cx).scale(half)
-    inner = S_ZERO
-    for k in range(1, 5):
-        inner = inner + atom_V(k) * sym(f"{prefix}{k}")
-    total = total - CliffordExpr.scalar(inner * half)
-    return total
+    inner = scalar_sum(atom_V(k) * sym(f"{prefix}{k}") for k in range(1, 5))
+    return clifford_sum(two_form, ((cv * cx).scale(half), CliffordExpr.scalar(inner * half)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +202,18 @@ def d_x_tangential(component: SymbolComponent) -> SymbolComponent:
     return SymbolComponent(CL_ZERO, at_point=True, homogeneous=component.homogeneous)
 
 
-def _combine_components(a: SymbolComponent, b: SymbolComponent, op) -> SymbolComponent:
-    """op of the two values; if either is at the boundary point, both are moved there."""
-    at_point = a.at_point or b.at_point
-    va, vb = (_at_point_value(c.value) if at_point and not c.at_point else c.value
-              for c in (a, b))
-    return SymbolComponent(op(va, vb), at_point=at_point,
-                           homogeneous=a.homogeneous and b.homogeneous)
+def _one_state(components) -> Tuple[List[CliffordExpr], bool]:
+    """The values of the components and whether they are at the boundary
+    point: if any component is, every value is moved there."""
+    at_point = any(c.at_point for c in components)
+    return [_at_point_value(c.value) if at_point and not c.at_point else c.value
+            for c in components], at_point
 
 
 def _mul_components(a: SymbolComponent, b: SymbolComponent) -> SymbolComponent:
-    return _combine_components(a, b, operator.mul)
-
-
-def _add_components(a: SymbolComponent, b: SymbolComponent) -> SymbolComponent:
-    return _combine_components(a, b, operator.add)
-
-
-_ZERO_COMPONENT = SymbolComponent(CL_ZERO, at_point=False)
+    (va, vb), at_point = _one_state((a, b))
+    return SymbolComponent(va * vb, at_point=at_point,
+                           homogeneous=a.homogeneous and b.homogeneous)
 
 
 def _dx_normal(component: SymbolComponent) -> SymbolComponent:
@@ -247,19 +228,20 @@ def _order_sum(op: str, target: int, terms) -> SymbolComponent:
     Tangential x-derivatives vanish at x0, so only normal ones enter, and
     k >= 2 would need h''(0), which is not modeled.
     """
-    acc = _ZERO_COMPONENT
+    products = []
     for pj, ql, k in terms:
         if k >= 2:
             raise EngineError(
                 f"{op}: order {target} needs {k} normal derivatives; "
                 "h''(0) is not modeled"
             )
-        if k == 0:
-            acc = _add_components(acc, _mul_components(pj, ql))
-        else:
-            left = SymbolComponent(d_xi(pj.value, 4), pj.at_point, pj.homogeneous)
-            acc = _add_components(acc, _mul_components(left, _dx_normal(ql)))
-    return acc
+        if k:
+            pj = SymbolComponent(d_xi(pj.value, 4), pj.at_point, pj.homogeneous)
+            ql = _dx_normal(ql)
+        products.append(_mul_components(pj, ql))
+    values, at_point = _one_state(products)
+    return SymbolComponent(clifford_sum(values), at_point=at_point,
+                           homogeneous=all(c.homogeneous for c in products))
 
 
 def compose(p: GradedSymbol, q: GradedSymbol, min_order: int,
@@ -399,9 +381,7 @@ def _sigma_m3_laplacian_ground(variant: str) -> CliffordExpr:
     inv2 = norm2 ** -2
     inv3 = norm2 ** -3
     if variant == "printed":
-        m_cliff = CL_ZERO
-        for k in range(1, 4):
-            m_cliff = m_cliff + (c_gen(k) * c_gen(4)).scale(xin)
+        m_cliff = clifford_sum((c_gen(k) * c_gen(4)).scale(xin) for k in range(1, 4))
     else:
         m_cliff = c_xi_prime(at_point=True) * c_gen(4)
     u = torsion_u()
@@ -414,7 +394,7 @@ def _sigma_m3_laplacian_ground(variant: str) -> CliffordExpr:
         ScalarExpr.const(GRat(0, -2)) * h1 * tangential_norm_sq() * xin * inv3
     )
     term3 = ((u - v).scale(S_I) * cxi + cxi.scale(S_I) * (u + v)).scale(-inv2)
-    return term1 + term2 + term3
+    return clifford_sum((term1, term2, term3))
 
 
 def _sym_laplacian_inv(variant: str) -> GradedSymbol:

@@ -283,3 +283,34 @@ def test_difference_matches_the_matrix_difference(a, b):
     assert matrix_representation(a - b, _AT_XIN) == _mat_add(rep_a, _mat_neg(rep_b))
     assert a - b == a + (-b)
     assert (a - a).is_zero() and (a - CliffordExpr()) == a
+
+
+def _per_monomial_sum(terms, minus=()):
+    """The reference sum: for each monomial, one `scalar_sum` of the
+    coefficients of `terms` less those of `minus`; zero sums are dropped."""
+    from wresidue.scalars import scalar_sum
+
+    monos = {m for x in (*terms, *minus) for m in x.terms}
+    sums = {m: scalar_sum([x.coefficient(m) for x in terms], [x.coefficient(m) for x in minus])
+            for m in monos}
+    return {m: s for m, s in sums.items() if not s.is_zero()}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sums_match_a_per_monomial_scalar_sum(seed):
+    """`+`, `-` and `clifford_sum` on random symbolic elements agree with a
+    per-monomial `scalar_sum`, store no zero coefficient, and undo each other."""
+    from wresidue.clifford import clifford_sum
+    from wresidue.verify import _rand_clifford
+
+    rng = random.Random(seed)
+    a, b, c_, d = (_rand_clifford(rng, numeric=False) for _ in range(4))
+    for got, want in ((a + b, _per_monomial_sum((a, b))),
+                      (a - b, _per_monomial_sum((a,), (b,))),
+                      (clifford_sum((a, b, c_), (d,)), _per_monomial_sum((a, b, c_), (d,)))):
+        assert got.terms == want
+        assert not any(coeff.is_zero() for coeff in got.terms.values())
+    assert (a - a).is_zero() and (a - a).terms == {}
+    assert clifford_sum((a,), (a,)).terms == {}
+    assert (a + b) - b == a
+

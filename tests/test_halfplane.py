@@ -219,8 +219,7 @@ def test_partial_fractions_with_other_variables_matches_direct_decomposition():
     basis elements xin^d / den; `_decompose_scalar` on the whole coefficient
     is the reference route.
     """
-    from wresidue.halfplane import _LIN_MINUS
-    from wresidue.scalars import XIN as XIN_ID
+    from wresidue.scalars import XIN as XIN_ID, lin_plus
     from wresidue.verify import _rand_halfline
 
     rng = random.Random(11)
@@ -237,7 +236,7 @@ def test_partial_fractions_with_other_variables_matches_direct_decomposition():
             plus, minus, poly = _decompose_scalar(coeff)
             for m in range(1, coeff.den.degree_in(XIN_ID) + 2):
                 assert principal_part(expr, m).coefficient(mono) == plus.get(m, S_ZERO)
-            want = scalar_sum([c * _LIN_MINUS ** (-m) for m, c in minus.items()]
+            want = scalar_sum([c * lin_plus(-m) for m, c in minus.items()]
                               + [c * XIN ** d for d, c in poly.items()])
             assert minus_part.coefficient(mono) == want
 

@@ -36,6 +36,10 @@ def test_kernel_times_runs_one_theorem(lanes):
         assert any(line.startswith("parent   busy") for line in lines), out.stdout
     else:
         assert any(line.startswith("Poly.__mul__") for line in lines), out.stdout
+        # the sum path: the scalar and the Clifford signed-sum kernels
+        for kernel in ("scalar_sum", "_collect"):
+            assert any(re.match(rf"^{kernel}\s+[1-9]\d*\s+\d+\.\d+$", line)
+                       for line in lines), out.stdout
         # one row of divisions tried and failed per known denominator base
         head = lines.index(next(line for line in lines if line.startswith("division by base")))
         rows = [re.match(r"^(.+?)\s+(\d+)\s+(\d+)$", line) for line in lines[head + 1:head + 5]]

@@ -31,7 +31,9 @@ The kernels, by the name each tree binds them under:
 - the dict sum: `gaussian._terms_add`, or `scalars._accumulate` in a tree
   from before the triple kernels;
 - `scalars._poly_reduce_sphere`, `ScalarExpr.restrict_sphere`,
-  `integration.sphere_moment` and `scalars.poly_text`.
+  `integration.sphere_moment` and `scalars.poly_text`;
+- the sum path: `scalars.scalar_sum`, the one canonical sum of scalars,
+  and `clifford._collect`, the one signed sum of Clifford values.
 
 A kernel a tree does not have is left out of its table, so `--src` can
 point at an older checkout (`git archive <rev> | tar -x -C DIR`) to give
@@ -69,6 +71,8 @@ KERNELS = (
     ("restrict_sphere", "scalars", "ScalarExpr", "restrict_sphere"),
     ("sphere_moment", "integration", None, "sphere_moment"),
     ("poly_text", "scalars", None, "poly_text"),
+    ("scalar_sum", "scalars", None, "scalar_sum"),
+    ("_collect", "clifford", None, "_collect"),
 )
 
 
